@@ -7,7 +7,8 @@ output directory, and reports through its exit code:
 
 * 0 -- every check passed,
 * 1 -- at least one check failed,
-* 2 -- configuration error.
+* 2 -- configuration error, including input the library rejects as out
+  of domain (any ``ValueError``).
 
 Subcommands: ``kernels-check``, ``intertwine``, ``dual-check``,
 ``truncation``, ``invariance``, ``sde-vs-exact``, ``sample``.  Options can
@@ -19,6 +20,7 @@ CSV outputs byte for byte.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -123,6 +125,7 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, rows: list[dict]) -> None:
+    """RFC 4180 CSV: header line first, a field quoted only if it needs it."""
     path.parent.mkdir(parents=True, exist_ok=True)
     if not rows:
         path.write_text("")
@@ -130,9 +133,10 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
     header: list[str] = []
     for row in rows:
         header += [key for key in row if key not in header]
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(row.get(key, "")) for key in header) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(row.get(key, "")) for key in header] for row in rows)
 
 
 class Reporter:
@@ -760,8 +764,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is not None:
             cfg = replace(cfg, out_dir=args.out)
         return COMMANDS[args.command](cfg)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        # ConfigError, and domain errors the library raises on bad input
+        print("configuration error: " + " ".join(str(exc).splitlines()), file=sys.stderr)
         return 2
 
 

@@ -65,9 +65,9 @@ def vandermonde(y) -> np.ndarray | float:
 
 
 def is_chamber_point(x, nonneg: bool = False) -> bool:
-    """Coordinates non-decreasing, and >= 0 when ``nonneg``."""
+    """Finite coordinates, non-decreasing, and >= 0 when ``nonneg``."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size == 0:
+    if x.ndim != 1 or x.size == 0 or not np.all(np.isfinite(x)):
         return False
     if np.any(np.diff(x) < 0):
         return False
@@ -75,9 +75,9 @@ def is_chamber_point(x, nonneg: bool = False) -> bool:
 
 
 def is_strict_interior(x, nonneg: bool = False) -> bool:
-    """Strictly increasing, and first coordinate > 0 when ``nonneg``."""
+    """Finite coordinates, strictly increasing, and first > 0 when ``nonneg``."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size == 0:
+    if x.ndim != 1 or x.size == 0 or not np.all(np.isfinite(x)):
         return False
     if x.size > 1 and np.any(np.diff(x) <= 0):
         return False
@@ -402,6 +402,8 @@ def sample_alpha_corner_rows(alpha: float, x_rows: np.ndarray, rng: RngStream) -
     if not alpha > -1:
         raise ValueError("requires alpha > -1")
     x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
+    if not np.all(np.isfinite(x_rows)):
+        raise ValueError("anchor rows must be finite")
     total, d = x_rows.shape
     u = sample_haar_unitary(d, rng, size=total)
     uh = np.swapaxes(u, -2, -1).conj()

@@ -177,9 +177,9 @@ def semigroup_apply_rows(
     The chamber integral is computed as (1/N!) times the integral over the
     full box [0, y_max]^N of Delta(y) det[p(x_i, y_j)] f(sorted y): the
     prefactor is symmetric, so the symmetric extension of f makes the box
-    integral N! times the chamber one.  ``f`` is evaluated once on the box
-    mesh and shared across anchors.  Rows with tied coordinates return 0
-    (prefactor vanishes there; callers mask them).
+    integral N! times the chamber one.  ``f`` is evaluated once per chamber
+    point of the box mesh and shared across anchors.  Rows with tied
+    coordinates return 0 (prefactor vanishes there; callers mask them).
     """
     n = params.n_dim
     if n > 3:
@@ -227,15 +227,24 @@ def semigroup_apply_rows(
         shape[i] = k
         wmesh = wmesh * wts.reshape(shape)
 
-    fvals = np.zeros((k,) * n)
     mask = delta != 0.0
     if rows.shape[0] == 1:
         # single-anchor fast path: skip f where the integrand weight is
         # negligible (safe for bounded f; threshold far below any tolerance)
         weight = np.abs(det[0]) * np.abs(delta) * wmesh
         mask &= weight > 1e-18 * np.max(weight)
-    if np.any(mask):
-        fvals[mask] = f(np.sort(pts[mask], axis=-1))
+
+    # f(sorted y) is symmetric and the mesh is a product of one node set, so
+    # f is evaluated once per index-ordered point (i < j < k) that has any
+    # permutation in the mask; summing the axis permutations of that table
+    # copies each value to its permutations (the other terms are 0)
+    perms = list(permutations(range(n)))
+    ordered = np.all(np.diff(np.indices((k,) * n), axis=0) > 0, axis=0)
+    needed = ordered & np.logical_or.reduce([mask.transpose(perm) for perm in perms])
+    fchamber = np.zeros((k,) * n)
+    if np.any(needed):
+        fchamber[needed] = f(np.sort(pts[needed], axis=-1))
+    fvals = np.where(mask, sum(fchamber.transpose(perm) for perm in perms), 0.0)
 
     weight_mesh = (delta * fvals * wmesh)[None, ...]
     pref = np.exp(-lambda_eigen(n) * params.t) / (factorial(n) * vandermonde(rows))

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -158,3 +160,36 @@ def test_floats_are_17_digits(tmp_path):
     val = data[0]
     assert np.isclose(float(val), float(f"{float(val):.17g}"))
     assert len(val.split(".")[-1]) >= 10  # full precision survives the round trip
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--sampler", "alpha_corner", "--alpha", "-2", "--x", "1,2"],
+        ["sample", "--sampler", "corner", "--x", "2,1"],
+    ],
+)
+def test_library_domain_error_exits_2(tmp_path, capsys, argv):
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1
+
+
+def test_csv_artifacts_parse_with_csv_module(tmp_path):
+    assert run(["dual-check", "--out", str(tmp_path / "dual")]) == 0
+    run(["sde-vs-exact", "--out", str(tmp_path / "sde"), "--n-samples", "300", "--seed", "13"])
+    paths = sorted(tmp_path.glob("*/*.csv"))
+    assert len(paths) == 4
+    for path in paths:
+        lines = path.read_text().splitlines()
+        header, *records = csv.reader(lines)
+        assert len(records) == len(lines) - 1 > 0
+        for line, fields in zip(lines[1:], records):
+            assert len(fields) == len(header), (path.name, line)
+            if not any(c in field for field in fields for c in ',"'):
+                assert line == ",".join(fields)  # plain rows keep their bytes
+    sde_rows = list(csv.DictReader((tmp_path / "sde" / "sde_vs_exact.csv").read_text().splitlines()))
+    assert sde_rows[-1]["check"] == "sde_vs_matrix_ou[N=2,alpha=1]"
+    summary = list(csv.DictReader((tmp_path / "dual" / "summary.csv").read_text().splitlines()))
+    assert "dual_same[alpha=-1.5,t=0.5]" in [r["detail"] for r in summary]

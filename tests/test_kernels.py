@@ -18,6 +18,7 @@ from laguerre_intertwine.kernels import (
     is_chamber_point,
     is_strict_interior,
     sample_alpha_corner,
+    sample_alpha_corner_rows,
     sample_alpha_square,
     sample_corner,
     sample_corner_many,
@@ -46,6 +47,28 @@ def test_chamber_predicates():
     assert is_strict_interior(np.array([1.0, 2.0]), nonneg=True)
     assert not is_strict_interior(np.array([0.0, 2.0]), nonneg=True)
     assert not is_strict_interior(np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("pos", [0, 1])
+def test_chamber_predicates_reject_non_finite(bad, pos):
+    x = np.array([1.0, 2.0])
+    x[pos] = bad
+    for nonneg in (False, True):
+        assert not is_chamber_point(x, nonneg=nonneg)
+        assert not is_strict_interior(x, nonneg=nonneg)
+
+
+@pytest.mark.parametrize("anchor", [[np.nan, 2.0], [1.0, np.inf], [np.nan, np.nan]])
+def test_samplers_reject_non_finite_anchor(anchor):
+    # a NaN anchor used to pass the predicates and spin the rejection loop forever
+    rng = RngStream(914, 0)
+    with pytest.raises(ValueError):
+        sample_alpha_square(1.0, anchor, rng)
+    with pytest.raises(ValueError):
+        sample_alpha_corner(1.0, anchor, rng, size=3)
+    with pytest.raises(ValueError):
+        sample_alpha_corner_rows(1.0, np.array([[0.5, 1.0], anchor]), rng)
 
 
 def test_window_membership():

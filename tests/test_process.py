@@ -1,10 +1,11 @@
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from laguerre_intertwine.diffusion import dual_transition_density, transition_density, transition_sample
-from laguerre_intertwine.kernels import DegenerateAnchorError
+from laguerre_intertwine.kernels import DegenerateAnchorError, vandermonde
 from laguerre_intertwine.numerics import RngStream, power_endpoint_rule
 from laguerre_intertwine.process import (
     SdeConfig,
@@ -15,9 +16,11 @@ from laguerre_intertwine.process import (
     semigroup_apply_rows,
     simulate_matrix_ou,
     simulate_sde,
+    semigroup_ymax,
     subkm_density,
     subkm_dual_density,
 )
+from laguerre_intertwine.process import _box_axis_nodes, _perm_sign
 from laguerre_intertwine.rmt import laguerre_ensemble_density, sample_laguerre_ensemble, sample_wishart_radial
 from laguerre_intertwine.stats import EmpiricalSample, ks_two_sample
 
@@ -106,6 +109,74 @@ def test_semigroup_law():
     )
     rhs = semigroup_apply(pst, x, f, panels=4, order=20)
     assert abs(lhs - rhs) < 1e-5
+
+
+def _semigroup_apply_rows_full_mesh(params, x_rows, f, panels, order):
+    """Oracle: the box quadrature with f evaluated on every mesh point."""
+    n = params.n_dim
+    x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
+    y_max = semigroup_ymax(params.alpha, params.t, float(np.max(x_rows)), n)
+    nodes, wts = _box_axis_nodes(params.alpha, y_max, panels, order)
+    k = nodes.size
+    valid = np.all(np.diff(np.sort(x_rows, axis=-1), axis=-1) > 0, axis=-1)
+    out = np.zeros(x_rows.shape[0])
+    rows = x_rows[valid]
+    p = transition_density(params.alpha, params.t, rows[:, :, None], nodes[None, None, :])
+    det = None
+    for perm in permutations(range(n)):
+        if n == 2:
+            term = p[:, perm[0], :, None] * p[:, perm[1], None, :]
+        else:
+            term = (
+                p[:, perm[0], :, None, None]
+                * p[:, perm[1], None, :, None]
+                * p[:, perm[2], None, None, :]
+            )
+        det = _perm_sign(perm) * term if det is None else det + _perm_sign(perm) * term
+    pts = np.stack(np.meshgrid(*([nodes] * n), indexing="ij"), axis=-1)
+    delta = vandermonde(pts)
+    wmesh = np.ones((k,) * n)
+    for i in range(n):
+        shape = [1] * n
+        shape[i] = k
+        wmesh = wmesh * wts.reshape(shape)
+    fvals = np.zeros((k,) * n)
+    mask = delta != 0.0
+    if rows.shape[0] == 1:
+        weight = np.abs(det[0]) * np.abs(delta) * wmesh
+        mask &= weight > 1e-18 * np.max(weight)
+    fvals[mask] = f(np.sort(pts[mask], axis=-1))
+    weight_mesh = (delta * fvals * wmesh)[None, ...]
+    pref = np.exp(-lambda_eigen(n) * params.t) / (math.factorial(n) * vandermonde(rows))
+    out[valid] = pref * np.sum(det * weight_mesh, axis=tuple(range(1, n + 1)))
+    return out, k
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 1.0])
+@pytest.mark.parametrize(
+    "x_rows",
+    [
+        [[1.0, 2.0]],
+        [[1.0, 2.0], [0.5, 3.0], [1.5, 1.5]],
+        [[1.0, 2.0, 4.0]],
+        [[1.0, 2.0, 4.0], [0.5, 1.5, 3.0], [2.0, 2.0, 3.0]],
+    ],
+)
+def test_semigroup_apply_rows_matches_full_mesh_oracle(alpha, x_rows):
+    n = len(x_rows[0])
+    params = SemigroupParams(alpha, 0.5, n)
+    f = lambda y: np.prod(1.0 / (1.0 + y), axis=-1) + np.exp(-np.sum(y, axis=-1))
+    seen = []
+
+    def counted(y):
+        seen.append(y.shape[0])
+        return f(y)
+
+    got = semigroup_apply_rows(params, np.array(x_rows), counted, panels=2, order=8)
+    want, k = _semigroup_apply_rows_full_mesh(params, x_rows, f, panels=2, order=8)
+    assert np.array_equal(got, want)
+    assert len(x_rows) == 1 or got[-1] == 0.0  # the tied row
+    assert len(seen) == 1 and seen[0] <= math.comb(k, n)
 
 
 def test_semigroup_t_zero_is_identity():
