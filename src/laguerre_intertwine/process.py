@@ -17,7 +17,13 @@ from typing import Callable
 import numpy as np
 
 from .diffusion import _log_density_indexed, transition_density, transition_variance
-from .kernels import DegenerateAnchorError, UnsupportedDimensionError, is_strict_interior, vandermonde
+from .kernels import (
+    DegenerateAnchorError,
+    UnsupportedDimensionError,
+    is_chamber_point,
+    is_strict_interior,
+    vandermonde,
+)
 from .numerics import RngStream
 from .rmt import radial_part
 
@@ -48,10 +54,10 @@ class SdeConfig:
     floor_eps: float = 1e-10
 
     def __post_init__(self) -> None:
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if self.floor_eps < 0:
-            raise ValueError("floor_eps must be >= 0")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if not (np.isfinite(self.floor_eps) and self.floor_eps >= 0):
+            raise ValueError(f"floor_eps must be finite and >= 0, got {self.floor_eps}")
         if self.scheme != "euler_reordered":
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
@@ -295,34 +301,61 @@ def simulate_sde(
     floor after each step, near-collisions cap the interaction denominator,
     and coordinates are re-sorted ascending.  The simulator is a
     cross-check; precision comes from the exact samplers.
+
+    The state is one array per coordinate.  Each step draws one
+    ``(batch, N)`` standard normal block (coordinate i reads column i), adds
+    the interaction terms in ascending j and re-sorts with an odd-even
+    transposition network of ``np.minimum``/``np.maximum``.
+
+    Raises ``ValueError``, before any draw, when alpha is not a finite
+    value > -1, when ``x0`` is not a non-negative chamber point (NaN, inf,
+    a negative or a decreasing coordinate; tied coordinates and a zero head
+    coordinate are allowed), when ``t_end`` is not finite and > 0, or when
+    ``size`` < 1.
     """
-    if not alpha > -1:
-        raise ValueError("requires alpha > -1")
+    if not (np.isfinite(alpha) and alpha > -1):
+        raise ValueError(f"requires finite alpha > -1, got {alpha}")
     x0 = np.asarray(x0, dtype=float)
+    if not is_chamber_point(x0, nonneg=True):
+        raise ValueError(f"x0 must be a finite, non-negative, non-decreasing point, got {x0}")
+    if not (np.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end must be finite and positive, got {t_end}")
+    if size is not None and size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
     n = x0.size
     batch = 1 if size is None else size
-    x = np.tile(x0, (batch, 1))
     n_steps = max(1, int(round(t_end / cfg.dt)))
     dt = t_end / n_steps
     sq_dt = np.sqrt(dt)
     eps = max(cfg.floor_eps, 1e-300)
-    idx_sign = np.sign(np.arange(n)[:, None] - np.arange(n)[None, :])
-    gap_floor = eps * np.where(idx_sign == 0, 1.0, idx_sign)  # rows stay sorted, so sign(i-j) is the gap sign
-    off_diag = ~np.eye(n, dtype=bool)
+    xs = [np.full(batch, v) for v in x0]
     for _ in range(n_steps):
-        if n > 1:
-            gaps = x[:, :, None] - x[:, None, :]
-            capped = np.where(np.abs(gaps) < eps, gap_floor[None, :, :], gaps)
-            inter = np.sum(
-                np.where(off_diag[None, :, :], 2.0 * x[:, :, None] / capped, 0.0), axis=2
-            )
-        else:
-            inter = 0.0
-        drift = -x + alpha + 1.0 + inter
-        noise = np.sqrt(2.0 * np.maximum(x, eps)) * sq_dt * rng.gen.standard_normal(x.shape)
-        x = x + drift * dt + noise
-        x = np.where(x < 0, eps, x)
-        x.sort(axis=1)
+        z = rng.gen.standard_normal((batch, n))
+        two_x = [2.0 * xi for xi in xs]
+        # rows stay sorted, so the gap x_j - x_i (i < j) is >= 0 and capping
+        # its absolute value at eps is a max; for j > i the term
+        # 2 x_i / (x_i - x_j) is -(2 x_i / gap), bit for bit
+        gaps = {(i, j): np.maximum(xs[j] - xs[i], eps) for i in range(n) for j in range(i + 1, n)}
+        stepped = []
+        for i, xi in enumerate(xs):
+            drift = alpha - xi + 1.0
+            if n > 1:
+                terms = [
+                    two_x[i] / gaps[j, i] if j < i else -(two_x[i] / gaps[i, j])
+                    for j in range(n)
+                    if j != i
+                ]
+                drift = drift + sum(terms[1:], terms[0])
+            # doubling is exact, so max(2x, 2 eps) is 2 max(x, eps)
+            noise = np.sqrt(np.maximum(two_x[i], 2.0 * eps)) * sq_dt * z[:, i]
+            moved = xi + drift * dt + noise
+            stepped.append(np.where(moved < 0, eps, moved))
+        for r in range(n):
+            for i in range(r % 2, n - 1, 2):
+                lo, hi = stepped[i], stepped[i + 1]
+                stepped[i], stepped[i + 1] = np.minimum(lo, hi), np.maximum(lo, hi)
+        xs = stepped
+    x = np.stack(xs, axis=1)
     return x[0] if size is None else x
 
 
@@ -347,6 +380,8 @@ def simulate_matrix_ou(
     if not t > 0:
         raise ValueError("t must be positive")
     x0 = np.asarray(x0, dtype=float)
+    if not is_chamber_point(x0, nonneg=True):
+        raise ValueError(f"x0 must be a finite, non-negative, non-decreasing point, got {x0}")
     n = x0.size
     m_rows = n + int(alpha_int)
     m0 = np.zeros((m_rows, n), dtype=complex)

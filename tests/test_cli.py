@@ -167,6 +167,7 @@ def test_floats_are_17_digits(tmp_path):
     [
         ["sample", "--sampler", "alpha_corner", "--alpha", "-2", "--x", "1,2"],
         ["sample", "--sampler", "corner", "--x", "2,1"],
+        ["sde-vs-exact", "--t", "nan", "--n-samples", "50"],
     ],
 )
 def test_library_domain_error_exits_2(tmp_path, capsys, argv):

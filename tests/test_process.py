@@ -3,6 +3,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laguerre_intertwine.diffusion import dual_transition_density, transition_density, transition_sample
 from laguerre_intertwine.kernels import DegenerateAnchorError, vandermonde
@@ -226,6 +228,102 @@ def test_sde_output_sorted_and_nonnegative():
     assert np.all(out >= 0)
 
 
+def _simulate_sde_gap_tensor(alpha, x0, t_end, cfg, rng, size=None):
+    """Oracle: the Euler step on a (batch, N, N) gap tensor with a row sort."""
+    x0 = np.asarray(x0, dtype=float)
+    n = x0.size
+    batch = 1 if size is None else size
+    x = np.tile(x0, (batch, 1))
+    n_steps = max(1, int(round(t_end / cfg.dt)))
+    dt = t_end / n_steps
+    sq_dt = np.sqrt(dt)
+    eps = max(cfg.floor_eps, 1e-300)
+    idx_sign = np.sign(np.arange(n)[:, None] - np.arange(n)[None, :])
+    gap_floor = eps * np.where(idx_sign == 0, 1.0, idx_sign)  # rows stay sorted, so sign(i-j) is the gap sign
+    off_diag = ~np.eye(n, dtype=bool)
+    for _ in range(n_steps):
+        if n > 1:
+            gaps = x[:, :, None] - x[:, None, :]
+            capped = np.where(np.abs(gaps) < eps, gap_floor[None, :, :], gaps)
+            inter = np.sum(
+                np.where(off_diag[None, :, :], 2.0 * x[:, :, None] / capped, 0.0), axis=2
+            )
+        else:
+            inter = 0.0
+        drift = -x + alpha + 1.0 + inter
+        noise = np.sqrt(2.0 * np.maximum(x, eps)) * sq_dt * rng.gen.standard_normal(x.shape)
+        x = x + drift * dt + noise
+        x = np.where(x < 0, eps, x)
+        x.sort(axis=1)
+    return x[0] if size is None else x
+
+
+def _assert_sde_matches_oracle(alpha, x0, t_end, cfg, size, seed):
+    rng_a, rng_b = RngStream(seed, 0), RngStream(seed, 0)
+    got = simulate_sde(alpha, np.array(x0), t_end, cfg, rng_a, size=size)
+    want = _simulate_sde_gap_tensor(alpha, np.array(x0), t_end, cfg, rng_b, size=size)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert rng_a.gen.standard_normal() == rng_b.gen.standard_normal()  # same draws consumed
+    return got
+
+
+@pytest.mark.parametrize(
+    "alpha, x0, size",
+    [
+        (0.0, [1.0], 400),
+        (1.0, [1.0, 3.0], 400),
+        (-0.5, [0.5, 1.5, 3.0], 300),
+        (1.0, [0.1, 0.5, 1.0, 2.0, 4.0], 200),
+        (1.0, [1.0, 1.0, 3.0], 300),  # tied anchor
+        (-0.5, [0.0, 0.5, 2.0], 300),  # zero head coordinate
+        (-0.5, [0.0, 0.5, 2.0], None),
+        (1.0, [1.0], None),
+    ],
+)
+def test_sde_matches_gap_tensor_oracle(alpha, x0, size):
+    out = _assert_sde_matches_oracle(alpha, x0, 0.2, SdeConfig(dt=2e-3), size, seed=81)
+    assert out.ndim == (1 if size is None else 2)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    x0=st.lists(
+        st.one_of(st.floats(0.0, 5.0), st.sampled_from([0.0, 1.0])), min_size=1, max_size=4
+    ).map(sorted),
+    alpha=st.floats(-0.99, 3.0),
+    dt=st.sampled_from([1e-3, 1e-2, 0.1]),
+    steps=st.integers(1, 20),
+    size=st.integers(1, 8),
+)
+def test_sde_stepper_property(x0, alpha, dt, steps, size):
+    out = _assert_sde_matches_oracle(alpha, x0, steps * dt, SdeConfig(dt=dt), size, seed=82)
+    assert np.all(np.diff(out, axis=1) >= 0)
+    assert np.all(out >= 0)
+
+
+@pytest.mark.parametrize("x0", [[np.nan, 2.0], [1.0, np.inf], [-1.0, 2.0], [2.0, 1.0], []])
+def test_simulators_reject_bad_anchor(x0):
+    rng = RngStream(83, 0)
+    with pytest.raises(ValueError):
+        simulate_sde(0.5, np.array(x0), 1.0, SdeConfig(dt=1e-2), rng, size=4)
+    with pytest.raises(ValueError):
+        simulate_matrix_ou(1, np.array(x0), 1.0, rng, size=4)
+    assert rng.gen.standard_normal() == RngStream(83, 0).gen.standard_normal()  # nothing drawn
+
+
+@pytest.mark.parametrize(
+    "alpha, t_end, size",
+    [(0.0, -1.0, 4), (0.0, 0.0, 4), (0.0, np.nan, 4), (0.0, np.inf, 4), (0.0, 1.0, 0),
+     (np.nan, 1.0, 4), (-1.0, 1.0, 4)],
+)
+def test_sde_rejects_bad_arguments(alpha, t_end, size):
+    rng = RngStream(84, 0)
+    with pytest.raises(ValueError):
+        simulate_sde(alpha, np.array([1.0]), t_end, SdeConfig(dt=1e-2), rng, size=size)
+    assert rng.gen.standard_normal() == RngStream(84, 0).gen.standard_normal()  # nothing drawn
+
+
 def test_sde_long_run_reaches_ensemble():
     rng = RngStream(73, 0)
     n_draws = 20_000
@@ -297,6 +395,11 @@ def test_matrix_ou_rejects_bad_alpha():
 def test_sde_config_validation():
     with pytest.raises(ValueError):
         SdeConfig(dt=0.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            SdeConfig(dt=bad)
+        with pytest.raises(ValueError):
+            SdeConfig(dt=1e-3, floor_eps=bad)
     with pytest.raises(ValueError):
         SdeConfig(dt=1e-3, scheme="milstein")
     with pytest.raises(ValueError):
