@@ -32,6 +32,7 @@ from .kernels import (
     DegenerateAnchorError,
     InterlacingWindow,
     KernelSpec,
+    RejectionLimitError,
     UnsupportedDimensionError,
     apply_kernel_quadrature,
     apply_kernel_to_anchors,

@@ -186,6 +186,17 @@ TEST_FUNCTIONS = {
     "sum_exp_sum": lambda y: np.sum(y, axis=-1) * np.exp(-np.sum(y, axis=-1)),
 }
 
+
+def stacked_test_functions(y: np.ndarray) -> np.ndarray:
+    """Every entry of ``TEST_FUNCTIONS`` at once: shape (..., F), dict order.
+
+    The quadrature appliers take such an f and share one nested quadrature
+    among the F functions.  The dict is read at each call, so a wrapper put
+    into it sees every evaluation.
+    """
+    return np.stack([fn(y) for fn in TEST_FUNCTIONS.values()], axis=-1)
+
+
 ALPHA_GRID = (-0.5, 0.0, 1.0, 2.5)
 CORNER_ANCHORS = {1: (1.0, 2.0), 2: (1.0, 2.0, 4.0), 3: (1.0, 2.0, 4.0, 7.0)}
 SQUARE_ANCHORS = {1: (2.0,), 2: (1.0, 3.0), 3: (1.0, 2.5, 5.0)}
@@ -197,7 +208,11 @@ RESOLUTION = {1: (4, 20, 3, 20), 2: (3, 14, 1, 12)}
 
 
 def _intertwine_sides(identity: str, alpha: float, t: float, x: np.ndarray, f, n_low: int):
-    """Both sides of one intertwining identity by independent quadrature."""
+    """Both sides of one intertwining identity by independent quadrature.
+
+    ``f`` may return (M,) or (M, F) values (see ``stacked_test_functions``);
+    each side is then a float or an (F,) array.
+    """
     sgp, sgo, kp, ko = RESOLUTION[n_low]
     if identity == "same_alpha":
         spec = KernelSpec("alpha_corner", alpha)
@@ -386,8 +401,9 @@ def cmd_intertwine(cfg: ExperimentConfig) -> int:
             )
             for alpha in alphas:
                 for t in times:
-                    for fname, f in TEST_FUNCTIONS.items():
-                        lhs, rhs = _intertwine_sides(identity, alpha, t, x, f, n)
+                    sides = _intertwine_sides(identity, alpha, t, x, stacked_test_functions, n)
+                    for fname, lhs, rhs in zip(TEST_FUNCTIONS, *sides):
+                        lhs, rhs = float(lhs), float(rhs)
                         rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
                         rep.record(
                             {

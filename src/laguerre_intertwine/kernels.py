@@ -46,7 +46,25 @@ class UnsupportedDimensionError(ValueError):
     """Operation guarded to small dimensions was asked for a larger one."""
 
 
+class RejectionLimitError(ValueError):
+    """A rejection sampler ran ``MAX_REJECTION_ROUNDS`` rounds and still waits."""
+
+
 _TIE_SNAP = 1e-9
+
+# Rounds a rejection loop may run.  The slowest case in use, alpha_square at
+# N = 8, accepts about 3.5e-5 of its proposals, so its waits are about 1e5
+# rounds; a wait past 1e7 rounds has probability about e^-350 there.
+MAX_REJECTION_ROUNDS = 10**7
+
+
+def _rejection_round(rounds: int, sampler: str) -> int:
+    """The next round's count; raises once ``MAX_REJECTION_ROUNDS`` have run."""
+    if rounds >= MAX_REJECTION_ROUNDS:
+        raise RejectionLimitError(
+            f"{sampler}: rejection sampling still waits after {MAX_REJECTION_ROUNDS} rounds"
+        )
+    return rounds + 1
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +308,9 @@ def sample_corner_rejection(x, rng: RngStream, size: int | None = None) -> np.nd
     out = np.empty((total, n))
     pending = np.arange(total)
     widths = np.diff(x)
+    rounds = 0
     while pending.size:
+        rounds = _rejection_round(rounds, "corner rejection sampler")
         u = rng.gen.random((pending.size, n))
         y = x[:-1] + u * widths
         ratio = vandermonde(y) / bound
@@ -316,7 +336,9 @@ def _alpha_square_rows_interior(alpha: float, z_rows: np.ndarray, rng: RngStream
             denom *= z_rows[:, j] - lo[:, i]
     out = np.empty((m, n))
     pending = np.arange(m)
+    rounds = 0
     while pending.size:
+        rounds = _rejection_round(rounds, "alpha_square sampler")
         u = rng.gen.random((pending.size, n))
         y = _power_law_inverse_cdf(alpha, lo[pending], z_rows[pending], u)
         ratio = vandermonde(y) / denom[pending]
@@ -350,7 +372,9 @@ def _alpha_square_single_tied(alpha: float, z: np.ndarray, rng: RngStream) -> np
     denom = 1.0
     for i, j in pairs:
         denom *= z[j] - lo[i]
+    rounds = 0
     while True:
+        rounds = _rejection_round(rounds, "alpha_square sampler at a tied anchor")
         u = rng.gen.random(free.size)
         y[free] = _power_law_inverse_cdf(alpha, lo[free], z[free], u)
         num = 1.0
@@ -558,22 +582,67 @@ def _endpoint_exponent(spec: KernelSpec) -> float | None:
     return None
 
 
+def _value_table(values, m: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """A test function's values on m points as an (F, m) table.
+
+    ``values`` has shape (m,) (a scalar test function, F = 1) or (m, F) (F
+    test functions at once).  Returns the table, with one contiguous row per
+    function, and the trailing shape (``()`` or ``(F,)``) of the values.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim not in (1, 2) or values.shape[0] != m:
+        raise ValueError(f"test function must return shape ({m},) or ({m}, F), got {values.shape}")
+    if values.ndim == 1:
+        return values[None, :], ()
+    return values.T, values.shape[1:]
+
+
+def _rows_from_table(table: np.ndarray, width: tuple[int, ...], valid: np.ndarray) -> np.ndarray:
+    """Scatter an (F, m) result table to the rows where ``valid`` holds.
+
+    The other rows are 0.  The result has shape (len(valid),) + width.
+    """
+    out = np.zeros(valid.shape + width)
+    out[valid] = table.T.reshape((-1,) + width)
+    return out
+
+
+def _zero_rows(f: Callable[[np.ndarray], np.ndarray], dim: int, valid: np.ndarray) -> np.ndarray:
+    """All-zero result for anchors none of which needs f.
+
+    f is called on an empty (0, dim) array, only to learn its value shape.
+    """
+    _, width = _value_table(f(np.empty((0, dim))), 0)
+    return np.zeros(valid.shape + width)
+
+
+def _first_row(values: np.ndarray) -> float | np.ndarray:
+    """Row 0 of an (m,) or (m, F) result: a float, or an (F,) array."""
+    row = np.asarray(values)[0]
+    return float(row) if row.ndim == 0 else row
+
+
 def apply_kernel_to_anchors(
     spec: KernelSpec,
     anchors: np.ndarray,
     f: Callable[[np.ndarray], np.ndarray],
     panels: int | tuple[int, ...] = 2,
     order: int = 20,
-    chunk_elems: int = 2_000_000,
+    chunk_elems: int = 250_000,
 ) -> np.ndarray:
     """(kernel f)(anchor) for a batch of anchors, by nested quadrature.
 
-    ``f`` must accept an (..., N) array of chamber points (rows sorted
-    ascending) and return the matching (...) array of values.  Rows with
+    ``f`` must accept an (M, N) array of chamber points (rows non-decreasing)
+    and return either an (M,) array of values or an (M, F) array holding F
+    test functions at once; the result for m anchors is then (m,) or
+    (m, F).  Each function's column is summed exactly as if it had been
+    passed alone, so stacking changes no bit of the result.  Rows with
     degenerate anchors evaluate to 0; callers pair them with vanishing
     prefactors.  ``panels`` may be a per-coordinate tuple.  Quadrature
     panels are anchored at the window segment endpoints so the integrand is
-    smooth on every panel.
+    smooth on every panel.  Anchors are processed in chunks of about
+    ``chunk_elems`` mesh points; the per-function sums reuse one mesh-sized
+    buffer, so the mesh temporaries do not grow with F.
     """
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     m_total, d = anchors.shape
@@ -586,10 +655,9 @@ def apply_kernel_to_anchors(
     density = _KERNELS[spec.kind]["density"]
     seg_fn = _KERNELS[spec.kind]["segments"]
 
-    out = np.zeros(m_total)
     valid = _anchor_rows_valid(spec, anchors)
     if not np.any(valid):
-        return out
+        return _zero_rows(f, n, valid)
     rows = anchors[valid]
     m = rows.shape[0]
 
@@ -628,8 +696,9 @@ def apply_kernel_to_anchors(
 
     sizes = [nd.shape[1] for nd in nodes]
     mesh_elems = int(np.prod(sizes))
+    mesh_axes = tuple(range(1, n + 1))
     rows_per_chunk = max(1, chunk_elems // max(mesh_elems, 1))
-    res = np.empty(m)
+    table, width = None, ()
     for start in range(0, m, rows_per_chunk):
         sl = slice(start, min(start + rows_per_chunk, m))
         mm = sl.stop - sl.start
@@ -645,12 +714,18 @@ def apply_kernel_to_anchors(
         dens = density(spec, anchor_block, pts)
         contrib = dens * wgrid
         mask = contrib != 0.0
+        # a point of nonzero weight lies in its interlacing window, so its
+        # coordinates are already non-decreasing: the corner, square and hat
+        # windows do not overlap, and the alpha_corner segment integral is
+        # zero unless y_k < y_{k+1}
+        fvals, width = _value_table(f(pts[mask]), int(np.count_nonzero(mask)))
+        if table is None:
+            table = np.empty((fvals.shape[0], m))
         vals = np.zeros_like(contrib)
-        if np.any(mask):
-            vals[mask] = f(np.sort(pts[mask], axis=-1))
-        res[sl] = np.sum(contrib * vals, axis=tuple(range(1, n + 1)))
-    out[valid] = res
-    return out
+        for j, col in enumerate(fvals):
+            vals[mask] = col
+            table[j, sl] = np.sum(contrib * vals, axis=mesh_axes)
+    return _rows_from_table(table, width, valid)
 
 
 def apply_kernel_quadrature(
@@ -659,8 +734,13 @@ def apply_kernel_quadrature(
     f: Callable[[np.ndarray], np.ndarray],
     panels: int | tuple[int, ...] = 2,
     order: int = 20,
-) -> float:
-    """(kernel f)(x) by nested composite Gauss-Legendre quadrature, N <= 3."""
+) -> float | np.ndarray:
+    """(kernel f)(x) by nested composite Gauss-Legendre quadrature, N <= 3.
+
+    A scalar ``f`` ((M, N) -> (M,)) gives a float; an ``f`` returning
+    (M, F) gives the (F,) array of the F values, as in
+    :func:`apply_kernel_to_anchors`.
+    """
     x = np.asarray(x, dtype=float)
     n = kernel_target_dim(spec, len(x))
     if n > 3:
@@ -669,4 +749,4 @@ def apply_kernel_quadrature(
         _require_interior(x, nonneg=False, what="corner anchor")
     elif spec.kind in ("alpha_square", "alpha_corner"):
         _require_interior(x, nonneg=True, what=f"{spec.kind} anchor")
-    return float(apply_kernel_to_anchors(spec, x[None, :], f, panels, order)[0])
+    return _first_row(apply_kernel_to_anchors(spec, x[None, :], f, panels, order))

@@ -20,12 +20,22 @@ from .diffusion import _log_density_indexed, transition_density, transition_vari
 from .kernels import (
     DegenerateAnchorError,
     UnsupportedDimensionError,
+    _first_row,
+    _rows_from_table,
+    _value_table,
+    _zero_rows,
     is_chamber_point,
     is_strict_interior,
     vandermonde,
 )
 from .numerics import RngStream
 from .rmt import radial_part
+
+
+# Most Euler steps one simulate_sde call may take.  The experiments take at
+# most 10^4 (dt = 1e-4 on [0, 1]); a count above the cap is a mistyped dt,
+# and 10^7 steps of a 20k batch already take hours.
+MAX_SDE_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -183,9 +193,13 @@ def semigroup_apply_rows(
     The chamber integral is computed as (1/N!) times the integral over the
     full box [0, y_max]^N of Delta(y) det[p(x_i, y_j)] f(sorted y): the
     prefactor is symmetric, so the symmetric extension of f makes the box
-    integral N! times the chamber one.  ``f`` is evaluated once per chamber
-    point of the box mesh and shared across anchors.  Rows with tied
-    coordinates return 0 (prefactor vanishes there; callers mask them).
+    integral N! times the chamber one.  ``f`` takes an (M, N) array of
+    strictly increasing rows and returns (M,) values, or (M, F) for F test
+    functions at once; the result for m anchors is then (m,) or (m, F), and
+    each function's column has the bits it would have alone.  ``f`` is
+    evaluated once per chamber point of the box mesh and shared across
+    anchors.  Rows with tied coordinates return 0 (prefactor vanishes there;
+    callers mask them).
     """
     n = params.n_dim
     if n > 3:
@@ -193,15 +207,13 @@ def semigroup_apply_rows(
     x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
     if params.t == 0:
         return f(np.sort(x_rows, axis=-1))
+    valid = np.all(np.diff(np.sort(x_rows, axis=-1), axis=-1) > 0, axis=-1)
+    if not np.any(valid):
+        return _zero_rows(f, n, valid)
     if y_max is None:
         y_max = semigroup_ymax(params.alpha, params.t, float(np.max(x_rows)), n)
     nodes, wts = _box_axis_nodes(params.alpha, y_max, panels, order)
     k = nodes.size
-
-    valid = np.all(np.diff(np.sort(x_rows, axis=-1), axis=-1) > 0, axis=-1)
-    out = np.zeros(x_rows.shape[0])
-    if not np.any(valid):
-        return out
     rows = x_rows[valid]
 
     # p(x_i, node_k) for every row: shape (m, N, K)
@@ -243,19 +255,22 @@ def semigroup_apply_rows(
     # f(sorted y) is symmetric and the mesh is a product of one node set, so
     # f is evaluated once per index-ordered point (i < j < k) that has any
     # permutation in the mask; summing the axis permutations of that table
-    # copies each value to its permutations (the other terms are 0)
+    # copies each value to its permutations (the other terms are 0).  The
+    # nodes ascend, so index-ordered points are already sorted.
     perms = list(permutations(range(n)))
     ordered = np.all(np.diff(np.indices((k,) * n), axis=0) > 0, axis=0)
     needed = ordered & np.logical_or.reduce([mask.transpose(perm) for perm in perms])
-    fchamber = np.zeros((k,) * n)
-    if np.any(needed):
-        fchamber[needed] = f(np.sort(pts[needed], axis=-1))
-    fvals = np.where(mask, sum(fchamber.transpose(perm) for perm in perms), 0.0)
+    fneeded, width = _value_table(f(pts[needed]), int(np.count_nonzero(needed)))
 
-    weight_mesh = (delta * fvals * wmesh)[None, ...]
     pref = np.exp(-lambda_eigen(n) * params.t) / (factorial(n) * vandermonde(rows))
-    out[valid] = pref * np.sum(det * weight_mesh, axis=mesh_axes)
-    return out
+    table = np.empty((fneeded.shape[0], rows.shape[0]))
+    fchamber = np.zeros((k,) * n)
+    for j, col in enumerate(fneeded):
+        fchamber[needed] = col
+        fvals = np.where(mask, sum(fchamber.transpose(perm) for perm in perms), 0.0)
+        weight_mesh = (delta * fvals * wmesh)[None, ...]
+        table[j] = pref * np.sum(det * weight_mesh, axis=mesh_axes)
+    return _rows_from_table(table, width, valid)
 
 
 def _perm_sign(perm: tuple[int, ...]) -> int:
@@ -275,14 +290,18 @@ def semigroup_apply(
     panels: int = 3,
     order: int = 20,
     y_max: float | None = None,
-) -> float:
-    """(T_t f)(x) by box quadrature; f takes (..., N) arrays of sorted rows."""
+) -> float | np.ndarray:
+    """(T_t f)(x) by box quadrature; f takes (M, N) arrays of sorted rows.
+
+    A scalar ``f`` ((M,) values) gives a float; an ``f`` returning (M, F)
+    gives the (F,) array of the F values, as in :func:`semigroup_apply_rows`.
+    """
     x = np.asarray(x, dtype=float)
     if params.t == 0:
-        return float(f(x[None, :])[0])
+        return _first_row(f(x[None, :]))
     if not is_strict_interior(x, nonneg=True):
         raise DegenerateAnchorError(f"anchor must be strictly interior, got {x}")
-    return float(semigroup_apply_rows(params, x[None, :], f, panels, order, y_max)[0])
+    return _first_row(semigroup_apply_rows(params, x[None, :], f, panels, order, y_max))
 
 
 def simulate_sde(
@@ -310,8 +329,8 @@ def simulate_sde(
     Raises ``ValueError``, before any draw, when alpha is not a finite
     value > -1, when ``x0`` is not a non-negative chamber point (NaN, inf,
     a negative or a decreasing coordinate; tied coordinates and a zero head
-    coordinate are allowed), when ``t_end`` is not finite and > 0, or when
-    ``size`` < 1.
+    coordinate are allowed), when ``t_end`` is not finite and > 0, when
+    ``size`` < 1, or when ``t_end / dt`` exceeds ``MAX_SDE_STEPS``.
     """
     if not (np.isfinite(alpha) and alpha > -1):
         raise ValueError(f"requires finite alpha > -1, got {alpha}")
@@ -322,9 +341,14 @@ def simulate_sde(
         raise ValueError(f"t_end must be finite and positive, got {t_end}")
     if size is not None and size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
+    steps = t_end / cfg.dt
+    if not steps <= MAX_SDE_STEPS:
+        raise ValueError(
+            f"t_end / dt = {steps:.3g} Euler steps exceeds the limit of {MAX_SDE_STEPS}"
+        )
     n = x0.size
     batch = 1 if size is None else size
-    n_steps = max(1, int(round(t_end / cfg.dt)))
+    n_steps = max(1, int(round(steps)))
     dt = t_end / n_steps
     sq_dt = np.sqrt(dt)
     eps = max(cfg.floor_eps, 1e-300)

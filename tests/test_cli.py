@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from laguerre_intertwine import cli
 from laguerre_intertwine.cli import ExperimentConfig, ConfigError, main
 
 
@@ -44,6 +45,22 @@ def test_intertwine_t_zero_trivial(tmp_path):
     body = (tmp_path / "intertwine.csv").read_text().splitlines()[1:]
     rels = [float(line.split(",")[7]) for line in body]
     assert max(rels) == 0.0
+
+
+def test_intertwine_reads_test_functions_at_call_time(tmp_path, monkeypatch):
+    # a wrapper put into TEST_FUNCTIONS after import sees every evaluation
+    seen = {}
+    for name, fn in list(cli.TEST_FUNCTIONS.items()):
+        def counted(y, name=name, fn=fn):
+            seen[name] = seen.get(name, 0) + y.shape[0]
+            return fn(y)
+        monkeypatch.setitem(cli.TEST_FUNCTIONS, name, counted)
+    assert run(["intertwine", "--n", "1", "--alpha", "0.0", "--t", "1.0",
+                "--out", str(tmp_path)]) == 0
+    assert sorted(seen) == sorted(cli.TEST_FUNCTIONS)
+    assert len(set(seen.values())) == 1 and seen["exp_sum"] > 0
+    rows = list(csv.DictReader((tmp_path / "intertwine.csv").read_text().splitlines()))
+    assert [r["f"] for r in rows[:3]] == list(cli.TEST_FUNCTIONS)
 
 
 def test_intertwine_bad_dimension(tmp_path):
@@ -168,6 +185,7 @@ def test_floats_are_17_digits(tmp_path):
         ["sample", "--sampler", "alpha_corner", "--alpha", "-2", "--x", "1,2"],
         ["sample", "--sampler", "corner", "--x", "2,1"],
         ["sde-vs-exact", "--t", "nan", "--n-samples", "50"],
+        ["sde-vs-exact", "--dt", "1e-300", "--n-samples", "50"],
     ],
 )
 def test_library_domain_error_exits_2(tmp_path, capsys, argv):

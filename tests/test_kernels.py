@@ -4,12 +4,19 @@ import numpy as np
 import pytest
 from conftest import binned_gof_2d
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from laguerre_intertwine import kernels
+from laguerre_intertwine.cli import TEST_FUNCTIONS, stacked_test_functions
 from laguerre_intertwine.kernels import (
     DegenerateAnchorError,
     InterlacingWindow,
     KernelSpec,
+    RejectionLimitError,
     UnsupportedDimensionError,
     apply_kernel_quadrature,
+    apply_kernel_to_anchors,
     density_alpha_corner,
     density_alpha_square,
     density_corner,
@@ -25,12 +32,13 @@ from laguerre_intertwine.kernels import (
     sample_corner_rejection,
     vandermonde,
 )
-from laguerre_intertwine.numerics import RngStream, unit_gauss_legendre
+from laguerre_intertwine.numerics import RngStream, power_stretch, unit_gauss_legendre
 from laguerre_intertwine.rmt import sample_corner_alpha_matrix
 from laguerre_intertwine.stats import EmpiricalSample, grid_cdf, ks_one_sample, ks_two_sample
 
 ONE = lambda y: np.ones(y.shape[:-1])
 F_EXP = lambda y: np.exp(-np.sum(y, axis=-1))
+SCALAR_FUNCTIONS = tuple(TEST_FUNCTIONS.values())
 
 
 def test_vandermonde_values():
@@ -442,3 +450,135 @@ def test_sample_alpha_corner_degenerate_anchor_n2_matches_matrix_model():
     assert np.allclose(mine[:, 1], c, atol=1e-8)
     assert np.allclose(ref[:, 1], c, atol=1e-7)
     assert ks_two_sample(EmpiricalSample(mine[:, 0]), EmpiricalSample(ref[:, 0])).p_value > 0.01
+
+
+# -- the applier's vector-valued f contract ----------------------------------
+
+KINDS = ["corner", "alpha_square", "alpha_corner", "hat_corner", "hat_square"]
+CORNER_ROWS = {1: [1.0, 2.0], 2: [1.0, 2.0, 4.0], 3: [0.5, 2.0, 4.0, 7.0]}
+SQUARE_ROWS = {1: [2.0], 2: [1.0, 3.0], 3: [0.5, 2.5, 5.0]}
+
+
+def _spec_and_anchor(kind, alpha, n):
+    spec = KernelSpec(kind, None if kind == "corner" else alpha)
+    rows = SQUARE_ROWS if kind in ("alpha_square", "hat_square") else CORNER_ROWS
+    return spec, np.array(rows[n])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [-0.5, 1.0])
+@pytest.mark.parametrize("kind", KINDS)
+def test_kernel_quadrature_points_are_sorted(kind, alpha, n):
+    # the applier passes its mesh points to f without sorting them
+    spec, anchor = _spec_and_anchor(kind, alpha, n)
+    seen = []
+
+    def recording(y):
+        seen.append(y.copy())
+        return F_EXP(y)
+
+    order = 8 if n == 3 else 12
+    apply_kernel_to_anchors(spec, np.stack([anchor, 1.5 * anchor]), recording, 2, order)
+    rows = np.concatenate(seen)
+    assert rows.shape[0] > 0 and rows.shape[1] == n
+    assert np.all(np.diff(rows, axis=-1) >= 0)
+
+
+def test_kernel_quadrature_points_are_sorted_with_stretched_nodes():
+    # alpha_corner at alpha = -0.5 places its nodes through the power map
+    assert power_stretch(-0.5) > 1.0
+    seen = []
+
+    def recording(y):
+        seen.append(y.copy())
+        return F_EXP(y)
+
+    anchors = np.array([[1e-3, 0.5, 0.5 + 1e-6, 3.0], [0.2, 0.3, 4.0, 9.0]])
+    apply_kernel_to_anchors(KernelSpec("alpha_corner", -0.5), anchors, recording, (2, 1, 3), 10)
+    rows = np.concatenate(seen)
+    assert rows.shape[0] > 0
+    assert np.all(np.diff(rows, axis=-1) >= 0)
+
+
+def _assert_stacked_matches_scalar(spec, anchors, chunk_elems, panels=2, order=10):
+    got = apply_kernel_to_anchors(
+        spec, anchors, stacked_test_functions, panels, order, chunk_elems=chunk_elems
+    )
+    assert got.shape == (len(anchors), len(SCALAR_FUNCTIONS))
+    for j, fn in enumerate(SCALAR_FUNCTIONS):
+        want = apply_kernel_to_anchors(spec, anchors, fn, panels, order, chunk_elems=chunk_elems)
+        assert want.shape == (len(anchors),)
+        # equal_nan: hat_square at a zero head coordinate gives NaN either way
+        assert np.array_equal(got[:, j], want, equal_nan=True)
+    return got
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_stacked_f_matches_scalar_calls_bit_for_bit(kind):
+    spec, anchor = _spec_and_anchor(kind, -0.5, 2)
+    tied = anchor.copy()
+    tied[1] = tied[0]
+    zero_head = anchor.copy()
+    zero_head[0] = 0.0
+    anchors = np.stack([anchor, tied, 1.5 * anchor, zero_head, 0.5 * anchor])
+    # a small chunk budget runs several chunks of a few anchors each
+    got = _assert_stacked_matches_scalar(spec, anchors, chunk_elems=500)
+    if kind in ("corner", "alpha_square", "alpha_corner"):
+        assert np.all(got[1] == 0.0)  # the degenerate anchor
+
+
+def test_stacked_f_with_no_valid_anchor():
+    anchors = np.array([[1.0, 1.0, 2.0], [0.0, 1.0, 2.0]])
+    spec = KernelSpec("alpha_corner", 1.0)
+    got = apply_kernel_to_anchors(spec, anchors, stacked_test_functions)
+    assert got.shape == (2, 3) and np.all(got == 0.0)
+    assert apply_kernel_to_anchors(spec, anchors, F_EXP).shape == (2,)
+
+
+def test_apply_kernel_quadrature_return_types():
+    spec, anchor = KernelSpec("alpha_corner", 1.0), np.array([1.0, 2.0, 4.0])
+    scalar = apply_kernel_quadrature(spec, anchor, F_EXP, 2, 10)
+    vector = apply_kernel_quadrature(spec, anchor, stacked_test_functions, 2, 10)
+    assert type(scalar) is float
+    assert vector.shape == (3,) and vector[0] == scalar
+
+
+def test_apply_kernel_rejects_misshaped_f():
+    spec, anchor = KernelSpec("corner"), np.array([1.0, 2.0, 4.0])
+    with pytest.raises(ValueError):
+        apply_kernel_quadrature(spec, anchor, lambda y: np.ones(3), 2, 10)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    kind=st.sampled_from(KINDS),
+    alpha=st.floats(-0.9, 3.0),
+    n=st.integers(1, 2),
+    raw=st.lists(st.floats(0.0, 6.0), min_size=9, max_size=9),
+    m=st.integers(1, 3),
+    chunk_elems=st.sampled_from([1, 300, 250_000]),
+)
+def test_stacked_f_matches_scalar_property(kind, alpha, n, raw, m, chunk_elems):
+    spec = KernelSpec(kind, None if kind == "corner" else alpha)
+    d = n if kind in ("alpha_square", "hat_square") else n + 1
+    anchors = np.sort(np.array(raw[: m * d]).reshape(m, d), axis=-1)
+    _assert_stacked_matches_scalar(spec, anchors, chunk_elems, panels=1, order=6)
+
+
+# -- rejection loops are bounded ----------------------------------------------
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda rng: sample_corner_rejection(np.array([0.0, 1.0, 2.0, 3.0]), rng, size=200),
+        lambda rng: sample_alpha_square(0.5, np.array([1.0, 2.0, 3.0]), rng, size=200),
+        lambda rng: sample_alpha_square(0.5, np.array([0.0, 1.0, 1.0, 3.0]), rng, size=200),
+        lambda rng: sample_alpha_corner_rows(0.5, np.tile([1.0, 2.0, 3.0, 4.0], (200, 1)), rng),
+    ],
+)
+def test_rejection_loops_stop_at_round_cap(monkeypatch, draw):
+    draw(RngStream(914, 0))  # finishes under the default cap
+    monkeypatch.setattr(kernels, "MAX_REJECTION_ROUNDS", 1)
+    with pytest.raises(RejectionLimitError, match="rejection"):
+        draw(RngStream(914, 0))
+    assert issubclass(RejectionLimitError, ValueError)  # the CLI maps it to exit 2

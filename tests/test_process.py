@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from laguerre_intertwine.diffusion import dual_transition_density, transition_density, transition_sample
 from laguerre_intertwine.kernels import DegenerateAnchorError, vandermonde
 from laguerre_intertwine.numerics import RngStream, power_endpoint_rule
+from laguerre_intertwine import process
+from laguerre_intertwine.cli import TEST_FUNCTIONS, stacked_test_functions
 from laguerre_intertwine.process import (
     SdeConfig,
     SemigroupParams,
@@ -181,6 +183,60 @@ def test_semigroup_apply_rows_matches_full_mesh_oracle(alpha, x_rows):
     assert len(seen) == 1 and seen[0] <= math.comb(k, n)
 
 
+SCALAR_FUNCTIONS = tuple(TEST_FUNCTIONS.values())
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.5, 1.0])
+@pytest.mark.parametrize("x_rows", [[[2.0]], [[1.0, 2.0], [0.5, 3.0]], [[1.0, 2.0, 4.0]]])
+def test_semigroup_quadrature_points_are_sorted(alpha, x_rows):
+    # the box quadrature passes index-ordered mesh points to f unsorted
+    seen = []
+
+    def recording(y):
+        seen.append(y.copy())
+        return SCALAR_FUNCTIONS[0](y)
+
+    n = len(x_rows[0])
+    semigroup_apply_rows(SemigroupParams(alpha, 0.5, n), np.array(x_rows), recording, 2, 8)
+    rows = np.concatenate(seen)
+    assert rows.shape[0] > 0 and rows.shape[1] == n
+    assert np.all(np.diff(rows, axis=-1) > 0)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 1.0])
+@pytest.mark.parametrize(
+    "x_rows",
+    [
+        [[1.0, 2.0]],
+        [[1.0, 2.0], [0.5, 3.0], [1.5, 1.5]],
+        [[1.0, 2.0, 4.0], [0.5, 1.5, 3.0], [2.0, 2.0, 3.0]],
+    ],
+)
+@pytest.mark.parametrize("t", [0.0, 0.5])
+def test_semigroup_stacked_f_matches_scalar_calls_bit_for_bit(alpha, x_rows, t):
+    params = SemigroupParams(alpha, t, len(x_rows[0]))
+    rows = np.array(x_rows)
+    got = semigroup_apply_rows(params, rows, stacked_test_functions, panels=2, order=8)
+    assert got.shape == (len(x_rows), len(SCALAR_FUNCTIONS))
+    for j, fn in enumerate(SCALAR_FUNCTIONS):
+        want = semigroup_apply_rows(params, rows, fn, panels=2, order=8)
+        assert want.shape == (len(x_rows),)
+        assert np.array_equal(got[:, j], want)
+    # one anchor gets its own box and the single-anchor fast path
+    single = semigroup_apply(params, rows[0], stacked_test_functions, panels=2, order=8)
+    assert single.shape == (3,)
+    for j, fn in enumerate(SCALAR_FUNCTIONS):
+        scalar = semigroup_apply(params, rows[0], fn, panels=2, order=8)
+        assert type(scalar) is float and scalar == single[j]
+
+
+def test_semigroup_stacked_f_with_only_tied_rows():
+    params = SemigroupParams(0.5, 0.5, 2)
+    rows = np.array([[1.0, 1.0], [2.0, 2.0]])
+    got = semigroup_apply_rows(params, rows, stacked_test_functions)
+    assert got.shape == (2, 3) and np.all(got == 0.0)
+
+
 def test_semigroup_t_zero_is_identity():
     f = lambda y: np.exp(-np.sum(y, axis=-1))
     val = semigroup_apply(SemigroupParams(0.5, 0.0, 2), np.array([1.0, 2.0]), f)
@@ -322,6 +378,23 @@ def test_sde_rejects_bad_arguments(alpha, t_end, size):
     with pytest.raises(ValueError):
         simulate_sde(alpha, np.array([1.0]), t_end, SdeConfig(dt=1e-2), rng, size=size)
     assert rng.gen.standard_normal() == RngStream(84, 0).gen.standard_normal()  # nothing drawn
+
+
+@pytest.mark.parametrize("dt", [1e-300, 5e-324])
+def test_sde_rejects_too_many_steps(dt):
+    # 1 / 1e-300 asks for 1e300 steps; 1 / 5e-324 overflows to inf
+    rng = RngStream(85, 0)
+    with pytest.raises(ValueError, match="Euler steps"):
+        simulate_sde(0.0, np.array([1.0]), 1.0, SdeConfig(dt=dt), rng)
+    assert rng.gen.standard_normal() == RngStream(85, 0).gen.standard_normal()  # nothing drawn
+
+
+def test_sde_step_cap_is_inclusive(monkeypatch):
+    monkeypatch.setattr(process, "MAX_SDE_STEPS", 10)
+    rng = RngStream(86, 0)
+    assert simulate_sde(0.0, np.array([1.0]), 1.0, SdeConfig(dt=0.1), rng).shape == (1,)
+    with pytest.raises(ValueError, match="Euler steps"):
+        simulate_sde(0.0, np.array([1.0]), 1.0, SdeConfig(dt=0.09), rng)
 
 
 def test_sde_long_run_reaches_ensemble():
