@@ -50,21 +50,15 @@ class RejectionLimitError(ValueError):
     """A rejection sampler ran ``MAX_REJECTION_ROUNDS`` rounds and still waits."""
 
 
-_TIE_SNAP = 1e-9
-
-# Rounds a rejection loop may run.  The slowest case in use, alpha_square at
-# N = 8, accepts about 3.5e-5 of its proposals, so its waits are about 1e5
-# rounds; a wait past 1e7 rounds has probability about e^-350 there.
+# Rounds the oracle rejection sampler ``sample_corner_rejection`` may run
+# before it raises; draws that finish below the cap are unchanged by it.
 MAX_REJECTION_ROUNDS = 10**7
 
-
-def _rejection_round(rounds: int, sampler: str) -> int:
-    """The next round's count; raises once ``MAX_REJECTION_ROUNDS`` have run."""
-    if rounds >= MAX_REJECTION_ROUNDS:
-        raise RejectionLimitError(
-            f"{sampler}: rejection sampling still waits after {MAX_REJECTION_ROUNDS} rounds"
-        )
-    return rounds + 1
+# Steps of the secular-equation solver.  A step that the rational model
+# cannot take bisects the bracket, which starts as half of the root's
+# interval, so even pure bisection ends within 2^-65 of the interval's width.
+MAX_SECULAR_STEPS = 64
+_SECULAR_TOL = 4.0 * np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +129,8 @@ class InterlacingWindow:
 
 def _corner_density_raw(x, y):
     """N! Delta_N(y)/Delta_{N+1}(x) on the outer window; no anchor checks."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = y.shape[-1]
-    inside = np.all((x[..., :-1] <= y) & (y <= x[..., 1:]), axis=-1)
-    val = factorial(n) * vandermonde(y) / vandermonde(x)
+    inside = InterlacingWindow("outer", x).contains(y)
+    val = factorial(np.shape(y)[-1]) * vandermonde(y) / vandermonde(x)
     return np.where(inside, val, 0.0)
 
 
@@ -156,8 +147,7 @@ def _alpha_square_density_raw(alpha, z, y):
     z = np.asarray(z, dtype=float)
     y = np.asarray(y, dtype=float)
     n = y.shape[-1]
-    lo = np.concatenate([np.zeros(z.shape[:-1] + (1,)), z[..., :-1]], axis=-1)
-    inside = np.all((lo <= y) & (y <= z), axis=-1)
+    inside = InterlacingWindow("inner", z).contains(y)
     with np.errstate(divide="ignore", invalid="ignore"):
         weight = np.prod(y**alpha, axis=-1) / np.prod(z ** (alpha + 1.0), axis=-1)
         val = pochhammer(alpha + 1.0, n) * weight * vandermonde(y) / vandermonde(z)
@@ -243,20 +233,13 @@ def _hat_weight(alpha, y):
 
 def density_hat_corner(alpha: float, x, y):
     """Positive kernel: outer-window indicator times prod e^y y^(-alpha-1)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    inside = np.all((x[..., :-1] <= y) & (y <= x[..., 1:]), axis=-1)
-    out = np.where(inside, _hat_weight(alpha, y), 0.0)
+    out = np.where(InterlacingWindow("outer", x).contains(y), _hat_weight(alpha, y), 0.0)
     return float(out) if out.ndim == 0 else out
 
 
 def density_hat_square(alpha: float, x, y):
     """Positive kernel: inner-window indicator times prod e^y y^(-alpha-1)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    lo = np.concatenate([np.zeros(x.shape[:-1] + (1,)), x[..., :-1]], axis=-1)
-    inside = np.all((lo <= y) & (y <= x), axis=-1)
-    out = np.where(inside, _hat_weight(alpha, y), 0.0)
+    out = np.where(InterlacingWindow("inner", x).contains(y), _hat_weight(alpha, y), 0.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -308,89 +291,126 @@ def sample_corner_rejection(x, rng: RngStream, size: int | None = None) -> np.nd
     out = np.empty((total, n))
     pending = np.arange(total)
     widths = np.diff(x)
-    rounds = 0
-    while pending.size:
-        rounds = _rejection_round(rounds, "corner rejection sampler")
+    for _ in range(MAX_REJECTION_ROUNDS):
+        if not pending.size:
+            break
         u = rng.gen.random((pending.size, n))
         y = x[:-1] + u * widths
         ratio = vandermonde(y) / bound
         accept = rng.gen.random(pending.size) < ratio
         out[pending[accept]] = y[accept]
         pending = pending[~accept]
+    if pending.size:
+        raise RejectionLimitError(
+            f"corner rejection sampler: rejection sampling still waits after {MAX_REJECTION_ROUNDS} rounds"
+        )
     return out[0] if size is None else out
 
 
-def _power_law_inverse_cdf(alpha: float, lo, hi, u):
-    """Inverse CDF of the density ~ y^alpha on [lo, hi] (alpha > -1)."""
-    ap = alpha + 1.0
-    return (lo**ap + u * (hi**ap - lo**ap)) ** (1.0 / ap)
+def _secular_roots(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per row, the M roots of sum_j w_j / (lam - p_j) = 0, one per [p_i, p_{i+1}].
 
+    ``poles`` (R, M+1) has non-decreasing rows and ``weights`` (R, M+1) has
+    entries >= 0; the result is (R, M).  Each root is sought as sigma, its
+    distance from the nearer end of its interval (of width h).  A step fits
+    C + S_n / sigma + S_f / (sigma - h) to the sum's value and slope, the
+    osculating model of LAPACK ``dlaed4`` (Li 1993; Gu and Eisenstat 1995),
+    and moves to the model's root; a bracket kept by the sum's sign takes a
+    bisection instead when that root falls outside it.  A root stops once
+    its step is a few ulps or the sum is below its rounding error, and after
+    ``MAX_SECULAR_STEPS`` steps at most.  A zero-width interval gives its
+    pole; so does an interval whose nearer side has only zero weights (a
+    Gamma weight that underflowed), the limit as those weights tend to 0.
+    Roots are clamped into their closed intervals.
+    """
+    lo_pole, hi_pole = poles[:, :-1], poles[:, 1:]
+    width = hi_pole - lo_pole
+    out = lo_pole.copy()
+    rows, ks = np.nonzero(width > 0)
+    if rows.size == 0:
+        return out
+    a, b, h = lo_pole[rows, ks], hi_pole[rows, ks], width[rows, ks]
+    # one column per root, so that the sums over poles run down axis 0
+    p = np.ascontiguousarray(poles[rows].T)
+    w = np.ascontiguousarray(weights[rows].T)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        from_lo = np.sum(w / (a + 0.5 * h - p), axis=0) < 0
+    # offsets from the nearer pole, signed so that the far pole sits at +h:
+    # the nearer side's poles have offsets <= 0, the far side's >= h
+    e = p * np.where(from_lo, 1.0, -1.0) - np.where(from_lo, a, -b)
+    far = e > 0
+    near_w = (~far).astype(float)
+    h_far = far * h
+    noise = 2.0 * p.shape[0] * np.finfo(float).eps
 
-def _alpha_square_rows_interior(alpha: float, z_rows: np.ndarray, rng: RngStream) -> np.ndarray:
-    """Vectorized rejection sampler; every row must be strictly interior."""
-    m, n = z_rows.shape
-    lo = np.concatenate([np.zeros((m, 1)), z_rows[:, :-1]], axis=1)
-    denom = np.ones(m)
-    for i in range(n):
-        for j in range(i + 1, n):
-            denom *= z_rows[:, j] - lo[:, i]
-    out = np.empty((m, n))
-    pending = np.arange(m)
-    rounds = 0
-    while pending.size:
-        rounds = _rejection_round(rounds, "alpha_square sampler")
-        u = rng.gen.random((pending.size, n))
-        y = _power_law_inverse_cdf(alpha, lo[pending], z_rows[pending], u)
-        ratio = vandermonde(y) / denom[pending]
-        accept = rng.gen.random(pending.size) < ratio
-        out[pending[accept]] = y[accept]
-        pending = pending[~accept]
+    sig = 0.5 * h
+    lo, hi = np.zeros_like(h), 0.5 * h
+    root = np.empty_like(h)
+    live = np.arange(h.size)
+    for _ in range(MAX_SECULAR_STEPS):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # each term's distance to its side's end pole over its own, in (0, 1]
+            ratio = (sig - h_far) / (sig - e)
+            # per side, p_* sums w * ratio and s_* sums w * ratio^2
+            wr = w * ratio
+            p_near = np.einsum("ij,ij->j", wr, near_w, optimize=False)
+            p_far = np.sum(wr, axis=0) - p_near
+            s_near = np.einsum("ij,ij,ij->j", wr, ratio, near_w, optimize=False)
+            s_far = np.einsum("ij,ij->j", wr, ratio, optimize=False) - s_near
+            # sigma times the sum: its sign, without its pole at sigma = 0
+            q = sig / (sig - h)
+            value = p_near + q * p_far
+            flat = np.abs(value) <= noise * (p_near - q * p_far)
+            c = (p_near - s_near) / sig + (p_far - s_far) / (sig - h)
+            beta = s_near + s_far - c * h
+            disc = np.sqrt(np.maximum(beta * beta + 4.0 * c * s_near * h, 0.0))
+            step = np.where(beta > 0, 2.0 * s_near * h / (beta + disc), (disc - beta) / (2.0 * c))
+        lo = np.where(value > 0, sig, lo)
+        hi = np.where(value < 0, sig, hi)
+        step[s_near == 0] = 0.0
+        step[flat] = sig[flat]
+        done = flat | (s_near == 0) | (np.abs(step - sig) <= _SECULAR_TOL * sig)
+        bisect = ~(done | ((lo < step) & (step < hi)))
+        step[bisect] = 0.5 * (lo[bisect] + hi[bisect])
+        done |= hi - lo <= _SECULAR_TOL * hi
+        if not done.any():
+            sig = step
+            continue
+        root[live[done]] = step[done]
+        keep = ~done
+        live, sig, lo, hi, h = live[keep], step[keep], lo[keep], hi[keep], h[keep]
+        if live.size == 0:
+            break
+        w, e, near_w, h_far = (np.compress(keep, arr, axis=1) for arr in (w, e, near_w, h_far))
+    root[live] = sig
+    out[rows, ks] = np.clip(np.where(from_lo, a + root, b - root), a, b)
     return out
 
 
-def _alpha_square_single_tied(alpha: float, z: np.ndarray, rng: RngStream) -> np.ndarray:
-    """One draw at an anchor with zero-width windows (continuous extension).
+def _alpha_square_roots(z_rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """alpha_square draws from their weights: the roots with poles (0, z) per row."""
+    return _secular_roots(np.concatenate([np.zeros((len(z_rows), 1)), z_rows], axis=1), weights)
 
-    Coordinates whose window [z_{k-1}, z_k] has zero width are forced to
-    z_k; the free coordinates follow the weak-limit density, i.e. the usual
-    product-power proposal weighted by all Vandermonde factors except those
-    between two forced coordinates.
-    """
-    n = len(z)
-    lo = np.concatenate([[0.0], z[:-1]])
-    forced = (z - lo) == 0.0
-    y = z.astype(float).copy()
-    free = np.flatnonzero(~forced)
-    if free.size == 0:
-        return y
-    pairs = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if not (forced[i] and forced[j])
-    ]
-    denom = 1.0
-    for i, j in pairs:
-        denom *= z[j] - lo[i]
-    rounds = 0
-    while True:
-        rounds = _rejection_round(rounds, "alpha_square sampler at a tied anchor")
-        u = rng.gen.random(free.size)
-        y[free] = _power_law_inverse_cdf(alpha, lo[free], z[free], u)
-        num = 1.0
-        for i, j in pairs:
-            num *= y[j] - y[i]
-        if rng.gen.random() < num / denom:
-            return y
+
+def _dixon_anderson_weights(alpha: float | None, total: int, d: int, rng: RngStream) -> np.ndarray:
+    """(total, d) independent weights: Exp(1), or Gamma(alpha + 1) then Exp(1)s."""
+    if alpha is None:
+        return rng.gen.standard_exponential((total, d))
+    weights = np.empty((total, d))
+    weights[:, 0] = rng.gen.standard_gamma(alpha + 1.0, total)
+    weights[:, 1:] = rng.gen.standard_exponential((total, d - 1))
+    return weights
 
 
 def sample_alpha_square(alpha: float, z, rng: RngStream, size: int | None = None):
     """Exact draw(s) of the same-dimension alpha kernel anchored at z.
 
-    Interior anchors use the vectorized rejection sampler with proposal
-    density ~ y^alpha per window and bound prod_{i<j} (z_j - z_{i-1});
-    anchors with ties return the forced coordinates and sample the free
-    ones from the continuous extension.
+    Dixon-Anderson representation: the draw is the N roots of
+    w_0 / y + sum_k w_k / (y - z_k) = 0 with w_0 ~ Gamma(alpha + 1) and
+    w_k ~ Exp(1) independent, whose density is proportional to
+    prod y_k^alpha Vandermonde(y) on the inner window.  Tied anchors and a
+    zero head coordinate need no special case: a zero-width window pins its
+    coordinate, and the other roots follow the continuous extension.
     """
     if not alpha > -1:
         raise ValueError("requires alpha > -1")
@@ -398,61 +418,42 @@ def sample_alpha_square(alpha: float, z, rng: RngStream, size: int | None = None
     if not is_chamber_point(z, nonneg=True):
         raise ValueError(f"anchor must be a non-negative chamber point, got {z}")
     total = 1 if size is None else size
-    if is_strict_interior(z, nonneg=True):
-        out = _alpha_square_rows_interior(alpha, np.tile(z, (total, 1)), rng)
-    else:
-        out = np.stack([_alpha_square_single_tied(alpha, z, rng) for _ in range(total)])
+    weights = _dixon_anderson_weights(alpha, total, len(z) + 1, rng)
+    out = _alpha_square_roots(np.tile(z, (total, 1)), weights)
     return out[0] if size is None else out
-
-
-def _snap_ties(z_rows: np.ndarray, scale: float) -> np.ndarray:
-    """Collapse numerically tied coordinates (and near-zero leaders) exactly."""
-    tol = _TIE_SNAP * max(scale, 1.0)
-    z = np.maximum(z_rows, 0.0)
-    z[z[:, 0] < tol, 0] = 0.0
-    for k in range(1, z.shape[1]):
-        near = z[:, k] - z[:, k - 1] < tol
-        z[near, k] = z[near, k - 1]
-    return z
 
 
 def sample_alpha_corner_rows(alpha: float, x_rows: np.ndarray, rng: RngStream) -> np.ndarray:
     """One alpha-corner draw per anchor row (anchors may differ per row).
 
     Used by the ensemble-projection experiments, where the anchor itself is
-    random.  Ties are snapped and handled per row exactly as in
-    :func:`sample_alpha_corner`.
+    random.  Each row is a corner draw z (the Dixon-Anderson roots with
+    poles x and Exp(1) weights; their density is proportional to
+    Vandermonde(z) on the outer window) followed by an alpha_square draw at
+    z.
     """
     if not alpha > -1:
         raise ValueError("requires alpha > -1")
     x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
-    if not np.all(np.isfinite(x_rows)):
-        raise ValueError("anchor rows must be finite")
+    if x_rows.ndim != 2 or x_rows.shape[1] < 2:
+        raise ValueError("anchor rows need at least 2 coordinates")
+    if not (
+        np.all(np.isfinite(x_rows))
+        and np.all(np.diff(x_rows, axis=1) >= 0)
+        and np.all(x_rows[:, 0] >= 0)
+    ):
+        raise ValueError("anchor rows must be finite, non-decreasing and non-negative")
     total, d = x_rows.shape
-    u = sample_haar_unitary(d, rng, size=total)
-    uh = np.swapaxes(u, -2, -1).conj()
-    m = (uh * x_rows[:, None, :]) @ u
-    corner = m[:, : d - 1, : d - 1]
-    corner = 0.5 * (corner + np.swapaxes(corner, -2, -1).conj())
-    z_rows = _snap_ties(np.linalg.eigvalsh(corner), scale=float(np.max(x_rows)))
-    n = d - 1
-    lo = np.concatenate([np.zeros((total, 1)), z_rows[:, :-1]], axis=1)
-    interior = np.all(z_rows - lo > 0, axis=1)
-    out = np.empty((total, n))
-    if np.any(interior):
-        out[interior] = _alpha_square_rows_interior(alpha, z_rows[interior], rng)
-    for idx in np.flatnonzero(~interior):
-        out[idx] = _alpha_square_single_tied(alpha, z_rows[idx], rng)
-    return out
+    z_rows = _secular_roots(x_rows, _dixon_anderson_weights(None, total, d, rng))
+    return _alpha_square_roots(z_rows, _dixon_anderson_weights(alpha, total, d, rng))
 
 
 def sample_alpha_corner(alpha: float, x, rng: RngStream, size: int | None = None):
     """Exact draw(s) of the alpha corner kernel via the two-step composition.
 
     Samples z from the corner kernel, then y from the same-dimension alpha
-    kernel anchored at z.  Intermediate anchors are snapped to exact ties at
-    relative tolerance 1e-9 so degenerate x (ties, zero head) follow the
-    continuous extension rather than stalling the rejection step.
+    kernel anchored at z, both by their Dixon-Anderson roots (see
+    :func:`sample_alpha_corner_rows`).
     """
     x = np.asarray(x, dtype=float)
     if not is_chamber_point(x, nonneg=True):
@@ -506,43 +507,31 @@ _KERNELS: dict[str, dict] = {
         "density": lambda spec, x, y: _corner_density_raw(x, y),
         "segments": _segments_corner,
         "target_dim": lambda d: d - 1,
-        "nonneg": False,
+        "positive_head": False,
     },
     "alpha_square": {
         "density": lambda spec, z, y: _alpha_square_density_raw(spec.alpha, z, y),
         "segments": _segments_inner,
         "target_dim": lambda d: d,
-        "nonneg": True,
+        "positive_head": True,
     },
     "alpha_corner": {
         "density": lambda spec, x, y: _alpha_corner_density_raw(spec.alpha, x, y),
         "segments": _segments_alpha_corner,
         "target_dim": lambda d: d - 1,
-        "nonneg": True,
+        "positive_head": True,
     },
     "hat_corner": {
-        "density": lambda spec, x, y: np.where(
-            np.all((x[..., :-1] <= y) & (y <= x[..., 1:]), axis=-1),
-            _hat_weight(spec.alpha, y),
-            0.0,
-        ),
+        "density": lambda spec, x, y: density_hat_corner(spec.alpha, x, y),
         "segments": _segments_corner,
         "target_dim": lambda d: d - 1,
-        "nonneg": True,
+        "positive_head": False,
     },
     "hat_square": {
-        "density": lambda spec, x, y: np.where(
-            np.all(
-                (np.concatenate([np.zeros(x.shape[:-1] + (1,)), x[..., :-1]], axis=-1) <= y)
-                & (y <= x),
-                axis=-1,
-            ),
-            _hat_weight(spec.alpha, y),
-            0.0,
-        ),
+        "density": lambda spec, x, y: density_hat_square(spec.alpha, x, y),
         "segments": _segments_inner,
         "target_dim": lambda d: d,
-        "nonneg": True,
+        "positive_head": True,
     },
 }
 
@@ -565,10 +554,16 @@ def kernel_target_dim(spec: KernelSpec, anchor_len: int) -> int:
 
 
 def _anchor_rows_valid(spec: KernelSpec, rows: np.ndarray) -> np.ndarray:
-    if spec.kind in ("hat_corner", "hat_square"):
-        return np.all(np.diff(rows, axis=-1) >= 0, axis=-1)
+    """Rows the quadrature evaluates; the others give exactly 0.
+
+    Evaluated rows are strictly increasing and, for the kernels flagged
+    ``positive_head``, start above 0.  A tie, or a zero head under an inner
+    window, leaves a window of zero width, which contributes exactly 0 (the
+    hat densities can be infinite at its single point).  The alpha
+    densities are defined at strictly interior anchors only.
+    """
     ok = np.all(np.diff(rows, axis=-1) > 0, axis=-1)
-    if _KERNELS[spec.kind]["nonneg"]:
+    if _KERNELS[spec.kind]["positive_head"]:
         ok &= rows[..., 0] > 0
     return ok
 

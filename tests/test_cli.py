@@ -88,6 +88,15 @@ def test_invariance_small(tmp_path):
     assert rc == 0
 
 
+def test_invariance_runs_at_n8(tmp_path):
+    # the alpha corner samplers have no rejection step, so N is not capped
+    rc = run(["invariance", "--out", str(tmp_path), "--n", "8", "--alpha", "0.5", "--n-samples", "2000"])
+    assert rc == 0
+    rows = list(csv.DictReader((tmp_path / "invariance.csv").read_text().splitlines()))
+    assert [r["check"] for r in rows] == ["invariance[N=8,alpha=0.5]"]
+    assert run(["invariance", "--out", str(tmp_path), "--n", "0"]) == 2
+
+
 def test_sde_vs_exact_small(tmp_path):
     rc = run(["sde-vs-exact", "--out", str(tmp_path), "--n-samples", "4000", "--seed", "13"])
     assert rc == 0

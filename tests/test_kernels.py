@@ -500,7 +500,7 @@ def test_kernel_quadrature_points_are_sorted_with_stretched_nodes():
     assert np.all(np.diff(rows, axis=-1) >= 0)
 
 
-def _assert_stacked_matches_scalar(spec, anchors, chunk_elems, panels=2, order=10):
+def _assert_stacked_matches_scalar(spec, anchors, chunk_elems, panels=2, order=10, equal_nan=False):
     got = apply_kernel_to_anchors(
         spec, anchors, stacked_test_functions, panels, order, chunk_elems=chunk_elems
     )
@@ -508,8 +508,7 @@ def _assert_stacked_matches_scalar(spec, anchors, chunk_elems, panels=2, order=1
     for j, fn in enumerate(SCALAR_FUNCTIONS):
         want = apply_kernel_to_anchors(spec, anchors, fn, panels, order, chunk_elems=chunk_elems)
         assert want.shape == (len(anchors),)
-        # equal_nan: hat_square at a zero head coordinate gives NaN either way
-        assert np.array_equal(got[:, j], want, equal_nan=True)
+        assert np.array_equal(got[:, j], want, equal_nan=equal_nan)
     return got
 
 
@@ -562,23 +561,206 @@ def test_stacked_f_matches_scalar_property(kind, alpha, n, raw, m, chunk_elems):
     spec = KernelSpec(kind, None if kind == "corner" else alpha)
     d = n if kind in ("alpha_square", "hat_square") else n + 1
     anchors = np.sort(np.array(raw[: m * d]).reshape(m, d), axis=-1)
-    _assert_stacked_matches_scalar(spec, anchors, chunk_elems, panels=1, order=6)
+    # equal_nan: the alpha and hat densities overflow at a subnormal head
+    # coordinate (e.g. alpha_square at 2.2e-311), on both paths alike
+    _assert_stacked_matches_scalar(spec, anchors, chunk_elems, panels=1, order=6, equal_nan=True)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 1.0])
+def test_hat_square_zero_width_window_contributes_zero(alpha):
+    # a zero head or a tie leaves a window of zero width, which must give
+    # exactly 0, not NaN (0/0 in the power-map panel edges, or an infinite
+    # density times a zero weight)
+    spec = KernelSpec("hat_square", alpha)
+    got = apply_kernel_to_anchors(spec, np.array([[0.0, 3.0], [1.0, 3.0], [1.0, 1.0]]), ONE)
+    alone = apply_kernel_to_anchors(spec, np.array([[1.0, 3.0]]), ONE)
+    assert got[0] == 0.0 and got[2] == 0.0
+    assert np.isfinite(got[1]) and got[1] == alone[0]
 
 
 # -- rejection loops are bounded ----------------------------------------------
 
-@pytest.mark.parametrize(
-    "draw",
-    [
-        lambda rng: sample_corner_rejection(np.array([0.0, 1.0, 2.0, 3.0]), rng, size=200),
-        lambda rng: sample_alpha_square(0.5, np.array([1.0, 2.0, 3.0]), rng, size=200),
-        lambda rng: sample_alpha_square(0.5, np.array([0.0, 1.0, 1.0, 3.0]), rng, size=200),
-        lambda rng: sample_alpha_corner_rows(0.5, np.tile([1.0, 2.0, 3.0, 4.0], (200, 1)), rng),
-    ],
-)
-def test_rejection_loops_stop_at_round_cap(monkeypatch, draw):
+def test_rejection_loops_stop_at_round_cap(monkeypatch):
+    def draw(rng):
+        return sample_corner_rejection(np.array([0.0, 1.0, 2.0, 3.0]), rng, size=200)
+
     draw(RngStream(914, 0))  # finishes under the default cap
     monkeypatch.setattr(kernels, "MAX_REJECTION_ROUNDS", 1)
     with pytest.raises(RejectionLimitError, match="rejection"):
         draw(RngStream(914, 0))
     assert issubclass(RejectionLimitError, ValueError)  # the CLI maps it to exit 2
+
+
+# -- Dixon-Anderson samplers --------------------------------------------------
+
+def _power_law_inverse_cdf(alpha, lo, hi, u):
+    """Inverse CDF of the density ~ y^alpha on [lo, hi] (alpha > -1)."""
+    ap = alpha + 1.0
+    return (lo**ap + u * (hi**ap - lo**ap)) ** (1.0 / ap)
+
+
+def _alpha_square_rejection(alpha, z_rows, rng):
+    """Oracle: one alpha_square draw per anchor row by rejection.
+
+    Proposals ~ y^alpha per window, accepted with the Vandermonde ratio over
+    the bound prod_{i<j} (z_j - z_{i-1}).  A coordinate whose window has
+    zero width is forced to it, and the pairs of two forced coordinates drop
+    out of the ratio (the continuous extension to tied anchors and a zero
+    head).
+    """
+    m, n = z_rows.shape
+    lo = np.concatenate([np.zeros((m, 1)), z_rows[:, :-1]], axis=1)
+    forced = z_rows - lo == 0.0
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    bound = np.ones(m)
+    for i, j in pairs:
+        bound *= np.where(forced[:, i] & forced[:, j], 1.0, z_rows[:, j] - lo[:, i])
+    out = np.empty((m, n))
+    pending = np.arange(m)
+    while pending.size:
+        u = rng.gen.random((pending.size, n))
+        y = _power_law_inverse_cdf(alpha, lo[pending], z_rows[pending], u)
+        y = np.where(forced[pending], z_rows[pending], y)
+        ratio = np.ones(pending.size)
+        for i, j in pairs:
+            both = forced[pending, i] & forced[pending, j]
+            ratio *= np.where(both, 1.0, y[:, j] - y[:, i])
+        accept = rng.gen.random(pending.size) < ratio / bound[pending]
+        out[pending[accept]] = y[accept]
+        pending = pending[~accept]
+    return out
+
+
+def _ks_family_passes(a, b, level=1e-3):
+    """Two-sample KS on each marginal and on the sum, Bonferroni at ``level``."""
+    columns = [(a[:, k], b[:, k]) for k in range(a.shape[1])] + [(a.sum(axis=1), b.sum(axis=1))]
+    p_values = [ks_two_sample(EmpiricalSample(x), EmpiricalSample(y)).p_value for x, y in columns]
+    return min(p_values) > level / len(columns), p_values
+
+
+SQUARE_ORACLE_CASES = [
+    (alpha, z)
+    for alpha in (-0.5, 0.5, 2.0)
+    for z in ((1.0, 2.5), (0.5, 1.5, 3.0))
+] + [(0.5, (0.0, 1.0, 1.0, 3.0)), (-0.5, (0.0, 1.5, 3.0))]
+
+
+@pytest.mark.parametrize("case", range(len(SQUARE_ORACLE_CASES)))
+def test_sample_alpha_square_matches_rejection_oracle(case):
+    alpha, z = SQUARE_ORACLE_CASES[case]
+    n = 20_000
+    mine = sample_alpha_square(alpha, z, RngStream(916, case), size=n)
+    ref = _alpha_square_rejection(alpha, np.tile(z, (n, 1)), RngStream(917, case))
+    passed, p_values = _ks_family_passes(mine, ref)
+    assert passed, (alpha, z, p_values)
+
+
+@pytest.mark.parametrize("x", [(1.0, 2.0, 4.0), (0.5, 1.0, 2.5, 4.0)])
+def test_sample_alpha_corner_matches_matrix_then_rejection_oracle(x):
+    # oracle: the corner step by the Haar matrix model, then the rejection
+    # oracle at each corner draw
+    alpha, n = 0.5, 20_000
+    mine = sample_alpha_corner(alpha, x, RngStream(918, len(x)), size=n)
+    rng = RngStream(919, len(x))
+    ref = _alpha_square_rejection(alpha, sample_corner_many(np.array(x), rng, n), rng)
+    passed, p_values = _ks_family_passes(mine, ref)
+    assert passed, (x, p_values)
+
+
+def _bisection_roots(poles, weights, steps=200):
+    lo, hi = poles[:, :-1].copy(), poles[:, 1:].copy()
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = np.sum(weights[:, None, :] / (mid[:, :, None] - poles[:, None, :]), axis=2)
+        lo, hi = np.where(f > 0, mid, lo), np.where(f > 0, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8])
+def test_secular_roots_match_bisection(m):
+    gen = np.random.default_rng(920 + m)
+    rows = 400
+    # gaps >= 0.1 keep the bisection reference's rounding of absolute
+    # positions far below 1e-12 of each interval's width
+    poles = np.cumsum(gen.uniform(0.1, 3.0, size=(rows, m + 1)), axis=1)
+    poles[::2] -= poles[::2, :1]  # half the rows start at the pole 0
+    shapes = np.ones(m + 1)
+    shapes[0] = 0.3
+    weights = gen.standard_gamma(shapes, size=(rows, m + 1))
+    got = kernels._secular_roots(poles, weights)
+    want = _bisection_roots(poles, weights)
+    width = np.diff(poles, axis=1)
+    assert np.all(np.abs(got - want) <= 1e-12 * width)
+
+
+def test_secular_roots_degenerate_cases():
+    poles = np.array([[0.0, 1.0, 1.0, 3.0], [0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 2.0, 2.0]])
+    weights = np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 1.0, 0.0], [0.5, 1.0, 1.0, 2.0]])
+    got = kernels._secular_roots(poles, weights)
+    assert got[0, 1] == 1.0  # a zero-width interval gives its pole
+    # zero weights on the near side: the roots are the poles (the limit)
+    assert got[1, 0] == 0.0 and got[1, 2] == 3.0
+    assert got[1, 1] == pytest.approx(1.5, abs=1e-15)  # 1/(y-1) + 1/(y-2) = 0
+    assert got[2, 0] == 0.0 and got[2, 2] == 2.0
+    assert np.all(np.isfinite(got))
+
+
+def test_secular_roots_stop_at_step_cap(monkeypatch):
+    gen = np.random.default_rng(921)
+    poles = np.sort(gen.uniform(0.0, 5.0, size=(300, 6)), axis=1)
+    poles[:100, 0] = 0.0
+    poles[100:200, 3] = poles[100:200, 2]
+    weights = gen.standard_gamma(np.r_[0.01, np.ones(5)], size=(300, 6))
+    monkeypatch.setattr(kernels, "MAX_SECULAR_STEPS", 1)
+    got = kernels._secular_roots(poles, weights)
+    assert np.all(np.isfinite(got))
+    assert np.all((poles[:, :-1] <= got) & (got <= poles[:, 1:]))
+
+
+def _assert_in_window(draws, lo, hi):
+    assert np.all(np.isfinite(draws))
+    assert np.all(np.diff(draws, axis=-1) >= 0)
+    assert np.all((lo <= draws) & (draws <= hi))
+
+
+ANCHOR_VALUES = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.5]), st.floats(0.0, 10.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    alpha=st.one_of(st.floats(-1.0, 3.0, exclude_min=True), st.sampled_from([-1.0 + 1e-12, -0.999])),
+    raw=st.lists(ANCHOR_VALUES, min_size=2, max_size=9),
+    others=st.lists(ANCHOR_VALUES, min_size=18, max_size=18),
+    seed=st.integers(0, 2**16),
+)
+def test_dixon_anderson_draws_interlace_property(alpha, raw, others, seed):
+    rng = RngStream(922, seed)
+    x = np.sort(np.array(raw))
+    lo_x = np.concatenate([[0.0], x[:-2]])
+    _assert_in_window(sample_alpha_corner(alpha, x, rng, size=16), lo_x, x[1:])
+    z = x[1:]
+    lo_z = np.concatenate([[0.0], z[:-1]])
+    _assert_in_window(sample_alpha_square(alpha, z, rng, size=16), lo_z, z)
+    # rows with different anchors, ties and zero heads mixed
+    d = len(x)
+    rows = np.sort(np.array(others[: 2 * d]).reshape(2, d), axis=1)
+    rows = np.vstack([x, rows, np.zeros(d), np.full(d, 1.0)])
+    lo_rows = np.concatenate([np.zeros((len(rows), 1)), rows[:, :-2]], axis=1)
+    _assert_in_window(sample_alpha_corner_rows(alpha, rows, rng), lo_rows, rows[:, 1:])
+
+
+def test_gamma_weight_underflow_gives_the_pole():
+    # Gamma(1e-12) underflows to 0 almost always; the first root is then
+    # the pole at 0 itself, not NaN
+    draws = sample_alpha_square(-1.0 + 1e-12, (1.0, 2.0, 4.0), RngStream(923, 0), size=200)
+    assert np.all(np.isfinite(draws))
+    assert np.mean(draws[:, 0] == 0.0) > 0.9
+    _assert_in_window(draws, np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 4.0]))
+
+
+def test_sample_alpha_corner_rows_rejects_bad_rows():
+    rng = RngStream(924, 0)
+    for rows in ([[2.0, 1.0]], [[-1.0, 2.0]], [[1.0]]):
+        with pytest.raises(ValueError):
+            sample_alpha_corner_rows(0.5, np.array(rows), rng)
