@@ -4,10 +4,8 @@ verification suite."""
 from .numerics import (
     QuadratureRule,
     RngStream,
-    bessel_i_scaled,
     gauss_legendre_rule,
     integrate_composite,
-    log_gamma,
     pochhammer,
     sample_gamma,
     sample_noncentral_chisq,

@@ -52,7 +52,7 @@ class DiffusionParams:
             raise ValueError(f"t must be >= 0, got {self.t}")
 
 
-def _log_density_indexed(power: float, nu: float, t: float, x, y):
+def log_density_indexed(power: float, nu: float, t: float, x, y):
     """log of the transition kernel with explicit power/Bessel index.
 
     The kernel is (1/w) exp(-(x e^-t + y)/w) (y/(x e^-t))^(power/2) I_nu(K)
@@ -118,7 +118,7 @@ def transition_density(alpha: float, t: float, x, y):
     pos = x_b > 0
     if np.any(pos):
         with np.errstate(divide="ignore"):
-            out[pos] = np.exp(_log_density_indexed(alpha, nu, t, x_b[pos], y_b[pos]))
+            out[pos] = np.exp(log_density_indexed(alpha, nu, t, x_b[pos], y_b[pos]))
     if np.any(~pos):
         out[~pos] = np.exp(_log_density_entrance(alpha, t, y_b[~pos]))
     return float(out) if out.ndim == 0 else out
@@ -160,7 +160,7 @@ def transition_density_absorbed(alpha: float, t: float, x, y):
     y = np.asarray(y, dtype=float)
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValueError("absorbed family requires x > 0 and y > 0")
-    out = np.exp(_log_density_indexed(alpha, -alpha, t, x, y))
+    out = np.exp(log_density_indexed(alpha, -alpha, t, x, y))
     return float(out) if out.ndim == 0 else out
 
 
@@ -179,7 +179,7 @@ def dual_transition_density_exit(alpha: float, t: float, x, y):
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValueError("requires x > 0 and y > 0")
     ap = alpha + 1.0
-    log_p = _log_density_indexed(ap, -ap, t, x, y)
+    log_p = log_density_indexed(ap, -ap, t, x, y)
     out = np.exp(-t + log_p + (y - x) - ap * (np.log(y) - np.log(x)))
     return float(out) if out.ndim == 0 else out
 
@@ -223,7 +223,7 @@ def dual_transition_density(alpha: float, t: float, x, y):
         raise ValueError("dual_transition_density requires x > 0 and y > 0")
     ap = alpha + 1.0
     nu = ap if ap > -1 else -ap
-    log_p = _log_density_indexed(ap, nu, t, x, y)
+    log_p = log_density_indexed(ap, nu, t, x, y)
     log_ratio = (y - x) - ap * (np.log(y) - np.log(x))
     out = np.exp(-t + log_p + log_ratio)
     return float(out) if out.ndim == 0 else out
@@ -243,7 +243,7 @@ def htransform_residual_32a(alpha: float, t: float, x: float, y: float) -> float
         raise ValueError("requires t > 0, x > 0, y > 0")
     log_lhs = (
         alpha * t
-        + _log_density_indexed(-alpha, alpha, t, x, y)
+        + log_density_indexed(-alpha, alpha, t, x, y)
         + alpha * (np.log(y) - np.log(x))
     )
     rhs = transition_density(alpha, t, x, y)

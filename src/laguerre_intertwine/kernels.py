@@ -20,10 +20,13 @@ Kernels:
 * ``hat_corner`` / ``hat_square`` -- positive (generally non-probability)
                       kernels weighting the window by the dual speed measure.
 
-Densities are defined for strictly interior anchors and raise
-:class:`DegenerateAnchorError` on ties; samplers extend continuously to tied
-anchors (coordinates in zero-width windows are forced, the rest follow the
-weak-limit law).
+Each kind is one row of the table ``KERNELS`` (:class:`KernelRow`): its
+density, its window segments, the alpha domain, and how its density behaves
+at y = 0.  :func:`kernel_density` and the quadrature appliers validate
+through that row.  Densities are defined for strictly interior anchors and
+raise :class:`DegenerateAnchorError` on ties; samplers extend continuously
+to tied anchors (coordinates in zero-width windows are forced, the rest
+follow the weak-limit law).
 """
 
 from __future__ import annotations
@@ -34,7 +37,16 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import RngStream, pochhammer, power_stretch, unit_gauss_legendre
+from .numerics import (
+    RngStream,
+    first_row,
+    pochhammer,
+    power_stretch,
+    rows_from_table,
+    unit_gauss_legendre,
+    value_table,
+    zero_rows,
+)
 from .rmt import sample_haar_unitary
 
 
@@ -96,151 +108,271 @@ def is_strict_interior(x, nonneg: bool = False) -> bool:
     return not (nonneg and x[0] <= 0)
 
 
-def _require_interior(x, nonneg: bool, what: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if not is_strict_interior(x, nonneg=nonneg):
-        raise DegenerateAnchorError(f"{what} must be strictly interior, got {x}")
-    return x
-
-
 @dataclass(frozen=True)
 class InterlacingWindow:
-    """Membership test for the outer or inner interlacing window."""
+    """Membership test for the outer (corner) or inner (square) interlacing window."""
 
     kind: str  # "outer" | "inner"
     anchor: np.ndarray
 
     def contains(self, y) -> np.ndarray | bool:
-        y = np.asarray(y, dtype=float)
-        a = np.asarray(self.anchor, dtype=float)
-        if self.kind == "outer":
-            ok = np.all((a[..., :-1] <= y) & (y <= a[..., 1:]), axis=-1)
-        elif self.kind == "inner":
-            lo = np.concatenate([np.zeros(a.shape[:-1] + (1,)), a[..., :-1]], axis=-1)
-            ok = np.all((lo <= y) & (y <= a), axis=-1)
-        else:
+        kind = {"outer": "corner", "inner": "alpha_square"}.get(self.kind)
+        if kind is None:
             raise ValueError(f"unknown window kind {self.kind!r}")
+        a, y = np.asarray(self.anchor, dtype=float), np.asarray(y, dtype=float)
+        ok = _in_window(KERNELS[kind].breaks, a, y)
         return bool(ok) if ok.ndim == 0 else ok
 
 
+def _window_points(breaks: tuple[int, ...], anchors: np.ndarray) -> list[np.ndarray]:
+    """Per break b, the (..., N) array whose coordinate k is anchor point k + b.
+
+    Anchor point -1 is 0.  Consecutive arrays bound the window segments.
+    """
+    n = anchors.shape[-1] - breaks[-1]
+    padded = np.concatenate([np.zeros(anchors.shape[:-1] + (1,)), anchors], axis=-1)
+    return [padded[..., b + 1 : b + 1 + n] for b in breaks]
+
+
+def _in_window(breaks: tuple[int, ...], anchors: np.ndarray, y: np.ndarray) -> np.ndarray:
+    points = _window_points(breaks, anchors)
+    return np.all((points[0] <= y) & (y <= points[-1]), axis=-1)
+
+
 # ---------------------------------------------------------------------------
-# density evaluators
+# the kernel table
 # ---------------------------------------------------------------------------
 
-def _corner_density_raw(x, y):
-    """N! Delta_N(y)/Delta_{N+1}(x) on the outer window; no anchor checks."""
-    inside = InterlacingWindow("outer", x).contains(y)
-    val = factorial(np.shape(y)[-1]) * vandermonde(y) / vandermonde(x)
-    return np.where(inside, val, 0.0)
+# Each raw density takes (alpha, anchor x, points y, weights w) and returns
+# the density times the product of the weights, unchecked and off-window
+# too.  The quadrature passes one node-weight array per coordinate, and a
+# coordinate's factor is multiplied by its own weight before the product:
+# at a head of 1e-300 the factor alone may exceed the float range where
+# factor times weight does not.  Pointwise evaluation passes w = None.
+
+def _weighted_product(factors: np.ndarray, w) -> np.ndarray:
+    """prod_k factors[..., k] * w[k], or prod_k factors[..., k] when w is None."""
+    if w is None:
+        return np.prod(factors, axis=-1)
+    out = factors[..., 0] * w[0]
+    for k in range(1, factors.shape[-1]):
+        out = out * (factors[..., k] * w[k])
+    return out
+
+
+def _ratio_power(num, den, alpha: float):
+    """(num/den)^alpha, as (den/num)^-alpha for alpha < 0: numpy's fast paths
+    for the exponents 1/2, 1 and 2 then serve -1/2, -1 and -2 as well."""
+    return (num / den) ** alpha if alpha >= 0 else (den / num) ** -alpha
+
+
+def _corner_density(alpha, x, y, w):
+    """N! Delta_N(y) / Delta_{N+1}(x)."""
+    out = factorial(y.shape[-1]) * vandermonde(y) / vandermonde(x)
+    for wk in w or ():
+        out = out * wk
+    return out
+
+
+def _alpha_square_density(alpha, z, y, w):
+    """(alpha+1)_N prod_k (y_k/z_k)^alpha / z_k times Delta_N(y) / Delta_N(z).
+
+    Written with bounded ratios: prod y^alpha and prod z^(alpha+1) alone
+    over- or underflow at a head of 1e-300.
+    """
+    n = y.shape[-1]
+    weight_over_z = [(1.0 if w is None else w[k]) / z[..., k] for k in range(n)]
+    weight = _weighted_product(_ratio_power(y, z, alpha), weight_over_z)
+    return pochhammer(alpha + 1.0, n) * weight * vandermonde(y) / vandermonde(z)
+
+
+def _weighted_segment(alpha: float, y, a, b):
+    """y^alpha times the integral of u^(-alpha-1) over [a, b] (0 < a); 0 when a >= b.
+
+    Written as (y/a)^alpha (1 - (a/b)^alpha) / alpha with
+    (a/b)^alpha = exp(alpha log(a/b)): for y <= a both factors are bounded,
+    where a^-alpha and y^alpha alone leave the float range.  log(a/b) is
+    log1p((a - b)/b) for a/b > 1/2, accurate as a approaches b, and
+    log(a/b) below, where (a - b)/b rounds to -1.  For |alpha| < 1e-12,
+    where 1/alpha may overflow, (1 - (a/b)^alpha) / alpha is taken to
+    second order in alpha, which is log(b/a) at alpha = 0.
+    """
+    ratio = a / b
+    log_ratio = np.where(ratio > 0.5, np.log1p((a - b) / b), np.log(ratio))
+    if abs(alpha) < 1e-12:
+        integral = -log_ratio * (1.0 + 0.5 * alpha * log_ratio)
+    else:
+        integral = np.expm1(alpha * log_ratio) * (-1.0 / alpha)
+    return np.where(b > a, _ratio_power(y, a, alpha) * integral, 0.0)
+
+
+def _alpha_corner_density(alpha, x, y, w):
+    """N! (alpha+1)_N Delta_N(y) / Delta_{N+1}(x) times prod_k of the weighted
+    segment integral from x_k v y_k to x_{k+1} ^ y_{k+1} (y_{N+1} = +inf).
+
+    A segment is empty, and the density 0, unless y_k < y_{k+1}.
+    """
+    n = y.shape[-1]
+    upper = np.concatenate([y[..., 1:], np.full(y.shape[:-1] + (1,), np.inf)], axis=-1)
+    seg = _weighted_segment(alpha, y, np.maximum(x[..., :-1], y), np.minimum(x[..., 1:], upper))
+    weight = _weighted_product(seg, w)
+    return factorial(n) * pochhammer(alpha + 1.0, n) * vandermonde(y) / vandermonde(x) * weight
+
+
+def _hat_density(alpha, x, y, w):
+    """prod_k e^(y_k) y_k^(-alpha-1), the dual speed measure."""
+    return _weighted_product(np.exp(y) * y ** (-alpha - 1.0), w)
+
+
+@dataclass(frozen=True)
+class KernelRow:
+    """What every entry point knows about one kernel kind.
+
+    ``breaks`` lays out the window: coordinate k of y runs over the anchor
+    points k + b, b in ``breaks`` (point -1 is 0).  The first and last
+    points bound the interlacing window, consecutive points bound the
+    segments on which the density is smooth (the quadrature panels), and
+    the last break is the number of coordinates the kernel drops.
+    """
+
+    density: Callable[[float | None, np.ndarray, np.ndarray, list | None], np.ndarray]
+    breaks: tuple[int, ...]
+    alpha_above: float | None  # alpha must be finite and exceed this; None: no alpha
+    positive_head: bool  # defined only at anchors whose head coordinate is > 0
+    weight_power: tuple[float, float] | None  # (c, e): the density carries y^(c alpha + e) at y = 0
+
+    @property
+    def dim_drop(self) -> int:
+        return self.breaks[-1]
+
+    def endpoint_exponent(self, alpha: float | None) -> float | None:
+        """The density's power of y at y = 0, when it is integrable (> -1)."""
+        if self.weight_power is None:
+            return None
+        power = self.weight_power[0] * alpha + self.weight_power[1]
+        return power if power > -1 else None
+
+    def integrable(self, alpha: float | None, rows: np.ndarray) -> np.ndarray:
+        """Per anchor row: whether the density has a finite integral over the window.
+
+        It has, unless its power of y at 0 is <= -1 and the first window
+        starts at 0.
+        """
+        if self.weight_power is None or self.endpoint_exponent(alpha) is not None:
+            return np.ones(rows.shape[:-1], dtype=bool)
+        return _window_points(self.breaks, rows)[0][..., 0] > 0
+
+
+KERNELS: dict[str, KernelRow] = {
+    # kind: KernelRow(density, breaks, alpha_above, positive_head, weight_power)
+    "corner": KernelRow(_corner_density, (0, 1), None, False, None),
+    "alpha_square": KernelRow(_alpha_square_density, (-1, 0), -1.0, True, (1.0, 0.0)),
+    "alpha_corner": KernelRow(_alpha_corner_density, (-1, 0, 1), -1.0, True, (1.0, 0.0)),
+    "hat_corner": KernelRow(_hat_density, (0, 1), -np.inf, False, (-1.0, -1.0)),
+    "hat_square": KernelRow(_hat_density, (-1, 0), -np.inf, True, (-1.0, -1.0)),
+}
+
+
+@dataclass(frozen=True)
+class KernelSpec:
+    """Which kernel to use, plus its parameter where one is required."""
+
+    kind: str  # a key of KERNELS
+    alpha: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in KERNELS:
+            raise ValueError(f"unknown kernel kind {self.kind!r}")
+        above, alpha = self.row.alpha_above, self.alpha
+        if above is None and alpha is not None:
+            raise ValueError(f"kernel {self.kind!r} takes no alpha")
+        if above is not None and not (alpha is not None and np.isfinite(alpha) and alpha > above):
+            raise ValueError(f"kernel {self.kind!r} needs a finite alpha > {above}, got {alpha}")
+
+    @property
+    def row(self) -> KernelRow:
+        return KERNELS[self.kind]
+
+
+def _checked_anchors(spec: KernelSpec, anchors) -> tuple[np.ndarray, np.ndarray]:
+    """The anchors as a float array (..., d), and per row whether it is strictly interior.
+
+    Strictly interior means strictly increasing, with a head above 0 for
+    the kinds flagged ``positive_head``.  Raises ``ValueError`` for anchors
+    too short for the kernel, not finite, decreasing, or negative where the
+    density carries a power of y; and, for such densities, for a strictly
+    interior row with a subnormal coordinate: there the density exceeds the
+    float range, and its quadrature loses the digits of the subnormal.
+    """
+    row = spec.row
+    a = np.asarray(anchors, dtype=float)
+    if a.ndim == 0 or a.shape[-1] < row.dim_drop + 1:
+        raise ValueError(f"{spec.kind} anchor needs {row.dim_drop + 1}+ coordinates, got {a}")
+    gaps = np.diff(a, axis=-1)
+    nonneg = row.weight_power is not None
+    if not (np.all(np.isfinite(a)) and np.all(gaps >= 0)) or (nonneg and np.any(a[..., 0] < 0)):
+        kind = "non-negative chamber points" if nonneg else "chamber points"
+        raise ValueError(f"{spec.kind} anchors must be finite {kind}, got {a}")
+    interior = np.all(gaps > 0, axis=-1)
+    if row.positive_head:
+        interior &= a[..., 0] > 0
+    if nonneg and np.any(interior & np.any((a > 0) & (a < np.finfo(float).tiny), axis=-1)):
+        raise ValueError(f"{spec.kind} density exceeds the float range at a subnormal anchor")
+    return a, interior
+
+
+def _interior_anchor(spec: KernelSpec, x) -> np.ndarray:
+    x, interior = _checked_anchors(spec, x)
+    if not np.all(interior):
+        raise DegenerateAnchorError(f"{spec.kind} anchor must be strictly interior, got {x}")
+    return x
+
+
+def _window_density(row: KernelRow, alpha, x: np.ndarray, y: np.ndarray, w=None) -> np.ndarray:
+    """The density (times its weights, see above) on the window, 0 off it."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        val = row.density(alpha, x, y, w)
+    return np.where(_in_window(row.breaks, x, y), val, 0.0)
+
+
+def kernel_density(spec: KernelSpec, x, y):
+    """Density of the chosen kernel at anchor x, evaluated at y; zero off-window.
+
+    ``x`` is one anchor (d,) or anchor rows (..., d), broadcast against the
+    points y (..., N).  Every anchor must be strictly interior
+    (:class:`DegenerateAnchorError` otherwise).
+    """
+    x = _interior_anchor(spec, x)
+    y = np.asarray(y, dtype=float)
+    if y.shape[-1:] != (x.shape[-1] - spec.row.dim_drop,):
+        raise ValueError(f"{spec.kind} anchor of length {x.shape[-1]} takes no y of {y.shape}")
+    out = _window_density(spec.row, spec.alpha, x, y)
+    return float(out) if out.ndim == 0 else out
 
 
 def density_corner(x, y):
     """Density of the corner kernel at anchor x (length N+1), zero off-window."""
-    x = _require_interior(x, nonneg=False, what="corner anchor")
-    if len(x) < 2:
-        raise ValueError("corner anchor needs at least 2 coordinates")
-    out = _corner_density_raw(x, y)
-    return float(out) if out.ndim == 0 else out
-
-
-def _alpha_square_density_raw(alpha, z, y):
-    z = np.asarray(z, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = y.shape[-1]
-    inside = InterlacingWindow("inner", z).contains(y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weight = np.prod(y**alpha, axis=-1) / np.prod(z ** (alpha + 1.0), axis=-1)
-        val = pochhammer(alpha + 1.0, n) * weight * vandermonde(y) / vandermonde(z)
-    return np.where(inside, val, 0.0)
+    return kernel_density(KernelSpec("corner"), x, y)
 
 
 def density_alpha_square(alpha: float, z, y):
     """Density of the same-dimension alpha kernel at interior anchor z."""
-    if not alpha > -1:
-        raise ValueError("requires alpha > -1")
-    z = _require_interior(z, nonneg=True, what="alpha_square anchor")
-    out = _alpha_square_density_raw(alpha, z, y)
-    return float(out) if out.ndim == 0 else out
-
-
-def _segment_integral(alpha: float, a, b):
-    """Integral of u^(-alpha-1) over [a, b] for 0 < a; zero when a >= b.
-
-    Closed forms: (a^-alpha - b^-alpha)/alpha away from alpha = 0 and
-    log(b/a) at alpha = 0; |alpha| < 1e-8 is routed through the log branch
-    with a first-order correction for the removable singularity.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    pos = b > a
-    a_safe = np.where(pos, a, 1.0)
-    b_safe = np.where(pos, b, 1.0)
-    with np.errstate(over="ignore"):
-        if abs(alpha) < 1e-8:
-            log_ratio = np.log(b_safe / a_safe)
-            val = log_ratio * (1.0 - 0.5 * alpha * (np.log(a_safe) + np.log(b_safe)))
-        else:
-            val = (a_safe**-alpha - b_safe**-alpha) / alpha
-    return np.where(pos, val, 0.0)
-
-
-def _alpha_corner_density_raw(alpha, x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = y.shape[-1]
-    lo = np.concatenate([np.zeros(x.shape[:-1] + (1,)), x[..., :-2]], axis=-1)
-    inside = np.all((lo <= y) & (y <= x[..., 1:]), axis=-1)
-    # a_k = x_k v y_k ; b_k = x_{k+1} ^ y_{k+1}, with y_{N+1} = +inf
-    a_seg = np.maximum(x[..., :-1], y)
-    b_seg = np.minimum(
-        x[..., 1:],
-        np.concatenate([y[..., 1:], np.full(y.shape[:-1] + (1,), np.inf)], axis=-1),
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        seg = np.prod(y**alpha * _segment_integral(alpha, a_seg, b_seg), axis=-1)
-        val = (
-            factorial(n)
-            * pochhammer(alpha + 1.0, n)
-            * vandermonde(y)
-            / vandermonde(x)
-            * seg
-        )
-    return np.where(inside, val, 0.0)
+    return kernel_density(KernelSpec("alpha_square", alpha), z, y)
 
 
 def density_alpha_corner(alpha: float, x, y):
-    """Density of the alpha corner kernel at interior anchor x (length N+1).
-
-    Per coordinate the density carries the closed-form segment integral of
-    u^(-alpha-1) between x_k v y_k and x_{k+1} ^ y_{k+1} (the last upper
-    bound is x_{N+1}); the factor is zero whenever the segment is empty,
-    which also enforces the ordering of y.
-    """
-    if not alpha > -1:
-        raise ValueError("requires alpha > -1")
-    x = _require_interior(x, nonneg=True, what="alpha_corner anchor")
-    if len(x) < 2:
-        raise ValueError("alpha_corner anchor needs at least 2 coordinates")
-    out = _alpha_corner_density_raw(alpha, x, y)
-    return float(out) if out.ndim == 0 else out
-
-
-def _hat_weight(alpha, y):
-    y = np.asarray(y, dtype=float)
-    with np.errstate(divide="ignore"):
-        return np.prod(np.exp(y) * y ** (-alpha - 1.0), axis=-1)
+    """Density of the alpha corner kernel at interior anchor x (length N+1)."""
+    return kernel_density(KernelSpec("alpha_corner", alpha), x, y)
 
 
 def density_hat_corner(alpha: float, x, y):
     """Positive kernel: outer-window indicator times prod e^y y^(-alpha-1)."""
-    out = np.where(InterlacingWindow("outer", x).contains(y), _hat_weight(alpha, y), 0.0)
-    return float(out) if out.ndim == 0 else out
+    return kernel_density(KernelSpec("hat_corner", alpha), x, y)
 
 
 def density_hat_square(alpha: float, x, y):
     """Positive kernel: inner-window indicator times prod e^y y^(-alpha-1)."""
-    out = np.where(InterlacingWindow("inner", x).contains(y), _hat_weight(alpha, y), 0.0)
-    return float(out) if out.ndim == 0 else out
+    return kernel_density(KernelSpec("hat_square", alpha), x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +409,8 @@ def sample_corner_rejection(x, rng: RngStream, size: int | None = None) -> np.nd
     Vandermonde(y) / prod_{i<j} (x_{j+1} - x_i), a valid bound on the outer
     window.
     """
-    x = _require_interior(x, nonneg=False, what="rejection anchor")
+    x = _interior_anchor(KernelSpec("corner"), x)
     n = len(x) - 1
-    if n < 1:
-        raise ValueError("anchor needs at least 2 coordinates")
     if n > 4:
         raise UnsupportedDimensionError("rejection sampling is guarded to N <= 4")
     bound = 1.0
@@ -467,156 +597,6 @@ def sample_alpha_corner(alpha: float, x, rng: RngStream, size: int | None = None
 # quadrature application
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Which kernel to use, plus its parameter where one is required."""
-
-    kind: str  # corner | alpha_square | alpha_corner | hat_corner | hat_square
-    alpha: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KERNELS:
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind != "corner" and self.alpha is None:
-            raise ValueError(f"kernel {self.kind!r} needs alpha")
-
-
-def _segments_corner(x):
-    # coordinate i of y lives on [x_i, x_{i+1}]
-    return [[(x[..., i], x[..., i + 1])] for i in range(x.shape[-1] - 1)]
-
-
-def _segments_inner(z):
-    zero = np.zeros(z.shape[:-1])
-    return [
-        [(z[..., i - 1] if i else zero, z[..., i])] for i in range(z.shape[-1])
-    ]
-
-
-def _segments_alpha_corner(x):
-    zero = np.zeros(x.shape[:-1])
-    segs = []
-    for i in range(x.shape[-1] - 1):
-        lo = x[..., i - 1] if i else zero
-        segs.append([(lo, x[..., i]), (x[..., i], x[..., i + 1])])
-    return segs
-
-
-_KERNELS: dict[str, dict] = {
-    "corner": {
-        "density": lambda spec, x, y: _corner_density_raw(x, y),
-        "segments": _segments_corner,
-        "target_dim": lambda d: d - 1,
-        "positive_head": False,
-    },
-    "alpha_square": {
-        "density": lambda spec, z, y: _alpha_square_density_raw(spec.alpha, z, y),
-        "segments": _segments_inner,
-        "target_dim": lambda d: d,
-        "positive_head": True,
-    },
-    "alpha_corner": {
-        "density": lambda spec, x, y: _alpha_corner_density_raw(spec.alpha, x, y),
-        "segments": _segments_alpha_corner,
-        "target_dim": lambda d: d - 1,
-        "positive_head": True,
-    },
-    "hat_corner": {
-        "density": lambda spec, x, y: density_hat_corner(spec.alpha, x, y),
-        "segments": _segments_corner,
-        "target_dim": lambda d: d - 1,
-        "positive_head": False,
-    },
-    "hat_square": {
-        "density": lambda spec, x, y: density_hat_square(spec.alpha, x, y),
-        "segments": _segments_inner,
-        "target_dim": lambda d: d,
-        "positive_head": True,
-    },
-}
-
-
-def kernel_density(spec: KernelSpec, x, y):
-    """Density of the chosen kernel at anchor x, evaluated at y."""
-    if spec.kind == "corner":
-        return density_corner(x, y)
-    if spec.kind == "alpha_square":
-        return density_alpha_square(spec.alpha, x, y)
-    if spec.kind == "alpha_corner":
-        return density_alpha_corner(spec.alpha, x, y)
-    if spec.kind == "hat_corner":
-        return density_hat_corner(spec.alpha, x, y)
-    return density_hat_square(spec.alpha, x, y)
-
-
-def kernel_target_dim(spec: KernelSpec, anchor_len: int) -> int:
-    return _KERNELS[spec.kind]["target_dim"](anchor_len)
-
-
-def _anchor_rows_valid(spec: KernelSpec, rows: np.ndarray) -> np.ndarray:
-    """Rows the quadrature evaluates; the others give exactly 0.
-
-    Evaluated rows are strictly increasing and, for the kernels flagged
-    ``positive_head``, start above 0.  A tie, or a zero head under an inner
-    window, leaves a window of zero width, which contributes exactly 0 (the
-    hat densities can be infinite at its single point).  The alpha
-    densities are defined at strictly interior anchors only.
-    """
-    ok = np.all(np.diff(rows, axis=-1) > 0, axis=-1)
-    if _KERNELS[spec.kind]["positive_head"]:
-        ok &= rows[..., 0] > 0
-    return ok
-
-
-def _endpoint_exponent(spec: KernelSpec) -> float | None:
-    """Power-law exponent of the density at the zero end of the first window."""
-    if spec.kind in ("alpha_square", "alpha_corner"):
-        return spec.alpha
-    if spec.kind == "hat_square" and -spec.alpha - 1.0 > -1.0:
-        return -spec.alpha - 1.0
-    return None
-
-
-def _value_table(values, m: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """A test function's values on m points as an (F, m) table.
-
-    ``values`` has shape (m,) (a scalar test function, F = 1) or (m, F) (F
-    test functions at once).  Returns the table, with one contiguous row per
-    function, and the trailing shape (``()`` or ``(F,)``) of the values.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.ndim not in (1, 2) or values.shape[0] != m:
-        raise ValueError(f"test function must return shape ({m},) or ({m}, F), got {values.shape}")
-    if values.ndim == 1:
-        return values[None, :], ()
-    return values.T, values.shape[1:]
-
-
-def _rows_from_table(table: np.ndarray, width: tuple[int, ...], valid: np.ndarray) -> np.ndarray:
-    """Scatter an (F, m) result table to the rows where ``valid`` holds.
-
-    The other rows are 0.  The result has shape (len(valid),) + width.
-    """
-    out = np.zeros(valid.shape + width)
-    out[valid] = table.T.reshape((-1,) + width)
-    return out
-
-
-def _zero_rows(f: Callable[[np.ndarray], np.ndarray], dim: int, valid: np.ndarray) -> np.ndarray:
-    """All-zero result for anchors none of which needs f.
-
-    f is called on an empty (0, dim) array, only to learn its value shape.
-    """
-    _, width = _value_table(f(np.empty((0, dim))), 0)
-    return np.zeros(valid.shape + width)
-
-
-def _first_row(values: np.ndarray) -> float | np.ndarray:
-    """Row 0 of an (m,) or (m, F) result: a float, or an (F,) array."""
-    row = np.asarray(values)[0]
-    return float(row) if row.ndim == 0 else row
-
-
 def apply_kernel_to_anchors(
     spec: KernelSpec,
     anchors: np.ndarray,
@@ -631,30 +611,37 @@ def apply_kernel_to_anchors(
     and return either an (M,) array of values or an (M, F) array holding F
     test functions at once; the result for m anchors is then (m,) or
     (m, F).  Each function's column is summed exactly as if it had been
-    passed alone, so stacking changes no bit of the result.  Rows with
-    degenerate anchors evaluate to 0; callers pair them with vanishing
-    prefactors.  ``panels`` may be a per-coordinate tuple.  Quadrature
-    panels are anchored at the window segment endpoints so the integrand is
-    smooth on every panel.  Anchors are processed in chunks of about
-    ``chunk_elems`` mesh points; the per-function sums reuse one mesh-sized
-    buffer, so the mesh temporaries do not grow with F.
+    passed alone, so stacking changes no bit of the result.  Rows that are
+    not strictly interior (a tie, or a zero head for the kinds flagged
+    ``positive_head``) leave a window of zero width and evaluate to exactly
+    0; callers pair them with vanishing prefactors.  ``ValueError`` is
+    raised, rather than a NaN or an infinite value returned, for anchors
+    that are not chamber points of the kernel, for a divergent integral (a
+    hat kernel whose power of y at 0 is <= -1 over a window starting at
+    0), and where the density leaves the float range (a subnormal anchor
+    coordinate, a Vandermonde of the anchor that underflows).
+    ``panels`` may be a per-coordinate tuple.  Quadrature panels are
+    anchored at the window segment endpoints so the integrand is smooth on
+    every panel.  Anchors are processed in chunks of about ``chunk_elems``
+    mesh points; the per-function sums reuse one mesh-sized buffer, so the
+    mesh temporaries do not grow with F.
     """
-    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
+    row = spec.row
+    anchors, valid = _checked_anchors(spec, np.atleast_2d(anchors))
     m_total, d = anchors.shape
-    n = kernel_target_dim(spec, d)
-    if n < 1:
-        raise ValueError("kernel target dimension must be >= 1")
+    n = d - row.dim_drop
     if n > 3:
         raise UnsupportedDimensionError("kernel quadrature is guarded to N <= 3")
     per_coord_panels = panels if isinstance(panels, (tuple, list)) else (panels,) * n
-    density = _KERNELS[spec.kind]["density"]
-    seg_fn = _KERNELS[spec.kind]["segments"]
-
-    valid = _anchor_rows_valid(spec, anchors)
     if not np.any(valid):
-        return _zero_rows(f, n, valid)
+        return zero_rows(f, n, valid)
     rows = anchors[valid]
     m = rows.shape[0]
+    if not np.all(row.integrable(spec.alpha, rows)):
+        raise ValueError(
+            f"{spec.kind} integral diverges at alpha = {spec.alpha}: its power of y "
+            "at 0 is <= -1 in floating point and a window starts at 0"
+        )
 
     # per-coordinate nodes/weights, shape (m, K_i); the alpha-weighted
     # kernels carry prod y_k^alpha, which is singular (or merely
@@ -662,17 +649,16 @@ def apply_kernel_to_anchors(
     # y = top * v^stretch with panel edges at the v-images of the window
     # breakpoints.  This resolves the weight even when a window's lower
     # edge sits arbitrarily close to 0 (anchors from quadrature meshes do).
-    exponent = _endpoint_exponent(spec)
+    exponent = row.endpoint_exponent(spec.alpha)
     stretch = 1.0 if exponent is None else power_stretch(exponent)
+    points = _window_points(row.breaks, rows)
     nodes, weights = [], []
-    segs = seg_fn(rows)
     for i in range(n):
         u_plain, w_plain = unit_gauss_legendre(per_coord_panels[i], order)
+        edges = [p[:, i, None] for p in points]
         node_parts, weight_parts = [], []
         if stretch > 1.0:
-            top = np.asarray(segs[i][-1][1], dtype=float)[:, None]
-            edges = [np.asarray(segs[i][0][0], dtype=float)[:, None]]
-            edges += [np.asarray(hi, dtype=float)[:, None] for _, hi in segs[i]]
+            top = edges[-1]
             v_edges = [(e / top) ** (1.0 / stretch) for e in edges]
             for va, vb in zip(v_edges[:-1], v_edges[1:]):
                 v = va + (vb - va) * u_plain[None, :]
@@ -681,9 +667,7 @@ def apply_kernel_to_anchors(
                     top * stretch * v ** (stretch - 1.0) * (vb - va) * w_plain[None, :]
                 )
         else:
-            for lo, hi in segs[i]:
-                lo = np.asarray(lo, dtype=float)[:, None]
-                hi = np.asarray(hi, dtype=float)[:, None]
+            for lo, hi in zip(edges[:-1], edges[1:]):
                 node_parts.append(lo + (hi - lo) * u_plain[None, :])
                 weight_parts.append((hi - lo) * w_plain[None, :])
         nodes.append(np.concatenate(node_parts, axis=1))
@@ -697,30 +681,32 @@ def apply_kernel_to_anchors(
     for start in range(0, m, rows_per_chunk):
         sl = slice(start, min(start + rows_per_chunk, m))
         mm = sl.stop - sl.start
-        grids = []
-        wgrid = np.ones((mm,) + tuple(sizes))
+        grids, wgrids = [], []
         for i in range(n):
             shape = [mm] + [1] * n
             shape[1 + i] = sizes[i]
             grids.append(nodes[i][sl].reshape(shape))
-            wgrid = wgrid * weights[i][sl].reshape(shape)
+            wgrids.append(weights[i][sl].reshape(shape))
         pts = np.stack(np.broadcast_arrays(*grids), axis=-1)
         anchor_block = rows[sl].reshape((mm,) + (1,) * n + (d,))
-        dens = density(spec, anchor_block, pts)
-        contrib = dens * wgrid
+        contrib = _window_density(row, spec.alpha, anchor_block, pts, wgrids)
         mask = contrib != 0.0
         # a point of nonzero weight lies in its interlacing window, so its
         # coordinates are already non-decreasing: the corner, square and hat
         # windows do not overlap, and the alpha_corner segment integral is
         # zero unless y_k < y_{k+1}
-        fvals, width = _value_table(f(pts[mask]), int(np.count_nonzero(mask)))
+        fvals, width = value_table(f(pts[mask]), int(np.count_nonzero(mask)))
         if table is None:
             table = np.empty((fvals.shape[0], m))
         vals = np.zeros_like(contrib)
         for j, col in enumerate(fvals):
             vals[mask] = col
             table[j, sl] = np.sum(contrib * vals, axis=mesh_axes)
-    return _rows_from_table(table, width, valid)
+        # a density beyond the float range leaves a sum that is not finite;
+        # the mesh itself is searched only then
+        if not np.all(np.isfinite(table[:, sl])) and not np.all(np.isfinite(contrib)):
+            raise ValueError(f"{spec.kind} density leaves the float range at an anchor row")
+    return rows_from_table(table, width, valid)
 
 
 def apply_kernel_quadrature(
@@ -732,16 +718,12 @@ def apply_kernel_quadrature(
 ) -> float | np.ndarray:
     """(kernel f)(x) by nested composite Gauss-Legendre quadrature, N <= 3.
 
-    A scalar ``f`` ((M, N) -> (M,)) gives a float; an ``f`` returning
-    (M, F) gives the (F,) array of the F values, as in
+    The anchor must be strictly interior, as for :func:`kernel_density`.  A
+    scalar ``f`` ((M, N) -> (M,)) gives a float; an ``f`` returning (M, F)
+    gives the (F,) array of the F values, as in
     :func:`apply_kernel_to_anchors`.
     """
-    x = np.asarray(x, dtype=float)
-    n = kernel_target_dim(spec, len(x))
-    if n > 3:
-        raise UnsupportedDimensionError("kernel quadrature is guarded to N <= 3")
-    if spec.kind == "corner":
-        _require_interior(x, nonneg=False, what="corner anchor")
-    elif spec.kind in ("alpha_square", "alpha_corner"):
-        _require_interior(x, nonneg=True, what=f"{spec.kind} anchor")
-    return _first_row(apply_kernel_to_anchors(spec, x[None, :], f, panels, order))
+    x = _interior_anchor(spec, x)
+    if x.ndim != 1:
+        raise ValueError(f"apply_kernel_quadrature takes one anchor, got shape {x.shape}")
+    return first_row(apply_kernel_to_anchors(spec, x[None, :], f, panels, order))

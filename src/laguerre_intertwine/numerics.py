@@ -1,7 +1,8 @@
 """Shared numerical primitives.
 
-Special functions, composite Gauss-Legendre quadrature, and seeded random
-streams used by every other module.  All samplers draw from an explicit
+The rising factorial, composite Gauss-Legendre quadrature, the value
+tables the quadrature appliers share, and seeded random streams used by
+every other module.  All samplers draw from an explicit
 :class:`RngStream`, so experiments are reproducible and parallel workers can
 own statistically independent streams.
 """
@@ -13,7 +14,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammaln, ive
 
 
 @dataclass
@@ -137,33 +137,44 @@ def pochhammer(x: float, n: int) -> float:
     return out
 
 
-def log_gamma(x):
-    """Natural log of the gamma function for positive arguments.
+def value_table(values, m: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """A test function's values on m points as an (F, m) table.
 
-    Accepts scalars or arrays; absolute error is well below 1e-12 on
-    ``[1e-3, 1e3]``.
+    ``values`` has shape (m,) (a scalar test function, F = 1) or (m, F) (F
+    test functions at once).  Returns the table, with one contiguous row per
+    function, and the trailing shape (``()`` or ``(F,)``) of the values.
     """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("log_gamma requires x > 0")
-    out = gammaln(x)
-    return float(out) if out.ndim == 0 else out
+    values = np.asarray(values, dtype=float)
+    if values.ndim not in (1, 2) or values.shape[0] != m:
+        raise ValueError(f"test function must return shape ({m},) or ({m}, F), got {values.shape}")
+    if values.ndim == 1:
+        return values[None, :], ()
+    return values.T, values.shape[1:]
 
 
-def bessel_i_scaled(nu: float, z):
-    """Exponentially scaled modified Bessel function ``exp(-z) I_nu(z)``.
+def rows_from_table(table: np.ndarray, width: tuple[int, ...], valid: np.ndarray) -> np.ndarray:
+    """Scatter an (F, m) result table to the rows where ``valid`` holds.
 
-    The scaled form stays bounded for arguments up to ~1e4, which is what the
-    transition-density formulas need at small times; the removed exponential
-    is recombined analytically by the callers.  Relative accuracy is ~1e-13
-    over the orders and arguments used here (delegates to scipy's Amos
-    implementation, which switches between series and uniform asymptotics).
+    The other rows are 0.  The result has shape (len(valid),) + width.
     """
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0):
-        raise ValueError("bessel_i_scaled requires z >= 0")
-    out = ive(nu, z)
-    return float(out) if out.ndim == 0 else out
+    out = np.zeros(valid.shape + width)
+    out[valid] = table.T.reshape((-1,) + width)
+    return out
+
+
+def zero_rows(f: Callable[[np.ndarray], np.ndarray], dim: int, valid: np.ndarray) -> np.ndarray:
+    """All-zero result for anchors none of which needs f.
+
+    f is called on an empty (0, dim) array, only to learn its value shape.
+    """
+    _, width = value_table(f(np.empty((0, dim))), 0)
+    return np.zeros(valid.shape + width)
+
+
+def first_row(values: np.ndarray) -> float | np.ndarray:
+    """Row 0 of an (m,) or (m, F) result: a float, or an (F,) array."""
+    row = np.asarray(values)[0]
+    return float(row) if row.ndim == 0 else row
 
 
 def _check_positive(name: str, value: float) -> None:

@@ -16,19 +16,15 @@ from typing import Callable
 
 import numpy as np
 
-from .diffusion import _log_density_indexed, transition_density, transition_variance
+from .diffusion import log_density_indexed, transition_density, transition_variance
 from .kernels import (
     DegenerateAnchorError,
     UnsupportedDimensionError,
-    _first_row,
-    _rows_from_table,
-    _value_table,
-    _zero_rows,
     is_chamber_point,
     is_strict_interior,
     vandermonde,
 )
-from .numerics import RngStream
+from .numerics import RngStream, first_row, rows_from_table, value_table, zero_rows
 from .rmt import radial_part
 
 
@@ -81,7 +77,7 @@ def lambda_eigen(n_dim: int) -> float:
 
 def _log_transition_matrix(alpha: float, t: float, x: np.ndarray, y: np.ndarray):
     """log p_{alpha,t}(x_i, y_j) with broadcasting; x_i > 0 required."""
-    return _log_density_indexed(
+    return log_density_indexed(
         alpha, alpha if alpha > -1 else -alpha, t, x[..., :, None], y[..., None, :]
     )
 
@@ -139,7 +135,7 @@ def subkm_dual_density(alpha: float, t: float, x, y):
     yb = y[..., None, :]
     log_mat = (
         -t
-        + _log_density_indexed(ap, ap if ap > -1 else -ap, t, xb, yb)
+        + log_density_indexed(ap, ap if ap > -1 else -ap, t, xb, yb)
         + (yb - xb)
         - ap * (np.log(yb) - np.log(xb))
     )
@@ -209,7 +205,7 @@ def semigroup_apply_rows(
         return f(np.sort(x_rows, axis=-1))
     valid = np.all(np.diff(np.sort(x_rows, axis=-1), axis=-1) > 0, axis=-1)
     if not np.any(valid):
-        return _zero_rows(f, n, valid)
+        return zero_rows(f, n, valid)
     if y_max is None:
         y_max = semigroup_ymax(params.alpha, params.t, float(np.max(x_rows)), n)
     nodes, wts = _box_axis_nodes(params.alpha, y_max, panels, order)
@@ -260,7 +256,7 @@ def semigroup_apply_rows(
     perms = list(permutations(range(n)))
     ordered = np.all(np.diff(np.indices((k,) * n), axis=0) > 0, axis=0)
     needed = ordered & np.logical_or.reduce([mask.transpose(perm) for perm in perms])
-    fneeded, width = _value_table(f(pts[needed]), int(np.count_nonzero(needed)))
+    fneeded, width = value_table(f(pts[needed]), int(np.count_nonzero(needed)))
 
     pref = np.exp(-lambda_eigen(n) * params.t) / (factorial(n) * vandermonde(rows))
     table = np.empty((fneeded.shape[0], rows.shape[0]))
@@ -270,7 +266,7 @@ def semigroup_apply_rows(
         fvals = np.where(mask, sum(fchamber.transpose(perm) for perm in perms), 0.0)
         weight_mesh = (delta * fvals * wmesh)[None, ...]
         table[j] = pref * np.sum(det * weight_mesh, axis=mesh_axes)
-    return _rows_from_table(table, width, valid)
+    return rows_from_table(table, width, valid)
 
 
 def _perm_sign(perm: tuple[int, ...]) -> int:
@@ -298,10 +294,10 @@ def semigroup_apply(
     """
     x = np.asarray(x, dtype=float)
     if params.t == 0:
-        return _first_row(f(x[None, :]))
+        return first_row(f(x[None, :]))
     if not is_strict_interior(x, nonneg=True):
         raise DegenerateAnchorError(f"anchor must be strictly interior, got {x}")
-    return _first_row(semigroup_apply_rows(params, x[None, :], f, panels, order, y_max))
+    return first_row(semigroup_apply_rows(params, x[None, :], f, panels, order, y_max))
 
 
 def simulate_sde(

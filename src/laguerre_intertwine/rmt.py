@@ -134,15 +134,22 @@ def sample_invariant_rectangular(
     """Bi-unitarily invariant matrix V D U with prescribed radial part.
 
     D is diag(sqrt(x)) padded with alpha zero rows to (N+alpha+1) x (N+1);
-    V and U are independent Haar unitaries of matching orders.
+    V and U are independent Haar unitaries of matching orders.  ``x`` is one
+    radial part (N+1,), shared by ``size`` draws, or anchor rows
+    (rows, N+1), one draw per row (``size`` then defaults to the row count).
     """
     if alpha_int < 0 or int(alpha_int) != alpha_int:
         raise ValueError("alpha must be a non-negative integer")
     x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or not np.all(np.isfinite(x)) or np.any(x < 0):
+        raise ValueError("radial parts must be finite, non-negative rows")
+    if x.ndim == 2 and size is None:
+        size = x.shape[0]
     n1 = x.shape[-1]  # N + 1
     m1 = n1 + int(alpha_int)
-    d = np.zeros((m1, n1))
-    d[:n1, :n1] = np.diag(np.sqrt(x))
+    d = np.zeros(x.shape[:-1] + (m1, n1))
+    idx = np.arange(n1)
+    d[..., idx, idx] = np.sqrt(x)
     v = sample_haar_unitary(m1, rng, size=size)
     u = sample_haar_unitary(n1, rng, size=size)
     return v @ d @ u

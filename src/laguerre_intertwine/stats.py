@@ -11,7 +11,7 @@ replications must sit in [0.2%, 3%].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -236,11 +236,3 @@ class BonferroniFamily:
                 return False
         return True
 
-
-def family_from_reports(
-    reports: Sequence[ComparisonReport], family_level: float = 0.01
-) -> BonferroniFamily:
-    fam = BonferroniFamily(family_level=family_level)
-    for r in reports:
-        fam.add(r)
-    return fam

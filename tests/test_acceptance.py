@@ -7,17 +7,17 @@ tolerance.
 """
 
 import numpy as np
+import pytest
 
-from laguerre_intertwine.cli import TEST_FUNCTIONS, _intertwine_sides, stacked_test_functions
+from laguerre_intertwine import experiments
+from laguerre_intertwine.cli import ExperimentConfig
 from laguerre_intertwine.diffusion import (
     backward_generator_residual,
-    dual_transition_density_exit,
     htransform_residual_32a,
-    speed_measure_dual,
     transition_density,
-    transition_density_absorbed,
     transition_sample,
 )
+from laguerre_intertwine.experiments import TEST_FUNCTIONS, composed_corner_density
 from laguerre_intertwine.kernels import (
     KernelSpec,
     apply_kernel_quadrature,
@@ -28,12 +28,7 @@ from laguerre_intertwine.kernels import (
     sample_corner_many,
     sample_corner_rejection,
 )
-from laguerre_intertwine.numerics import (
-    RngStream,
-    gauss_legendre_rule,
-    power_endpoint_rule,
-    unit_gauss_legendre,
-)
+from laguerre_intertwine.numerics import RngStream, power_endpoint_rule
 from laguerre_intertwine.process import SdeConfig, simulate_matrix_ou, simulate_sde
 from laguerre_intertwine.rmt import (
     radial_part,
@@ -51,7 +46,6 @@ from laguerre_intertwine.stats import (
     ks_two_sample,
 )
 
-ONE = lambda y: np.ones(y.shape[:-1])
 CORNER_ANCHORS = {1: np.array([1.0, 2.0]), 2: np.array([1.0, 2.0, 4.0]), 3: np.array([1.0, 2.0, 4.0, 7.0])}
 SQUARE_ANCHORS = {1: np.array([2.0]), 2: np.array([1.0, 3.0]), 3: np.array([1.0, 2.5, 5.0])}
 
@@ -91,25 +85,18 @@ def test_criterion_12_calibration_gate_runs_first():
 
 
 def test_criterion_01_kernel_normalization():
-    worst = 0.0
-    for n in (1, 2, 3):
-        val = apply_kernel_quadrature(KernelSpec("corner"), CORNER_ANCHORS[n], ONE, 2, 20)
-        worst = max(worst, abs(val - 1.0))
-        for alpha in (-0.5, 0.0, 1.0, 2.5):
-            for kind, anchor in (
-                ("alpha_square", SQUARE_ANCHORS[n]),
-                ("alpha_corner", CORNER_ANCHORS[n]),
-            ):
-                val = apply_kernel_quadrature(KernelSpec(kind, alpha), anchor, ONE, 2, 20)
-                worst = max(worst, abs(val - 1.0))
-    ok = worst <= 1e-7
-    report(1, "kernel normalization", ok, f"worst |mass-1| = {worst:.2e}")
+    # the normalization rows of kernels-check at its default configuration:
+    # corner, and alpha_square / alpha_corner at alpha in {-0.5, 0, 1, 2.5},
+    # for N = 1, 2, 3
+    checks = experiments.kernels_check(ExperimentConfig())
+    rows = [c.row for c in checks if c.row["check"] == "normalization"]
+    worst = max(abs(r["integral"] - 1.0) for r in rows)
+    ok = len(rows) == 27 and worst <= 1e-7
+    report(1, "kernel normalization", ok, f"{len(rows)} kernels, worst |mass-1| = {worst:.2e}")
     assert ok
 
 
 def test_criterion_02_composition_pointwise():
-    from laguerre_intertwine.cli import _composed_corner_density
-
     rng = np.random.default_rng(12345)
     worst = 0.0
     points = 0
@@ -122,7 +109,7 @@ def test_criterion_02_composition_pointwise():
                 direct = density_alpha_corner(alpha, x, y)
                 if direct <= 0.0:
                     continue
-                composed = _composed_corner_density(alpha, x, y, panels=4, order=20)
+                composed = composed_corner_density(alpha, x, y, panels=4, order=20)
                 worst = max(worst, abs(direct - composed) / direct)
                 points += 1
                 if points % 4 == 0:
@@ -133,34 +120,31 @@ def test_criterion_02_composition_pointwise():
     assert ok
 
 
-def _run_intertwine(identity: str) -> tuple[bool, float]:
-    worst = 0.0
-    ok = True
-    for n, alphas, times, tol in (
-        (1, (-0.5, 0.0, 1.0), (0.25, 1.0), 1e-5),
-        (2, (-0.5, 1.0), (1.0,), 1e-4),
-    ):
-        anchor = SQUARE_ANCHORS[n] if identity == "square_shift" else CORNER_ANCHORS[n]
-        for alpha in alphas:
-            for t in times:
-                # one nested quadrature for all test functions, one gate each
-                sides = _intertwine_sides(identity, alpha, t, anchor, stacked_test_functions, n)
-                for lhs, rhs in zip(*sides):
-                    rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
-                    worst = max(worst, rel / tol)
-                    ok &= rel <= tol
-    return ok, worst
+@pytest.fixture(scope="module")
+def intertwine_rows():
+    """The rows of the intertwine experiment at its default configuration:
+    N = 1 at alpha in {-0.5, 0, 1} and t in {0.25, 1}, N = 2 at alpha in
+    {-0.5, 1} and t = 1, three test functions each."""
+    return [c.row for c in experiments.intertwine(ExperimentConfig())]
 
 
-def test_criterion_03_main_intertwining():
-    ok, worst = _run_intertwine("same_alpha")
+def _intertwine_worst(rows, identity: str) -> tuple[bool, float]:
+    tol = {1: 1e-5, 2: 1e-4}
+    picked = [r for r in rows if r["check"] == identity]
+    worst = max(r["rel_error"] / tol[r["N"]] for r in picked)
+    complete = len(picked) == 24 and {r["f"] for r in picked} == set(TEST_FUNCTIONS)
+    return complete and worst <= 1.0, worst
+
+
+def test_criterion_03_main_intertwining(intertwine_rows):
+    ok, worst = _intertwine_worst(intertwine_rows, "same_alpha")
     report(3, "main intertwining", ok, f"worst rel/tol = {worst:.2e}")
     assert ok
 
 
-def test_criterion_04_shifted_intertwinings():
-    ok1, worst1 = _run_intertwine("corner_shift")
-    ok2, worst2 = _run_intertwine("square_shift")
+def test_criterion_04_shifted_intertwinings(intertwine_rows):
+    ok1, worst1 = _intertwine_worst(intertwine_rows, "corner_shift")
+    ok2, worst2 = _intertwine_worst(intertwine_rows, "square_shift")
     ok = ok1 and ok2
     report(4, "shifted intertwinings", ok, f"worst rel/tol = {max(worst1, worst2):.2e}")
     assert ok
@@ -202,58 +186,15 @@ def test_criterion_05_htransform_identities():
 
 
 def test_criterion_06_dual_kernel_identities():
-    # 12-point grid: eight same-dimension points in the exit-continuation
-    # branch (parameter below 0, where the exchange identity holds
-    # pointwise) and four corner points in the conservative branch
-    panels, order = 40, 20
-    worst = 0.0
-
-    for (alpha, t, x, y) in [
-        (-1.5, 0.5, 2.0, 1.0), (-1.5, 0.25, 1.0, 0.5),
-        (-1.0, 0.5, 2.0, 1.0), (-1.0, 0.25, 1.0, 0.5),
-        (-0.5, 0.5, 2.0, 1.0), (-0.5, 0.25, 1.0, 0.5),
-        (-0.25, 0.5, 2.0, 1.0), (-0.25, 0.25, 1.0, 0.5),
-    ]:
-        zmax = 40.0 + x + y
-        r1 = gauss_legendre_rule(y, zmax, panels, order)
-        lhs = speed_measure_dual(alpha, y) * float(
-            np.dot(r1.weights, transition_density_absorbed(alpha, t, x, r1.nodes))
-        )
-        expo = -(alpha + 1.0)
-        if expo >= 0 and float(expo).is_integer():
-            r2 = gauss_legendre_rule(1e-300, x, panels, order)
-        else:
-            r2 = power_endpoint_rule(x, expo, panels, order)
-        rhs = float(np.dot(
-            r2.weights,
-            speed_measure_dual(alpha, r2.nodes)
-            * dual_transition_density_exit(alpha, t, r2.nodes, y),
-        ))
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
-
-    for (alpha, t, y) in [(-0.5, 0.5, 1.5), (0.5, 0.5, 1.5), (1.5, 0.3, 1.0), (0.5, 0.25, 0.8)]:
-        x = np.array([1.0, 2.0])
-        zmax = 40.0 + x[1] + y
-        ra = power_endpoint_rule(y, alpha, panels, order)
-        rb = gauss_legendre_rule(y, zmax, panels, order)
-        det = (
-            transition_density(alpha, t, x[0], ra.nodes)[:, None]
-            * transition_density(alpha, t, x[1], rb.nodes)[None, :]
-            - transition_density(alpha, t, x[0], rb.nodes)[None, :]
-            * transition_density(alpha, t, x[1], ra.nodes)[:, None]
-        )
-        lhs = speed_measure_dual(alpha, y) * float(ra.weights @ det @ rb.weights)
-        rc = gauss_legendre_rule(x[0], x[1], panels, order)
-        rhs = float(np.dot(
-            rc.weights,
-            np.exp(-t)
-            * transition_density(alpha + 1.0, t, rc.nodes, y)
-            * speed_measure_dual(alpha, y),
-        ))
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
-
-    ok = worst <= 1e-5
-    report(6, "dual kernel identities", ok, f"12 points, worst rel = {worst:.2e}")
+    # the dual-check exchange rows, a 12-point grid: eight same-dimension
+    # points in the exit-continuation branch (parameter below 0, where the
+    # exchange identity holds pointwise) and four corner points in the
+    # conservative branch
+    checks = ("dual_exchange_same_dim", "dual_exchange_corner")
+    rows = [c.row for c in experiments.dual_check(ExperimentConfig()) if c.row["check"] in checks]
+    worst = max(r["residual"] for r in rows)
+    ok = len(rows) == 12 and worst <= 1e-5
+    report(6, "dual kernel identities", ok, f"{len(rows)} points, worst rel = {worst:.2e}")
     assert ok
 
 

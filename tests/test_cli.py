@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from laguerre_intertwine import cli
+from laguerre_intertwine import cli, kernels
 from laguerre_intertwine.cli import ExperimentConfig, ConfigError, main
 
 
@@ -25,9 +25,14 @@ def test_kernels_check_unsupported_dimension(tmp_path):
     assert run(["kernels-check", "--out", str(tmp_path), "--n", "4"]) == 2
 
 
-def test_kernels_check_corrupted_density_hook(tmp_path):
-    rc = run(["kernels-check", "--out", str(tmp_path), "--n", "1", "--corrupt", "1.01"])
+def test_kernels_check_corrupted_density_hook(tmp_path, monkeypatch):
+    # a kernel whose mass is off by 1% must fail its normalization checks
+    apply = kernels.apply_kernel_quadrature
+    monkeypatch.setattr(kernels, "apply_kernel_quadrature", lambda *args: 1.01 * apply(*args))
+    rc = run(["kernels-check", "--out", str(tmp_path), "--n", "1"])
     assert rc == 1
+    rows = list(csv.DictReader((tmp_path / "kernels_check.csv").read_text().splitlines()))
+    assert {r["pass"] for r in rows if r["check"] == "normalization"} == {"0"}
 
 
 def test_intertwine_single_combo(tmp_path):

@@ -8,7 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laguerre_intertwine import kernels
-from laguerre_intertwine.cli import TEST_FUNCTIONS, stacked_test_functions
+from laguerre_intertwine.experiments import (
+    TEST_FUNCTIONS,
+    composed_corner_density,
+    stacked_test_functions,
+)
 from laguerre_intertwine.kernels import (
     DegenerateAnchorError,
     InterlacingWindow,
@@ -24,6 +28,7 @@ from laguerre_intertwine.kernels import (
     density_hat_square,
     is_chamber_point,
     is_strict_interior,
+    kernel_density,
     sample_alpha_corner,
     sample_alpha_corner_rows,
     sample_alpha_square,
@@ -149,29 +154,6 @@ def test_normalization_grid():
                 assert abs(val - 1.0) < 1e-7, (kind, n, alpha, val)
 
 
-def _composed_density(alpha, x, y, panels=4, order=20):
-    n = len(y)
-    lo = np.maximum(x[:-1], y)
-    hi = np.minimum(x[1:], np.append(y[1:], x[-1]))
-    if np.any(lo >= hi):
-        return 0.0
-    u, w = unit_gauss_legendre(panels, order)
-    grids = [lo[k] + (hi[k] - lo[k]) * u for k in range(n)]
-    wts = [(hi[k] - lo[k]) * w for k in range(n)]
-    mesh = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1)
-    wmesh = np.ones(mesh.shape[:-1])
-    for k in range(n):
-        shape = [1] * n
-        shape[k] = -1
-        wmesh = wmesh * wts[k].reshape(shape)
-    from laguerre_intertwine.kernels import _alpha_square_density_raw, _corner_density_raw
-
-    vals = _corner_density_raw(x, mesh) * _alpha_square_density_raw(
-        alpha, mesh, np.broadcast_to(y, mesh.shape)
-    )
-    return float((vals * wmesh).sum())
-
-
 def test_composition_identity_pointwise():
     # the alpha corner kernel equals corner followed by the same-dimension
     # alpha kernel, density by density
@@ -185,7 +167,8 @@ def test_composition_identity_pointwise():
                 direct = density_alpha_corner(alpha, x, y)
                 if direct <= 0.0:
                     continue
-                assert _composed_density(alpha, x, y) == pytest.approx(direct, rel=1e-6)
+                composed = composed_corner_density(alpha, x, y, 4, 20)
+                assert composed == pytest.approx(direct, rel=1e-6)
 
 
 def test_hat_density_values():
@@ -478,6 +461,11 @@ def test_kernel_quadrature_points_are_sorted(kind, alpha, n):
         return F_EXP(y)
 
     order = 8 if n == 3 else 12
+    if kind == "hat_square" and alpha >= 0:
+        # y^(-alpha-1) is not integrable over the inner window [0, z_1]
+        with pytest.raises(ValueError, match="diverges"):
+            apply_kernel_to_anchors(spec, np.stack([anchor, 1.5 * anchor]), recording, 2, order)
+        return
     apply_kernel_to_anchors(spec, np.stack([anchor, 1.5 * anchor]), recording, 2, order)
     rows = np.concatenate(seen)
     assert rows.shape[0] > 0 and rows.shape[1] == n
@@ -500,7 +488,7 @@ def test_kernel_quadrature_points_are_sorted_with_stretched_nodes():
     assert np.all(np.diff(rows, axis=-1) >= 0)
 
 
-def _assert_stacked_matches_scalar(spec, anchors, chunk_elems, panels=2, order=10, equal_nan=False):
+def _assert_stacked_matches_scalar(spec, anchors, chunk_elems, panels=2, order=10):
     got = apply_kernel_to_anchors(
         spec, anchors, stacked_test_functions, panels, order, chunk_elems=chunk_elems
     )
@@ -508,7 +496,7 @@ def _assert_stacked_matches_scalar(spec, anchors, chunk_elems, panels=2, order=1
     for j, fn in enumerate(SCALAR_FUNCTIONS):
         want = apply_kernel_to_anchors(spec, anchors, fn, panels, order, chunk_elems=chunk_elems)
         assert want.shape == (len(anchors),)
-        assert np.array_equal(got[:, j], want, equal_nan=equal_nan)
+        assert np.array_equal(got[:, j], want)
     return got
 
 
@@ -561,9 +549,29 @@ def test_stacked_f_matches_scalar_property(kind, alpha, n, raw, m, chunk_elems):
     spec = KernelSpec(kind, None if kind == "corner" else alpha)
     d = n if kind in ("alpha_square", "hat_square") else n + 1
     anchors = np.sort(np.array(raw[: m * d]).reshape(m, d), axis=-1)
-    # equal_nan: the alpha and hat densities overflow at a subnormal head
-    # coordinate (e.g. alpha_square at 2.2e-311), on both paths alike
-    _assert_stacked_matches_scalar(spec, anchors, chunk_elems, panels=1, order=6, equal_nan=True)
+    # the rows the quadrature evaluates; over a window from 0 the hat
+    # kernels' y^(-alpha-1) is not integrable when -alpha-1 <= -1 in floating
+    # point, and just above -1 its power-map nodes underflow to 0; anchor
+    # coordinates or gaps below 1e-100 (subnormal ones among them) may also
+    # put the density beyond the float range
+    evaluated = np.all(np.diff(anchors, axis=-1) > 0, axis=-1)
+    if kind in ("alpha_square", "alpha_corner", "hat_square"):
+        evaluated &= anchors[:, 0] > 0
+    from_zero = np.any(evaluated & (anchors[:, 0] == 0 if kind == "hat_corner" else True))
+    hat_power = -alpha - 1.0 if kind in ("hat_corner", "hat_square") else 0.0
+    divergent = from_zero and hat_power <= -1.0
+    tiny = np.any((anchors > 0) & (anchors < 1e-100), axis=-1)
+    tiny |= np.any(np.diff(anchors, axis=-1) < 1e-100, axis=-1)
+    out_of_range = np.any(evaluated & tiny) or (from_zero and hat_power < -0.9)
+    try:
+        got = _assert_stacked_matches_scalar(spec, anchors, chunk_elems, panels=1, order=6)
+    except ValueError as exc:
+        # never a NaN: the error names a divergent integral, or a density
+        # beyond the float range at tiny anchors
+        msg = str(exc)
+        assert ("diverges" in msg and divergent) or ("float range" in msg and out_of_range), exc
+        return
+    assert not divergent and np.all(np.isfinite(got))
 
 
 @pytest.mark.parametrize("alpha", [-0.5, 1.0])
@@ -572,10 +580,91 @@ def test_hat_square_zero_width_window_contributes_zero(alpha):
     # exactly 0, not NaN (0/0 in the power-map panel edges, or an infinite
     # density times a zero weight)
     spec = KernelSpec("hat_square", alpha)
-    got = apply_kernel_to_anchors(spec, np.array([[0.0, 3.0], [1.0, 3.0], [1.0, 1.0]]), ONE)
+    anchors = np.array([[0.0, 3.0], [1.0, 3.0], [1.0, 1.0]])
+    if alpha >= 0:
+        # the row (1, 3) is a divergent integral: y^(-2) over [0, 1]
+        with pytest.raises(ValueError, match="diverges"):
+            apply_kernel_to_anchors(spec, anchors, ONE)
+        return
+    got = apply_kernel_to_anchors(spec, anchors, ONE)
     alone = apply_kernel_to_anchors(spec, np.array([[1.0, 3.0]]), ONE)
     assert got[0] == 0.0 and got[2] == 0.0
     assert np.isfinite(got[1]) and got[1] == alone[0]
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.5, 1.0, 2.0, 2.5])
+@pytest.mark.parametrize("kind", ["alpha_square", "alpha_corner"])
+def test_mass_is_one_at_a_tiny_head(kind, alpha):
+    # prod y^alpha / prod z^(alpha+1) and a^-alpha - b^-alpha used to leave
+    # the float range here (NaN or inf: alpha_square at every alpha but 0,
+    # alpha_corner at 2 and 2.5); the ratio forms stay bounded
+    anchor = np.array([1e-300, 2.0] if kind == "alpha_square" else [1e-300, 2.0, 4.0])
+    mass = apply_kernel_quadrature(KernelSpec(kind, alpha), anchor, ONE, 2, 20)
+    assert abs(mass - 1.0) <= 1e-7
+
+
+@pytest.mark.parametrize(
+    "kind, anchor",
+    [
+        ("alpha_square", [2.2e-311, 1.0]),
+        ("alpha_square", [5e-324]),
+        ("alpha_corner", [2.2e-311, 1.0, 2.0]),
+        ("hat_square", [2.2e-311, 1.0]),
+        ("hat_corner", [0.0, 2.2e-311, 1.0]),
+        # the anchor's Vandermonde underflows to 0
+        ("corner", [0.0, 2.2250738585072014e-308, 5.7274957680435675e-108]),
+    ],
+)
+def test_density_out_of_float_range_raises(kind, anchor):
+    # these used to return NaN, inf, or a mass that lost the subnormal's digits
+    spec = KernelSpec(kind, None if kind == "corner" else -0.5)
+    with pytest.raises(ValueError, match="float range"):
+        apply_kernel_to_anchors(spec, np.array([anchor, [1.0, 2.0, 4.0][: len(anchor)]]), ONE)
+    if kind != "corner":
+        y = 0.5 * np.array(anchor[1:] if "corner" in kind else anchor)
+        with pytest.raises(ValueError, match="subnormal"):
+            kernel_density(spec, np.array(anchor), y)
+
+
+def test_divergent_hat_integrals_raise():
+    # with f = 1, hat_square at (2,) grew with the resolution (10.2, 11.6,
+    # 13.0, 14.3, ...) instead of diverging
+    for alpha in (0.0, 1.0):
+        with pytest.raises(ValueError, match="diverges"):
+            apply_kernel_quadrature(KernelSpec("hat_square", alpha), np.array([2.0]), ONE)
+        hat_corner = KernelSpec("hat_corner", alpha)
+        with pytest.raises(ValueError, match="diverges"):
+            apply_kernel_to_anchors(hat_corner, np.array([[1.0, 2.0], [0.0, 1.0]]), ONE)
+        # a positive head keeps the corner window away from 0
+        assert np.isfinite(apply_kernel_quadrature(hat_corner, np.array([1.0, 2.0]), ONE))
+    # alpha < 0: y^(-alpha-1) is integrable at 0; at alpha = -0.5 the
+    # integral of e^y y^-0.5 over [0, 1] is 2 * sum_k 1 / (k! (2k + 1))
+    exact = 2.0 * sum(1.0 / (math.factorial(k) * (2 * k + 1)) for k in range(30))
+    got = apply_kernel_to_anchors(KernelSpec("hat_corner", -0.5), np.array([[0.0, 1.0]]), ONE)
+    assert got[0] == pytest.approx(exact, rel=1e-10)
+    got = apply_kernel_quadrature(KernelSpec("hat_square", -0.5), np.array([1.0]), ONE)
+    assert got == pytest.approx(exact, rel=1e-10)
+
+
+def test_kernel_spec_checks_alpha_domain():
+    for kind, alpha in [("corner", 0.5), ("alpha_square", -1.0), ("alpha_corner", None),
+                        ("hat_corner", np.nan), ("hat_square", None), ("nope", None)]:
+        with pytest.raises(ValueError):
+            KernelSpec(kind, alpha)
+    assert KernelSpec("hat_corner", -3.0).alpha == -3.0
+
+
+def test_kernel_density_takes_anchor_rows():
+    anchors = np.array([[1.0, 2.0, 4.0], [0.5, 1.5, 3.0]])
+    y = np.array([[1.5, 3.0], [1.0, 2.0]])
+    got = kernel_density(KernelSpec("alpha_corner", 0.5), anchors, y)
+    assert got.shape == (2,)
+    for k in range(2):
+        assert got[k] == density_alpha_corner(0.5, anchors[k], y[k])
+    with pytest.raises(DegenerateAnchorError):
+        kernel_density(KernelSpec("corner"), np.array([[1.0, 2.0], [1.0, 1.0]]), np.array([1.5]))
+    with pytest.raises(ValueError):
+        kernel_density(KernelSpec("alpha_square", 0.5), np.array([-1.0, 2.0]), np.array([0.5, 1.0]))
 
 
 # -- rejection loops are bounded ----------------------------------------------

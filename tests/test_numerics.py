@@ -6,10 +6,8 @@ from scipy.special import gammainc
 
 from laguerre_intertwine.numerics import (
     RngStream,
-    bessel_i_scaled,
     gauss_legendre_rule,
     integrate_composite,
-    log_gamma,
     pochhammer,
     power_endpoint_rule,
     sample_gamma,
@@ -36,45 +34,6 @@ def test_pochhammer_recursion():
 def test_pochhammer_rejects_bad_n():
     with pytest.raises(ValueError):
         pochhammer(1.0, -1)
-
-
-def test_log_gamma_values():
-    assert log_gamma(1.0) == 0.0
-    assert log_gamma(2.0) == 0.0
-    # Gamma(1/2) = sqrt(pi), straight from the closed form
-    assert abs(log_gamma(0.5) - 0.5 * math.log(math.pi)) < 1e-12
-    # parity with the libm reference over the supported range
-    for x in (1e-3, 0.1, 3.7, 120.0, 1e3):
-        assert abs(log_gamma(x) - math.lgamma(x)) < 1e-12
-
-
-def test_log_gamma_domain():
-    with pytest.raises(ValueError):
-        log_gamma(0.0)
-    with pytest.raises(ValueError):
-        log_gamma(-1.5)
-
-
-def test_bessel_scaled_values():
-    assert bessel_i_scaled(0.0, 0.0) == 1.0
-    assert bessel_i_scaled(1.5, 0.0) == 0.0
-    # half-integer closed form exp(-z) sqrt(2/(pi z)) sinh z at z = 1
-    exact = math.exp(-1.0) * math.sqrt(2.0 / math.pi) * math.sinh(1.0)
-    assert bessel_i_scaled(0.5, 1.0) == pytest.approx(exact, rel=1e-10)
-
-
-def test_bessel_scaled_recurrence():
-    # I_{nu-1}(z) - I_{nu+1}(z) = (2 nu / z) I_nu(z), scaled form
-    for nu in (0.5, 1.0, 2.5, 10.0, 40.0):
-        for z in (0.3, 1.0, 17.0, 400.0, 9000.0):
-            lhs = bessel_i_scaled(nu - 1, z) - bessel_i_scaled(nu + 1, z)
-            rhs = 2.0 * nu / z * bessel_i_scaled(nu, z)
-            assert lhs == pytest.approx(rhs, rel=1e-8)
-
-
-def test_bessel_scaled_domain():
-    with pytest.raises(ValueError):
-        bessel_i_scaled(1.0, -0.1)
 
 
 def test_quadrature_rule_invariants():

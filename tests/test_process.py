@@ -10,7 +10,7 @@ from laguerre_intertwine.diffusion import dual_transition_density, transition_de
 from laguerre_intertwine.kernels import DegenerateAnchorError, vandermonde
 from laguerre_intertwine.numerics import RngStream, power_endpoint_rule
 from laguerre_intertwine import process
-from laguerre_intertwine.cli import TEST_FUNCTIONS, stacked_test_functions
+from laguerre_intertwine.experiments import TEST_FUNCTIONS, stacked_test_functions
 from laguerre_intertwine.process import (
     SdeConfig,
     SemigroupParams,
