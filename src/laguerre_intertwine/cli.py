@@ -32,7 +32,7 @@ import numpy as np
 from . import experiments
 from .experiments import Check, ConfigError
 
-# the experiments' own dict, so a wrapper put into it sees every evaluation
+# the experiments' own dict, so an entry put into it is the one used
 TEST_FUNCTIONS = experiments.TEST_FUNCTIONS
 
 

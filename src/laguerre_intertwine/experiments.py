@@ -18,7 +18,8 @@ from functools import reduce
 
 import numpy as np
 
-from . import diffusion, kernels, numerics, process, rmt, stats
+from . import determinantal, diffusion, kernels, numerics, process, rmt, stats
+from .determinantal import ProductFunction
 from .kernels import KernelSpec
 from .numerics import RngStream
 from .process import SdeConfig, SemigroupParams
@@ -44,19 +45,23 @@ class Check:
 # test functions and shared grids
 # ---------------------------------------------------------------------------
 
+# each test function once, by its one-dimensional factors; called on (M, N)
+# chamber points it is the pointwise f the quadrature appliers take.  The
+# experiments read this dict at each call, so an entry put into it after
+# import is the one used; a wrapper made with functools.wraps carries the
+# factors ``g`` and ``a`` along.
 TEST_FUNCTIONS = {
-    "exp_sum": lambda y: np.exp(-np.sum(y, axis=-1)),
-    "inv_prod": lambda y: np.prod(1.0 / (1.0 + y), axis=-1),
-    "sum_exp_sum": lambda y: np.sum(y, axis=-1) * np.exp(-np.sum(y, axis=-1)),
+    "exp_sum": ProductFunction(g=lambda y: np.exp(-y)),
+    "inv_prod": ProductFunction(g=lambda y: 1.0 / (1.0 + y)),
+    "sum_exp_sum": ProductFunction(g=lambda y: np.exp(-y), a=lambda y: y),
 }
 
 
 def stacked_test_functions(y: np.ndarray) -> np.ndarray:
-    """Every entry of ``TEST_FUNCTIONS`` at once: shape (..., F), dict order.
+    """Every entry of ``TEST_FUNCTIONS`` at once, pointwise: shape (..., F), dict order.
 
     The quadrature appliers take such an f and share one nested quadrature
-    among the F functions.  The dict is read at each call, so a wrapper put
-    into it sees every evaluation.
+    among the F functions.
     """
     return np.stack([fn(y) for fn in TEST_FUNCTIONS.values()], axis=-1)
 
@@ -66,13 +71,14 @@ def _one(y: np.ndarray) -> np.ndarray:
 
 
 ALPHA_GRID = (-0.5, 0.0, 1.0, 2.5)
-CORNER_ANCHORS = {1: (1.0, 2.0), 2: (1.0, 2.0, 4.0), 3: (1.0, 2.0, 4.0, 7.0)}
-SQUARE_ANCHORS = {1: (2.0,), 2: (1.0, 3.0), 3: (1.0, 2.5, 5.0)}
-
-# quadrature resolutions per lower dimension N (semigroup panels/order,
-# kernel panels/order), tuned so the identity checks clear their tolerances
-# with at least an order of magnitude to spare
-RESOLUTION = {1: (4, 20, 3, 20), 2: (3, 14, 1, 12)}
+CORNER_ANCHORS = {
+    1: (1.0, 2.0), 2: (1.0, 2.0, 4.0), 3: (1.0, 2.0, 4.0, 7.0), 4: (1.0, 2.0, 4.0, 7.0, 11.0),
+    5: (1.0, 2.0, 4.0, 7.0, 11.0, 16.0), 6: (1.0, 2.0, 4.0, 7.0, 11.0, 16.0, 22.0),
+}
+SQUARE_ANCHORS = {
+    1: (2.0,), 2: (1.0, 3.0), 3: (1.0, 2.5, 5.0), 4: (1.0, 2.5, 5.0, 8.5),
+    5: (1.0, 2.5, 5.0, 8.5, 13.0), 6: (1.0, 2.5, 5.0, 8.5, 13.0, 18.5),
+}
 
 # identity -> (kernel kind, (alpha shift, extra dimensions) of the upper and
 # of the lower semigroup): P_t^upper K = K P_t^lower
@@ -82,32 +88,32 @@ IDENTITIES = {
     "square_shift": ("alpha_square", (1.0, 0), (0.0, 0)),
 }
 
+# intertwine tolerance on rel_error per lower dimension N: 1e-5 and 1e-4 at
+# N <= 2, the gates of the nested mesh quadrature; 1e-6 at N >= 3, where
+# the determinantal sides agree to about 1e-10 and the condition limit
+# (determinantal.COND_LIMIT) keeps the determinants to about 2e-6
+INTERTWINE_TOL = {1: 1e-5, 2: 1e-4, 3: 1e-6, 4: 1e-6, 5: 1e-6, 6: 1e-6}
+
 # stream of the composition points in kernels-check
 COMPOSITION_STREAM = 300
 
 
-def intertwine_sides(identity: str, alpha: float, t: float, x: np.ndarray, f, n_low: int):
-    """Both sides of one intertwining identity by independent quadrature.
+def intertwine_sides(identity: str, alpha: float, t: float, x: np.ndarray, functions):
+    """Both sides of one intertwining identity, each an (F,) array.
 
-    ``f`` may return (M,) or (M, F) values (see ``stacked_test_functions``);
-    each side is then a float or an (F,) array.
+    Each side is evaluated on its own by the determinantal engine, with the
+    operators in opposite orders: P_t^upper (K f) and K (P_t^lower f), for
+    each product test function f of ``functions``.
     """
     if identity not in IDENTITIES:
         raise ConfigError(f"unknown identity {identity!r}")
     kind, (up_da, up_dn), (dn_da, dn_dn) = IDENTITIES[identity]
-    sgp, sgo, kp, ko = RESOLUTION[n_low]
+    n_low = len(x) - up_dn
     spec = KernelSpec(kind, None if kind == "corner" else alpha)
-    if t == 0:
-        val = kernels.apply_kernel_quadrature(spec, x, f, kp, ko)
-        return val, val
-    up_params = SemigroupParams(alpha + up_da, t, n_low + up_dn)
-    dn_params = SemigroupParams(alpha + dn_da, t, n_low + dn_dn)
-    lhs = process.semigroup_apply(
-        up_params, x, lambda rows: kernels.apply_kernel_to_anchors(spec, rows, f, kp, ko), sgp, sgo
-    )
-    rhs = kernels.apply_kernel_quadrature(
-        spec, x, lambda rows: process.semigroup_apply_rows(dn_params, rows, f, sgp, sgo), kp, ko
-    )
+    upper = SemigroupParams(alpha + up_da, t, n_low + up_dn)
+    lower = SemigroupParams(alpha + dn_da, t, n_low + dn_dn)
+    lhs = determinantal.evaluate((upper, spec), x, functions)
+    rhs = determinantal.evaluate((spec, lower), x, functions)
     return lhs, rhs
 
 
@@ -205,13 +211,14 @@ def kernels_check(cfg) -> list[Check]:
 
 
 def intertwine(cfg) -> list[Check]:
-    """Semigroup/kernel exchange identities by independent nested quadrature."""
+    """Semigroup/kernel exchange identities, each side its own determinant."""
     n_values = (1, 2) if cfg.n is None else (cfg.n,)
-    if any(n not in (1, 2) for n in n_values):
-        raise ConfigError("intertwine supports N in {1, 2}")
+    if any(n not in INTERTWINE_TOL for n in n_values):
+        raise ConfigError(f"intertwine supports N in 1..{max(INTERTWINE_TOL)}")
+    functions = list(TEST_FUNCTIONS.values())
     checks = []
     for n in n_values:
-        tol = cfg.tol if cfg.tol is not None else (1e-5 if n == 1 else 1e-4)
+        tol = cfg.tol if cfg.tol is not None else INTERTWINE_TOL[n]
         if cfg.alpha is not None:
             alphas = (cfg.alpha,)
         else:
@@ -225,7 +232,7 @@ def intertwine(cfg) -> list[Check]:
             x = np.array(cfg.x if cfg.x and len(cfg.x) == n + up_dn else default)
             for alpha in alphas:
                 for t in times:
-                    sides = intertwine_sides(identity, alpha, t, x, stacked_test_functions, n)
+                    sides = intertwine_sides(identity, alpha, t, x, functions)
                     for fname, lhs, rhs in zip(TEST_FUNCTIONS, *sides):
                         lhs, rhs = float(lhs), float(rhs)
                         rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)

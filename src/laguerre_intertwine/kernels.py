@@ -240,6 +240,7 @@ class KernelRow:
     alpha_above: float | None  # alpha must be finite and exceed this; None: no alpha
     positive_head: bool  # defined only at anchors whose head coordinate is > 0
     weight_power: tuple[float, float] | None  # (c, e): the density carries y^(c alpha + e) at y = 0
+    log_segment: bool  # at alpha = 0 a segment factor is log(b / y), log-singular at y = 0
 
     @property
     def dim_drop(self) -> int:
@@ -251,6 +252,20 @@ class KernelRow:
             return None
         power = self.weight_power[0] * alpha + self.weight_power[1]
         return power if power > -1 else None
+
+    def node_stretch(self, alpha: float | None) -> float:
+        """Power of the quadrature's node map y = top * v^stretch (1: plain nodes).
+
+        The log-singular segment factor gets the clustering of y^(-1/2): it
+        matters as the head goes to 0, where plain nodes lose 1e-3 of the
+        alpha_corner mass at a head of 1e-300.
+        """
+        exponent = self.endpoint_exponent(alpha)
+        if exponent is None:
+            return 1.0
+        if self.log_segment and alpha == 0:
+            return power_stretch(-0.5)
+        return power_stretch(exponent)
 
     def integrable(self, alpha: float | None, rows: np.ndarray) -> np.ndarray:
         """Per anchor row: whether the density has a finite integral over the window.
@@ -264,12 +279,12 @@ class KernelRow:
 
 
 KERNELS: dict[str, KernelRow] = {
-    # kind: KernelRow(density, breaks, alpha_above, positive_head, weight_power)
-    "corner": KernelRow(_corner_density, (0, 1), None, False, None),
-    "alpha_square": KernelRow(_alpha_square_density, (-1, 0), -1.0, True, (1.0, 0.0)),
-    "alpha_corner": KernelRow(_alpha_corner_density, (-1, 0, 1), -1.0, True, (1.0, 0.0)),
-    "hat_corner": KernelRow(_hat_density, (0, 1), -np.inf, False, (-1.0, -1.0)),
-    "hat_square": KernelRow(_hat_density, (-1, 0), -np.inf, True, (-1.0, -1.0)),
+    # kind: KernelRow(density, breaks, alpha_above, positive_head, weight_power, log_segment)
+    "corner": KernelRow(_corner_density, (0, 1), None, False, None, False),
+    "alpha_square": KernelRow(_alpha_square_density, (-1, 0), -1.0, True, (1.0, 0.0), False),
+    "alpha_corner": KernelRow(_alpha_corner_density, (-1, 0, 1), -1.0, True, (1.0, 0.0), True),
+    "hat_corner": KernelRow(_hat_density, (0, 1), -np.inf, False, (-1.0, -1.0), False),
+    "hat_square": KernelRow(_hat_density, (-1, 0), -np.inf, True, (-1.0, -1.0), False),
 }
 
 
@@ -321,7 +336,13 @@ def _checked_anchors(spec: KernelSpec, anchors) -> tuple[np.ndarray, np.ndarray]
     return a, interior
 
 
-def _interior_anchor(spec: KernelSpec, x) -> np.ndarray:
+def interior_anchor(spec: KernelSpec, x) -> np.ndarray:
+    """The anchor(s) x as a float array, each row strictly interior for the kernel.
+
+    Raises :class:`DegenerateAnchorError` for a tie, or a zero head for the
+    kinds flagged ``positive_head``, and ``ValueError`` as
+    :func:`_checked_anchors` does.
+    """
     x, interior = _checked_anchors(spec, x)
     if not np.all(interior):
         raise DegenerateAnchorError(f"{spec.kind} anchor must be strictly interior, got {x}")
@@ -342,7 +363,7 @@ def kernel_density(spec: KernelSpec, x, y):
     points y (..., N).  Every anchor must be strictly interior
     (:class:`DegenerateAnchorError` otherwise).
     """
-    x = _interior_anchor(spec, x)
+    x = interior_anchor(spec, x)
     y = np.asarray(y, dtype=float)
     if y.shape[-1:] != (x.shape[-1] - spec.row.dim_drop,):
         raise ValueError(f"{spec.kind} anchor of length {x.shape[-1]} takes no y of {y.shape}")
@@ -409,7 +430,7 @@ def sample_corner_rejection(x, rng: RngStream, size: int | None = None) -> np.nd
     Vandermonde(y) / prod_{i<j} (x_{j+1} - x_i), a valid bound on the outer
     window.
     """
-    x = _interior_anchor(KernelSpec("corner"), x)
+    x = interior_anchor(KernelSpec("corner"), x)
     n = len(x) - 1
     if n > 4:
         raise UnsupportedDimensionError("rejection sampling is guarded to N <= 4")
@@ -649,8 +670,7 @@ def apply_kernel_to_anchors(
     # y = top * v^stretch with panel edges at the v-images of the window
     # breakpoints.  This resolves the weight even when a window's lower
     # edge sits arbitrarily close to 0 (anchors from quadrature meshes do).
-    exponent = row.endpoint_exponent(spec.alpha)
-    stretch = 1.0 if exponent is None else power_stretch(exponent)
+    stretch = row.node_stretch(spec.alpha)
     points = _window_points(row.breaks, rows)
     nodes, weights = [], []
     for i in range(n):
@@ -723,7 +743,7 @@ def apply_kernel_quadrature(
     gives the (F,) array of the F values, as in
     :func:`apply_kernel_to_anchors`.
     """
-    x = _interior_anchor(spec, x)
+    x = interior_anchor(spec, x)
     if x.ndim != 1:
         raise ValueError(f"apply_kernel_quadrature takes one anchor, got shape {x.shape}")
     return first_row(apply_kernel_to_anchors(spec, x[None, :], f, panels, order))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -53,13 +54,14 @@ def test_intertwine_t_zero_trivial(tmp_path):
 
 
 def test_intertwine_reads_test_functions_at_call_time(tmp_path, monkeypatch):
-    # a wrapper put into TEST_FUNCTIONS after import sees every evaluation
+    # an entry put into TEST_FUNCTIONS after import is the one used: the
+    # determinantal path evaluates each entry's one-dimensional factor g
     seen = {}
     for name, fn in list(cli.TEST_FUNCTIONS.items()):
-        def counted(y, name=name, fn=fn):
-            seen[name] = seen.get(name, 0) + y.shape[0]
-            return fn(y)
-        monkeypatch.setitem(cli.TEST_FUNCTIONS, name, counted)
+        def counted(y, name=name, g=fn.g):
+            seen[name] = seen.get(name, 0) + y.size
+            return g(y)
+        monkeypatch.setitem(cli.TEST_FUNCTIONS, name, dataclasses.replace(fn, g=counted))
     assert run(["intertwine", "--n", "1", "--alpha", "0.0", "--t", "1.0",
                 "--out", str(tmp_path)]) == 0
     assert sorted(seen) == sorted(cli.TEST_FUNCTIONS)
@@ -69,7 +71,7 @@ def test_intertwine_reads_test_functions_at_call_time(tmp_path, monkeypatch):
 
 
 def test_intertwine_bad_dimension(tmp_path):
-    assert run(["intertwine", "--out", str(tmp_path), "--n", "3"]) == 2
+    assert run(["intertwine", "--out", str(tmp_path), "--n", "7"]) == 2
 
 
 def test_truncation_small(tmp_path):

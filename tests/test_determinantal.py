@@ -1,0 +1,146 @@
+"""The determinantal engine against the mesh appliers, its oracle.
+
+Each operator is pinned twice: to the mesh at the resolutions the
+intertwine experiment ran before the engine replaced it, and, for the
+semigroup, to a finer mesh over the engine's own box.
+"""
+
+import numpy as np
+import pytest
+
+from laguerre_intertwine import experiments
+from laguerre_intertwine.cli import ExperimentConfig, main
+from laguerre_intertwine.determinantal import evaluate, semigroup_top
+from laguerre_intertwine.experiments import (
+    CORNER_ANCHORS,
+    SQUARE_ANCHORS,
+    TEST_FUNCTIONS,
+    stacked_test_functions,
+)
+from laguerre_intertwine.kernels import (
+    DegenerateAnchorError,
+    KernelSpec,
+    apply_kernel_quadrature,
+    apply_kernel_to_anchors,
+)
+from laguerre_intertwine.process import SemigroupParams, semigroup_apply_rows
+
+FUNCTIONS = tuple(TEST_FUNCTIONS.values())
+ALPHAS = (-0.5, 0.0, 1.0, 2.5)
+
+# the mesh resolutions of the intertwine experiment before the engine:
+# (semigroup panels, order, kernel panels, order) per lower dimension N;
+# N = 3 takes the kernels-check default
+MESH_RESOLUTION = {1: (4, 20, 3, 20), 2: (3, 14, 1, 12), 3: (None, None, 2, 20)}
+
+
+@pytest.mark.parametrize("t", [0.25, 1.0])
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("n", [1, 2])
+def test_semigroup_matches_mesh(n, alpha, t):
+    params = SemigroupParams(alpha, t, n)
+    x = np.array(SQUARE_ANCHORS[n])
+    got = evaluate((params,), x, FUNCTIONS)
+    panels, order, _, _ = MESH_RESOLUTION[n]
+    # the mesh box ends at process.semigroup_ymax, whose cut leaves up to
+    # 3e-7 of the mass at these anchors; the engine's box is wider
+    mesh = semigroup_apply_rows(params, x[None, :], stacked_test_functions, panels, order)[0]
+    assert np.max(np.abs(got - mesh) / np.abs(mesh)) <= 1e-6
+    fine = semigroup_apply_rows(
+        params, x[None, :], stacked_test_functions, 8, 20, y_max=semigroup_top(params, x[-1])
+    )[0]
+    assert np.max(np.abs(got - fine) / np.abs(fine)) <= 1e-12
+
+
+KERNEL_CASES = [("corner", None)] + [
+    (kind, alpha) for kind in ("alpha_square", "alpha_corner") for alpha in ALPHAS
+]
+
+
+@pytest.mark.parametrize("kind, alpha", KERNEL_CASES)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kernel_matches_mesh(n, kind, alpha):
+    spec = KernelSpec(kind, alpha)
+    x = np.array(SQUARE_ANCHORS[n] if kind == "alpha_square" else CORNER_ANCHORS[n])
+    got = evaluate((spec,), x, FUNCTIONS)
+    _, _, panels, order = MESH_RESOLUTION[n]
+    mesh = apply_kernel_to_anchors(spec, x[None, :], stacked_test_functions, panels, order)[0]
+    assert np.max(np.abs(got - mesh) / np.abs(mesh)) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "kind, anchor",
+    [
+        ("corner", [1.0, 1.0, 2.0]), ("corner", [1.0, 2.0, 2.0]), ("corner", [0.0, 1.0, 2.0]),
+        ("alpha_square", [1.0, 1.0]), ("alpha_square", [0.0, 1.0]), ("alpha_square", [0.0]),
+        ("alpha_corner", [1.0, 1.0, 2.0]), ("alpha_corner", [1.0, 2.0, 2.0]),
+        ("alpha_corner", [0.0, 1.0, 2.0]),
+    ],
+)
+def test_degenerate_anchor_as_mesh(kind, anchor):
+    # a tie, or a zero head for the alpha kernels, raises as the mesh does;
+    # the corner kernel is defined at a zero head and gives the mesh's value
+    spec = KernelSpec(kind, None if kind == "corner" else 0.5)
+    x = np.array(anchor)
+    try:
+        mesh = apply_kernel_quadrature(spec, x, stacked_test_functions, 2, 20)
+    except DegenerateAnchorError:
+        with pytest.raises(DegenerateAnchorError):
+            evaluate((spec,), x, FUNCTIONS)
+        return
+    assert kind == "corner" and anchor[0] == 0.0
+    got = evaluate((spec,), x, FUNCTIONS)
+    assert np.max(np.abs(got - mesh) / np.abs(mesh)) <= 1e-12
+
+
+def test_semigroup_anchor_checks():
+    params = SemigroupParams(0.5, 1.0, 2)
+    for anchor in ([1.0, 1.0], [0.0, 1.0]):
+        with pytest.raises(DegenerateAnchorError):
+            evaluate((params,), anchor, FUNCTIONS)
+    with pytest.raises(ValueError, match="2-particle semigroup"):
+        evaluate((SemigroupParams(0.5, 1.0, 2), KernelSpec("corner")), [1.0, 2.0, 4.0], FUNCTIONS)
+    with pytest.raises(ValueError, match="no determinantal form"):
+        evaluate((KernelSpec("hat_square", 0.5),), [1.0, 2.0], FUNCTIONS)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_determinant_form_is_the_pointwise_form(n):
+    # with no operator, the engine's determinant at x is f(x) itself: the
+    # columns y^(k-1) g(y) and, for sum_exp_sum, Jacobi's formula
+    rng = np.random.default_rng(70 + n)
+    for _ in range(5):
+        y = np.sort(rng.uniform(0.05, 6.0, n))
+        got = evaluate((), y, FUNCTIONS)
+        want = stacked_test_functions(y[None, :])[0]
+        assert np.allclose(got, want, rtol=1e-10, atol=0.0)
+
+
+def test_shifted_kernel_alpha_fails_same_alpha(monkeypatch):
+    # mutation: a kernel at alpha + 0.3 against semigroups at alpha
+    def shifted(kind, alpha=None):
+        return KernelSpec(kind, None if alpha is None else alpha + 0.3)
+
+    monkeypatch.setattr(experiments, "KernelSpec", shifted)
+    checks = experiments.intertwine(ExperimentConfig(n=1))
+    same = [c for c in checks if c.row["check"] == "same_alpha"]
+    assert len(same) == 18 and not any(c.passed for c in same)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_intertwine_passes_at_larger_n(n):
+    checks = experiments.intertwine(ExperimentConfig(n=n))
+    assert {c.row["check"] for c in checks} == set(experiments.IDENTITIES)
+    assert len(checks) == 18 and all(c.passed for c in checks)
+    assert all(c.threshold == experiments.INTERTWINE_TOL[n] == 1e-6 for c in checks)
+
+
+def test_ill_conditioned_anchor_raises(tmp_path):
+    # a near tie leaves a determinant that float64 cannot resolve
+    x = [1.0, 1.0 + 1e-12, 2.0]
+    with pytest.raises(ValueError, match="condition number"):
+        evaluate((KernelSpec("corner"),), x, FUNCTIONS)
+    rc = main(["intertwine", "--n", "2", "--alpha", "1.0", "--t", "1.0",
+               "--x", ",".join(map(str, x)), "--out", str(tmp_path)])
+    assert rc == 2
+
