@@ -167,10 +167,22 @@ def _ratio_power(num, den, alpha: float):
 
 
 def _corner_density(alpha, x, y, w):
-    """N! Delta_N(y) / Delta_{N+1}(x)."""
-    out = factorial(y.shape[-1]) * vandermonde(y) / vandermonde(x)
-    for wk in w or ():
-        out = out * wk
+    """N! Delta_N(y) / Delta_{N+1}(x).
+
+    The kernel is scale-free, so x, y and the weights are first divided by
+    2^e, e the binary exponent of the anchor's largest |coordinate|:
+    Delta(y) / Delta(x) gains 2^(e N) and the N weights lose it.  Dividing
+    by a power of two is exact, so a normal-range anchor gets the same bits,
+    and a tiny or huge one, whose Vandermonde alone under- or overflows, a
+    finite density.
+    """
+    n = y.shape[-1]
+    e = np.frexp(np.max(np.abs(x), axis=-1, keepdims=True))[1]
+    out = factorial(n) * vandermonde(np.ldexp(y, -e)) / vandermonde(np.ldexp(x, -e))
+    if w is None:
+        return np.ldexp(out, -n * e[..., 0])
+    for wk in w:
+        out = out * np.ldexp(wk, -e[..., 0])
     return out
 
 
@@ -640,7 +652,7 @@ def apply_kernel_to_anchors(
     that are not chamber points of the kernel, for a divergent integral (a
     hat kernel whose power of y at 0 is <= -1 over a window starting at
     0), and where the density leaves the float range (a subnormal anchor
-    coordinate, a Vandermonde of the anchor that underflows).
+    coordinate, a window of subnormal width).
     ``panels`` may be a per-coordinate tuple.  Quadrature panels are
     anchored at the window segment endpoints so the integrand is smooth on
     every panel.  Anchors are processed in chunks of about ``chunk_elems``

@@ -10,6 +10,7 @@ own statistically independent streams.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -49,6 +50,15 @@ class QuadratureRule:
     b: float
 
 
+@lru_cache(maxsize=None)
+def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on (-1, 1), computed once per order (read-only)."""
+    x, w = leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def unit_gauss_legendre(panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes and weights on ``(0, 1)``.
 
@@ -59,7 +69,7 @@ def unit_gauss_legendre(panels: int, order: int) -> tuple[np.ndarray, np.ndarray
         raise ValueError(f"panels must be >= 1, got {panels}")
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
-    x, w = leggauss(order)
+    x, w = _leggauss(order)
     u = 0.5 * (x + 1.0)  # map (-1, 1) -> (0, 1)
     offsets = np.arange(panels) / panels
     nodes = (offsets[:, None] + u[None, :] / panels).ravel()

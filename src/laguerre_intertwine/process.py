@@ -9,6 +9,7 @@ at integer parameter.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import factorial
 from itertools import permutations
@@ -32,6 +33,10 @@ from .rmt import radial_part
 # most 10^4 (dt = 1e-4 on [0, 1]); a count above the cap is a mistyped dt,
 # and 10^7 steps of a 20k batch already take hours.
 MAX_SDE_STEPS = 10**7
+
+# Normals per block that simulate_sde's worker thread draws ahead of the
+# stepper: 2^18 float64 is 2 MiB, and two blocks are in flight.
+SDE_BLOCK_NORMALS = 2**18
 
 
 @dataclass(frozen=True)
@@ -300,6 +305,80 @@ def semigroup_apply(
     return first_row(semigroup_apply_rows(params, x[None, :], f, panels, order, y_max))
 
 
+class _EulerState:
+    """The Euler scheme's state, one array per coordinate, stepped in place.
+
+    Every step reuses the same preallocated arrays.  Each operation and its
+    grouping are those of the plain expressions in :func:`simulate_sde`'s
+    docstring, so the bits are too: ``xi + drift * dt`` is summed as
+    ``drift * dt + xi`` (addition commutes exactly), and a term ``-q`` after
+    the first is subtracted as ``q`` (``d + (-q)`` is ``d - q``).
+    """
+
+    def __init__(self, alpha: float, x0: np.ndarray, batch: int, dt: float, eps: float):
+        n = x0.size
+        self.alpha, self.dt, self.eps = alpha, dt, eps
+        self.sq_dt = np.sqrt(dt)
+        self.xs = [np.full(batch, v) for v in x0]
+        self.new = [np.empty(batch) for _ in range(n)]
+        self.two_x = [np.empty(batch) for _ in range(n)]
+        self.gaps = {(i, j): np.empty(batch) for i in range(n) for j in range(i + 1, n)}
+        # coordinate i's interaction terms in ascending j, as (gap, plus):
+        # 2 x_i / gap for j < i (plus) and -(2 x_i / gap) for j > i
+        self.terms = [
+            [(self.gaps[min(i, j), max(i, j)], j < i) for j in range(n) if j != i]
+            for i in range(n)
+        ]
+        self.acc, self.q, self.noise, self.spare = (np.empty(batch) for _ in range(4))
+        self.below = np.empty(batch, dtype=bool)
+
+    def step(self, z: np.ndarray) -> None:
+        """One Euler step; ``z`` is the step's (batch, N) normal block."""
+        xs, new, two_x = self.xs, self.new, self.two_x
+        acc, q, noise, eps = self.acc, self.q, self.noise, self.eps
+        n = len(xs)
+        for i, xi in enumerate(xs):
+            np.multiply(xi, 2.0, out=two_x[i])
+        for (i, j), gap in self.gaps.items():
+            np.subtract(xs[j], xs[i], out=gap)
+            np.maximum(gap, eps, out=gap)
+        for i, xi in enumerate(xs):
+            drift = new[i]
+            np.subtract(self.alpha, xi, out=drift)
+            drift += 1.0
+            if n > 1:
+                (gap, plus), *rest = self.terms[i]
+                np.divide(two_x[i], gap, out=acc)
+                if not plus:
+                    np.negative(acc, out=acc)
+                for gap, plus in rest:
+                    np.divide(two_x[i], gap, out=q)
+                    if plus:
+                        acc += q
+                    else:
+                        acc -= q
+                drift += acc
+            # doubling is exact, so max(2x, 2 eps) is 2 max(x, eps)
+            np.maximum(two_x[i], 2.0 * eps, out=noise)
+            np.sqrt(noise, out=noise)
+            noise *= self.sq_dt
+            noise *= z[:, i]
+            drift *= self.dt
+            drift += xi
+            drift += noise
+            np.less(drift, 0.0, out=self.below)
+            np.copyto(drift, eps, where=self.below)
+        spare = self.spare
+        for r in range(n):
+            for i in range(r % 2, n - 1, 2):
+                lo, hi = new[i], new[i + 1]
+                np.minimum(lo, hi, out=spare)
+                np.maximum(lo, hi, out=hi)
+                new[i], spare = spare, lo
+        self.spare = spare
+        self.xs, self.new = new, xs
+
+
 def simulate_sde(
     alpha: float,
     x0,
@@ -317,10 +396,25 @@ def simulate_sde(
     and coordinates are re-sorted ascending.  The simulator is a
     cross-check; precision comes from the exact samplers.
 
-    The state is one array per coordinate.  Each step draws one
-    ``(batch, N)`` standard normal block (coordinate i reads column i), adds
-    the interaction terms in ascending j and re-sorts with an odd-even
-    transposition network of ``np.minimum``/``np.maximum``.
+    The state is one array per coordinate.  Step s reads one ``(batch, N)``
+    standard normal block (coordinate i reads column i), and computes, for
+    each i,
+
+        drift = alpha - x_i + 1.0 + sum_{j != i, ascending j} term_ij
+        moved = x_i + drift * dt + sqrt(max(2 x_i, 2 eps)) * sqrt(dt) * z[:, i]
+
+    with term_ij = 2 x_i / max(x_i - x_j, eps) for j < i and
+    -(2 x_i / max(x_j - x_i, eps)) for j > i, clamps a negative ``moved``
+    to eps, and re-sorts with an odd-even transposition network of
+    ``np.minimum``/``np.maximum``.
+
+    The normals are drawn ahead in blocks of up to ``SDE_BLOCK_NORMALS``
+    on one worker thread, which fills one of two ``(K, batch, N)`` buffers
+    while the calling thread steps through the other.  The blocks are
+    drawn in step order, so the stream is consumed exactly as by one
+    ``(batch, N)`` draw per step.  The worker is joined before the call
+    returns or raises, and an exception raised while drawing reaches the
+    caller.
 
     Raises ``ValueError``, before any draw, when alpha is not a finite
     value > -1, when ``x0`` is not a non-negative chamber point (NaN, inf,
@@ -345,37 +439,25 @@ def simulate_sde(
     n = x0.size
     batch = 1 if size is None else size
     n_steps = max(1, int(round(steps)))
-    dt = t_end / n_steps
-    sq_dt = np.sqrt(dt)
-    eps = max(cfg.floor_eps, 1e-300)
-    xs = [np.full(batch, v) for v in x0]
-    for _ in range(n_steps):
-        z = rng.gen.standard_normal((batch, n))
-        two_x = [2.0 * xi for xi in xs]
-        # rows stay sorted, so the gap x_j - x_i (i < j) is >= 0 and capping
-        # its absolute value at eps is a max; for j > i the term
-        # 2 x_i / (x_i - x_j) is -(2 x_i / gap), bit for bit
-        gaps = {(i, j): np.maximum(xs[j] - xs[i], eps) for i in range(n) for j in range(i + 1, n)}
-        stepped = []
-        for i, xi in enumerate(xs):
-            drift = alpha - xi + 1.0
-            if n > 1:
-                terms = [
-                    two_x[i] / gaps[j, i] if j < i else -(two_x[i] / gaps[i, j])
-                    for j in range(n)
-                    if j != i
-                ]
-                drift = drift + sum(terms[1:], terms[0])
-            # doubling is exact, so max(2x, 2 eps) is 2 max(x, eps)
-            noise = np.sqrt(np.maximum(two_x[i], 2.0 * eps)) * sq_dt * z[:, i]
-            moved = xi + drift * dt + noise
-            stepped.append(np.where(moved < 0, eps, moved))
-        for r in range(n):
-            for i in range(r % 2, n - 1, 2):
-                lo, hi = stepped[i], stepped[i + 1]
-                stepped[i], stepped[i + 1] = np.minimum(lo, hi), np.maximum(lo, hi)
-        xs = stepped
-    x = np.stack(xs, axis=1)
+    state = _EulerState(alpha, x0, batch, t_end / n_steps, max(cfg.floor_eps, 1e-300))
+    block = min(n_steps, max(1, SDE_BLOCK_NORMALS // (batch * n)))
+    starts = range(0, n_steps, block)
+    buffers = [np.empty((block, batch, n)) for _ in range(min(2, len(starts)))]
+
+    def draw(k: int) -> np.ndarray:
+        z = buffers[k % 2][: min(block, n_steps - starts[k])]
+        rng.gen.standard_normal(out=z)
+        return z
+
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="simulate_sde-normals") as worker:
+        pending = worker.submit(draw, 0)
+        for k in range(len(starts)):
+            z_block = pending.result()
+            if k + 1 < len(starts):
+                pending = worker.submit(draw, k + 1)
+            for z in z_block:
+                state.step(z)
+    x = np.stack(state.xs, axis=1)
     return x[0] if size is None else x
 
 

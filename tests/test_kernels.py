@@ -606,6 +606,34 @@ def test_mass_is_one_at_a_tiny_head(kind, alpha):
 
 
 @pytest.mark.parametrize(
+    "anchor",
+    [
+        [0.0, 1e-120, 2e-120],
+        [0.0, 2.2250738585072014e-308, 5.7274957680435675e-108],
+        [1e-300, 2e-300, 3e-300, 4e-300],
+        [-3e-200, -1e-200, 2e-200],
+        [0.0, 1.0, 1e200],
+        [-1e200, 0.0, 1e200],
+    ],
+)
+def test_corner_mass_is_one_at_extreme_anchors(anchor):
+    # the anchor's Vandermonde under- or overflows here: the first two used
+    # to raise the float-range error, (0, 1, 1e200) and (-1e200, 0, 1e200)
+    # gave a mass of 0; the density now scales the anchor by a power of two
+    mass = apply_kernel_quadrature(KernelSpec("corner"), np.array(anchor), ONE)
+    assert abs(mass - 1.0) <= 1e-12
+
+
+def test_corner_density_scales_exactly():
+    # scaling x and y by 2^-400 scales the N = 2 density by 2^800, bit for bit;
+    # Delta(x) alone (about 2^-1200) underflows
+    spec = KernelSpec("corner")
+    x, y = np.array([0.0, 1.0, 2.0]), np.array([[0.5, 1.5], [0.25, 1.75]])
+    tiny = kernel_density(spec, np.ldexp(x, -400), np.ldexp(y, -400))
+    assert np.array_equal(tiny, np.ldexp(kernel_density(spec, x, y), 800))
+
+
+@pytest.mark.parametrize(
     "kind, anchor",
     [
         ("alpha_square", [2.2e-311, 1.0]),
@@ -613,8 +641,8 @@ def test_mass_is_one_at_a_tiny_head(kind, alpha):
         ("alpha_corner", [2.2e-311, 1.0, 2.0]),
         ("hat_square", [2.2e-311, 1.0]),
         ("hat_corner", [0.0, 2.2e-311, 1.0]),
-        # the anchor's Vandermonde underflows to 0
-        ("corner", [0.0, 2.2250738585072014e-308, 5.7274957680435675e-108]),
+        # a window of subnormal width: its weights underflow
+        ("corner", [0.0, 5e-324, 1.0]),
     ],
 )
 def test_density_out_of_float_range_raises(kind, anchor):

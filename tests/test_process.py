@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from itertools import permutations
 
 import numpy as np
@@ -314,14 +316,32 @@ def _simulate_sde_gap_tensor(alpha, x0, t_end, cfg, rng, size=None):
     return x[0] if size is None else x
 
 
-def _assert_sde_matches_oracle(alpha, x0, t_end, cfg, size, seed):
+def _assert_sde_matches_oracle(alpha, x0, t_end, cfg, size, seed, wrap=None):
     rng_a, rng_b = RngStream(seed, 0), RngStream(seed, 0)
+    if wrap is not None:
+        rng_a.gen = wrap(rng_a.gen)
     got = simulate_sde(alpha, np.array(x0), t_end, cfg, rng_a, size=size)
     want = _simulate_sde_gap_tensor(alpha, np.array(x0), t_end, cfg, rng_b, size=size)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
     assert rng_a.gen.standard_normal() == rng_b.gen.standard_normal()  # same draws consumed
     return got
+
+
+class _BlockSpy:
+    """Forwards to a generator and records the steps of each block drawn into ``out``."""
+
+    def __init__(self):
+        self.gen, self.blocks = None, []
+
+    def wrap(self, gen):
+        self.gen = gen
+        return self
+
+    def standard_normal(self, *args, out=None, **kwargs):
+        if out is not None:
+            self.blocks.append(len(out))
+        return self.gen.standard_normal(*args, out=out, **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -340,6 +360,71 @@ def _assert_sde_matches_oracle(alpha, x0, t_end, cfg, size, seed):
 def test_sde_matches_gap_tensor_oracle(alpha, x0, size):
     out = _assert_sde_matches_oracle(alpha, x0, 0.2, SdeConfig(dt=2e-3), size, seed=81)
     assert out.ndim == (1 if size is None else 2)
+
+
+@pytest.mark.parametrize(
+    "block_normals, x0, t_end, size, blocks",
+    [
+        (18, [0.5, 1.5, 3.0], 0.2, 3, [2] * 50),  # many blocks
+        (24, [0.0, 0.5, 2.0], 0.2, 2, [4] * 25),  # zero head coordinate
+        (12, [1.0, 3.0], 0.046, 3, [2] * 11 + [1]),  # a short last block
+        (50, [1.0, 1.0, 3.0], 0.022, 2, [8, 3]),  # tied anchor, a short last block
+        (10**6, [1.0, 3.0], 0.02, 4, [10]),  # the budget holds more steps than there are
+        (2**14, [1.0, 3.0], 0.2, 2000, [4] * 25),  # blocks large enough to overlap
+        (1, [0.5, 1.5, 3.0], 0.002, 300, [1]),  # one step, larger than the budget
+        (5, [0.0, 0.5, 2.0], 0.018, None, [1] * 9),
+        (5, [1.0], 0.01, None, [5]),
+    ],
+)
+def test_sde_blocks_match_gap_tensor_oracle(monkeypatch, block_normals, x0, t_end, size, blocks):
+    monkeypatch.setattr(process, "SDE_BLOCK_NORMALS", block_normals)
+    spy = _BlockSpy()
+    out = _assert_sde_matches_oracle(-0.5, x0, t_end, SdeConfig(dt=2e-3), size, 87, spy.wrap)
+    assert out.ndim == (1 if size is None else 2)
+    assert spy.blocks == blocks
+
+
+def test_sde_blocks_match_oracle_under_fast_thread_switching(monkeypatch):
+    # a worker filling the buffer the stepper still reads would change the
+    # endpoints; a short switch interval interleaves the two threads often
+    monkeypatch.setattr(process, "SDE_BLOCK_NORMALS", 3000)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _assert_sde_matches_oracle(1.0, [0.5, 1.5, 3.0], 0.2, SdeConfig(dt=2e-3), 500, seed=90)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_sde_leaves_no_thread_behind():
+    before = threading.active_count()
+    simulate_sde(1.0, np.array([1.0, 3.0]), 0.1, SdeConfig(dt=1e-3), RngStream(88, 0), size=50)
+    assert threading.active_count() == before
+
+
+class _FailingGenerator:
+    """A stand-in ``rng.gen`` whose second normal block raises."""
+
+    def __init__(self):
+        self.blocks = 0
+
+    def standard_normal(self, out):
+        self.blocks += 1
+        if self.blocks == 2:
+            raise RuntimeError("generator failed")
+        out[...] = 0.0
+        return out
+
+
+def test_sde_worker_error_reaches_caller(monkeypatch):
+    monkeypatch.setattr(process, "SDE_BLOCK_NORMALS", 4)
+    rng = RngStream(89, 0)
+    rng.gen = _FailingGenerator()
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="generator failed"):
+        simulate_sde(1.0, np.array([1.0, 3.0]), 0.1, SdeConfig(dt=1e-2), rng, size=2)
+    assert rng.gen.blocks == 2
+    assert threading.active_count() == before
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
