@@ -47,7 +47,6 @@ from .numerics import (
     value_table,
     zero_rows,
 )
-from .rmt import sample_haar_unitary
 
 
 class DegenerateAnchorError(ValueError):
@@ -71,6 +70,9 @@ MAX_REJECTION_ROUNDS = 10**7
 # interval, so even pure bisection ends within 2^-65 of the interval's width.
 MAX_SECULAR_STEPS = 64
 _SECULAR_TOL = 4.0 * np.finfo(float).eps
+# (pole x root) entries of one block of rows of the solver: its per-block
+# arrays then stay near 512 KiB each, in cache, whatever the row count.
+_SECULAR_BLOCK = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +172,17 @@ def _corner_density(alpha, x, y, w):
     """N! Delta_N(y) / Delta_{N+1}(x).
 
     The kernel is scale-free, so x, y and the weights are first divided by
-    2^e, e the binary exponent of the anchor's largest |coordinate|:
-    Delta(y) / Delta(x) gains 2^(e N) and the N weights lose it.  Dividing
-    by a power of two is exact, so a normal-range anchor gets the same bits,
-    and a tiny or huge one, whose Vandermonde alone under- or overflows, a
-    finite density.
+    2^e, e the mean binary exponent of the anchor's pairwise gaps (rounded
+    down; a gap beyond the float range counts with its true exponent):
+    Delta(x) then stays near 1, Delta(y) / Delta(x) gains 2^(e N) and the N
+    weights lose it.  Dividing by a power of two is exact, so a normal-range
+    anchor gets the same bits, and a tiny, huge or widely spread one, whose
+    Vandermonde alone under- or overflows, a finite density.
     """
     n = y.shape[-1]
-    e = np.frexp(np.max(np.abs(x), axis=-1, keepdims=True))[1]
+    gaps = [x[..., j] - x[..., i] for i in range(n + 1) for j in range(i + 1, n + 1)]
+    exponents = [np.where(np.isinf(g), np.finfo(float).maxexp + 1, np.frexp(g)[1]) for g in gaps]
+    e = (sum(exponents) // len(gaps))[..., None]
     out = factorial(n) * vandermonde(np.ldexp(y, -e)) / vandermonde(np.ldexp(x, -e))
     if w is None:
         return np.ldexp(out, -n * e[..., 0])
@@ -335,7 +340,8 @@ def _checked_anchors(spec: KernelSpec, anchors) -> tuple[np.ndarray, np.ndarray]
     a = np.asarray(anchors, dtype=float)
     if a.ndim == 0 or a.shape[-1] < row.dim_drop + 1:
         raise ValueError(f"{spec.kind} anchor needs {row.dim_drop + 1}+ coordinates, got {a}")
-    gaps = np.diff(a, axis=-1)
+    with np.errstate(over="ignore"):  # a gap beyond the float range is inf, still >= 0
+        gaps = np.diff(a, axis=-1)
     nonneg = row.weight_power is not None
     if not (np.all(np.isfinite(a)) and np.all(gaps >= 0)) or (nonneg and np.any(a[..., 0] < 0)):
         kind = "non-negative chamber points" if nonneg else "chamber points"
@@ -413,25 +419,23 @@ def density_hat_square(alpha: float, x, y):
 # ---------------------------------------------------------------------------
 
 def sample_corner_many(x, rng: RngStream, n: int) -> np.ndarray:
-    """n draws of the corner kernel via the conjugated-diagonal matrix model.
+    """n draws of the corner kernel at anchor x, as an (n, N) array.
 
-    Draws Haar U of order N+1, forms U* diag(x) U, and returns the ordered
-    spectrum of the upper-left N x N corner.  Ties in x are fine.
+    Dixon-Anderson representation: each draw is the N roots of
+    sum_k w_k / (y - x_k) = 0 with w_k ~ Exp(1) independent, whose density
+    is proportional to Vandermonde(y) on the outer window.  Ties in x pin
+    the coordinate of their zero-width window.
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"the number of draws must be an integer >= 0, got {n!r}")
     x = np.asarray(x, dtype=float)
     if not is_chamber_point(x) or len(x) < 2:
         raise ValueError("anchor must be a chamber point with >= 2 coordinates")
-    d = len(x)
-    u = sample_haar_unitary(d, rng, size=n)
-    uh = np.swapaxes(u, -2, -1).conj()
-    m = (uh * x[None, None, :]) @ u
-    corner = m[:, : d - 1, : d - 1]
-    corner = 0.5 * (corner + np.swapaxes(corner, -2, -1).conj())
-    return np.linalg.eigvalsh(corner)
+    return _corner_roots(np.tile(x, (n, 1)), rng)
 
 
 def sample_corner(x, rng: RngStream) -> np.ndarray:
-    """One draw of the corner kernel (exact, via the matrix model)."""
+    """One draw of the corner kernel (see :func:`sample_corner_many`)."""
     return sample_corner_many(x, rng, 1)[0]
 
 
@@ -474,8 +478,10 @@ def _secular_roots(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Per row, the M roots of sum_j w_j / (lam - p_j) = 0, one per [p_i, p_{i+1}].
 
     ``poles`` (R, M+1) has non-decreasing rows and ``weights`` (R, M+1) has
-    entries >= 0; the result is (R, M).  Each root is sought as sigma, its
-    distance from the nearer end of its interval (of width h).  A step fits
+    entries >= 0; the result is (R, M).  Rows are solved in blocks of at
+    most ``_SECULAR_BLOCK`` (pole x root) entries (or one row), so memory
+    does not grow with R.  Each root is sought as sigma, its distance from
+    the nearer end of its interval (of width h).  A step fits
     C + S_n / sigma + S_f / (sigma - h) to the sum's value and slope, the
     osculating model of LAPACK ``dlaed4`` (Li 1993; Gu and Eisenstat 1995),
     and moves to the model's root; a bracket kept by the sum's sign takes a
@@ -484,14 +490,22 @@ def _secular_roots(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
     ``MAX_SECULAR_STEPS`` steps at most.  A zero-width interval gives its
     pole; so does an interval whose nearer side has only zero weights (a
     Gamma weight that underflowed), the limit as those weights tend to 0.
-    Roots are clamped into their closed intervals.
+    Roots are clamped into their closed intervals.  Each root iterates on
+    its own, so no bit of it depends on the rows that share its block.
     """
+    rows_per_block = max(1, _SECULAR_BLOCK // max(1, poles.shape[1] * (poles.shape[1] - 1)))
+    if len(poles) > rows_per_block:
+        return np.concatenate([
+            _secular_roots(poles[i : i + rows_per_block], weights[i : i + rows_per_block])
+            for i in range(0, len(poles), rows_per_block)
+        ])
     lo_pole, hi_pole = poles[:, :-1], poles[:, 1:]
     width = hi_pole - lo_pole
     out = lo_pole.copy()
     rows, ks = np.nonzero(width > 0)
     if rows.size == 0:
         return out
+    rows, ks = _at_least_two(rows), _at_least_two(ks)
     a, b, h = lo_pole[rows, ks], hi_pole[rows, ks], width[rows, ks]
     # one column per root, so that the sums over poles run down axis 0
     p = np.ascontiguousarray(poles[rows].T)
@@ -540,29 +554,35 @@ def _secular_roots(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
             sig = step
             continue
         root[live[done]] = step[done]
-        keep = ~done
+        keep = _at_least_two(np.flatnonzero(~done))
         live, sig, lo, hi, h = live[keep], step[keep], lo[keep], hi[keep], h[keep]
         if live.size == 0:
             break
-        w, e, near_w, h_far = (np.compress(keep, arr, axis=1) for arr in (w, e, near_w, h_far))
+        w, e, near_w, h_far = (np.take(arr, keep, axis=1) for arr in (w, e, near_w, h_far))
     root[live] = sig
     out[rows, ks] = np.clip(np.where(from_lo, a + root, b - root), a, b)
     return out
 
 
-def _alpha_square_roots(z_rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """alpha_square draws from their weights: the roots with poles (0, z) per row."""
-    return _secular_roots(np.concatenate([np.zeros((len(z_rows), 1)), z_rows], axis=1), weights)
+def _at_least_two(index: np.ndarray) -> np.ndarray:
+    """``index``, a lone entry repeated: numpy sums the one column of an
+    (M+1, 1) array with other rounding than the columns of a wider one."""
+    return np.repeat(index, 2) if index.size == 1 else index
 
 
-def _dixon_anderson_weights(alpha: float | None, total: int, d: int, rng: RngStream) -> np.ndarray:
-    """(total, d) independent weights: Exp(1), or Gamma(alpha + 1) then Exp(1)s."""
-    if alpha is None:
-        return rng.gen.standard_exponential((total, d))
-    weights = np.empty((total, d))
+def _corner_roots(x_rows: np.ndarray, rng: RngStream) -> np.ndarray:
+    """One corner draw per anchor row: the roots with poles x and Exp(1) weights."""
+    return _secular_roots(x_rows, rng.gen.standard_exponential(x_rows.shape))
+
+
+def _alpha_square_roots(alpha: float, z_rows: np.ndarray, rng: RngStream) -> np.ndarray:
+    """One alpha_square draw per anchor row: the roots with poles (0, z) and
+    weights Gamma(alpha + 1), Exp(1), ..., Exp(1)."""
+    total, n = z_rows.shape
+    weights = np.empty((total, n + 1))
     weights[:, 0] = rng.gen.standard_gamma(alpha + 1.0, total)
-    weights[:, 1:] = rng.gen.standard_exponential((total, d - 1))
-    return weights
+    weights[:, 1:] = rng.gen.standard_exponential((total, n))
+    return _secular_roots(np.concatenate([np.zeros((total, 1)), z_rows], axis=1), weights)
 
 
 def sample_alpha_square(alpha: float, z, rng: RngStream, size: int | None = None):
@@ -581,8 +601,7 @@ def sample_alpha_square(alpha: float, z, rng: RngStream, size: int | None = None
     if not is_chamber_point(z, nonneg=True):
         raise ValueError(f"anchor must be a non-negative chamber point, got {z}")
     total = 1 if size is None else size
-    weights = _dixon_anderson_weights(alpha, total, len(z) + 1, rng)
-    out = _alpha_square_roots(np.tile(z, (total, 1)), weights)
+    out = _alpha_square_roots(alpha, np.tile(z, (total, 1)), rng)
     return out[0] if size is None else out
 
 
@@ -600,15 +619,10 @@ def sample_alpha_corner_rows(alpha: float, x_rows: np.ndarray, rng: RngStream) -
     x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
     if x_rows.ndim != 2 or x_rows.shape[1] < 2:
         raise ValueError("anchor rows need at least 2 coordinates")
-    if not (
-        np.all(np.isfinite(x_rows))
-        and np.all(np.diff(x_rows, axis=1) >= 0)
-        and np.all(x_rows[:, 0] >= 0)
-    ):
+    if not (np.all(np.isfinite(x_rows)) and np.all(np.diff(x_rows, axis=1) >= 0)
+            and np.all(x_rows[:, 0] >= 0)):
         raise ValueError("anchor rows must be finite, non-decreasing and non-negative")
-    total, d = x_rows.shape
-    z_rows = _secular_roots(x_rows, _dixon_anderson_weights(None, total, d, rng))
-    return _alpha_square_roots(z_rows, _dixon_anderson_weights(alpha, total, d, rng))
+    return _alpha_square_roots(alpha, _corner_roots(x_rows, rng), rng)
 
 
 def sample_alpha_corner(alpha: float, x, rng: RngStream, size: int | None = None):
@@ -684,6 +698,11 @@ def apply_kernel_to_anchors(
     # edge sits arbitrarily close to 0 (anchors from quadrature meshes do).
     stretch = row.node_stretch(spec.alpha)
     points = _window_points(row.breaks, rows)
+    with np.errstate(over="ignore"):
+        seg = np.concatenate([hi - lo for lo, hi in zip(points[:-1], points[1:])], axis=-1)
+    if np.any(((seg > 0) & (seg < np.finfo(float).tiny)) | np.isinf(seg)):
+        raise ValueError(f"{spec.kind} quadrature weights leave the float range: a window "
+                         "segment of subnormal or infinite width")
     nodes, weights = [], []
     for i in range(n):
         u_plain, w_plain = unit_gauss_legendre(per_coord_panels[i], order)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gammaln
 
+from .kernels import vandermonde
 from .numerics import RngStream
 
 _EIG_CLAMP = 1e-12
@@ -119,8 +120,6 @@ def laguerre_ensemble_log_norm(n_dim: int, alpha: float) -> float:
 
 def laguerre_ensemble_density(n_dim: int, alpha: float, x: np.ndarray):
     """Ensemble density on the ordered chamber (integrates to 1 there)."""
-    from .kernels import vandermonde
-
     x = np.asarray(x, dtype=float)
     log_norm = laguerre_ensemble_log_norm(n_dim, alpha) - gammaln(n_dim + 1.0)
     log_w = np.sum(alpha * np.log(x) - x, axis=-1)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from laguerre_intertwine.kernels import (
     vandermonde,
 )
 from laguerre_intertwine.numerics import RngStream, power_stretch, unit_gauss_legendre
-from laguerre_intertwine.rmt import sample_corner_alpha_matrix
+from laguerre_intertwine.rmt import sample_corner_alpha_matrix, sample_haar_unitary
 from laguerre_intertwine.stats import EmpiricalSample, grid_cdf, ks_one_sample, ks_two_sample
 
 ONE = lambda y: np.ones(y.shape[:-1])
@@ -343,6 +344,88 @@ def test_sample_corner_rejection_acceptance_rate():
     assert target == pytest.approx(1.0, abs=1e-8)
 
 
+def _sample_corner_haar(x, rng, n):
+    """Oracle: n corner draws by the conjugated-diagonal matrix model.
+
+    Draws Haar U of order N+1, forms U* diag(x) U, and returns the ordered
+    spectrum of its upper-left N x N corner.
+    """
+    x = np.asarray(x, dtype=float)
+    u = sample_haar_unitary(len(x), rng, size=n)
+    m = (np.swapaxes(u, -2, -1).conj() * x[None, None, :]) @ u
+    corner = m[:, :-1, :-1]
+    return np.linalg.eigvalsh(0.5 * (corner + np.swapaxes(corner, -2, -1).conj()))
+
+
+CORNER_ORACLE_CASES = [
+    (0.0, 2.0),
+    (-1.0, 0.5, 2.0),
+    (-2.0, 0.0, 1.0, 1.0, 3.0),  # a tie pins coordinate 3
+    (-4.0, -1.0, 0.0, 1.0, 1.0, 2.0, 3.5, 4.0, 5.0, 6.5, 7.0, 8.0, 9.0, 10.5, 11.0, 12.0, 14.0),
+]
+
+
+def _corner_vs_haar(case):
+    """Solver draws against the Haar oracle: the KS family on the free coordinates.
+
+    A coordinate whose window has zero width is its pole exactly in the
+    solver's draws and up to round-off in the oracle's; it is checked as
+    such and left out of the family, where a round-off spread alone would
+    fail a KS test.
+    """
+    x = np.array(CORNER_ORACLE_CASES[case])
+    n = 4_000 if len(x) > 5 else 20_000  # Haar draws at N = 16 take 18 MiB per 1000
+    mine = sample_corner_many(x, RngStream(925, case), n)
+    ref = _sample_corner_haar(x, RngStream(926, case), n)
+    pinned = np.diff(x) == 0
+    assert np.all(mine[:, pinned] == x[:-1][pinned])
+    assert np.allclose(ref[:, pinned], x[:-1][pinned], rtol=0.0, atol=1e-10)
+    return _ks_family_passes(mine[:, ~pinned], ref[:, ~pinned])
+
+
+@pytest.mark.parametrize("case", range(len(CORNER_ORACLE_CASES)))
+def test_sample_corner_matches_haar_oracle(case):
+    passed, p_values = _corner_vs_haar(case)
+    assert passed, (CORNER_ORACLE_CASES[case], p_values)
+
+
+@pytest.mark.parametrize("case", range(len(CORNER_ORACLE_CASES)))
+def test_haar_oracle_rejects_gamma2_weights(case, monkeypatch):
+    # Gamma(2) weights give the density Delta(y) prod_{i,k} |y_i - x_k|, not
+    # Delta(y): the family above must see the difference at every case
+    monkeypatch.setattr(
+        kernels, "_corner_roots",
+        lambda x_rows, rng: kernels._secular_roots(x_rows, rng.gen.standard_gamma(2.0, x_rows.shape)),
+    )
+    passed, p_values = _corner_vs_haar(case)
+    assert not passed, (CORNER_ORACLE_CASES[case], p_values)
+
+
+def test_sample_corner_many_rejects_bad_counts():
+    rng = RngStream(929, 0)
+    x = np.array([0.0, 1.0])
+    state = rng.gen.bit_generator.state
+    for n in (-1, 2.5, True, "3", None):
+        with pytest.raises(ValueError, match="number of draws"):
+            sample_corner_many(x, rng, n)
+    assert rng.gen.bit_generator.state == state  # rejected before any draw
+    assert sample_corner_many(x, rng, 0).shape == (0, 1)
+    assert sample_corner_many(x, rng, np.int64(3)).shape == (3, 1)
+
+
+def test_sample_corner_many_memory_is_bounded():
+    # N = 16, 5000 draws: the Haar matrix model allocated 90 MiB at peak
+    # here and the solver without row blocks 131 MiB
+    x = np.concatenate([[0.0], np.cumsum(np.linspace(0.5, 2.0, 16))])
+    tracemalloc.start()
+    try:
+        sample_corner_many(x, RngStream(928, 0), 5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
+
+
 def test_sample_alpha_square_n1_power_law():
     rng = RngStream(907, 0)
     alpha, z = 1.5, np.array([2.0])
@@ -624,6 +707,29 @@ def test_corner_mass_is_one_at_extreme_anchors(anchor):
     assert abs(mass - 1.0) <= 1e-12
 
 
+def test_corner_mass_is_one_at_a_widely_spread_anchor():
+    # gaps from 2^-997 to 2^33: scaled by its largest coordinate, the anchor's
+    # smallest gap became subnormal and the density left the float range
+    got = apply_kernel_to_anchors(KernelSpec("corner"), [[0.0, 1e-300, 1e10]], ONE)
+    assert abs(got[0] - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("anchor", [[0.0, 5e-324, 1.0], [-1e308, 1e308]])
+def test_corner_window_of_subnormal_or_infinite_width_raises(anchor):
+    # the quadrature weights leave the float range: a subnormal width loses
+    # its digits (unchecked, the mass at the first anchor came out as 0), and
+    # a width of 2e308 is infinite
+    with pytest.raises(ValueError, match="float range"):
+        apply_kernel_to_anchors(KernelSpec("corner"), [anchor], ONE)
+
+
+def test_corner_density_at_a_gap_beyond_the_float_range():
+    # 1e308 - (-1e308) overflows; the density's scale counts that gap by its
+    # true exponent, so the density is 1 / 2e308 (subnormal), not 1 / inf
+    got = kernel_density(KernelSpec("corner"), [-1e308, 1e308], [0.0])
+    assert got == pytest.approx(0.5e-308, rel=1e-12)
+
+
 def test_corner_density_scales_exactly():
     # scaling x and y by 2^-400 scales the N = 2 density by 2^800, bit for bit;
     # Delta(x) alone (about 2^-1200) underflows
@@ -781,7 +887,7 @@ def test_sample_alpha_corner_matches_matrix_then_rejection_oracle(x):
     alpha, n = 0.5, 20_000
     mine = sample_alpha_corner(alpha, x, RngStream(918, len(x)), size=n)
     rng = RngStream(919, len(x))
-    ref = _alpha_square_rejection(alpha, sample_corner_many(np.array(x), rng, n), rng)
+    ref = _alpha_square_rejection(alpha, _sample_corner_haar(x, rng, n), rng)
     passed, p_values = _ks_family_passes(mine, ref)
     assert passed, (x, p_values)
 
@@ -823,6 +929,24 @@ def test_secular_roots_degenerate_cases():
     assert got[1, 1] == pytest.approx(1.5, abs=1e-15)  # 1/(y-1) + 1/(y-2) = 0
     assert got[2, 0] == 0.0 and got[2, 2] == 2.0
     assert np.all(np.isfinite(got))
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 16])
+def test_secular_roots_in_blocks_match_one_call_bit_for_bit(m, monkeypatch):
+    gen = np.random.default_rng(927 + m)
+    rows = 22  # 7 blocks of 3 rows and a last one of 1; 3 of 7 and 1; 22 of 1
+    poles = np.sort(gen.uniform(-4.0, 4.0, size=(rows, m + 1)), axis=1)  # negative poles
+    poles[::4, 0] = 0.0
+    if m > 1:
+        poles[1::3, 2] = poles[1::3, 1]  # tied poles: zero-width intervals
+    poles[5] = 1.5  # a row of zero-width intervals only
+    weights = gen.standard_gamma(np.r_[0.3, np.ones(m)], size=(rows, m + 1))
+    weights[::5, 0] = 0.0  # a Gamma weight that underflowed
+    monkeypatch.setattr(kernels, "_SECULAR_BLOCK", 10**9)
+    whole = kernels._secular_roots(poles, weights)
+    for rows_per_block in (3, 7, 1):
+        monkeypatch.setattr(kernels, "_SECULAR_BLOCK", rows_per_block * m * (m + 1))
+        assert np.array_equal(kernels._secular_roots(poles, weights), whole)
 
 
 def test_secular_roots_stop_at_step_cap(monkeypatch):
@@ -867,6 +991,10 @@ def test_dixon_anderson_draws_interlace_property(alpha, raw, others, seed):
     rows = np.vstack([x, rows, np.zeros(d), np.full(d, 1.0)])
     lo_rows = np.concatenate([np.zeros((len(rows), 1)), rows[:, :-2]], axis=1)
     _assert_in_window(sample_alpha_corner_rows(alpha, rows, rng), lo_rows, rows[:, 1:])
+    # the corner kernel at N = 1 .. 16, with negative coordinates for a
+    # positive others[0]
+    xc = np.sort(np.array(raw + others)[: 2 * len(raw) - 1 - seed % 2]) - others[0]
+    _assert_in_window(sample_corner_many(xc, rng, 16), xc[:-1], xc[1:])
 
 
 def test_gamma_weight_underflow_gives_the_pole():
