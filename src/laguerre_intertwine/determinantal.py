@@ -124,7 +124,7 @@ def semigroup_top(params: SemigroupParams, x_top: float) -> float:
     is below e^-TAIL_EXPONENT of its peak beyond
     y = (sqrt(x e^-t) + sqrt(TAIL_EXPONENT (1 - e^-t)))^2.  (The 12 sigma
     cut of :func:`process.semigroup_ymax` leaves about 3e-7 of the mass at
-    x = 2, t = 1: the tail is exponential, not Gaussian.)
+    x = (1, 2), t = 1: the tail is exponential, not Gaussian.)
     """
     w = -np.expm1(-params.t)
     return float((np.sqrt(x_top * np.exp(-params.t)) + np.sqrt(TAIL_EXPONENT * w)) ** 2)

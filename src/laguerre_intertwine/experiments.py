@@ -57,15 +57,6 @@ TEST_FUNCTIONS = {
 }
 
 
-def stacked_test_functions(y: np.ndarray) -> np.ndarray:
-    """Every entry of ``TEST_FUNCTIONS`` at once, pointwise: shape (..., F), dict order.
-
-    The quadrature appliers take such an f and share one nested quadrature
-    among the F functions.
-    """
-    return np.stack([fn(y) for fn in TEST_FUNCTIONS.values()], axis=-1)
-
-
 def _one(y: np.ndarray) -> np.ndarray:
     return np.ones(y.shape[:-1])
 

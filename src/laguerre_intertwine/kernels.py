@@ -37,16 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import (
-    RngStream,
-    first_row,
-    pochhammer,
-    power_stretch,
-    rows_from_table,
-    unit_gauss_legendre,
-    value_table,
-    zero_rows,
-)
+from .numerics import RngStream, pochhammer, pointwise_values, power_stretch, unit_gauss_legendre
 
 
 class DegenerateAnchorError(ValueError):
@@ -73,6 +64,9 @@ _SECULAR_TOL = 4.0 * np.finfo(float).eps
 # (pole x root) entries of one block of rows of the solver: its per-block
 # arrays then stay near 512 KiB each, in cache, whatever the row count.
 _SECULAR_BLOCK = 2**16
+# (anchor x mesh point) entries of one chunk of anchor rows of the nested
+# quadrature; each row's sum is the same whatever the chunk holds.
+_MESH_CHUNK = 250_000
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +81,8 @@ def vandermonde(y) -> np.ndarray | float:
     for i in range(n):
         for j in range(i + 1, n):
             out = out * (y[..., j] - y[..., i])
-    return float(out) if out.ndim == 0 else out
+    # one point gives a numpy scalar, so a division by it follows np.errstate
+    return out[()]
 
 
 def is_chamber_point(x, nonneg: bool = False) -> bool:
@@ -379,13 +374,19 @@ def kernel_density(spec: KernelSpec, x, y):
 
     ``x`` is one anchor (d,) or anchor rows (..., d), broadcast against the
     points y (..., N).  Every anchor must be strictly interior
-    (:class:`DegenerateAnchorError` otherwise).
+    (:class:`DegenerateAnchorError` otherwise).  The density is finite on
+    the window except where a power of y is singular, at a zero coordinate
+    of y; anywhere else a value that is not finite (an anchor whose
+    Vandermonde under- or overflows) raises ``ValueError``.
     """
     x = interior_anchor(spec, x)
     y = np.asarray(y, dtype=float)
     if y.shape[-1:] != (x.shape[-1] - spec.row.dim_drop,):
         raise ValueError(f"{spec.kind} anchor of length {x.shape[-1]} takes no y of {y.shape}")
     out = _window_density(spec.row, spec.alpha, x, y)
+    singular = spec.row.weight_power is not None and np.any(y == 0, axis=-1)
+    if not np.all(np.isfinite(out) | singular):
+        raise ValueError(f"{spec.kind} density leaves the float range at an anchor row")
     return float(out) if out.ndim == 0 else out
 
 
@@ -650,38 +651,34 @@ def apply_kernel_to_anchors(
     f: Callable[[np.ndarray], np.ndarray],
     panels: int | tuple[int, ...] = 2,
     order: int = 20,
-    chunk_elems: int = 250_000,
 ) -> np.ndarray:
-    """(kernel f)(anchor) for a batch of anchors, by nested quadrature.
+    """(kernel f)(anchor) for a batch of anchors, by nested quadrature: an (m,) array.
 
-    ``f`` must accept an (M, N) array of chamber points (rows non-decreasing)
-    and return either an (M,) array of values or an (M, F) array holding F
-    test functions at once; the result for m anchors is then (m,) or
-    (m, F).  Each function's column is summed exactly as if it had been
-    passed alone, so stacking changes no bit of the result.  Rows that are
+    ``f`` maps an (M, N) array of chamber points (rows non-decreasing) to
+    its (M,) values; any other shape raises ``ValueError``.  Rows that are
     not strictly interior (a tie, or a zero head for the kinds flagged
     ``positive_head``) leave a window of zero width and evaluate to exactly
-    0; callers pair them with vanishing prefactors.  ``ValueError`` is
-    raised, rather than a NaN or an infinite value returned, for anchors
-    that are not chamber points of the kernel, for a divergent integral (a
-    hat kernel whose power of y at 0 is <= -1 over a window starting at
-    0), and where the density leaves the float range (a subnormal anchor
-    coordinate, a window of subnormal width).
+    0 without a call of f; callers pair them with vanishing prefactors.
+    ``ValueError`` is raised, rather than a NaN or an infinite value
+    returned, for anchors that are not chamber points of the kernel, for a
+    divergent integral (a hat kernel whose power of y at 0 is <= -1 over a
+    window starting at 0), and where the density leaves the float range (a
+    subnormal anchor coordinate, a window of subnormal width).
     ``panels`` may be a per-coordinate tuple.  Quadrature panels are
     anchored at the window segment endpoints so the integrand is smooth on
-    every panel.  Anchors are processed in chunks of about ``chunk_elems``
-    mesh points; the per-function sums reuse one mesh-sized buffer, so the
-    mesh temporaries do not grow with F.
+    every panel.  Anchors are processed in chunks of about ``_MESH_CHUNK``
+    mesh points.
     """
     row = spec.row
     anchors, valid = _checked_anchors(spec, np.atleast_2d(anchors))
-    m_total, d = anchors.shape
+    d = anchors.shape[-1]
     n = d - row.dim_drop
     if n > 3:
         raise UnsupportedDimensionError("kernel quadrature is guarded to N <= 3")
     per_coord_panels = panels if isinstance(panels, (tuple, list)) else (panels,) * n
+    out = np.zeros(anchors.shape[0])
     if not np.any(valid):
-        return zero_rows(f, n, valid)
+        return out
     rows = anchors[valid]
     m = rows.shape[0]
     if not np.all(row.integrable(spec.alpha, rows)):
@@ -725,10 +722,8 @@ def apply_kernel_to_anchors(
         weights.append(np.concatenate(weight_parts, axis=1))
 
     sizes = [nd.shape[1] for nd in nodes]
-    mesh_elems = int(np.prod(sizes))
-    mesh_axes = tuple(range(1, n + 1))
-    rows_per_chunk = max(1, chunk_elems // max(mesh_elems, 1))
-    table, width = None, ()
+    rows_per_chunk = max(1, _MESH_CHUNK // int(np.prod(sizes)))
+    sums = np.empty(m)
     for start in range(0, m, rows_per_chunk):
         sl = slice(start, min(start + rows_per_chunk, m))
         mm = sl.stop - sl.start
@@ -741,23 +736,20 @@ def apply_kernel_to_anchors(
         pts = np.stack(np.broadcast_arrays(*grids), axis=-1)
         anchor_block = rows[sl].reshape((mm,) + (1,) * n + (d,))
         contrib = _window_density(row, spec.alpha, anchor_block, pts, wgrids)
-        mask = contrib != 0.0
         # a point of nonzero weight lies in its interlacing window, so its
         # coordinates are already non-decreasing: the corner, square and hat
         # windows do not overlap, and the alpha_corner segment integral is
         # zero unless y_k < y_{k+1}
-        fvals, width = value_table(f(pts[mask]), int(np.count_nonzero(mask)))
-        if table is None:
-            table = np.empty((fvals.shape[0], m))
+        mask = contrib != 0.0
         vals = np.zeros_like(contrib)
-        for j, col in enumerate(fvals):
-            vals[mask] = col
-            table[j, sl] = np.sum(contrib * vals, axis=mesh_axes)
+        vals[mask] = pointwise_values(f, pts[mask])
+        sums[sl] = np.sum(contrib * vals, axis=tuple(range(1, n + 1)))
         # a density beyond the float range leaves a sum that is not finite;
         # the mesh itself is searched only then
-        if not np.all(np.isfinite(table[:, sl])) and not np.all(np.isfinite(contrib)):
+        if not np.all(np.isfinite(sums[sl])) and not np.all(np.isfinite(contrib)):
             raise ValueError(f"{spec.kind} density leaves the float range at an anchor row")
-    return rows_from_table(table, width, valid)
+    out[valid] = sums
+    return out
 
 
 def apply_kernel_quadrature(
@@ -766,15 +758,13 @@ def apply_kernel_quadrature(
     f: Callable[[np.ndarray], np.ndarray],
     panels: int | tuple[int, ...] = 2,
     order: int = 20,
-) -> float | np.ndarray:
+) -> float:
     """(kernel f)(x) by nested composite Gauss-Legendre quadrature, N <= 3.
 
-    The anchor must be strictly interior, as for :func:`kernel_density`.  A
-    scalar ``f`` ((M, N) -> (M,)) gives a float; an ``f`` returning (M, F)
-    gives the (F,) array of the F values, as in
-    :func:`apply_kernel_to_anchors`.
+    The anchor must be strictly interior, as for :func:`kernel_density`;
+    ``f`` is as for :func:`apply_kernel_to_anchors`.
     """
     x = interior_anchor(spec, x)
     if x.ndim != 1:
         raise ValueError(f"apply_kernel_quadrature takes one anchor, got shape {x.shape}")
-    return first_row(apply_kernel_to_anchors(spec, x[None, :], f, panels, order))
+    return float(apply_kernel_to_anchors(spec, x[None, :], f, panels, order)[0])

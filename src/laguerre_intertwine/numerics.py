@@ -1,8 +1,8 @@
 """Shared numerical primitives.
 
-The rising factorial, composite Gauss-Legendre quadrature, the value
-tables the quadrature appliers share, and seeded random streams used by
-every other module.  All samplers draw from an explicit
+The rising factorial, composite Gauss-Legendre quadrature, the test
+function values the quadrature appliers share, and seeded random streams
+used by every other module.  All samplers draw from an explicit
 :class:`RngStream`, so experiments are reproducible and parallel workers can
 own statistically independent streams.
 """
@@ -147,44 +147,15 @@ def pochhammer(x: float, n: int) -> float:
     return out
 
 
-def value_table(values, m: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """A test function's values on m points as an (F, m) table.
+def pointwise_values(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray) -> np.ndarray:
+    """A test function's values at the M points y (M, N), as an (M,) array.
 
-    ``values`` has shape (m,) (a scalar test function, F = 1) or (m, F) (F
-    test functions at once).  Returns the table, with one contiguous row per
-    function, and the trailing shape (``()`` or ``(F,)``) of the values.
+    Any other shape of f's result raises ``ValueError``.
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim not in (1, 2) or values.shape[0] != m:
-        raise ValueError(f"test function must return shape ({m},) or ({m}, F), got {values.shape}")
-    if values.ndim == 1:
-        return values[None, :], ()
-    return values.T, values.shape[1:]
-
-
-def rows_from_table(table: np.ndarray, width: tuple[int, ...], valid: np.ndarray) -> np.ndarray:
-    """Scatter an (F, m) result table to the rows where ``valid`` holds.
-
-    The other rows are 0.  The result has shape (len(valid),) + width.
-    """
-    out = np.zeros(valid.shape + width)
-    out[valid] = table.T.reshape((-1,) + width)
-    return out
-
-
-def zero_rows(f: Callable[[np.ndarray], np.ndarray], dim: int, valid: np.ndarray) -> np.ndarray:
-    """All-zero result for anchors none of which needs f.
-
-    f is called on an empty (0, dim) array, only to learn its value shape.
-    """
-    _, width = value_table(f(np.empty((0, dim))), 0)
-    return np.zeros(valid.shape + width)
-
-
-def first_row(values: np.ndarray) -> float | np.ndarray:
-    """Row 0 of an (m,) or (m, F) result: a float, or an (F,) array."""
-    row = np.asarray(values)[0]
-    return float(row) if row.ndim == 0 else row
+    values = np.asarray(f(y), dtype=float)
+    if values.shape != y.shape[:1]:
+        raise ValueError(f"test function must return shape ({y.shape[0]},), got {values.shape}")
+    return values
 
 
 def _check_positive(name: str, value: float) -> None:

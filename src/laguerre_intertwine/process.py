@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import factorial
-from itertools import permutations
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -25,7 +24,7 @@ from .kernels import (
     is_strict_interior,
     vandermonde,
 )
-from .numerics import RngStream, first_row, rows_from_table, value_table, zero_rows
+from .numerics import RngStream, pointwise_values
 from .rmt import radial_part
 
 
@@ -33,6 +32,11 @@ from .rmt import radial_part
 # most 10^4 (dt = 1e-4 on [0, 1]); a count above the cap is a mistyped dt,
 # and 10^7 steps of a 20k batch already take hours.
 MAX_SDE_STEPS = 10**7
+
+# Positivity floor of the Euler scheme: the diffusion coefficient floors X
+# at it, a negative coordinate is clamped to it, and it caps the
+# interaction denominator.
+SDE_FLOOR_EPS = 1e-10
 
 # Normals per block that simulate_sde's worker thread draws ahead of the
 # stepper: 2^18 float64 is 2 MiB, and two blocks are in flight.
@@ -58,19 +62,13 @@ class SemigroupParams:
 
 @dataclass(frozen=True)
 class SdeConfig:
-    """Euler scheme configuration: step, scheme tag, and positivity floor."""
+    """Euler scheme configuration: the time step."""
 
     dt: float
-    scheme: str = "euler_reordered"
-    floor_eps: float = 1e-10
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
-        if not (np.isfinite(self.floor_eps) and self.floor_eps >= 0):
-            raise ValueError(f"floor_eps must be finite and >= 0, got {self.floor_eps}")
-        if self.scheme != "euler_reordered":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 def lambda_eigen(n_dim: int) -> float:
@@ -99,7 +97,8 @@ def km_density(alpha: float, t: float, x, y):
 
     exp(-lambda_N t) (Delta(y)/Delta(x)) det[p_{alpha,t}(x_i, y_j)], with the
     determinant factored row-wise in log space so small-t entries do not
-    underflow.  ``y`` may carry leading batch axes.
+    underflow.  ``y`` may carry leading batch axes.  ``ValueError`` is
+    raised at an anchor whose Vandermonde leaves the normal float range.
     """
     if not t > 0:
         raise ValueError("t must be positive")
@@ -110,8 +109,11 @@ def km_density(alpha: float, t: float, x, y):
     if np.any(y <= 0):
         raise ValueError("y must be positive")
     n = len(x)
+    delta_x = vandermonde(x)
+    if not np.finfo(float).tiny <= delta_x < np.inf:
+        raise ValueError(f"km_density leaves the float range: the anchor's Vandermonde is {delta_x}")
     det = _scaled_det(_log_transition_matrix(alpha, t, x, y))
-    out = np.exp(-lambda_eigen(n) * t) * vandermonde(y) / vandermonde(x) * det
+    out = np.exp(-lambda_eigen(n) * t) * vandermonde(y) / delta_x * det
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -152,8 +154,10 @@ def semigroup_ymax(alpha: float, t: float, x_top: float, n_dim: int) -> float:
     """Truncation point for semigroup quadrature boxes.
 
     Top-particle mean plus twelve standard deviations of the one-particle
-    noncentral chi-square law, which bounds the neglected tail mass well
-    below 1e-8 at desk-scale parameters.
+    noncentral chi-square law.  Its upper tail is exponential, not
+    Gaussian, so the cut leaves more mass than twelve Gaussian sigmas
+    would: at t = 1, alpha = -0.5 about 3.1e-7 of it at x = (1, 2) and
+    3.7e-8 at x = (2,).  :func:`determinantal.semigroup_top` cuts further out.
     """
     w = -np.expm1(-t)
     mean_top = x_top * np.exp(-t) + (alpha + 1.0 + 2.0 * n_dim) * w
@@ -189,99 +193,40 @@ def semigroup_apply_rows(
     order: int = 20,
     y_max: float | None = None,
 ) -> np.ndarray:
-    """(T_t f)(x) for a batch of anchors sharing one quadrature box.
+    """(T_t f)(x) for a batch of anchors sharing one quadrature box: an (m,) array.
 
-    The chamber integral is computed as (1/N!) times the integral over the
-    full box [0, y_max]^N of Delta(y) det[p(x_i, y_j)] f(sorted y): the
-    prefactor is symmetric, so the symmetric extension of f makes the box
-    integral N! times the chamber one.  ``f`` takes an (M, N) array of
-    strictly increasing rows and returns (M,) values, or (M, F) for F test
-    functions at once; the result for m anchors is then (m,) or (m, F), and
-    each function's column has the bits it would have alone.  ``f`` is
-    evaluated once per chamber point of the box mesh and shared across
-    anchors.  Rows with tied coordinates return 0 (prefactor vanishes there;
-    callers mask them).
+    The chamber integral of Delta(y) det[p(x_a, y_b)] f(y) / Delta(x) is
+    summed over the chamber points of the box mesh: the index-ordered
+    points i < j < k of its one node set, which ascends, so each point is
+    sorted.  ``f`` maps an (M, N) array of such points to its (M,) values
+    (any other shape raises ``ValueError``) and is called once per chamber
+    point, shared across anchors.  Rows with tied coordinates return 0
+    without a call of f (the prefactor vanishes there; callers mask them).
     """
     n = params.n_dim
     if n > 3:
         raise UnsupportedDimensionError("semigroup quadrature is guarded to N <= 3")
     x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
     if params.t == 0:
-        return f(np.sort(x_rows, axis=-1))
+        return pointwise_values(f, np.sort(x_rows, axis=-1))
     valid = np.all(np.diff(np.sort(x_rows, axis=-1), axis=-1) > 0, axis=-1)
+    out = np.zeros(x_rows.shape[0])
     if not np.any(valid):
-        return zero_rows(f, n, valid)
+        return out
     if y_max is None:
         y_max = semigroup_ymax(params.alpha, params.t, float(np.max(x_rows)), n)
     nodes, wts = _box_axis_nodes(params.alpha, y_max, panels, order)
-    k = nodes.size
     rows = x_rows[valid]
-
-    # p(x_i, node_k) for every row: shape (m, N, K)
+    chamber = np.array(list(combinations(range(nodes.size), n)))  # (C, N)
+    pts = nodes[chamber]
+    weight = vandermonde(pts) * np.prod(wts[chamber], axis=-1) * pointwise_values(f, pts)
+    # p(x_a, node_k) for every row, (m, N, K); det[p(x_a, y_b)] per chamber point, (m, C),
+    # from C-ordered matrices, so that each row's sum below runs as for that row alone
     p = transition_density(params.alpha, params.t, rows[:, :, None], nodes[None, None, :])
-
-    # Leibniz determinant over the N-fold node mesh
-    det = None
-    for perm in permutations(range(n)):
-        sign = _perm_sign(perm)
-        if n == 1:
-            term = p[:, perm[0], :]
-        elif n == 2:
-            term = p[:, perm[0], :, None] * p[:, perm[1], None, :]
-        else:
-            term = (
-                p[:, perm[0], :, None, None]
-                * p[:, perm[1], None, :, None]
-                * p[:, perm[2], None, None, :]
-            )
-        det = sign * term if det is None else det + sign * term
-
-    mesh_axes = tuple(range(1, n + 1))
-    grids = np.meshgrid(*([nodes] * n), indexing="ij")
-    pts = np.stack(grids, axis=-1)
-    delta = vandermonde(pts)
-    wmesh = np.ones((k,) * n)
-    for i in range(n):
-        shape = [1] * n
-        shape[i] = k
-        wmesh = wmesh * wts.reshape(shape)
-
-    mask = delta != 0.0
-    if rows.shape[0] == 1:
-        # single-anchor fast path: skip f where the integrand weight is
-        # negligible (safe for bounded f; threshold far below any tolerance)
-        weight = np.abs(det[0]) * np.abs(delta) * wmesh
-        mask &= weight > 1e-18 * np.max(weight)
-
-    # f(sorted y) is symmetric and the mesh is a product of one node set, so
-    # f is evaluated once per index-ordered point (i < j < k) that has any
-    # permutation in the mask; summing the axis permutations of that table
-    # copies each value to its permutations (the other terms are 0).  The
-    # nodes ascend, so index-ordered points are already sorted.
-    perms = list(permutations(range(n)))
-    ordered = np.all(np.diff(np.indices((k,) * n), axis=0) > 0, axis=0)
-    needed = ordered & np.logical_or.reduce([mask.transpose(perm) for perm in perms])
-    fneeded, width = value_table(f(pts[needed]), int(np.count_nonzero(needed)))
-
-    pref = np.exp(-lambda_eigen(n) * params.t) / (factorial(n) * vandermonde(rows))
-    table = np.empty((fneeded.shape[0], rows.shape[0]))
-    fchamber = np.zeros((k,) * n)
-    for j, col in enumerate(fneeded):
-        fchamber[needed] = col
-        fvals = np.where(mask, sum(fchamber.transpose(perm) for perm in perms), 0.0)
-        weight_mesh = (delta * fvals * wmesh)[None, ...]
-        table[j] = pref * np.sum(det * weight_mesh, axis=mesh_axes)
-    return rows_from_table(table, width, valid)
-
-
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    perm = list(perm)
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+    det = np.linalg.det(np.ascontiguousarray(np.moveaxis(p[:, :, chamber], 1, 2)))
+    pref = np.exp(-lambda_eigen(n) * params.t) / vandermonde(rows)
+    out[valid] = pref * np.sum(det * weight, axis=-1)
+    return out
 
 
 def semigroup_apply(
@@ -291,18 +236,15 @@ def semigroup_apply(
     panels: int = 3,
     order: int = 20,
     y_max: float | None = None,
-) -> float | np.ndarray:
-    """(T_t f)(x) by box quadrature; f takes (M, N) arrays of sorted rows.
+) -> float:
+    """(T_t f)(x) by box quadrature, as in :func:`semigroup_apply_rows`.
 
-    A scalar ``f`` ((M,) values) gives a float; an ``f`` returning (M, F)
-    gives the (F,) array of the F values, as in :func:`semigroup_apply_rows`.
+    At t > 0 the anchor must be strictly interior.
     """
     x = np.asarray(x, dtype=float)
-    if params.t == 0:
-        return first_row(f(x[None, :]))
-    if not is_strict_interior(x, nonneg=True):
+    if params.t > 0 and not is_strict_interior(x, nonneg=True):
         raise DegenerateAnchorError(f"anchor must be strictly interior, got {x}")
-    return first_row(semigroup_apply_rows(params, x[None, :], f, panels, order, y_max))
+    return float(semigroup_apply_rows(params, x[None, :], f, panels, order, y_max)[0])
 
 
 class _EulerState:
@@ -391,7 +333,7 @@ def simulate_sde(
 
     dX^i = sqrt(2 X^i) dB^i + (alpha + 1 - X^i + sum_{j != i} 2 X^i /
     (X^i - X^j)) dt, with per-step safeguards: the diffusion coefficient
-    floors X at ``floor_eps``, negative coordinates are clamped to the
+    floors X at ``SDE_FLOOR_EPS``, negative coordinates are clamped to the
     floor after each step, near-collisions cap the interaction denominator,
     and coordinates are re-sorted ascending.  The simulator is a
     cross-check; precision comes from the exact samplers.
@@ -439,7 +381,7 @@ def simulate_sde(
     n = x0.size
     batch = 1 if size is None else size
     n_steps = max(1, int(round(steps)))
-    state = _EulerState(alpha, x0, batch, t_end / n_steps, max(cfg.floor_eps, 1e-300))
+    state = _EulerState(alpha, x0, batch, t_end / n_steps, SDE_FLOOR_EPS)
     block = min(n_steps, max(1, SDE_BLOCK_NORMALS // (batch * n)))
     starts = range(0, n_steps, block)
     buffers = [np.empty((block, batch, n)) for _ in range(min(2, len(starts)))]

@@ -11,12 +11,7 @@ import pytest
 from laguerre_intertwine import experiments
 from laguerre_intertwine.cli import ExperimentConfig, main
 from laguerre_intertwine.determinantal import evaluate, semigroup_top
-from laguerre_intertwine.experiments import (
-    CORNER_ANCHORS,
-    SQUARE_ANCHORS,
-    TEST_FUNCTIONS,
-    stacked_test_functions,
-)
+from laguerre_intertwine.experiments import CORNER_ANCHORS, SQUARE_ANCHORS, TEST_FUNCTIONS
 from laguerre_intertwine.kernels import (
     DegenerateAnchorError,
     KernelSpec,
@@ -34,6 +29,11 @@ ALPHAS = (-0.5, 0.0, 1.0, 2.5)
 MESH_RESOLUTION = {1: (4, 20, 3, 20), 2: (3, 14, 1, 12), 3: (None, None, 2, 20)}
 
 
+def each_function(apply, op, x, *args, **kwargs):
+    """``apply(op, x, fn, ...)`` for each test function fn, as an (F,) array."""
+    return np.array([np.ravel(apply(op, x, fn, *args, **kwargs))[0] for fn in FUNCTIONS])
+
+
 @pytest.mark.parametrize("t", [0.25, 1.0])
 @pytest.mark.parametrize("alpha", ALPHAS)
 @pytest.mark.parametrize("n", [1, 2])
@@ -44,11 +44,11 @@ def test_semigroup_matches_mesh(n, alpha, t):
     panels, order, _, _ = MESH_RESOLUTION[n]
     # the mesh box ends at process.semigroup_ymax, whose cut leaves up to
     # 3e-7 of the mass at these anchors; the engine's box is wider
-    mesh = semigroup_apply_rows(params, x[None, :], stacked_test_functions, panels, order)[0]
+    mesh = each_function(semigroup_apply_rows, params, x[None, :], panels, order)
     assert np.max(np.abs(got - mesh) / np.abs(mesh)) <= 1e-6
-    fine = semigroup_apply_rows(
-        params, x[None, :], stacked_test_functions, 8, 20, y_max=semigroup_top(params, x[-1])
-    )[0]
+    fine = each_function(
+        semigroup_apply_rows, params, x[None, :], 8, 20, y_max=semigroup_top(params, x[-1])
+    )
     assert np.max(np.abs(got - fine) / np.abs(fine)) <= 1e-12
 
 
@@ -64,7 +64,7 @@ def test_kernel_matches_mesh(n, kind, alpha):
     x = np.array(SQUARE_ANCHORS[n] if kind == "alpha_square" else CORNER_ANCHORS[n])
     got = evaluate((spec,), x, FUNCTIONS)
     _, _, panels, order = MESH_RESOLUTION[n]
-    mesh = apply_kernel_to_anchors(spec, x[None, :], stacked_test_functions, panels, order)[0]
+    mesh = each_function(apply_kernel_to_anchors, spec, x[None, :], panels, order)
     assert np.max(np.abs(got - mesh) / np.abs(mesh)) <= 1e-8
 
 
@@ -83,7 +83,7 @@ def test_degenerate_anchor_as_mesh(kind, anchor):
     spec = KernelSpec(kind, None if kind == "corner" else 0.5)
     x = np.array(anchor)
     try:
-        mesh = apply_kernel_quadrature(spec, x, stacked_test_functions, 2, 20)
+        mesh = each_function(apply_kernel_quadrature, spec, x, 2, 20)
     except DegenerateAnchorError:
         with pytest.raises(DegenerateAnchorError):
             evaluate((spec,), x, FUNCTIONS)
@@ -112,7 +112,7 @@ def test_determinant_form_is_the_pointwise_form(n):
     for _ in range(5):
         y = np.sort(rng.uniform(0.05, 6.0, n))
         got = evaluate((), y, FUNCTIONS)
-        want = stacked_test_functions(y[None, :])[0]
+        want = np.array([fn(y[None, :])[0] for fn in FUNCTIONS])
         assert np.allclose(got, want, rtol=1e-10, atol=0.0)
 
 

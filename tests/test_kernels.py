@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,11 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laguerre_intertwine import kernels
-from laguerre_intertwine.experiments import (
-    TEST_FUNCTIONS,
-    composed_corner_density,
-    stacked_test_functions,
-)
+from laguerre_intertwine.experiments import TEST_FUNCTIONS, composed_corner_density
 from laguerre_intertwine.kernels import (
     DegenerateAnchorError,
     InterlacingWindow,
@@ -518,7 +515,7 @@ def test_sample_alpha_corner_degenerate_anchor_n2_matches_matrix_model():
     assert ks_two_sample(EmpiricalSample(mine[:, 0]), EmpiricalSample(ref[:, 0])).p_value > 0.01
 
 
-# -- the applier's vector-valued f contract ----------------------------------
+# -- the applier's test function contract --------------------------------------
 
 KINDS = ["corner", "alpha_square", "alpha_corner", "hat_corner", "hat_square"]
 CORNER_ROWS = {1: [1.0, 2.0], 2: [1.0, 2.0, 4.0], 3: [0.5, 2.0, 4.0, 7.0]}
@@ -571,52 +568,52 @@ def test_kernel_quadrature_points_are_sorted_with_stretched_nodes():
     assert np.all(np.diff(rows, axis=-1) >= 0)
 
 
-def _assert_stacked_matches_scalar(spec, anchors, chunk_elems, panels=2, order=10):
-    got = apply_kernel_to_anchors(
-        spec, anchors, stacked_test_functions, panels, order, chunk_elems=chunk_elems
-    )
-    assert got.shape == (len(anchors), len(SCALAR_FUNCTIONS))
-    for j, fn in enumerate(SCALAR_FUNCTIONS):
-        want = apply_kernel_to_anchors(spec, anchors, fn, panels, order, chunk_elems=chunk_elems)
-        assert want.shape == (len(anchors),)
-        assert np.array_equal(got[:, j], want)
-    return got
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_stacked_f_matches_scalar_calls_bit_for_bit(kind):
+def _degenerate_batch(kind):
     spec, anchor = _spec_and_anchor(kind, -0.5, 2)
     tied = anchor.copy()
     tied[1] = tied[0]
     zero_head = anchor.copy()
     zero_head[0] = 0.0
-    anchors = np.stack([anchor, tied, 1.5 * anchor, zero_head, 0.5 * anchor])
+    return spec, np.stack([anchor, tied, 1.5 * anchor, zero_head, 0.5 * anchor])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_chunked_mesh_matches_one_chunk_bit_for_bit(kind, monkeypatch):
+    spec, anchors = _degenerate_batch(kind)
+    whole = [apply_kernel_to_anchors(spec, anchors, fn, 2, 10) for fn in SCALAR_FUNCTIONS]
     # a small chunk budget runs several chunks of a few anchors each
-    got = _assert_stacked_matches_scalar(spec, anchors, chunk_elems=500)
-    if kind in ("corner", "alpha_square", "alpha_corner"):
-        assert np.all(got[1] == 0.0)  # the degenerate anchor
+    monkeypatch.setattr(kernels, "_MESH_CHUNK", 500)
+    for fn, want in zip(SCALAR_FUNCTIONS, whole):
+        got = apply_kernel_to_anchors(spec, anchors, fn, 2, 10)
+        assert got.shape == (len(anchors),) and np.array_equal(got, want)
+        if kind in ("corner", "alpha_square", "alpha_corner"):
+            assert got[1] == 0.0  # the degenerate anchor
 
 
-def test_stacked_f_with_no_valid_anchor():
+def test_tied_only_rows_give_zero_without_calling_f():
+    def never(y):
+        raise AssertionError("f called")
+
     anchors = np.array([[1.0, 1.0, 2.0], [0.0, 1.0, 2.0]])
-    spec = KernelSpec("alpha_corner", 1.0)
-    got = apply_kernel_to_anchors(spec, anchors, stacked_test_functions)
-    assert got.shape == (2, 3) and np.all(got == 0.0)
-    assert apply_kernel_to_anchors(spec, anchors, F_EXP).shape == (2,)
+    got = apply_kernel_to_anchors(KernelSpec("alpha_corner", 1.0), anchors, never)
+    assert got.shape == (2,) and np.all(got == 0.0)
 
 
 def test_apply_kernel_quadrature_return_types():
     spec, anchor = KernelSpec("alpha_corner", 1.0), np.array([1.0, 2.0, 4.0])
-    scalar = apply_kernel_quadrature(spec, anchor, F_EXP, 2, 10)
-    vector = apply_kernel_quadrature(spec, anchor, stacked_test_functions, 2, 10)
-    assert type(scalar) is float
-    assert vector.shape == (3,) and vector[0] == scalar
+    value = apply_kernel_quadrature(spec, anchor, F_EXP, 2, 10)
+    assert type(value) is float
+    assert value == apply_kernel_to_anchors(spec, anchor[None, :], F_EXP, 2, 10)[0]
 
 
 def test_apply_kernel_rejects_misshaped_f():
+    # f maps (M, N) to (M,); an (M, 3) stack or an (M + 1,) result raises
     spec, anchor = KernelSpec("corner"), np.array([1.0, 2.0, 4.0])
-    with pytest.raises(ValueError):
-        apply_kernel_quadrature(spec, anchor, lambda y: np.ones(3), 2, 10)
+    for bad in (lambda y: np.ones((len(y), 3)), lambda y: np.ones(len(y) + 1)):
+        with pytest.raises(ValueError, match="shape"):
+            apply_kernel_quadrature(spec, anchor, bad, 2, 10)
+        with pytest.raises(ValueError, match="shape"):
+            apply_kernel_to_anchors(spec, np.stack([anchor, 2.0 * anchor]), bad, 2, 10)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -626,9 +623,9 @@ def test_apply_kernel_rejects_misshaped_f():
     n=st.integers(1, 2),
     raw=st.lists(st.floats(0.0, 6.0), min_size=9, max_size=9),
     m=st.integers(1, 3),
-    chunk_elems=st.sampled_from([1, 300, 250_000]),
+    chunk=st.sampled_from([1, 300]),
 )
-def test_stacked_f_matches_scalar_property(kind, alpha, n, raw, m, chunk_elems):
+def test_apply_kernel_property(kind, alpha, n, raw, m, chunk):
     spec = KernelSpec(kind, None if kind == "corner" else alpha)
     d = n if kind in ("alpha_square", "hat_square") else n + 1
     anchors = np.sort(np.array(raw[: m * d]).reshape(m, d), axis=-1)
@@ -647,14 +644,16 @@ def test_stacked_f_matches_scalar_property(kind, alpha, n, raw, m, chunk_elems):
     tiny |= np.any(np.diff(anchors, axis=-1) < 1e-100, axis=-1)
     out_of_range = np.any(evaluated & tiny) or (from_zero and hat_power < -0.9)
     try:
-        got = _assert_stacked_matches_scalar(spec, anchors, chunk_elems, panels=1, order=6)
+        got = apply_kernel_to_anchors(spec, anchors, F_EXP, 1, 6)
     except ValueError as exc:
         # never a NaN: the error names a divergent integral, or a density
         # beyond the float range at tiny anchors
         msg = str(exc)
         assert ("diverges" in msg and divergent) or ("float range" in msg and out_of_range), exc
         return
-    assert not divergent and np.all(np.isfinite(got))
+    assert not divergent and got.shape == (m,) and np.all(np.isfinite(got))
+    with mock.patch.object(kernels, "_MESH_CHUNK", chunk):
+        assert np.array_equal(apply_kernel_to_anchors(spec, anchors, F_EXP, 1, 6), got)
 
 
 @pytest.mark.parametrize("alpha", [-0.5, 1.0])
@@ -760,6 +759,28 @@ def test_density_out_of_float_range_raises(kind, anchor):
         y = 0.5 * np.array(anchor[1:] if "corner" in kind else anchor)
         with pytest.raises(ValueError, match="subnormal"):
             kernel_density(spec, np.array(anchor), y)
+
+
+@pytest.mark.parametrize(
+    "kind, anchor, y",
+    [
+        # the scaled anchor's gap 5e-324 * 2^-307 underflows to 0: this
+        # raised ZeroDivisionError
+        ("corner", [0.0, 5e-324, 1e300], [2e-324, 1.0]),
+        # the density, about 2e323, exceeds the float range: this gave inf
+        ("corner", [0.0, 5e-324, 1.0], [2e-324, 0.5]),
+        # Delta(x) = 2e-600 underflows: this raised ZeroDivisionError
+        ("alpha_corner", [1e-200, 2e-200, 3e-200], [1.5e-200, 2.5e-200]),
+    ],
+)
+def test_pointwise_density_out_of_float_range_raises(kind, anchor, y):
+    spec = KernelSpec(kind, None if kind == "corner" else 0.5)
+    with pytest.raises(ValueError, match="float range"):
+        kernel_density(spec, anchor, y)
+    with pytest.raises(ValueError, match="float range"):
+        kernel_density(spec, np.array([anchor, [1.0, 2.0, 4.0]]), np.array(y))
+    # off the window the density is 0, whatever the anchor
+    assert kernel_density(spec, anchor, [2.0, 1e301]) == 0.0
 
 
 def test_divergent_hat_integrals_raise():

@@ -12,7 +12,7 @@ from laguerre_intertwine.diffusion import dual_transition_density, transition_de
 from laguerre_intertwine.kernels import DegenerateAnchorError, vandermonde
 from laguerre_intertwine.numerics import RngStream, power_endpoint_rule
 from laguerre_intertwine import process
-from laguerre_intertwine.experiments import TEST_FUNCTIONS, stacked_test_functions
+from laguerre_intertwine.experiments import TEST_FUNCTIONS
 from laguerre_intertwine.process import (
     SdeConfig,
     SemigroupParams,
@@ -26,7 +26,7 @@ from laguerre_intertwine.process import (
     subkm_density,
     subkm_dual_density,
 )
-from laguerre_intertwine.process import _box_axis_nodes, _perm_sign
+from laguerre_intertwine.process import _box_axis_nodes
 from laguerre_intertwine.rmt import laguerre_ensemble_density, sample_laguerre_ensemble, sample_wishart_radial
 from laguerre_intertwine.stats import EmpiricalSample, ks_two_sample
 
@@ -55,6 +55,12 @@ def test_km_density_mass_n2():
 def test_km_density_rejects_ties():
     with pytest.raises(DegenerateAnchorError):
         km_density(0.5, 0.5, [1.0, 1.0], [1.0, 2.0])
+
+
+def test_km_density_raises_where_the_anchor_vandermonde_underflows():
+    # Delta(x) = 2e-600 underflows to 0; the density came out as NaN
+    with pytest.raises(ValueError, match="float range"):
+        km_density(0.5, 0.5, [1e-200, 2e-200, 3e-200], [1.0, 2.0, 3.0])
 
 
 def test_km_positivity_on_quadrature_nodes():
@@ -130,6 +136,7 @@ def _semigroup_apply_rows_full_mesh(params, x_rows, f, panels, order):
     p = transition_density(params.alpha, params.t, rows[:, :, None], nodes[None, None, :])
     det = None
     for perm in permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
         if n == 2:
             term = p[:, perm[0], :, None] * p[:, perm[1], None, :]
         else:
@@ -138,7 +145,7 @@ def _semigroup_apply_rows_full_mesh(params, x_rows, f, panels, order):
                 * p[:, perm[1], None, :, None]
                 * p[:, perm[2], None, None, :]
             )
-        det = _perm_sign(perm) * term if det is None else det + _perm_sign(perm) * term
+        det = sign * term if det is None else det + sign * term
     pts = np.stack(np.meshgrid(*([nodes] * n), indexing="ij"), axis=-1)
     delta = vandermonde(pts)
     wmesh = np.ones((k,) * n)
@@ -148,9 +155,6 @@ def _semigroup_apply_rows_full_mesh(params, x_rows, f, panels, order):
         wmesh = wmesh * wts.reshape(shape)
     fvals = np.zeros((k,) * n)
     mask = delta != 0.0
-    if rows.shape[0] == 1:
-        weight = np.abs(det[0]) * np.abs(delta) * wmesh
-        mask &= weight > 1e-18 * np.max(weight)
     fvals[mask] = f(np.sort(pts[mask], axis=-1))
     weight_mesh = (delta * fvals * wmesh)[None, ...]
     pref = np.exp(-lambda_eigen(n) * params.t) / (math.factorial(n) * vandermonde(rows))
@@ -180,9 +184,10 @@ def test_semigroup_apply_rows_matches_full_mesh_oracle(alpha, x_rows):
 
     got = semigroup_apply_rows(params, np.array(x_rows), counted, panels=2, order=8)
     want, k = _semigroup_apply_rows_full_mesh(params, x_rows, f, panels=2, order=8)
-    assert np.array_equal(got, want)
+    # the chamber sum adds the box's terms in another order
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
     assert len(x_rows) == 1 or got[-1] == 0.0  # the tied row
-    assert len(seen) == 1 and seen[0] <= math.comb(k, n)
+    assert seen == [math.comb(k, n)]  # f once per chamber point
 
 
 SCALAR_FUNCTIONS = tuple(TEST_FUNCTIONS.values())
@@ -215,28 +220,42 @@ def test_semigroup_quadrature_points_are_sorted(alpha, x_rows):
     ],
 )
 @pytest.mark.parametrize("t", [0.0, 0.5])
-def test_semigroup_stacked_f_matches_scalar_calls_bit_for_bit(alpha, x_rows, t):
+def test_semigroup_rows_match_single_row_calls_bit_for_bit(alpha, x_rows, t):
+    # each row of a batch gets the bits it gets alone in the same box, a
+    # tied row gives 0 at t > 0, and semigroup_apply is the rows applier at
+    # one anchor, as a float
     params = SemigroupParams(alpha, t, len(x_rows[0]))
     rows = np.array(x_rows)
-    got = semigroup_apply_rows(params, rows, stacked_test_functions, panels=2, order=8)
-    assert got.shape == (len(x_rows), len(SCALAR_FUNCTIONS))
-    for j, fn in enumerate(SCALAR_FUNCTIONS):
-        want = semigroup_apply_rows(params, rows, fn, panels=2, order=8)
-        assert want.shape == (len(x_rows),)
-        assert np.array_equal(got[:, j], want)
-    # one anchor gets its own box and the single-anchor fast path
-    single = semigroup_apply(params, rows[0], stacked_test_functions, panels=2, order=8)
-    assert single.shape == (3,)
-    for j, fn in enumerate(SCALAR_FUNCTIONS):
-        scalar = semigroup_apply(params, rows[0], fn, panels=2, order=8)
-        assert type(scalar) is float and scalar == single[j]
+    y_max = semigroup_ymax(alpha, t, float(np.max(rows)), params.n_dim) if t > 0 else None
+    for fn in SCALAR_FUNCTIONS:
+        got = semigroup_apply_rows(params, rows, fn, 2, 8, y_max)
+        assert got.shape == (len(x_rows),)
+        for row, value in zip(rows, got):
+            assert value == semigroup_apply_rows(params, row[None, :], fn, 2, 8, y_max)[0]
+            assert t == 0 or np.all(np.diff(row) > 0) or value == 0.0
+        single = semigroup_apply(params, rows[0], fn, panels=2, order=8)
+        assert type(single) is float
+        assert single == semigroup_apply_rows(params, rows[:1], fn, 2, 8)[0]
 
 
-def test_semigroup_stacked_f_with_only_tied_rows():
-    params = SemigroupParams(0.5, 0.5, 2)
+def test_semigroup_tied_only_rows_give_zero_without_calling_f():
+    def never(y):
+        raise AssertionError("f called")
+
     rows = np.array([[1.0, 1.0], [2.0, 2.0]])
-    got = semigroup_apply_rows(params, rows, stacked_test_functions)
-    assert got.shape == (2, 3) and np.all(got == 0.0)
+    got = semigroup_apply_rows(SemigroupParams(0.5, 0.5, 2), rows, never)
+    assert got.shape == (2,) and np.all(got == 0.0)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5])
+def test_semigroup_rejects_misshaped_f(t):
+    # f maps (M, N) to (M,); an (M, 3) stack or an (M + 1,) result raises
+    params = SemigroupParams(0.5, t, 2)
+    for bad in (lambda y: np.ones((len(y), 3)), lambda y: np.ones(len(y) + 1)):
+        with pytest.raises(ValueError, match="shape"):
+            semigroup_apply_rows(params, np.array([[1.0, 2.0], [0.5, 3.0]]), bad, 2, 8)
+        with pytest.raises(ValueError, match="shape"):
+            semigroup_apply(params, np.array([1.0, 2.0]), bad, 2, 8)
 
 
 def test_semigroup_t_zero_is_identity():
@@ -295,7 +314,7 @@ def _simulate_sde_gap_tensor(alpha, x0, t_end, cfg, rng, size=None):
     n_steps = max(1, int(round(t_end / cfg.dt)))
     dt = t_end / n_steps
     sq_dt = np.sqrt(dt)
-    eps = max(cfg.floor_eps, 1e-300)
+    eps = process.SDE_FLOOR_EPS
     idx_sign = np.sign(np.arange(n)[:, None] - np.arange(n)[None, :])
     gap_floor = eps * np.where(idx_sign == 0, 1.0, idx_sign)  # rows stay sorted, so sign(i-j) is the gap sign
     off_diag = ~np.eye(n, dtype=bool)
@@ -556,9 +575,5 @@ def test_sde_config_validation():
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError):
             SdeConfig(dt=bad)
-        with pytest.raises(ValueError):
-            SdeConfig(dt=1e-3, floor_eps=bad)
-    with pytest.raises(ValueError):
-        SdeConfig(dt=1e-3, scheme="milstein")
     with pytest.raises(ValueError):
         SemigroupParams(0.5, 0.1, 0)
