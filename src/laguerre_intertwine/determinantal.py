@@ -30,7 +30,8 @@ clusters its nodes at 0 by the power map of :func:`numerics.power_endpoint_rule`
 which resolves the y^alpha factor of the transition density and of the
 alpha_square weight.  An integral from 0 is a cumulative sum over whole
 panels plus, inside a panel, the integral of the polynomial interpolating
-the panel's node values (:func:`_scaled_moments`).
+the panel's node values (:func:`_scaled_moments`, by the Gauss-Jacobi rule
+of :func:`numerics.gauss_jacobi`).
 
 The mesh appliers :func:`kernels.apply_kernel_to_anchors` and
 :func:`process.semigroup_apply_rows` compute the same quantities for any
@@ -46,7 +47,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
-from scipy.special import roots_jacobi
 
 from . import diffusion
 from .kernels import (
@@ -57,7 +57,13 @@ from .kernels import (
     is_strict_interior,
     vandermonde,
 )
-from .numerics import pochhammer, power_endpoint_rule, power_stretch, unit_gauss_legendre
+from .numerics import (
+    gauss_jacobi,
+    pochhammer,
+    power_endpoint_rule,
+    power_stretch,
+    unit_gauss_legendre,
+)
 from .process import SemigroupParams, lambda_eigen
 
 # Gauss-Legendre nodes per panel, and the widest panel above the first.
@@ -169,7 +175,7 @@ def _scaled_moments(order: int, q: float) -> np.ndarray:
     # matrix at Gauss nodes is inverted by the discrete orthogonality
     vander = legvander(x, order - 1)
     coef = (np.arange(order) + 0.5)[:, None] * vander.T * w[None, :]
-    xr, wr = roots_jacobi(order, 0.0, q - 1.0)
+    xr, wr = gauss_jacobi(order, q - 1.0)
     r = 0.5 * (xr + 1.0)
     basis = legvander(2.0 * v[:, None] * r[None, :] - 1.0, order - 1) @ coef
     return np.einsum("r,jrl->jl", wr / 2.0**q, basis)

@@ -18,10 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import lgamma
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, ive
+
+from .numerics import ive, sample_noncentral_chisq
 
 
 class BoundaryKind(str, Enum):
@@ -83,7 +85,7 @@ def _log_density_entrance(alpha: float, t: float, y):
     """
     y = np.asarray(y, dtype=float)
     w = -np.expm1(-t)
-    return alpha * np.log(y) - y / w - (alpha + 1.0) * np.log(w) - gammaln(alpha + 1.0)
+    return alpha * np.log(y) - y / w - (alpha + 1.0) * np.log(w) - lgamma(alpha + 1.0)
 
 
 def transition_density(alpha: float, t: float, x, y):
@@ -132,8 +134,6 @@ def transition_sample(
     Uses the representation Y = c * noncentral-chisq(2(alpha+1), x e^-t / c)
     with c = (1 - e^-t)/2, which reproduces the transition density exactly.
     """
-    from .numerics import sample_noncentral_chisq
-
     if not alpha > -1:
         raise ValueError("transition_sample requires alpha > -1")
     if not t > 0:
@@ -191,11 +191,13 @@ def transition_mean(alpha: float, t: float, x: float) -> float:
 
 
 def transition_variance(alpha: float, t: float, x: float) -> float:
-    """Var[Y | X_0 = x] from the noncentral chi-square representation."""
+    """Var[Y | X_0 = x] from the noncentral chi-square representation.
+
+    Y = c chi^2(2(alpha+1), lam) with c = w/2, w = 1 - e^-t and c lam = x e^-t,
+    so Var Y = 2 c^2 (2(alpha+1) + 2 lam) = w^2 (alpha+1) + 2 w x e^-t (0 at t = 0).
+    """
     w = -np.expm1(-t)
-    c = 0.5 * w
-    lam = x * np.exp(-t) / c
-    return c * c * 2.0 * (2.0 * (alpha + 1.0) + 2.0 * lam)
+    return w * w * (alpha + 1.0) + 2.0 * w * x * np.exp(-t)
 
 
 def speed_measure_dual(alpha: float, x):

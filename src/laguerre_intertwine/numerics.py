@@ -1,19 +1,22 @@
 """Shared numerical primitives.
 
-The rising factorial, composite Gauss-Legendre quadrature, the test
-function values the quadrature appliers share, and seeded random streams
-used by every other module.  All samplers draw from an explicit
+The rising factorial, the exponentially scaled Bessel function ``ive``,
+composite Gauss-Legendre and Gauss-Jacobi quadrature, the test function
+values the quadrature appliers share, and seeded random streams used by
+every other module.  All samplers draw from an explicit
 :class:`RngStream`, so experiments are reproducible and parallel workers can
 own statistically independent streams.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import Polynomial
 from numpy.polynomial.legendre import leggauss
 
 
@@ -145,6 +148,172 @@ def pochhammer(x: float, n: int) -> float:
     for k in range(int(n)):
         out *= x + k
     return out
+
+
+_EPS = 2.0**-53
+# From this |nu| on, ive uses Debye's uniform expansion with this many terms;
+# below it the power series (z under max(17, 2 nu^2)) and Hankel's large-z
+# series.  Measured against scipy's ive on z in [1e-10, 1e5]: the two series
+# within 8e-14 below nu = 12 (away from the zero of I_nu at nu in (-2, -1)),
+# the expansion within 1.2e-13 from nu = 12 to 20 and 3e-13 up to nu = 100.
+_DEBYE_NU = 12.0
+_DEBYE_TERMS = 14
+_SERIES_MAX_TERMS = 1000  # the power series needs at most about 220 below nu = 12
+
+
+def ive(nu: float, z):
+    """Exponentially scaled modified Bessel function I_nu(z) e^-z, for real nu and z >= 0.
+
+    Vectorised over z; each value depends on its own z only, so a point gets
+    the same bits in any batch.  I_-n = I_n for an integer n.  Where I_nu
+    blows up at z = 0 (nu < 0 not an integer) the result is inf with the
+    sign of 1/Gamma(nu + 1), as it is wherever I_nu e^-z overflows.
+    """
+    nu = float(nu)
+    z = np.asarray(z, dtype=float)
+    if not math.isfinite(nu):
+        raise ValueError(f"nu must be finite, got {nu}")
+    if np.any(z < 0):
+        raise ValueError("z must be >= 0")
+    if nu < 0 and nu.is_integer():
+        nu = -nu
+    out = np.full(z.shape, np.nan)
+    if abs(nu) >= _DEBYE_NU:
+        done = ~np.isnan(z)
+        out[done] = _ive_debye(nu, z[done])
+    else:
+        cut, series, hankel = _ive_coefficients(nu)
+        low, high = z < cut, z >= cut
+        if np.any(low):
+            out[low] = _ive_series(nu, z[low], cut, series)
+        if np.any(high):
+            out[high] = _ive_hankel(z[high], cut, hankel)
+    return float(out) if out.ndim == 0 else out
+
+
+@lru_cache(maxsize=256)
+def _ive_coefficients(nu: float) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
+    """The cut between the two series for |nu| < _DEBYE_NU, and the coefficients of each.
+
+    Power series: the terms (cut/2)^2k / (k! (nu+1)_k) at z = cut, kept
+    until one is below eps/4 of their sum; the tail at any smaller z is
+    smaller.  Hankel's series: (-1)^k a_k(nu) cut^-k, cut after the first
+    term below eps/4, or before the first term that grows (the series is
+    asymptotic); at any larger z the terms are smaller.
+    """
+    cut = max(17.0, 2.0 * nu * nu)
+    series, total = [1.0], 1.0
+    for k in range(1, _SERIES_MAX_TERMS):
+        series.append(series[-1] * 0.25 * cut * cut / (k * (k + nu)))
+        total += abs(series[-1])
+        if abs(series[-1]) <= 0.25 * _EPS * total:
+            break
+    hankel, mu = [1.0], 4.0 * nu * nu
+    for k in range(1, _SERIES_MAX_TERMS):
+        term = -hankel[-1] * (mu - (2 * k - 1) ** 2) / (8.0 * k * cut)
+        if abs(term) > abs(hankel[-1]):
+            break
+        hankel.append(term)
+        if term == 0.0 or abs(term) <= 0.25 * _EPS:
+            break
+    return cut, tuple(series), tuple(hankel)
+
+
+def _horner(coef: tuple[float, ...], r: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] r^k."""
+    out = np.full_like(r, coef[-1])
+    for c in coef[-2::-1]:
+        out *= r
+        out += c
+    return out
+
+
+def _ive_series(nu: float, z: np.ndarray, cut: float, coef: tuple[float, ...]) -> np.ndarray:
+    """sum_k (z/2)^(2k+nu) e^-z / (k! Gamma(k+nu+1)), in powers of (z/cut)^2."""
+    out = _horner(coef, (z / cut) ** 2)
+    # the leading factor (z/2)^nu e^-z / Gamma(nu+1); z^nu 2^-nu keeps the
+    # digits of a subnormal z, whose half underflows
+    with np.errstate(divide="ignore", over="ignore"):
+        out *= z**nu
+    out *= math.pow(2.0, -nu) / math.gamma(nu + 1.0)
+    out *= np.exp(-z)
+    return out
+
+
+def _ive_hankel(z: np.ndarray, cut: float, coef: tuple[float, ...]) -> np.ndarray:
+    """Hankel's series e^-z I_nu(z) ~ sum_k (-1)^k a_k(nu) z^-k / sqrt(2 pi z), in powers of cut/z."""
+    return _horner(coef, cut / z) / np.sqrt(2.0 * np.pi * z)
+
+
+@lru_cache(maxsize=None)
+def _debye_polynomials() -> tuple[Polynomial, ...]:
+    """u_0 .. u_K of Debye's expansion: u_{k+1} = p^2 (1-p^2) u_k'/2 + int_0^p (1-5s^2) u_k ds / 8."""
+    u = [Polynomial([1.0])]
+    for _ in range(_DEBYE_TERMS):
+        u.append(0.5 * Polynomial([0, 0, 1, 0, -1]) * u[-1].deriv()
+                 + 0.125 * (Polynomial([1, 0, -5]) * u[-1]).integ())
+    return tuple(u)
+
+
+def _ive_debye(nu: float, z: np.ndarray) -> np.ndarray:
+    """Debye's expansion in 1/|nu| at z = |nu| w, with I_-m = I_m + (2/pi) sin(m pi) K_m."""
+    m = abs(nu)
+    w = z / m
+    r = np.hypot(1.0, w)
+    with np.errstate(divide="ignore"):
+        eta = -np.arcsinh(1.0 / w)  # log(w / (1 + r)), -inf at z = 0 and 0 at z = inf
+    u = [p(1.0 / r) for p in _debye_polynomials()]
+    plus, minus = np.zeros_like(z), np.zeros_like(z)
+    for k in range(len(u) - 1, -1, -1):
+        plus = plus / m + u[k]
+        minus = minus / m + (-1) ** k * u[k]
+    with np.errstate(over="ignore"):
+        out = np.exp(m * (1.0 / (r + w) + eta)) / np.sqrt(2.0 * np.pi * m * r) * plus
+        if nu < 0:
+            sin = math.sin(math.pi * math.fmod(m, 2.0))
+            k_scaled = np.exp(-m * (r + w + eta)) * np.sqrt(np.pi / (2.0 * m * r)) * minus
+            out = out + (2.0 / np.pi) * sin * k_scaled
+    return out
+
+
+def gauss_jacobi(n: int, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi nodes and weights on (-1, 1) for the weight (1 + x)^b, b > -1.
+
+    Golub-Welsch nodes, refined by two Newton steps on the three-term
+    recurrence of the orthonormal polynomials p_k.  The weights are the
+    Christoffel numbers 1 / sum_{k<n} p_k(x)^2: as b -> -1 the first node
+    nears -1, where 1 / ((1 - x^2) P_n'(x)^2) loses the digits that the node
+    cannot carry: 6e-11 of the moments at b = -0.999 and n = 20, against 2e-14.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not b > -1:
+        raise ValueError(f"b must be > -1, got {b}")
+    # recurrence coefficients of P^(0, b): diagonal a_0 .. a_{n-1}, off-diagonal
+    # sqrt(beta_1) .. sqrt(beta_n), with s = 2k + b for k = 1 .. n
+    k = np.arange(1, n + 1, dtype=float)
+    s = 2.0 * k + b
+    diag = np.concatenate([[b / (b + 2.0)], b * b / (s[:-1] * (s[:-1] + 2.0))])
+    off = np.sqrt(4.0 * k * k * (k + b) ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
+    mass = 2.0 ** (b + 1.0) / (b + 1.0)
+    for _ in range(2):
+        p, dp, _christoffel = _orthonormal_recurrence(diag, off, mass, x)
+        x = x - p / dp
+    return x, 1.0 / _orthonormal_recurrence(diag, off, mass, x)[2]
+
+
+def _orthonormal_recurrence(diag, off, mass, x):
+    """p_n(x), p_n'(x) and sum_{k<n} p_k(x)^2 for the Jacobi matrix (diag, off), n = len(off)."""
+    prev, p = np.zeros_like(x), np.full_like(x, 1.0 / math.sqrt(mass))
+    dprev, dp = np.zeros_like(x), np.zeros_like(x)
+    christoffel = np.zeros_like(x)
+    for k in range(len(off)):
+        christoffel += p * p
+        lower = off[k - 1] if k else 0.0
+        prev, p, dprev, dp = (p, ((x - diag[k]) * p - lower * prev) / off[k],
+                              dp, (p + (x - diag[k]) * dp - lower * dprev) / off[k])
+    return p, dp, christoffel
 
 
 def pointwise_values(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray) -> np.ndarray:

@@ -11,8 +11,9 @@ draws; linear algebra is batched through numpy's stacked qr/eigh.
 
 from __future__ import annotations
 
+from math import lgamma
+
 import numpy as np
-from scipy.special import gammaln
 
 from .kernels import vandermonde
 from .numerics import RngStream
@@ -113,15 +114,16 @@ def sample_laguerre_ensemble(
 
 
 def laguerre_ensemble_log_norm(n_dim: int, alpha: float) -> float:
-    """log of the unordered normalization: prod_{j=1}^N Gamma(j+1) Gamma(alpha+j)."""
-    j = np.arange(1, n_dim + 1, dtype=float)
-    return float(np.sum(gammaln(j + 1.0) + gammaln(alpha + j)))
+    """log of the unordered normalization: prod_{j=1}^N Gamma(j+1) Gamma(alpha+j); alpha > -1."""
+    if not alpha > -1:
+        raise ValueError(f"the Laguerre ensemble requires alpha > -1, got {alpha}")
+    return sum((lgamma(j + 1.0) + lgamma(alpha + j) for j in range(1, n_dim + 1)), 0.0)
 
 
 def laguerre_ensemble_density(n_dim: int, alpha: float, x: np.ndarray):
     """Ensemble density on the ordered chamber (integrates to 1 there)."""
     x = np.asarray(x, dtype=float)
-    log_norm = laguerre_ensemble_log_norm(n_dim, alpha) - gammaln(n_dim + 1.0)
+    log_norm = laguerre_ensemble_log_norm(n_dim, alpha) - lgamma(n_dim + 1.0)
     log_w = np.sum(alpha * np.log(x) - x, axis=-1)
     out = vandermonde(x) ** 2 * np.exp(log_w - log_norm)
     return float(out) if np.ndim(out) == 0 else out

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from laguerre_intertwine.diffusion import (
     BoundaryKind,
+    _log_density_entrance,
     DiffusionParams,
     backward_generator_residual,
     boundary_kind,
@@ -18,6 +20,7 @@ from laguerre_intertwine.diffusion import (
     transition_variance,
 )
 from laguerre_intertwine.numerics import RngStream, power_endpoint_rule
+from laguerre_intertwine.process import semigroup_ymax
 from laguerre_intertwine.stats import EmpiricalSample, grid_cdf, ks_one_sample, ks_two_sample, moment_compare
 
 
@@ -54,8 +57,6 @@ def test_chapman_kolmogorov():
 
 
 def test_stationarity_of_gamma_weight():
-    from scipy.special import gammaln
-
     alpha, t = 1.5, 0.8
     rule = power_endpoint_rule(60.0, alpha, 40, 20)
     weight = np.exp(alpha * np.log(rule.nodes) - rule.nodes - gammaln(alpha + 1.0))
@@ -198,3 +199,26 @@ def test_boundary_kind_classification():
     assert boundary_kind(-2.0) is BoundaryKind.EXIT
     with pytest.raises(ValueError):
         DiffusionParams(0.5, -1.0)
+
+
+def test_entrance_log_density_matches_scipy_gammaln():
+    y = np.geomspace(1e-3, 50.0, 30)
+    for alpha in (-0.9, -0.5, 0.0, 1.5, 7.0):
+        for t in (0.1, 1.0, 5.0):
+            w = -np.expm1(-t)
+            want = alpha * np.log(y) - y / w - (alpha + 1.0) * np.log(w) - gammaln(alpha + 1.0)
+            assert np.allclose(_log_density_entrance(alpha, t, y), want, rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.filterwarnings("error")
+def test_transition_variance_at_t_zero():
+    # the variance at t = 0 is 0, with no 0 * inf on the way
+    assert transition_variance(0.5, 0.0, 2.0) == 0.0
+    assert transition_variance(-0.5, 0.0, 0.0) == 0.0
+    assert math.isfinite(semigroup_ymax(0.5, 0.0, 2.0, 2))
+    # and at t > 0 it is the noncentral chi-square variance 2 c^2 (k + 2 lam)
+    for alpha, t, x in [(0.5, 0.3, 2.0), (-0.5, 1e-8, 1.0), (3.0, 5.0, 0.0)]:
+        c = -0.5 * math.expm1(-t)
+        lam = x * math.exp(-t) / c
+        assert transition_variance(alpha, t, x) == pytest.approx(
+            2.0 * c * c * (2.0 * (alpha + 1.0) + 2.0 * lam), rel=1e-14)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaln
 
 from laguerre_intertwine.kernels import sample_corner_rejection
 from laguerre_intertwine.numerics import RngStream, power_endpoint_rule
@@ -147,6 +147,17 @@ def test_laguerre_normalization_constant():
     val = float(((x - y) ** 2 * (x * y) ** alpha * np.exp(-x - y) * w).sum())
     target = math.exp(laguerre_ensemble_log_norm(2, alpha))
     assert val == pytest.approx(target, rel=1e-6)
+
+
+def test_laguerre_log_norm_matches_scipy_gammaln():
+    for n in (1, 2, 5, 10):
+        for alpha in (-0.9, -0.5, 0.0, 1.5, 7.0):
+            j = np.arange(1, n + 1, dtype=float)
+            want = float(np.sum(gammaln(j + 1.0) + gammaln(alpha + j)))
+            assert laguerre_ensemble_log_norm(n, alpha) == pytest.approx(want, rel=1e-14, abs=1e-14)
+    for alpha in (-1.0, -1.5, math.nan):
+        with pytest.raises(ValueError, match="alpha > -1"):
+            laguerre_ensemble_log_norm(2, alpha)
 
 
 def test_laguerre_ensemble_density_normalized():
