@@ -5,17 +5,12 @@ from .numerics import (
     QuadratureRule,
     RngStream,
     gauss_legendre_rule,
-    integrate_composite,
     pochhammer,
-    sample_gamma,
     sample_noncentral_chisq,
-    sample_poisson,
 )
 from .diffusion import (
     BoundaryKind,
-    DiffusionParams,
     backward_generator_residual,
-    boundary_kind,
     dual_transition_density,
     dual_transition_density_exit,
     htransform_residual_32a,
@@ -28,7 +23,6 @@ from .diffusion import (
 )
 from .kernels import (
     DegenerateAnchorError,
-    InterlacingWindow,
     KernelSpec,
     RejectionLimitError,
     UnsupportedDimensionError,
@@ -45,7 +39,6 @@ from .kernels import (
     sample_alpha_corner,
     sample_alpha_corner_rows,
     sample_alpha_square,
-    sample_corner,
     sample_corner_many,
     sample_corner_rejection,
     vandermonde,

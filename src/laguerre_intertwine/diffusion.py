@@ -16,7 +16,7 @@ density is then sub-Markov).  The dual family uses the generator
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from enum import Enum
 from math import lgamma
 from typing import Callable
@@ -32,26 +32,25 @@ class BoundaryKind(str, Enum):
     DUAL = "dual"
 
 
-def boundary_kind(alpha: float) -> BoundaryKind:
-    """Boundary regime of the primary family at the origin."""
-    if alpha > -1:
-        return BoundaryKind.ENTRANCE_OR_REFLECTING
-    return BoundaryKind.EXIT
+def _checked(alpha: float, t: float | None, x, y=None, zero_x: bool = False):
+    """(x, y) as float arrays (y None when not given), after the shared argument checks.
 
-
-@dataclass(frozen=True)
-class DiffusionParams:
-    """Parameter pair (alpha, t) for transition densities and semigroups.
-
-    Sampling operations additionally require alpha > -1.
+    alpha must be finite; t, unless None, finite and > 0; x finite and > 0,
+    or >= 0 where ``zero_x``; y, unless None, finite and > 0.  Anything
+    else, NaN included, raises ``ValueError``.
     """
-
-    alpha: float
-    t: float
-
-    def __post_init__(self) -> None:
-        if self.t < 0:
-            raise ValueError(f"t must be >= 0, got {self.t}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    if t is not None and not 0 < t < math.inf:
+        raise ValueError(f"t must be finite and positive, got {t}")
+    x = np.asarray(x, dtype=float)
+    if not np.all(((x >= 0) if zero_x else (x > 0)) & (x < np.inf)):
+        raise ValueError(f"x must be finite and {'>=' if zero_x else '>'} 0")
+    if y is not None:
+        y = np.asarray(y, dtype=float)
+        if not np.all((y > 0) & (y < np.inf)):
+            raise ValueError("y must be finite and > 0")
+    return x, y
 
 
 def log_density_indexed(power: float, nu: float, t: float, x, y):
@@ -96,24 +95,15 @@ def transition_density(alpha: float, t: float, x, y):
     alpha : real parameter; alpha > -1 selects the conservative family with
         Bessel index alpha, alpha <= -1 the exit-boundary family with index
         -alpha (sub-Markov).
-    t : time, must be positive.
-    x : starting point(s), >= 0.  x = 0 is allowed only for alpha > -1 and
-        uses the analytic Gamma-density limit.
-    y : target point(s), > 0.
+    t : time, finite and positive.
+    x : starting point(s), finite and >= 0.  x = 0 is allowed only for
+        alpha > -1 (the exit family cannot start there) and uses the
+        analytic Gamma-density limit.
+    y : target point(s), finite and > 0.
 
     Broadcasts over ``x`` and ``y``.
     """
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("x must be >= 0")
-    if np.any(y <= 0):
-        raise ValueError("y must be > 0")
-    if alpha <= -1 and np.any(x == 0):
-        raise ValueError("x = 0 is not in the state space of the exit family")
-
+    x, y = _checked(alpha, t, x, y, zero_x=alpha > -1)
     nu = alpha if alpha > -1 else -alpha
     x_b, y_b = np.broadcast_arrays(x, y)
     out = np.empty(x_b.shape, dtype=float)
@@ -136,10 +126,7 @@ def transition_sample(
     """
     if not alpha > -1:
         raise ValueError("transition_sample requires alpha > -1")
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
+    _checked(alpha, t, x, zero_x=True)
     c = 0.5 * -np.expm1(-t)
     lam = x * np.exp(-t) / c
     return c * sample_noncentral_chisq(2.0 * (alpha + 1.0), lam, rng, size=size)
@@ -154,12 +141,7 @@ def transition_density_absorbed(alpha: float, t: float, x, y):
     branch the h-transform and dual-kernel identities route through.
     Requires x > 0.
     """
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise ValueError("absorbed family requires x > 0 and y > 0")
+    x, y = _checked(alpha, t, x, y)
     out = np.exp(log_density_indexed(alpha, -alpha, t, x, y))
     return float(out) if out.ndim == 0 else out
 
@@ -172,12 +154,7 @@ def dual_transition_density_exit(alpha: float, t: float, x, y):
     dual-kernel exchange identities hold pointwise (used by the N = 1
     verification for parameters alpha < 0).
     """
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise ValueError("requires x > 0 and y > 0")
+    x, y = _checked(alpha, t, x, y)
     ap = alpha + 1.0
     log_p = log_density_indexed(ap, -ap, t, x, y)
     out = np.exp(-t + log_p + (y - x) - ap * (np.log(y) - np.log(x)))
@@ -202,9 +179,7 @@ def transition_variance(alpha: float, t: float, x: float) -> float:
 
 def speed_measure_dual(alpha: float, x):
     """Speed-measure density e^x x^(-alpha-1) of the dual generator."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("speed_measure_dual requires x > 0")
+    x, _ = _checked(alpha, None, x)
     out = np.exp(x) * x ** (-alpha - 1.0)
     return float(out) if out.ndim == 0 else out
 
@@ -217,12 +192,7 @@ def dual_transition_density(alpha: float, t: float, x, y):
     with m_hat the dual speed measure; it solves the backward equation for
     ``x f'' + (x - alpha) f'`` (checked by finite differences in the tests).
     """
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise ValueError("dual_transition_density requires x > 0 and y > 0")
+    x, y = _checked(alpha, t, x, y)
     ap = alpha + 1.0
     nu = ap if ap > -1 else -ap
     log_p = log_density_indexed(ap, nu, t, x, y)

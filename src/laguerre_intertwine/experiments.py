@@ -135,9 +135,9 @@ def _linear_statistics(sample: np.ndarray) -> dict[str, np.ndarray]:
     return out
 
 
-def _two_sample_family(detail: str, a: np.ndarray, b: np.ndarray, level: float = 0.01) -> Check:
-    """Per-marginal KS plus linear statistics, Bonferroni at family level."""
-    fam = BonferroniFamily(family_level=level)
+def _two_sample_family(detail: str, a: np.ndarray, b: np.ndarray) -> Check:
+    """Per-marginal KS plus linear statistics, Bonferroni at family level 0.01."""
+    fam = BonferroniFamily()
     sa, sb = _linear_statistics(a), _linear_statistics(b)
     for name in sa:
         pair = EmpiricalSample(sa[name], name), EmpiricalSample(sb[name], name)

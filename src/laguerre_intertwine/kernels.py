@@ -2,10 +2,10 @@
 
 A chamber point is a plain 1-D numpy array with non-decreasing coordinates
 (non-negative for the kernels carrying a parameter alpha).  The module
-provides the Vandermonde determinant, membership tests for the two
-interlacing windows, density evaluators and exact samplers for the five
-kernels used throughout the package, and a nested-quadrature applier that
-computes (kernel f)(x) for test functions f.
+provides the Vandermonde determinant, chamber predicates, density
+evaluators and exact samplers for the five kernels used throughout the
+package, and a nested-quadrature applier that computes (kernel f)(x) for
+test functions f.
 
 Kernels:
 
@@ -105,22 +105,6 @@ def is_strict_interior(x, nonneg: bool = False) -> bool:
     return not (nonneg and x[0] <= 0)
 
 
-@dataclass(frozen=True)
-class InterlacingWindow:
-    """Membership test for the outer (corner) or inner (square) interlacing window."""
-
-    kind: str  # "outer" | "inner"
-    anchor: np.ndarray
-
-    def contains(self, y) -> np.ndarray | bool:
-        kind = {"outer": "corner", "inner": "alpha_square"}.get(self.kind)
-        if kind is None:
-            raise ValueError(f"unknown window kind {self.kind!r}")
-        a, y = np.asarray(self.anchor, dtype=float), np.asarray(y, dtype=float)
-        ok = _in_window(KERNELS[kind].breaks, a, y)
-        return bool(ok) if ok.ndim == 0 else ok
-
-
 def _window_points(breaks: tuple[int, ...], anchors: np.ndarray) -> list[np.ndarray]:
     """Per break b, the (..., N) array whose coordinate k is anchor point k + b.
 
@@ -145,7 +129,9 @@ def _in_window(breaks: tuple[int, ...], anchors: np.ndarray, y: np.ndarray) -> n
 # too.  The quadrature passes one node-weight array per coordinate, and a
 # coordinate's factor is multiplied by its own weight before the product:
 # at a head of 1e-300 the factor alone may exceed the float range where
-# factor times weight does not.  Pointwise evaluation passes w = None.
+# factor times weight does not.  Pointwise evaluation passes w = None.  For
+# the rows flagged ``power_in_weights`` the weights carry the density's power
+# of y, which the density then leaves out.
 
 def _weighted_product(factors: np.ndarray, w) -> np.ndarray:
     """prod_k factors[..., k] * w[k], or prod_k factors[..., k] when w is None."""
@@ -232,8 +218,11 @@ def _alpha_corner_density(alpha, x, y, w):
 
 
 def _hat_density(alpha, x, y, w):
-    """prod_k e^(y_k) y_k^(-alpha-1), the dual speed measure."""
-    return _weighted_product(np.exp(y) * y ** (-alpha - 1.0), w)
+    """prod_k e^(y_k) y_k^(-alpha-1), the dual speed measure; with weights,
+    which carry y_k^(-alpha-1), prod_k e^(y_k) w_k."""
+    if w is None:
+        return np.prod(np.exp(y) * y ** (-alpha - 1.0), axis=-1)
+    return _weighted_product(np.exp(y), w)
 
 
 @dataclass(frozen=True)
@@ -253,6 +242,7 @@ class KernelRow:
     positive_head: bool  # defined only at anchors whose head coordinate is > 0
     weight_power: tuple[float, float] | None  # (c, e): the density carries y^(c alpha + e) at y = 0
     log_segment: bool  # at alpha = 0 a segment factor is log(b / y), log-singular at y = 0
+    power_in_weights: bool  # the quadrature folds y^(c alpha + e) into its weights
 
     @property
     def dim_drop(self) -> int:
@@ -291,12 +281,13 @@ class KernelRow:
 
 
 KERNELS: dict[str, KernelRow] = {
-    # kind: KernelRow(density, breaks, alpha_above, positive_head, weight_power, log_segment)
-    "corner": KernelRow(_corner_density, (0, 1), None, False, None, False),
-    "alpha_square": KernelRow(_alpha_square_density, (-1, 0), -1.0, True, (1.0, 0.0), False),
-    "alpha_corner": KernelRow(_alpha_corner_density, (-1, 0, 1), -1.0, True, (1.0, 0.0), True),
-    "hat_corner": KernelRow(_hat_density, (0, 1), -np.inf, False, (-1.0, -1.0), False),
-    "hat_square": KernelRow(_hat_density, (-1, 0), -np.inf, True, (-1.0, -1.0), False),
+    # kind: KernelRow(density, breaks, alpha_above, positive_head, weight_power, log_segment,
+    #                 power_in_weights)
+    "corner": KernelRow(_corner_density, (0, 1), None, False, None, False, False),
+    "alpha_square": KernelRow(_alpha_square_density, (-1, 0), -1.0, True, (1.0, 0.0), False, False),
+    "alpha_corner": KernelRow(_alpha_corner_density, (-1, 0, 1), -1.0, True, (1.0, 0.0), True, False),
+    "hat_corner": KernelRow(_hat_density, (0, 1), -np.inf, False, (-1.0, -1.0), False, True),
+    "hat_square": KernelRow(_hat_density, (-1, 0), -np.inf, True, (-1.0, -1.0), False, True),
 }
 
 
@@ -433,11 +424,6 @@ def sample_corner_many(x, rng: RngStream, n: int) -> np.ndarray:
     if not is_chamber_point(x) or len(x) < 2:
         raise ValueError("anchor must be a chamber point with >= 2 coordinates")
     return _corner_roots(np.tile(x, (n, 1)), rng)
-
-
-def sample_corner(x, rng: RngStream) -> np.ndarray:
-    """One draw of the corner kernel (see :func:`sample_corner_many`)."""
-    return sample_corner_many(x, rng, 1)[0]
 
 
 def sample_corner_rejection(x, rng: RngStream, size: int | None = None) -> np.ndarray:
@@ -596,8 +582,7 @@ def sample_alpha_square(alpha: float, z, rng: RngStream, size: int | None = None
     zero head coordinate need no special case: a zero-width window pins its
     coordinate, and the other roots follow the continuous extension.
     """
-    if not alpha > -1:
-        raise ValueError("requires alpha > -1")
+    KernelSpec("alpha_square", alpha)  # a finite alpha > -1
     z = np.asarray(z, dtype=float)
     if not is_chamber_point(z, nonneg=True):
         raise ValueError(f"anchor must be a non-negative chamber point, got {z}")
@@ -615,8 +600,7 @@ def sample_alpha_corner_rows(alpha: float, x_rows: np.ndarray, rng: RngStream) -
     Vandermonde(z) on the outer window) followed by an alpha_square draw at
     z.
     """
-    if not alpha > -1:
-        raise ValueError("requires alpha > -1")
+    KernelSpec("alpha_corner", alpha)  # a finite alpha > -1
     x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
     if x_rows.ndim != 2 or x_rows.shape[1] < 2:
         raise ValueError("anchor rows need at least 2 coordinates")
@@ -649,7 +633,7 @@ def apply_kernel_to_anchors(
     spec: KernelSpec,
     anchors: np.ndarray,
     f: Callable[[np.ndarray], np.ndarray],
-    panels: int | tuple[int, ...] = 2,
+    panels: int = 2,
     order: int = 20,
 ) -> np.ndarray:
     """(kernel f)(anchor) for a batch of anchors, by nested quadrature: an (m,) array.
@@ -663,11 +647,10 @@ def apply_kernel_to_anchors(
     returned, for anchors that are not chamber points of the kernel, for a
     divergent integral (a hat kernel whose power of y at 0 is <= -1 over a
     window starting at 0), and where the density leaves the float range (a
-    subnormal anchor coordinate, a window of subnormal width).
-    ``panels`` may be a per-coordinate tuple.  Quadrature panels are
-    anchored at the window segment endpoints so the integrand is smooth on
-    every panel.  Anchors are processed in chunks of about ``_MESH_CHUNK``
-    mesh points.
+    subnormal anchor coordinate, a window of subnormal width).  Quadrature
+    panels are anchored at the window segment endpoints so the integrand is
+    smooth on every panel.  Anchors are processed in chunks of about
+    ``_MESH_CHUNK`` mesh points.
     """
     row = spec.row
     anchors, valid = _checked_anchors(spec, np.atleast_2d(anchors))
@@ -675,7 +658,6 @@ def apply_kernel_to_anchors(
     n = d - row.dim_drop
     if n > 3:
         raise UnsupportedDimensionError("kernel quadrature is guarded to N <= 3")
-    per_coord_panels = panels if isinstance(panels, (tuple, list)) else (panels,) * n
     out = np.zeros(anchors.shape[0])
     if not np.any(valid):
         return out
@@ -693,7 +675,11 @@ def apply_kernel_to_anchors(
     # y = top * v^stretch with panel edges at the v-images of the window
     # breakpoints.  This resolves the weight even when a window's lower
     # edge sits arbitrarily close to 0 (anchors from quadrature meshes do).
+    # Where the weights carry the power y^p, it is taken in v,
+    # y^p dy = top^(p+1) m v^(m(p+1)-1) dv, which stays finite where the
+    # node top v^m underflows to 0 (p just above -1 gives m in the hundreds).
     stretch = row.node_stretch(spec.alpha)
+    power = row.weight_power[0] * spec.alpha + row.weight_power[1] if row.power_in_weights else 0.0
     points = _window_points(row.breaks, rows)
     with np.errstate(over="ignore"):
         seg = np.concatenate([hi - lo for lo, hi in zip(points[:-1], points[1:])], axis=-1)
@@ -701,8 +687,8 @@ def apply_kernel_to_anchors(
         raise ValueError(f"{spec.kind} quadrature weights leave the float range: a window "
                          "segment of subnormal or infinite width")
     nodes, weights = [], []
+    u_plain, w_plain = unit_gauss_legendre(panels, order)
     for i in range(n):
-        u_plain, w_plain = unit_gauss_legendre(per_coord_panels[i], order)
         edges = [p[:, i, None] for p in points]
         node_parts, weight_parts = [], []
         if stretch > 1.0:
@@ -711,13 +697,12 @@ def apply_kernel_to_anchors(
             for va, vb in zip(v_edges[:-1], v_edges[1:]):
                 v = va + (vb - va) * u_plain[None, :]
                 node_parts.append(top * v**stretch)
-                weight_parts.append(
-                    top * stretch * v ** (stretch - 1.0) * (vb - va) * w_plain[None, :]
-                )
+                weight_parts.append(top ** (power + 1.0) * stretch * v ** (stretch * (power + 1.0) - 1.0)
+                                    * (vb - va) * w_plain[None, :])
         else:
             for lo, hi in zip(edges[:-1], edges[1:]):
                 node_parts.append(lo + (hi - lo) * u_plain[None, :])
-                weight_parts.append((hi - lo) * w_plain[None, :])
+                weight_parts.append((hi - lo) * w_plain[None, :] * node_parts[-1] ** power)
         nodes.append(np.concatenate(node_parts, axis=1))
         weights.append(np.concatenate(weight_parts, axis=1))
 
@@ -756,7 +741,7 @@ def apply_kernel_quadrature(
     spec: KernelSpec,
     x,
     f: Callable[[np.ndarray], np.ndarray],
-    panels: int | tuple[int, ...] = 2,
+    panels: int = 2,
     order: int = 20,
 ) -> float:
     """(kernel f)(x) by nested composite Gauss-Legendre quadrature, N <= 3.

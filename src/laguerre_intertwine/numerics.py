@@ -45,12 +45,10 @@ class RngStream:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Composite Gauss-Legendre nodes/weights on an interval ``[a, b]``."""
+    """Composite Gauss-Legendre nodes/weights on an interval."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    a: float
-    b: float
 
 
 @lru_cache(maxsize=None)
@@ -85,7 +83,7 @@ def gauss_legendre_rule(a: float, b: float, panels: int, order: int) -> Quadratu
     if not b > a:
         raise ValueError(f"need a < b, got a={a}, b={b}")
     u, w = unit_gauss_legendre(panels, order)
-    return QuadratureRule(nodes=a + (b - a) * u, weights=(b - a) * w, a=a, b=b)
+    return QuadratureRule(nodes=a + (b - a) * u, weights=(b - a) * w)
 
 
 def power_stretch(exponent: float) -> float:
@@ -125,19 +123,7 @@ def power_endpoint_rule(
     if not b > 0:
         raise ValueError(f"need b > 0, got {b}")
     u, w = unit_power_nodes(exponent, panels, order)
-    return QuadratureRule(nodes=b * u, weights=b * w, a=0.0, b=b)
-
-
-def integrate_composite(
-    f: Callable[[np.ndarray], np.ndarray], a: float, b: float, panels: int, order: int
-) -> float:
-    """Integrate ``f`` over ``[a, b]`` with a composite Gauss-Legendre rule.
-
-    ``f`` must accept a vector of nodes and return values elementwise.  For
-    smooth integrands the error decays at the rule's order.
-    """
-    rule = gauss_legendre_rule(a, b, panels, order)
-    return float(np.dot(rule.weights, np.asarray(f(rule.nodes), dtype=float)))
+    return QuadratureRule(nodes=b * u, weights=b * w)
 
 
 def pochhammer(x: float, n: int) -> float:
@@ -327,25 +313,6 @@ def pointwise_values(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray) -> np
     return values
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value}")
-
-
-def sample_gamma(shape: float, scale: float, rng: RngStream, size: int | None = None):
-    """Draw from Gamma(shape, scale) with density y^(shape-1) e^(-y/scale)."""
-    _check_positive("shape", shape)
-    _check_positive("scale", scale)
-    return rng.gen.gamma(shape, scale, size=size)
-
-
-def sample_poisson(mean: float, rng: RngStream, size: int | None = None):
-    """Poisson draw; mean 0 returns 0."""
-    if mean < 0:
-        raise ValueError(f"mean must be >= 0, got {mean}")
-    return rng.gen.poisson(mean, size=size)
-
-
 def sample_noncentral_chisq(
     dof: float, noncentrality: float, rng: RngStream, size: int | None = None
 ):
@@ -354,7 +321,8 @@ def sample_noncentral_chisq(
     Realized as Gamma(dof/2 + K, scale 2) with K ~ Poisson(noncentrality/2),
     which is exact for any real dof > 0.
     """
-    _check_positive("dof", dof)
+    if not dof > 0:
+        raise ValueError(f"dof must be positive, got {dof}")
     if noncentrality < 0:
         raise ValueError(f"noncentrality must be >= 0, got {noncentrality}")
     k = rng.gen.poisson(0.5 * noncentrality, size=size)

@@ -54,10 +54,10 @@ class SemigroupParams:
     def __post_init__(self) -> None:
         if self.n_dim < 1:
             raise ValueError("N must be >= 1")
-        if self.t < 0:
-            raise ValueError("t must be >= 0")
-        if not self.alpha > -1:
-            raise ValueError("alpha must be > -1")
+        if not 0 <= self.t < np.inf:
+            raise ValueError(f"t must be finite and >= 0, got {self.t}")
+        if not -1 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and > -1, got {self.alpha}")
 
 
 @dataclass(frozen=True)

@@ -304,7 +304,7 @@ def test_criterion_11_feller_decay():
     f = TEST_FUNCTIONS["exp_sum"]
     vals = [
         apply_kernel_quadrature(
-            KernelSpec("alpha_square", 0.0), np.array([1.0, 2.0, s]), f, (2, 2, 16), 16
+            KernelSpec("alpha_square", 0.0), np.array([1.0, 2.0, s]), f, 4, 16
         )
         for s in (10.0, 20.0, 40.0, 80.0)
     ]

@@ -202,6 +202,7 @@ def test_floats_are_17_digits(tmp_path):
         ["sample", "--sampler", "corner", "--x", "2,1"],
         ["sde-vs-exact", "--t", "nan", "--n-samples", "50"],
         ["sde-vs-exact", "--dt", "1e-300", "--n-samples", "50"],
+        ["sample", "--sampler", "alpha_corner", "--alpha", "inf", "--x", "1,2,3"],
     ],
 )
 def test_library_domain_error_exits_2(tmp_path, capsys, argv):

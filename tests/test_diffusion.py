@@ -7,9 +7,7 @@ from scipy.special import gammaln
 from laguerre_intertwine.diffusion import (
     BoundaryKind,
     _log_density_entrance,
-    DiffusionParams,
     backward_generator_residual,
-    boundary_kind,
     dual_transition_density,
     htransform_residual_32a,
     speed_measure_dual,
@@ -19,8 +17,9 @@ from laguerre_intertwine.diffusion import (
     transition_sample,
     transition_variance,
 )
+from laguerre_intertwine.kernels import sample_alpha_corner, sample_alpha_corner_rows, sample_alpha_square
 from laguerre_intertwine.numerics import RngStream, power_endpoint_rule
-from laguerre_intertwine.process import semigroup_ymax
+from laguerre_intertwine.process import SemigroupParams, semigroup_ymax
 from laguerre_intertwine.stats import EmpiricalSample, grid_cdf, ks_one_sample, ks_two_sample, moment_compare
 
 
@@ -87,6 +86,25 @@ def test_density_domain_errors():
         transition_density(-1.5, 1.0, 0.0, 1.0)  # exit family cannot start at 0
     with pytest.raises(ValueError):
         transition_density(0.5, 1.0, -1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: transition_density(0.0, 1.0, np.nan, 2.0),  # took the x = 0 entrance branch
+        lambda: transition_sample(np.inf, 1.0, 1.0, RngStream(1)),
+        lambda: sample_alpha_square(np.inf, [1.0, 2.0], RngStream(1)),
+        lambda: sample_alpha_corner(np.inf, [1.0, 2.0, 3.0], RngStream(1)),
+        lambda: sample_alpha_corner_rows(np.inf, np.array([[1.0, 2.0, 3.0]]), RngStream(1)),
+        lambda: SemigroupParams(0.5, np.nan, 2),
+        lambda: speed_measure_dual(np.nan, 1.0),  # returned e
+    ],
+    ids=["transition_density", "transition_sample", "sample_alpha_square", "sample_alpha_corner",
+         "sample_alpha_corner_rows", "SemigroupParams", "speed_measure_dual"],
+)
+def test_non_finite_input_raises(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_sampler_matches_density_three_settings():
@@ -192,13 +210,6 @@ def test_absorbed_family_matches_exit_routing():
     rule = power_endpoint_rule(80.0, -0.5, 40, 20)
     mass = float(np.dot(rule.weights, transition_density_absorbed(-0.5, 0.5, 1.0, rule.nodes)))
     assert mass < 1.0
-
-
-def test_boundary_kind_classification():
-    assert boundary_kind(0.5) is BoundaryKind.ENTRANCE_OR_REFLECTING
-    assert boundary_kind(-2.0) is BoundaryKind.EXIT
-    with pytest.raises(ValueError):
-        DiffusionParams(0.5, -1.0)
 
 
 def test_entrance_log_density_matches_scipy_gammaln():

@@ -13,7 +13,6 @@ from laguerre_intertwine import kernels
 from laguerre_intertwine.experiments import TEST_FUNCTIONS, composed_corner_density
 from laguerre_intertwine.kernels import (
     DegenerateAnchorError,
-    InterlacingWindow,
     KernelSpec,
     RejectionLimitError,
     UnsupportedDimensionError,
@@ -30,7 +29,6 @@ from laguerre_intertwine.kernels import (
     sample_alpha_corner,
     sample_alpha_corner_rows,
     sample_alpha_square,
-    sample_corner,
     sample_corner_many,
     sample_corner_rejection,
     vandermonde,
@@ -83,13 +81,15 @@ def test_samplers_reject_non_finite_anchor(anchor):
 
 
 def test_window_membership():
-    outer = InterlacingWindow("outer", np.array([0.0, 1.0, 2.0]))
-    assert outer.contains(np.array([0.5, 1.5]))
-    assert outer.contains(np.array([0.0, 2.0]))  # boundary contact allowed
-    assert not outer.contains(np.array([0.5, 2.5]))
-    inner = InterlacingWindow("inner", np.array([1.0, 3.0]))
-    assert inner.contains(np.array([0.2, 2.0]))
-    assert not inner.contains(np.array([1.5, 2.0]))
+    # the density is positive on the interlacing window, boundary included, and 0 off it
+    outer = lambda y: kernel_density(KernelSpec("corner"), [0.0, 1.0, 2.0], y)
+    assert outer([0.5, 1.5]) > 0
+    assert outer([0.0, 2.0]) > 0  # boundary contact allowed
+    assert outer([0.5, 2.5]) == 0.0
+    inner = lambda y: kernel_density(KernelSpec("alpha_square", 0.5), [1.0, 3.0], y)
+    assert inner([0.2, 2.0]) > 0
+    assert inner([1.0, 3.0]) > 0  # boundary contact allowed
+    assert inner([1.5, 2.0]) == 0.0
 
 
 def test_density_corner_values():
@@ -223,7 +223,7 @@ def test_feller_decay_along_ray():
                 KernelSpec("alpha_square", 0.0),
                 np.array([1.0, 2.0, s]),
                 F_EXP,
-                (2, 2, 16),
+                4,
                 16,
             )
         )
@@ -263,7 +263,7 @@ def test_sample_corner_uniform_n1():
 
 def test_sample_corner_tied_anchor_is_deterministic():
     rng = RngStream(902, 0)
-    draw = sample_corner(np.array([2.0, 2.0, 2.0]), rng)
+    draw = sample_corner_many(np.array([2.0, 2.0, 2.0]), rng, 1)[0]
     assert np.allclose(draw, 2.0, atol=1e-10)
 
 
@@ -562,7 +562,7 @@ def test_kernel_quadrature_points_are_sorted_with_stretched_nodes():
         return F_EXP(y)
 
     anchors = np.array([[1e-3, 0.5, 0.5 + 1e-6, 3.0], [0.2, 0.3, 4.0, 9.0]])
-    apply_kernel_to_anchors(KernelSpec("alpha_corner", -0.5), anchors, recording, (2, 1, 3), 10)
+    apply_kernel_to_anchors(KernelSpec("alpha_corner", -0.5), anchors, recording, 2, 10)
     rows = np.concatenate(seen)
     assert rows.shape[0] > 0
     assert np.all(np.diff(rows, axis=-1) >= 0)
@@ -631,9 +631,8 @@ def test_apply_kernel_property(kind, alpha, n, raw, m, chunk):
     anchors = np.sort(np.array(raw[: m * d]).reshape(m, d), axis=-1)
     # the rows the quadrature evaluates; over a window from 0 the hat
     # kernels' y^(-alpha-1) is not integrable when -alpha-1 <= -1 in floating
-    # point, and just above -1 its power-map nodes underflow to 0; anchor
-    # coordinates or gaps below 1e-100 (subnormal ones among them) may also
-    # put the density beyond the float range
+    # point; anchor coordinates or gaps below 1e-100 (subnormal ones among
+    # them) may put the density beyond the float range
     evaluated = np.all(np.diff(anchors, axis=-1) > 0, axis=-1)
     if kind in ("alpha_square", "alpha_corner", "hat_square"):
         evaluated &= anchors[:, 0] > 0
@@ -642,7 +641,7 @@ def test_apply_kernel_property(kind, alpha, n, raw, m, chunk):
     divergent = from_zero and hat_power <= -1.0
     tiny = np.any((anchors > 0) & (anchors < 1e-100), axis=-1)
     tiny |= np.any(np.diff(anchors, axis=-1) < 1e-100, axis=-1)
-    out_of_range = np.any(evaluated & tiny) or (from_zero and hat_power < -0.9)
+    out_of_range = np.any(evaluated & tiny)
     try:
         got = apply_kernel_to_anchors(spec, anchors, F_EXP, 1, 6)
     except ValueError as exc:
@@ -801,6 +800,40 @@ def test_divergent_hat_integrals_raise():
     assert got[0] == pytest.approx(exact, rel=1e-10)
     got = apply_kernel_quadrature(KernelSpec("hat_square", -0.5), np.array([1.0]), ONE)
     assert got == pytest.approx(exact, rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [-0.0078, -0.015, -0.05])
+def test_hat_integral_with_a_power_just_above_minus_one(alpha):
+    # the integral of e^y y^(-alpha-1) over [0, 1] is sum_k 1 / (k! (k - alpha)),
+    # about 1 / |alpha|; the power-map nodes of the first segment underflow
+    # to 0 here, which used to raise the float-range error
+    exact = sum(1.0 / (math.factorial(k) * (k - alpha)) for k in range(30))
+    square = apply_kernel_quadrature(KernelSpec("hat_square", alpha), np.array([1.0]), ONE, 4, 40)
+    corner = apply_kernel_quadrature(KernelSpec("hat_corner", alpha), np.array([0.0, 1.0]), ONE, 4, 40)
+    assert square == pytest.approx(exact, rel=1e-8)
+    assert corner == pytest.approx(exact, rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "alpha, panels, order, unit, square, corner",
+    [
+        (-0.2, 2, 20, 6.124467518176543, 6.143273490387936, 0.7952432928485709),
+        (-0.2, 4, 40, 6.124467518176563, 6.143273490387939, 0.7952432928485709),
+        (-0.5, 2, 20, 2.9253034918143586, 2.9282032302755088, 0.8576508694553433),
+        (-0.5, 4, 40, 2.925303491814365, 2.9282032302755097, 0.8576508694553433),
+    ],
+    ids=["-0.2-2x20", "-0.2-4x40", "-0.5-2x20", "-0.5-4x40"],
+)
+def test_hat_integrals_keep_their_values(alpha, panels, order, unit, square, corner):
+    # values of the hat quadrature before its weights carried the power of y
+    hat_square, hat_corner = KernelSpec("hat_square", alpha), KernelSpec("hat_corner", alpha)
+    got = [
+        apply_kernel_quadrature(hat_square, np.array([1.0]), ONE, panels, order),
+        apply_kernel_quadrature(hat_corner, np.array([0.0, 1.0]), ONE, panels, order),
+        apply_kernel_quadrature(hat_square, np.array([1.0, 3.0]), F_EXP, panels, order),
+        apply_kernel_quadrature(hat_corner, np.array([0.5, 1.0, 3.0]), F_EXP, panels, order),
+    ]
+    assert got == pytest.approx([unit, unit, square, corner], rel=1e-14, abs=0)
 
 
 def test_kernel_spec_checks_alpha_domain():

@@ -117,12 +117,3 @@ def test_bonferroni_family():
     fam.add(good)
     assert fam.adjusted_level == pytest.approx(0.005)
     assert fam.passed
-
-
-def test_report_row_shape():
-    rep = ks_two_sample(
-        EmpiricalSample(np.linspace(0, 1, 100), "a"), EmpiricalSample(np.linspace(0, 1, 100), "b")
-    )
-    row = rep.row()
-    assert set(row) == {"test", "statistic", "p_value", "threshold", "pass", "n", "seed"}
-    assert row["pass"] == 1
