@@ -13,10 +13,11 @@ output directory, and reports through its exit code:
 Subcommands: ``kernels-check``, ``intertwine``, ``dual-check``,
 ``truncation``, ``invariance``, ``sde-vs-exact``, ``sample``.  Options can
 also come from a flat ``key=value`` config file (``--config``); command-line
-flags override file values.  Identical configuration and seed reproduce the
-CSV outputs byte for byte.  The experiments themselves live in
-:mod:`laguerre_intertwine.experiments`; this module parses the options,
-writes the CSVs and maps the outcome to the exit code.
+flags override file values and go through the same parse as a file line.
+Identical configuration and seed reproduce the CSV outputs byte for byte.
+The experiments themselves live in :mod:`laguerre_intertwine.experiments`;
+this module parses the options, writes the CSVs and maps the outcome to the
+exit code.
 """
 
 from __future__ import annotations
@@ -36,6 +37,15 @@ from .experiments import Check, ConfigError
 TEST_FUNCTIONS = experiments.TEST_FUNCTIONS
 
 
+# config key -> the type its value is parsed to; the other keys are strings
+VALUE_TYPES = {
+    "x": lambda value: tuple(float(v) for v in value.split(",")),
+    **dict.fromkeys(("n", "n_samples", "seed", "panels", "order"), int),
+    **dict.fromkeys(("alpha", "t", "dt", "tol"), float),
+    "out_dir": Path,
+}
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str = ""
@@ -46,8 +56,8 @@ class ExperimentConfig:
     n_samples: int = 20_000
     dt: float = 1e-3
     seed: int = 20260808
-    panels: int = 0  # 0 -> per-experiment default
-    order: int = 0
+    panels: int | None = None  # None: the experiment's default
+    order: int | None = None
     tol: float | None = None
     out_dir: Path = Path("out")
     sampler: str = ""
@@ -69,16 +79,10 @@ class ExperimentConfig:
         names = {f.name for f in fields(self)}
         if key not in names:
             raise ConfigError(f"unknown config key {key!r}")
-        if key == "x":
-            parsed: object = tuple(float(v) for v in value.split(","))
-        elif key in ("n", "n_samples", "seed", "panels", "order"):
-            parsed = int(value)
-        elif key in ("alpha", "t", "dt", "tol"):
-            parsed = float(value)
-        elif key == "out_dir":
-            parsed = Path(value)
-        else:
-            parsed = value
+        try:
+            parsed = VALUE_TYPES.get(key, str)(value)
+        except ValueError:
+            raise ConfigError(f"bad value {value!r} for {key}") from None
         return replace(self, **{key: parsed})
 
 
@@ -150,6 +154,15 @@ COMMANDS = {
 }
 
 
+# command-line flag -> its config key; ``with_option`` parses the flag's value
+# as it parses that key's line in a config file
+FLAG_KEYS = {
+    "--seed": "seed", "--alpha": "alpha", "--n": "n", "--t": "t", "--x": "x",
+    "--n-samples": "n_samples", "--dt": "dt", "--panels": "panels", "--order": "order",
+    "--tol": "tol", "--out": "out_dir", "--sampler": "sampler",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="laguerre-intertwine",
@@ -160,18 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path, default=None, help="flat key=value file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--n", type=int, default=None, help="dimension N")
-        p.add_argument("--t", type=float, default=None)
-        p.add_argument("--x", type=str, default=None, help="anchor, comma-separated")
-        p.add_argument("--n-samples", type=int, default=None)
-        p.add_argument("--dt", type=float, default=None)
-        p.add_argument("--panels", type=int, default=None)
-        p.add_argument("--order", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--out", type=Path, default=None, help="output directory")
-        p.add_argument("--sampler", type=str, default=None)
+        for flag, key in FLAG_KEYS.items():
+            p.add_argument(flag, dest=key, default=None, help=f"config key {key}")
     return parser
 
 
@@ -180,18 +183,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = ExperimentConfig() if args.config is None else ExperimentConfig.from_file(args.config)
         cfg = replace(cfg, experiment=args.command)
-        overrides = {
-            "seed": args.seed, "alpha": args.alpha, "n": args.n, "t": args.t,
-            "n_samples": args.n_samples, "dt": args.dt, "panels": args.panels,
-            "order": args.order, "tol": args.tol, "sampler": args.sampler,
-        }
-        for key, value in overrides.items():
-            if value is not None:
-                cfg = replace(cfg, **{key: value})
-        if args.x is not None:
-            cfg = replace(cfg, x=tuple(float(v) for v in args.x.split(",")))
-        if args.out is not None:
-            cfg = replace(cfg, out_dir=args.out)
+        for key in FLAG_KEYS.values():
+            if getattr(args, key) is not None:
+                cfg = cfg.with_option(key, getattr(args, key))
         experiment, csv_name = COMMANDS[args.command]
         if args.command == "sample":
             return _write_samples(cfg, csv_name, *experiment(cfg))

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import ive, sample_noncentral_chisq
+from .numerics import checked_alpha, checked_time, ive, sample_noncentral_chisq
 
 
 class BoundaryKind(str, Enum):
@@ -32,17 +32,16 @@ class BoundaryKind(str, Enum):
     DUAL = "dual"
 
 
-def _checked(alpha: float, t: float | None, x, y=None, zero_x: bool = False):
+def checked_args(alpha: float, t: float | None, x, y=None, zero_x: bool = False):
     """(x, y) as float arrays (y None when not given), after the shared argument checks.
 
     alpha must be finite; t, unless None, finite and > 0; x finite and > 0,
     or >= 0 where ``zero_x``; y, unless None, finite and > 0.  Anything
     else, NaN included, raises ``ValueError``.
     """
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
-    if t is not None and not 0 < t < math.inf:
-        raise ValueError(f"t must be finite and positive, got {t}")
+    checked_alpha(alpha, -math.inf)
+    if t is not None:
+        checked_time(t)
     x = np.asarray(x, dtype=float)
     if not np.all(((x >= 0) if zero_x else (x > 0)) & (x < np.inf)):
         raise ValueError(f"x must be finite and {'>=' if zero_x else '>'} 0")
@@ -103,7 +102,7 @@ def transition_density(alpha: float, t: float, x, y):
 
     Broadcasts over ``x`` and ``y``.
     """
-    x, y = _checked(alpha, t, x, y, zero_x=alpha > -1)
+    x, y = checked_args(alpha, t, x, y, zero_x=alpha > -1)
     nu = alpha if alpha > -1 else -alpha
     x_b, y_b = np.broadcast_arrays(x, y)
     out = np.empty(x_b.shape, dtype=float)
@@ -124,9 +123,7 @@ def transition_sample(
     Uses the representation Y = c * noncentral-chisq(2(alpha+1), x e^-t / c)
     with c = (1 - e^-t)/2, which reproduces the transition density exactly.
     """
-    if not alpha > -1:
-        raise ValueError("transition_sample requires alpha > -1")
-    _checked(alpha, t, x, zero_x=True)
+    checked_args(checked_alpha(alpha), t, x, zero_x=True)
     c = 0.5 * -np.expm1(-t)
     lam = x * np.exp(-t) / c
     return c * sample_noncentral_chisq(2.0 * (alpha + 1.0), lam, rng, size=size)
@@ -141,7 +138,7 @@ def transition_density_absorbed(alpha: float, t: float, x, y):
     branch the h-transform and dual-kernel identities route through.
     Requires x > 0.
     """
-    x, y = _checked(alpha, t, x, y)
+    x, y = checked_args(alpha, t, x, y)
     out = np.exp(log_density_indexed(alpha, -alpha, t, x, y))
     return float(out) if out.ndim == 0 else out
 
@@ -154,7 +151,7 @@ def dual_transition_density_exit(alpha: float, t: float, x, y):
     dual-kernel exchange identities hold pointwise (used by the N = 1
     verification for parameters alpha < 0).
     """
-    x, y = _checked(alpha, t, x, y)
+    x, y = checked_args(alpha, t, x, y)
     ap = alpha + 1.0
     log_p = log_density_indexed(ap, -ap, t, x, y)
     out = np.exp(-t + log_p + (y - x) - ap * (np.log(y) - np.log(x)))
@@ -179,7 +176,7 @@ def transition_variance(alpha: float, t: float, x: float) -> float:
 
 def speed_measure_dual(alpha: float, x):
     """Speed-measure density e^x x^(-alpha-1) of the dual generator."""
-    x, _ = _checked(alpha, None, x)
+    x, _ = checked_args(alpha, None, x)
     out = np.exp(x) * x ** (-alpha - 1.0)
     return float(out) if out.ndim == 0 else out
 
@@ -192,7 +189,7 @@ def dual_transition_density(alpha: float, t: float, x, y):
     with m_hat the dual speed measure; it solves the backward equation for
     ``x f'' + (x - alpha) f'`` (checked by finite differences in the tests).
     """
-    x, y = _checked(alpha, t, x, y)
+    x, y = checked_args(alpha, t, x, y)
     ap = alpha + 1.0
     nu = ap if ap > -1 else -ap
     log_p = log_density_indexed(ap, nu, t, x, y)
@@ -209,10 +206,7 @@ def htransform_residual_32a(alpha: float, t: float, x: float, y: float) -> float
     -alpha (Bessel index alpha, power -alpha/2) and the second the primary
     closed form.  Vanishes identically in exact arithmetic for alpha > -1.
     """
-    if not alpha > -1:
-        raise ValueError("requires alpha > -1")
-    if not (t > 0 and x > 0 and y > 0):
-        raise ValueError("requires t > 0, x > 0, y > 0")
+    checked_args(checked_alpha(alpha), t, x, y)
     log_lhs = (
         alpha * t
         + log_density_indexed(-alpha, alpha, t, x, y)

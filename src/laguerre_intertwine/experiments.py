@@ -159,7 +159,7 @@ def kernels_check(cfg) -> list[Check]:
         raise ConfigError("kernels-check supports N in {1, 2, 3}")
     alphas = ALPHA_GRID if cfg.alpha is None else (cfg.alpha,)
     tol = cfg.tol if cfg.tol is not None else 1e-7
-    panels, order = cfg.panels or 2, cfg.order or 20
+    panels, order = (2 if cfg.panels is None else cfg.panels), (20 if cfg.order is None else cfg.order)
     checks = []
     for n in n_values:
         corner_anchor = cfg.x if cfg.x and len(cfg.x) == n + 1 else CORNER_ANCHORS[n]
@@ -282,7 +282,7 @@ def dual_check(cfg) -> list[Check]:
 
     # dual kernel exchange, N = 1 density forms (12-point grid)
     tol = cfg.tol if cfg.tol is not None else 1e-5
-    panels, order = (cfg.panels or 40), (cfg.order or 20)
+    panels, order = (40 if cfg.panels is None else cfg.panels), (20 if cfg.order is None else cfg.order)
 
     # same dimension: exit-continuation branch, parameters below 0
     for (alpha, t, x, y) in [
@@ -328,16 +328,12 @@ def truncation(cfg) -> list[Check]:
     """Radial law of a truncated invariant matrix vs the alpha corner kernel."""
     settings = [(1, 0), (2, 1), (2, 2)]
     if cfg.n is not None or cfg.alpha is not None:
-        if cfg.alpha is not None and int(cfg.alpha) != cfg.alpha:
-            raise ConfigError("truncation requires non-negative integer alpha")
         n = cfg.n if cfg.n is not None else 2
-        settings = [(n, int(cfg.alpha) if cfg.alpha is not None else 1)]
+        settings = [(n, numerics.checked_alpha_int(cfg.alpha) if cfg.alpha is not None else 1)]
     checks = []
     for idx, (n, alpha) in enumerate(settings):
         if n > 3 or n < 1:
             raise ConfigError("truncation supports N in {1, 2, 3}")
-        if alpha < 0:
-            raise ConfigError("truncation requires non-negative integer alpha")
         rng_a = RngStream(cfg.seed, 2 * idx)
         rng_b = RngStream(cfg.seed, 2 * idx + 1)
         x = np.array(cfg.x if cfg.x and len(cfg.x) == n + 1 else CORNER_ANCHORS[n])
@@ -367,8 +363,6 @@ def invariance(cfg) -> list[Check]:
     for idx, (n, alpha) in enumerate(settings):
         if n < 1:
             raise ConfigError("invariance requires N >= 1")
-        if not alpha > -1:
-            raise ConfigError("invariance requires alpha > -1")
         rng_a = RngStream(cfg.seed, 100 + 2 * idx)
         rng_b = RngStream(cfg.seed, 101 + 2 * idx)
         anchors = rmt.sample_laguerre_ensemble(n + 1, alpha, rng_a, size=cfg.n_samples)
@@ -440,7 +434,7 @@ def sample(cfg) -> tuple[np.ndarray, dict]:
     }
     sized = {
         "laguerre_ensemble": lambda: rmt.sample_laguerre_ensemble(cfg.n, alpha, rng, size=n),
-        "wishart_radial": lambda: rmt.sample_wishart_radial(cfg.n, int(alpha), rng, size=n),
+        "wishart_radial": lambda: rmt.sample_wishart_radial(cfg.n, alpha, rng, size=n),
     }
     if cfg.sampler in anchored:
         if x is None:

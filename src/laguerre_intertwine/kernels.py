@@ -37,7 +37,9 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import RngStream, pochhammer, pointwise_values, power_stretch, unit_gauss_legendre
+from .numerics import (
+    RngStream, checked_alpha, pochhammer, pointwise_values, power_stretch, unit_gauss_legendre,
+)
 
 
 class DegenerateAnchorError(ValueError):
@@ -301,11 +303,11 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.kind not in KERNELS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        above, alpha = self.row.alpha_above, self.alpha
-        if above is None and alpha is not None:
+        above = self.row.alpha_above
+        if above is None and self.alpha is not None:
             raise ValueError(f"kernel {self.kind!r} takes no alpha")
-        if above is not None and not (alpha is not None and np.isfinite(alpha) and alpha > above):
-            raise ValueError(f"kernel {self.kind!r} needs a finite alpha > {above}, got {alpha}")
+        if above is not None:
+            checked_alpha(self.alpha, above)
 
     @property
     def row(self) -> KernelRow:
@@ -582,7 +584,7 @@ def sample_alpha_square(alpha: float, z, rng: RngStream, size: int | None = None
     zero head coordinate need no special case: a zero-width window pins its
     coordinate, and the other roots follow the continuous extension.
     """
-    KernelSpec("alpha_square", alpha)  # a finite alpha > -1
+    checked_alpha(alpha)
     z = np.asarray(z, dtype=float)
     if not is_chamber_point(z, nonneg=True):
         raise ValueError(f"anchor must be a non-negative chamber point, got {z}")
@@ -600,7 +602,7 @@ def sample_alpha_corner_rows(alpha: float, x_rows: np.ndarray, rng: RngStream) -
     Vandermonde(z) on the outer window) followed by an alpha_square draw at
     z.
     """
-    KernelSpec("alpha_corner", alpha)  # a finite alpha > -1
+    checked_alpha(alpha)
     x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
     if x_rows.ndim != 2 or x_rows.shape[1] < 2:
         raise ValueError("anchor rows need at least 2 coordinates")

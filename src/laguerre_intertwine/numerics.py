@@ -1,11 +1,11 @@
 """Shared numerical primitives.
 
-The rising factorial, the exponentially scaled Bessel function ``ive``,
-composite Gauss-Legendre and Gauss-Jacobi quadrature, the test function
-values the quadrature appliers share, and seeded random streams used by
-every other module.  All samplers draw from an explicit
-:class:`RngStream`, so experiments are reproducible and parallel workers can
-own statistically independent streams.
+The checks of the parameters alpha and t, the rising factorial, the
+exponentially scaled Bessel function ``ive``, composite Gauss-Legendre and
+Gauss-Jacobi quadrature, the test function values the quadrature appliers
+share, and seeded random streams used by every other module.  All samplers
+draw from an explicit :class:`RngStream`, so experiments are reproducible
+and parallel workers can own statistically independent streams.
 """
 
 from __future__ import annotations
@@ -41,6 +41,27 @@ class RngStream:
     def split(self, stream_id: int) -> "RngStream":
         """Independent stream with the same seed and a new stream id."""
         return RngStream(self.seed, stream_id)
+
+
+def checked_alpha(alpha, above: float = -1.0) -> float:
+    """alpha as a float, when it is finite and > ``above``; else ``ValueError`` (None, NaN too)."""
+    if alpha is None or not above < alpha < math.inf:
+        raise ValueError(f"need a finite alpha > {above:g}, got {alpha}")
+    return float(alpha)
+
+
+def checked_alpha_int(alpha) -> int:
+    """alpha as an int, when it is a non-negative integer (1.0 is); else ``ValueError``."""
+    if alpha is None or not (0 <= alpha < math.inf and int(alpha) == alpha):
+        raise ValueError(f"alpha must be a non-negative integer, got {alpha}")
+    return int(alpha)
+
+
+def checked_time(t, zero: bool = False, name: str = "t") -> float:
+    """A time (or time step) as a float, when finite and > 0, or >= 0 where ``zero``."""
+    if t is None or not (0 <= t < math.inf) or (t == 0 and not zero):
+        raise ValueError(f"{name} must be finite and {'>=' if zero else '>'} 0, got {t}")
+    return float(t)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .diffusion import log_density_indexed, transition_density, transition_variance
+from .diffusion import checked_args, log_density_indexed, transition_density, transition_variance
 from .kernels import (
     DegenerateAnchorError,
     UnsupportedDimensionError,
@@ -24,7 +24,7 @@ from .kernels import (
     is_strict_interior,
     vandermonde,
 )
-from .numerics import RngStream, pointwise_values
+from .numerics import RngStream, checked_alpha, checked_alpha_int, checked_time, pointwise_values
 from .rmt import radial_part
 
 
@@ -54,10 +54,8 @@ class SemigroupParams:
     def __post_init__(self) -> None:
         if self.n_dim < 1:
             raise ValueError("N must be >= 1")
-        if not 0 <= self.t < np.inf:
-            raise ValueError(f"t must be finite and >= 0, got {self.t}")
-        if not -1 < self.alpha < np.inf:
-            raise ValueError(f"alpha must be finite and > -1, got {self.alpha}")
+        checked_time(self.t, zero=True)
+        checked_alpha(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -67,8 +65,7 @@ class SdeConfig:
     dt: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        checked_time(self.dt, name="dt")
 
 
 def lambda_eigen(n_dim: int) -> float:
@@ -100,14 +97,9 @@ def km_density(alpha: float, t: float, x, y):
     underflow.  ``y`` may carry leading batch axes.  ``ValueError`` is
     raised at an anchor whose Vandermonde leaves the normal float range.
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
-    x = np.asarray(x, dtype=float)
+    x, y = checked_args(alpha, t, x, y)
     if not is_strict_interior(x, nonneg=True):
         raise DegenerateAnchorError(f"anchor must be strictly interior, got {x}")
-    y = np.asarray(y, dtype=float)
-    if np.any(y <= 0):
-        raise ValueError("y must be positive")
     n = len(x)
     delta_x = vandermonde(x)
     if not np.finfo(float).tiny <= delta_x < np.inf:
@@ -119,24 +111,14 @@ def km_density(alpha: float, t: float, x, y):
 
 def subkm_density(alpha: float, t: float, x, y):
     """Bare determinant det[p_{alpha,t}(x_i, y_j)] (collision-killed law)."""
-    if not t > 0:
-        raise ValueError("t must be positive")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise ValueError("x and y must be positive")
+    x, y = checked_args(alpha, t, x, y)
     out = _scaled_det(_log_transition_matrix(alpha, t, x, y))
     return float(out) if np.ndim(out) == 0 else out
 
 
 def subkm_dual_density(alpha: float, t: float, x, y):
     """Bare determinant det[p_hat_{alpha,t}(x_i, y_j)] of the dual family."""
-    if not t > 0:
-        raise ValueError("t must be positive")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise ValueError("x and y must be positive")
+    x, y = checked_args(alpha, t, x, y)
     ap = alpha + 1.0
     xb = x[..., :, None]
     yb = y[..., None, :]
@@ -364,13 +346,11 @@ def simulate_sde(
     coordinate are allowed), when ``t_end`` is not finite and > 0, when
     ``size`` < 1, or when ``t_end / dt`` exceeds ``MAX_SDE_STEPS``.
     """
-    if not (np.isfinite(alpha) and alpha > -1):
-        raise ValueError(f"requires finite alpha > -1, got {alpha}")
+    checked_alpha(alpha)
     x0 = np.asarray(x0, dtype=float)
     if not is_chamber_point(x0, nonneg=True):
         raise ValueError(f"x0 must be a finite, non-negative, non-decreasing point, got {x0}")
-    if not (np.isfinite(t_end) and t_end > 0):
-        raise ValueError(f"t_end must be finite and positive, got {t_end}")
+    checked_time(t_end, name="t_end")
     if size is not None and size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     steps = t_end / cfg.dt
@@ -419,15 +399,13 @@ def simulate_matrix_ou(
     normalization is pinned by the N = 1 agreement with the exact
     one-particle sampler.
     """
-    if alpha_int < 0 or int(alpha_int) != alpha_int:
-        raise ValueError("alpha must be a non-negative integer")
-    if not t > 0:
-        raise ValueError("t must be positive")
+    alpha_int = checked_alpha_int(alpha_int)
+    checked_time(t)
     x0 = np.asarray(x0, dtype=float)
     if not is_chamber_point(x0, nonneg=True):
         raise ValueError(f"x0 must be a finite, non-negative, non-decreasing point, got {x0}")
     n = x0.size
-    m_rows = n + int(alpha_int)
+    m_rows = n + alpha_int
     m0 = np.zeros((m_rows, n), dtype=complex)
     m0[:n, :n] = np.diag(np.sqrt(x0))
     batch = 1 if size is None else size

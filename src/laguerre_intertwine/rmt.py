@@ -15,8 +15,9 @@ from math import lgamma
 
 import numpy as np
 
+from .diffusion import checked_args
 from .kernels import vandermonde
-from .numerics import RngStream
+from .numerics import RngStream, checked_alpha, checked_alpha_int
 
 _EIG_CLAMP = 1e-12
 
@@ -77,9 +78,7 @@ def sample_wishart_radial(
     n_dim: int, alpha_int: int, rng: RngStream, size: int | None = None
 ) -> np.ndarray:
     """Radial part of an (N+alpha) x N complex Gaussian matrix (integer alpha)."""
-    if alpha_int < 0 or int(alpha_int) != alpha_int:
-        raise ValueError("alpha must be a non-negative integer")
-    return radial_part(sample_ginibre(n_dim + int(alpha_int), n_dim, rng, size=size))
+    return radial_part(sample_ginibre(n_dim + checked_alpha_int(alpha_int), n_dim, rng, size=size))
 
 
 def sample_laguerre_ensemble(
@@ -95,8 +94,9 @@ def sample_laguerre_ensemble(
     spectrum is non-negative; round-off below 0 in the smallest eigenvalue
     (about 1.5% of draws at alpha = -0.9, N = 3) is returned as 0.
     """
-    if not alpha > -1:
-        raise ValueError("sample_laguerre_ensemble requires alpha > -1")
+    checked_alpha(alpha)
+    if n_dim < 1:
+        raise ValueError(f"N must be >= 1, got {n_dim}")
     squeeze = size is None
     b = 1 if size is None else size
     n = n_dim
@@ -115,15 +115,14 @@ def sample_laguerre_ensemble(
 
 def laguerre_ensemble_log_norm(n_dim: int, alpha: float) -> float:
     """log of the unordered normalization: prod_{j=1}^N Gamma(j+1) Gamma(alpha+j); alpha > -1."""
-    if not alpha > -1:
-        raise ValueError(f"the Laguerre ensemble requires alpha > -1, got {alpha}")
+    checked_alpha(alpha)
     return sum((lgamma(j + 1.0) + lgamma(alpha + j) for j in range(1, n_dim + 1)), 0.0)
 
 
 def laguerre_ensemble_density(n_dim: int, alpha: float, x: np.ndarray):
     """Ensemble density on the ordered chamber (integrates to 1 there)."""
-    x = np.asarray(x, dtype=float)
     log_norm = laguerre_ensemble_log_norm(n_dim, alpha) - lgamma(n_dim + 1.0)
+    x, _ = checked_args(alpha, None, x, zero_x=True)
     log_w = np.sum(alpha * np.log(x) - x, axis=-1)
     out = vandermonde(x) ** 2 * np.exp(log_w - log_norm)
     return float(out) if np.ndim(out) == 0 else out
@@ -139,11 +138,9 @@ def sample_invariant_rectangular(
     radial part (N+1,), shared by ``size`` draws, or anchor rows
     (rows, N+1), one draw per row (``size`` then defaults to the row count).
     """
-    if alpha_int < 0 or int(alpha_int) != alpha_int:
-        raise ValueError("alpha must be a non-negative integer")
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or not np.all(np.isfinite(x)) or np.any(x < 0):
-        raise ValueError("radial parts must be finite, non-negative rows")
+    x, _ = checked_args(checked_alpha_int(alpha_int), None, x, zero_x=True)
+    if x.ndim not in (1, 2):
+        raise ValueError("radial parts must be one row or a stack of rows")
     if x.ndim == 2 and size is None:
         size = x.shape[0]
     n1 = x.shape[-1]  # N + 1
@@ -165,9 +162,7 @@ def sample_corner_alpha_matrix(
     right-multiplies by diag(sqrt(z)) and returns the radial part.  The
     output interlaces below z on every draw.
     """
-    if alpha_int < 0 or int(alpha_int) != alpha_int:
-        raise ValueError("alpha must be a non-negative integer")
-    z = np.asarray(z, dtype=float)
+    z, _ = checked_args(checked_alpha_int(alpha_int), None, z, zero_x=True)
     n = z.shape[-1]
     v = sample_haar_unitary(n + int(alpha_int) + 1, rng, size=size)
     t = truncate(v, n + int(alpha_int), n)

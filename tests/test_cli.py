@@ -203,6 +203,13 @@ def test_floats_are_17_digits(tmp_path):
         ["sde-vs-exact", "--t", "nan", "--n-samples", "50"],
         ["sde-vs-exact", "--dt", "1e-300", "--n-samples", "50"],
         ["sample", "--sampler", "alpha_corner", "--alpha", "inf", "--x", "1,2,3"],
+        ["truncation", "--alpha", "inf"],
+        ["sample", "--sampler", "wishart_radial", "--alpha", "inf", "--n", "2"],
+        ["sample", "--sampler", "wishart_radial", "--alpha", "1.5", "--n", "2"],
+        ["sample", "--sampler", "laguerre_ensemble", "--alpha", "inf", "--n", "2"],
+        ["sample", "--sampler", "laguerre_ensemble", "--n", "0"],
+        ["kernels-check", "--n", "1", "--panels", "0"],
+        ["intertwine", "--n", "abc"],
     ],
 )
 def test_library_domain_error_exits_2(tmp_path, capsys, argv):
@@ -210,6 +217,23 @@ def test_library_domain_error_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert err.count("\n") == 1
+
+
+def test_flag_parses_as_its_config_line(tmp_path, capsys):
+    base = ["sample", "--sampler", "corner", "--n-samples", "5"]
+    (tmp_path / "x.cfg").write_text("x = 1,2\n")
+    assert run(base + ["--x", "1,2", "--out", str(tmp_path / "flag")]) == 0
+    assert run(base + ["--config", str(tmp_path / "x.cfg"), "--out", str(tmp_path / "file")]) == 0
+    flag_csv = (tmp_path / "flag" / "samples.csv").read_text()
+    assert "# anchor=1 2\n" in flag_csv
+    assert flag_csv == (tmp_path / "file" / "samples.csv").read_text()
+    # a bad value is the same one-line configuration error either way
+    (tmp_path / "n.cfg").write_text("n = abc\n")
+    capsys.readouterr()
+    assert run(["intertwine", "--n", "abc", "--out", str(tmp_path)]) == 2
+    flag_err = capsys.readouterr().err
+    assert run(["intertwine", "--config", str(tmp_path / "n.cfg"), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == flag_err == "configuration error: bad value 'abc' for n\n"
 
 
 def test_csv_artifacts_parse_with_csv_module(tmp_path):

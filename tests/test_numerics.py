@@ -11,6 +11,9 @@ from scipy.special import roots_jacobi
 
 from laguerre_intertwine.numerics import (
     RngStream,
+    checked_alpha,
+    checked_alpha_int,
+    checked_time,
     gauss_jacobi,
     gauss_legendre_rule,
     ive,
@@ -19,6 +22,22 @@ from laguerre_intertwine.numerics import (
     sample_noncentral_chisq,
 )
 from laguerre_intertwine.stats import EmpiricalSample, ks_one_sample, moment_compare
+
+
+def test_parameter_checks():
+    assert checked_alpha(0) == 0.0 and isinstance(checked_alpha(0), float)
+    assert checked_alpha(-2.0, above=-math.inf) == -2.0
+    assert checked_alpha_int(2.0) == 2 and isinstance(checked_alpha_int(2.0), int)
+    assert checked_time(0.0, zero=True) == 0.0
+    for bad in (None, math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="alpha > -1"):
+            checked_alpha(bad)
+    for bad in (None, math.nan, math.inf, -math.inf, -1, 1.5):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            checked_alpha_int(bad)
+    for bad in (None, math.nan, math.inf, -1.0, 0.0):
+        with pytest.raises(ValueError, match="t must be finite"):
+            checked_time(bad)
 
 
 def test_pochhammer_values():

@@ -27,10 +27,45 @@ from laguerre_intertwine.process import (
     subkm_dual_density,
 )
 from laguerre_intertwine.process import _box_axis_nodes
-from laguerre_intertwine.rmt import laguerre_ensemble_density, sample_laguerre_ensemble, sample_wishart_radial
+from laguerre_intertwine.rmt import (
+    laguerre_ensemble_density,
+    sample_corner_alpha_matrix,
+    sample_invariant_rectangular,
+    sample_laguerre_ensemble,
+    sample_wishart_radial,
+)
 from laguerre_intertwine.stats import EmpiricalSample, ks_two_sample
 
 ONE = lambda y: np.ones(y.shape[:-1])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: km_density(0.5, 1.0, [1.0, 2.0], [math.nan, 2.0]),
+        lambda: subkm_density(0.5, 1.0, [math.nan, 2.0], [1.0, 2.0]),
+        lambda: subkm_dual_density(0.5, 1.0, [1.0, 2.0], [math.nan, 2.0]),
+        lambda: simulate_matrix_ou(1, [1.0, 2.0], math.inf, RngStream(1, 0)),
+        lambda: sample_laguerre_ensemble(2, math.inf, RngStream(1, 0)),
+        lambda: sample_laguerre_ensemble(0, 0.5, RngStream(1, 0)),
+        lambda: laguerre_ensemble_density(2, math.inf, [1.0, 2.0]),
+        lambda: laguerre_ensemble_density(2, 0.5, [math.nan, 2.0]),
+        lambda: sample_wishart_radial(2, math.inf, RngStream(1, 0)),
+        lambda: sample_invariant_rectangular([1.0, 2.0], math.inf, RngStream(1, 0)),
+        lambda: sample_corner_alpha_matrix(1, [math.nan, 2.0], RngStream(1, 0)),
+    ],
+    ids=[
+        "km_density_nan_y", "subkm_density_nan_x", "subkm_dual_density_nan_y",
+        "matrix_ou_inf_t", "laguerre_ensemble_inf_alpha", "laguerre_ensemble_n0",
+        "laguerre_density_inf_alpha", "laguerre_density_nan_x", "wishart_inf_alpha",
+        "invariant_rectangular_inf_alpha", "corner_alpha_matrix_nan_z",
+    ],
+)
+def test_out_of_domain_input_raises(call):
+    # each of these returned NaN or an empty draw, or raised OverflowError, before
+    # the shared checks of alpha, t and the points
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_lambda_eigen_values():
