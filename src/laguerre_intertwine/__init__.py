@@ -28,13 +28,12 @@ from .kernels import (
     UnsupportedDimensionError,
     apply_kernel_quadrature,
     apply_kernel_to_anchors,
+    checked_chamber,
     density_alpha_corner,
     density_alpha_square,
     density_corner,
     density_hat_corner,
     density_hat_square,
-    is_chamber_point,
-    is_strict_interior,
     kernel_density,
     sample_alpha_corner,
     sample_alpha_corner_rows,

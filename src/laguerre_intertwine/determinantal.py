@@ -51,10 +51,9 @@ from numpy.polynomial.legendre import leggauss, legvander
 from . import diffusion
 from .kernels import (
     KERNELS,
-    DegenerateAnchorError,
     KernelSpec,
+    checked_chamber,
     interior_anchor,
-    is_strict_interior,
     vandermonde,
 )
 from .numerics import (
@@ -282,15 +281,6 @@ def _equilibrated_cond(matrix: np.ndarray) -> float:
     return float(np.linalg.cond(matrix))
 
 
-def _check_anchor(op, x: np.ndarray) -> np.ndarray:
-    """x as an anchor of the outermost operator; a semigroup at t = 0 passes it on."""
-    if isinstance(op, KernelSpec):
-        return interior_anchor(op, x)
-    if not is_strict_interior(x, nonneg=True):
-        raise DegenerateAnchorError(f"anchor must be strictly interior, got {x}")
-    return x
-
-
 def evaluate(operators: Sequence[KernelSpec | SemigroupParams], x,
              functions: Sequence[ProductFunction]) -> np.ndarray:
     """(O_1 O_2 ... O_m f)(x) for each product test function f: an (F,) array.
@@ -301,21 +291,21 @@ def evaluate(operators: Sequence[KernelSpec | SemigroupParams], x,
     that of the function it acts on.  x must be a strictly interior anchor
     of the outermost operator (:class:`DegenerateAnchorError` otherwise; a
     semigroup at t = 0 is the identity and leaves the check to the next
-    operator).  ``ValueError`` is raised when the anchor matrix is too
-    ill-conditioned for its determinant to be trusted (``COND_LIMIT``).
+    operator; a chain of those alone takes a point of the closed
+    non-negative chamber).  ``ValueError`` is raised when the anchor matrix
+    is too ill-conditioned for its determinant to be trusted (``COND_LIMIT``).
     """
     operators = tuple(operators)
-    x = np.asarray(x, dtype=float)
     for op in operators:
         if not isinstance(op, (KernelSpec, SemigroupParams)):
             raise TypeError(f"not a kernel or semigroup: {op!r}")
         if isinstance(op, KernelSpec) and op.kind not in KINDS:
             raise ValueError(f"no determinantal form for the {op.kind!r} kernel")
     outer = next((op for op in operators if not (isinstance(op, SemigroupParams) and op.t == 0)), None)
-    if outer is not None:
-        x = _check_anchor(outer, x)
-    if x.ndim != 1:
-        raise ValueError(f"evaluate takes one anchor, got shape {x.shape}")
+    if isinstance(outer, KernelSpec):
+        x = interior_anchor(outer, x)
+    else:
+        x = checked_chamber(x, nonneg=True, strict=outer is not None)
     c = x.size - sum(KERNELS[op.kind].dim_drop for op in operators if isinstance(op, KernelSpec))
     if c < 1:
         raise ValueError(f"an anchor of {x.size} coordinates leaves no coordinate after the kernels")

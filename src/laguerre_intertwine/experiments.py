@@ -125,6 +125,13 @@ def composed_corner_density(
     return float((corner * square * wmesh).sum())
 
 
+def _given_x(cfg, lengths) -> dict[int, tuple]:
+    """``{len(x): x}`` for the run's x, which must fit one of its anchor ``lengths``."""
+    if cfg.x and len(cfg.x) not in lengths:
+        raise ConfigError(f"--x has {len(cfg.x)} coordinates; the run's anchors have {sorted(lengths)}")
+    return {len(cfg.x): cfg.x} if cfg.x else {}
+
+
 def _linear_statistics(sample: np.ndarray) -> dict[str, np.ndarray]:
     out = {f"marginal_{k + 1}": sample[:, k] for k in range(sample.shape[1])}
     out["sum"] = sample.sum(axis=1)
@@ -160,9 +167,10 @@ def kernels_check(cfg) -> list[Check]:
     alphas = ALPHA_GRID if cfg.alpha is None else (cfg.alpha,)
     tol = cfg.tol if cfg.tol is not None else 1e-7
     panels, order = (2 if cfg.panels is None else cfg.panels), (20 if cfg.order is None else cfg.order)
+    given = _given_x(cfg, {n + 1 for n in n_values})
     checks = []
     for n in n_values:
-        corner_anchor = cfg.x if cfg.x and len(cfg.x) == n + 1 else CORNER_ANCHORS[n]
+        corner_anchor = given.get(n + 1, CORNER_ANCHORS[n])
         cases = [("corner", None, corner_anchor)]
         for alpha in alphas:
             cases.append(("alpha_square", alpha, SQUARE_ANCHORS[n]))
@@ -207,6 +215,7 @@ def intertwine(cfg) -> list[Check]:
     if any(n not in INTERTWINE_TOL for n in n_values):
         raise ConfigError(f"intertwine supports N in 1..{max(INTERTWINE_TOL)}")
     functions = list(TEST_FUNCTIONS.values())
+    given = _given_x(cfg, {n + up_dn for n in n_values for _, (_, up_dn), _ in IDENTITIES.values()})
     checks = []
     for n in n_values:
         tol = cfg.tol if cfg.tol is not None else INTERTWINE_TOL[n]
@@ -220,7 +229,7 @@ def intertwine(cfg) -> list[Check]:
             times = (0.25, 1.0) if n == 1 else (1.0,)
         for identity, (_, (_, up_dn), _) in IDENTITIES.items():
             default = CORNER_ANCHORS[n] if up_dn else SQUARE_ANCHORS[n]
-            x = np.array(cfg.x if cfg.x and len(cfg.x) == n + up_dn else default)
+            x = np.array(given.get(n + up_dn, default))
             for alpha in alphas:
                 for t in times:
                     sides = intertwine_sides(identity, alpha, t, x, functions)
@@ -330,13 +339,14 @@ def truncation(cfg) -> list[Check]:
     if cfg.n is not None or cfg.alpha is not None:
         n = cfg.n if cfg.n is not None else 2
         settings = [(n, numerics.checked_alpha_int(cfg.alpha) if cfg.alpha is not None else 1)]
+    given = _given_x(cfg, {n + 1 for n, _ in settings})
     checks = []
     for idx, (n, alpha) in enumerate(settings):
         if n > 3 or n < 1:
             raise ConfigError("truncation supports N in {1, 2, 3}")
         rng_a = RngStream(cfg.seed, 2 * idx)
         rng_b = RngStream(cfg.seed, 2 * idx + 1)
-        x = np.array(cfg.x if cfg.x and len(cfg.x) == n + 1 else CORNER_ANCHORS[n])
+        x = np.array(given.get(n + 1, CORNER_ANCHORS[n]))
         big = rmt.sample_invariant_rectangular(x, alpha, rng_a, size=cfg.n_samples)
         side_a = rmt.radial_part(rmt.truncate(big, n + alpha, n))
         side_b = kernels.sample_alpha_corner(float(alpha), x, rng_b, size=cfg.n_samples)
@@ -425,29 +435,29 @@ def sample(cfg) -> tuple[np.ndarray, dict]:
     rng = RngStream(cfg.seed, 0)
     n = cfg.n_samples
     alpha = cfg.alpha if cfg.alpha is not None else 0.0
-    x = np.array(cfg.x) if cfg.x else None
     anchored = {
-        "corner": lambda: kernels.sample_corner_many(x, rng, n),
-        "corner_rejection": lambda: kernels.sample_corner_rejection(x, rng, size=n),
-        "alpha_square": lambda: kernels.sample_alpha_square(alpha, x, rng, size=n),
-        "alpha_corner": lambda: kernels.sample_alpha_corner(alpha, x, rng, size=n),
+        "corner": lambda: kernels.sample_corner_many(cfg.x, rng, n),
+        "corner_rejection": lambda: kernels.sample_corner_rejection(cfg.x, rng, size=n),
+        "alpha_square": lambda: kernels.sample_alpha_square(alpha, cfg.x, rng, size=n),
+        "alpha_corner": lambda: kernels.sample_alpha_corner(alpha, cfg.x, rng, size=n),
     }
     sized = {
         "laguerre_ensemble": lambda: rmt.sample_laguerre_ensemble(cfg.n, alpha, rng, size=n),
         "wishart_radial": lambda: rmt.sample_wishart_radial(cfg.n, alpha, rng, size=n),
     }
     if cfg.sampler in anchored:
-        if x is None:
+        if not cfg.x:
             raise ConfigError(f"{cfg.sampler} sampler needs --x")
         draws = anchored[cfg.sampler]()
     elif cfg.sampler in sized:
+        _given_x(cfg, ())  # a sized sampler takes no --x
         if cfg.n is None:
             raise ConfigError(f"{cfg.sampler} sampler needs --n")
         draws = sized[cfg.sampler]()
     elif cfg.sampler == "transition":
-        x0 = float(x[0]) if x is not None else 1.0
+        x0 = _given_x(cfg, {1}).get(1, (1.0,))
         t = cfg.t if cfg.t is not None else 1.0
-        draws = diffusion.transition_sample(alpha, t, x0, rng, size=n)[:, None]
+        draws = diffusion.transition_sample(alpha, t, float(x0[0]), rng, size=n)[:, None]
     else:
         raise ConfigError(f"unknown sampler {cfg.sampler!r}")
     meta = {

@@ -2,7 +2,7 @@
 
 A chamber point is a plain 1-D numpy array with non-decreasing coordinates
 (non-negative for the kernels carrying a parameter alpha).  The module
-provides the Vandermonde determinant, chamber predicates, density
+provides the Vandermonde determinant, the chamber check, density
 evaluators and exact samplers for the five kernels used throughout the
 package, and a nested-quadrature applier that computes (kernel f)(x) for
 test functions f.
@@ -87,24 +87,33 @@ def vandermonde(y) -> np.ndarray | float:
     return out[()]
 
 
-def is_chamber_point(x, nonneg: bool = False) -> bool:
-    """Finite coordinates, non-decreasing, and >= 0 when ``nonneg``."""
+def checked_chamber(x, nonneg: bool = False, strict: bool = False, min_len: int = 1,
+                    ndim: int | None = 1, name: str = "anchor") -> np.ndarray:
+    """x as a float array whose rows (last axis) are points of the Weyl chamber.
+
+    Raises ``ValueError`` unless x has ``ndim`` axes (one or more where
+    None) and at least ``min_len`` coordinates, and its coordinates are
+    finite, non-decreasing, and >= 0 where ``nonneg``: the closed chamber.
+    With ``strict``, a row with a tie, or with a zero head where
+    ``nonneg``, raises :class:`DegenerateAnchorError`: the open chamber.
+    """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size == 0 or not np.all(np.isfinite(x)):
-        return False
-    if np.any(np.diff(x) < 0):
-        return False
-    return not (nonneg and x[0] < 0)
+    if x.ndim < 1 or (ndim is not None and x.ndim != ndim) or x.shape[-1] < min_len:
+        rank = ">= 1" if ndim is None else ndim
+        raise ValueError(f"{name} must have ndim {rank} and {min_len}+ coordinates, got shape {x.shape}")
+    ordered = np.all(x[..., 1:] >= x[..., :-1])
+    if not (np.all(np.isfinite(x)) and ordered) or (nonneg and np.any(x[..., 0] < 0)):
+        sign = ", >= 0" if nonneg else ""
+        raise ValueError(f"{name} must be finite and non-decreasing{sign}, got {x}")
+    if strict and not np.all(interior_rows(x, nonneg)):
+        raise DegenerateAnchorError(f"{name} must be strictly interior, got {x}")
+    return x
 
 
-def is_strict_interior(x, nonneg: bool = False) -> bool:
-    """Finite coordinates, strictly increasing, and first > 0 when ``nonneg``."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size == 0 or not np.all(np.isfinite(x)):
-        return False
-    if x.size > 1 and np.any(np.diff(x) <= 0):
-        return False
-    return not (nonneg and x[0] <= 0)
+def interior_rows(x: np.ndarray, positive_head: bool = False) -> np.ndarray:
+    """Per row of the chamber points x: strictly increasing, with a head > 0 where ``positive_head``."""
+    interior = np.all(x[..., 1:] > x[..., :-1], axis=-1)
+    return interior & (x[..., 0] > 0) if positive_head else interior
 
 
 def _window_points(breaks: tuple[int, ...], anchors: np.ndarray) -> list[np.ndarray]:
@@ -314,42 +323,33 @@ class KernelSpec:
         return KERNELS[self.kind]
 
 
-def _checked_anchors(spec: KernelSpec, anchors) -> tuple[np.ndarray, np.ndarray]:
-    """The anchors as a float array (..., d), and per row whether it is strictly interior.
+def _checked_anchors(spec: KernelSpec, anchors, ndim: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """The anchors as a float array of ``ndim`` axes, and per row whether it is strictly interior.
 
-    Strictly interior means strictly increasing, with a head above 0 for
-    the kinds flagged ``positive_head``.  Raises ``ValueError`` for anchors
-    too short for the kernel, not finite, decreasing, or negative where the
-    density carries a power of y; and, for such densities, for a strictly
-    interior row with a subnormal coordinate: there the density exceeds the
+    The anchors are checked by :func:`checked_chamber`, non-negative where
+    the density carries a power of y; there a strictly interior row with a
+    subnormal coordinate raises ``ValueError`` too: the density exceeds the
     float range, and its quadrature loses the digits of the subnormal.
+    Strictly interior means strictly increasing, with a head above 0 for
+    the kinds flagged ``positive_head``.
     """
     row = spec.row
-    a = np.asarray(anchors, dtype=float)
-    if a.ndim == 0 or a.shape[-1] < row.dim_drop + 1:
-        raise ValueError(f"{spec.kind} anchor needs {row.dim_drop + 1}+ coordinates, got {a}")
-    with np.errstate(over="ignore"):  # a gap beyond the float range is inf, still >= 0
-        gaps = np.diff(a, axis=-1)
     nonneg = row.weight_power is not None
-    if not (np.all(np.isfinite(a)) and np.all(gaps >= 0)) or (nonneg and np.any(a[..., 0] < 0)):
-        kind = "non-negative chamber points" if nonneg else "chamber points"
-        raise ValueError(f"{spec.kind} anchors must be finite {kind}, got {a}")
-    interior = np.all(gaps > 0, axis=-1)
-    if row.positive_head:
-        interior &= a[..., 0] > 0
+    a = checked_chamber(anchors, nonneg, min_len=row.dim_drop + 1, ndim=ndim, name=f"{spec.kind} anchor")
+    interior = interior_rows(a, row.positive_head)
     if nonneg and np.any(interior & np.any((a > 0) & (a < np.finfo(float).tiny), axis=-1)):
         raise ValueError(f"{spec.kind} density exceeds the float range at a subnormal anchor")
     return a, interior
 
 
-def interior_anchor(spec: KernelSpec, x) -> np.ndarray:
+def interior_anchor(spec: KernelSpec, x, ndim: int | None = 1) -> np.ndarray:
     """The anchor(s) x as a float array, each row strictly interior for the kernel.
 
     Raises :class:`DegenerateAnchorError` for a tie, or a zero head for the
     kinds flagged ``positive_head``, and ``ValueError`` as
     :func:`_checked_anchors` does.
     """
-    x, interior = _checked_anchors(spec, x)
+    x, interior = _checked_anchors(spec, x, ndim)
     if not np.all(interior):
         raise DegenerateAnchorError(f"{spec.kind} anchor must be strictly interior, got {x}")
     return x
@@ -366,16 +366,18 @@ def kernel_density(spec: KernelSpec, x, y):
     """Density of the chosen kernel at anchor x, evaluated at y; zero off-window.
 
     ``x`` is one anchor (d,) or anchor rows (..., d), broadcast against the
-    points y (..., N).  Every anchor must be strictly interior
+    finite points y (..., N).  Every anchor must be strictly interior
     (:class:`DegenerateAnchorError` otherwise).  The density is finite on
     the window except where a power of y is singular, at a zero coordinate
     of y; anywhere else a value that is not finite (an anchor whose
     Vandermonde under- or overflows) raises ``ValueError``.
     """
-    x = interior_anchor(spec, x)
+    x = interior_anchor(spec, x, ndim=None)
     y = np.asarray(y, dtype=float)
     if y.shape[-1:] != (x.shape[-1] - spec.row.dim_drop,):
         raise ValueError(f"{spec.kind} anchor of length {x.shape[-1]} takes no y of {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError(f"{spec.kind} density takes finite points y, got {y}")
     out = _window_density(spec.row, spec.alpha, x, y)
     singular = spec.row.weight_power is not None and np.any(y == 0, axis=-1)
     if not np.all(np.isfinite(out) | singular):
@@ -422,9 +424,7 @@ def sample_corner_many(x, rng: RngStream, n: int) -> np.ndarray:
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError(f"the number of draws must be an integer >= 0, got {n!r}")
-    x = np.asarray(x, dtype=float)
-    if not is_chamber_point(x) or len(x) < 2:
-        raise ValueError("anchor must be a chamber point with >= 2 coordinates")
+    x = checked_chamber(x, min_len=2)
     return _corner_roots(np.tile(x, (n, 1)), rng)
 
 
@@ -585,9 +585,7 @@ def sample_alpha_square(alpha: float, z, rng: RngStream, size: int | None = None
     coordinate, and the other roots follow the continuous extension.
     """
     checked_alpha(alpha)
-    z = np.asarray(z, dtype=float)
-    if not is_chamber_point(z, nonneg=True):
-        raise ValueError(f"anchor must be a non-negative chamber point, got {z}")
+    z = checked_chamber(z, nonneg=True)
     total = 1 if size is None else size
     out = _alpha_square_roots(alpha, np.tile(z, (total, 1)), rng)
     return out[0] if size is None else out
@@ -603,12 +601,7 @@ def sample_alpha_corner_rows(alpha: float, x_rows: np.ndarray, rng: RngStream) -
     z.
     """
     checked_alpha(alpha)
-    x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
-    if x_rows.ndim != 2 or x_rows.shape[1] < 2:
-        raise ValueError("anchor rows need at least 2 coordinates")
-    if not (np.all(np.isfinite(x_rows)) and np.all(np.diff(x_rows, axis=1) >= 0)
-            and np.all(x_rows[:, 0] >= 0)):
-        raise ValueError("anchor rows must be finite, non-decreasing and non-negative")
+    x_rows = checked_chamber(np.atleast_2d(x_rows), nonneg=True, min_len=2, ndim=2, name="anchor rows")
     return _alpha_square_roots(alpha, _corner_roots(x_rows, rng), rng)
 
 
@@ -616,14 +609,13 @@ def sample_alpha_corner(alpha: float, x, rng: RngStream, size: int | None = None
     """Exact draw(s) of the alpha corner kernel via the two-step composition.
 
     Samples z from the corner kernel, then y from the same-dimension alpha
-    kernel anchored at z, both by their Dixon-Anderson roots (see
-    :func:`sample_alpha_corner_rows`).
+    kernel anchored at z, both by their Dixon-Anderson roots, as
+    :func:`sample_alpha_corner_rows` does for each of ``size`` copies of x.
     """
-    x = np.asarray(x, dtype=float)
-    if not is_chamber_point(x, nonneg=True):
-        raise ValueError(f"anchor must be a non-negative chamber point, got {x}")
+    checked_alpha(alpha)
+    x = checked_chamber(x, nonneg=True, min_len=2)
     total = 1 if size is None else size
-    out = sample_alpha_corner_rows(alpha, np.tile(x, (total, 1)), rng)
+    out = _alpha_square_roots(alpha, _corner_roots(np.tile(x, (total, 1)), rng), rng)
     return out[0] if size is None else out
 
 
@@ -655,7 +647,7 @@ def apply_kernel_to_anchors(
     ``_MESH_CHUNK`` mesh points.
     """
     row = spec.row
-    anchors, valid = _checked_anchors(spec, np.atleast_2d(anchors))
+    anchors, valid = _checked_anchors(spec, np.atleast_2d(anchors), ndim=2)
     d = anchors.shape[-1]
     n = d - row.dim_drop
     if n > 3:
@@ -752,6 +744,4 @@ def apply_kernel_quadrature(
     ``f`` is as for :func:`apply_kernel_to_anchors`.
     """
     x = interior_anchor(spec, x)
-    if x.ndim != 1:
-        raise ValueError(f"apply_kernel_quadrature takes one anchor, got shape {x.shape}")
     return float(apply_kernel_to_anchors(spec, x[None, :], f, panels, order)[0])

@@ -18,10 +18,9 @@ import numpy as np
 
 from .diffusion import checked_args, log_density_indexed, transition_density, transition_variance
 from .kernels import (
-    DegenerateAnchorError,
     UnsupportedDimensionError,
-    is_chamber_point,
-    is_strict_interior,
+    checked_chamber,
+    interior_rows,
     vandermonde,
 )
 from .numerics import RngStream, checked_alpha, checked_alpha_int, checked_time, pointwise_values
@@ -94,12 +93,12 @@ def km_density(alpha: float, t: float, x, y):
 
     exp(-lambda_N t) (Delta(y)/Delta(x)) det[p_{alpha,t}(x_i, y_j)], with the
     determinant factored row-wise in log space so small-t entries do not
-    underflow.  ``y`` may carry leading batch axes.  ``ValueError`` is
-    raised at an anchor whose Vandermonde leaves the normal float range.
+    underflow.  ``y`` may carry leading batch axes.  x is one anchor in the
+    open non-negative chamber (:func:`kernels.checked_chamber`); ``ValueError``
+    is raised at an anchor whose Vandermonde leaves the normal float range.
     """
+    x = checked_chamber(x, nonneg=True, strict=True)
     x, y = checked_args(alpha, t, x, y)
-    if not is_strict_interior(x, nonneg=True):
-        raise DegenerateAnchorError(f"anchor must be strictly interior, got {x}")
     n = len(x)
     delta_x = vandermonde(x)
     if not np.finfo(float).tiny <= delta_x < np.inf:
@@ -182,16 +181,19 @@ def semigroup_apply_rows(
     points i < j < k of its one node set, which ascends, so each point is
     sorted.  ``f`` maps an (M, N) array of such points to its (M,) values
     (any other shape raises ``ValueError``) and is called once per chamber
-    point, shared across anchors.  Rows with tied coordinates return 0
-    without a call of f (the prefactor vanishes there; callers mask them).
+    point, shared across anchors.  Each row is an N-coordinate point of the
+    closed non-negative chamber; a row with a tie returns 0 without a call
+    of f (the prefactor vanishes there; callers mask them).
     """
     n = params.n_dim
     if n > 3:
         raise UnsupportedDimensionError("semigroup quadrature is guarded to N <= 3")
-    x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
+    x_rows = checked_chamber(np.atleast_2d(x_rows), nonneg=True, ndim=2, name="anchor rows")
+    if x_rows.shape[1] != n:
+        raise ValueError(f"a {n}-particle semigroup takes no anchor rows of shape {x_rows.shape}")
     if params.t == 0:
-        return pointwise_values(f, np.sort(x_rows, axis=-1))
-    valid = np.all(np.diff(np.sort(x_rows, axis=-1), axis=-1) > 0, axis=-1)
+        return pointwise_values(f, x_rows)
+    valid = interior_rows(x_rows)
     out = np.zeros(x_rows.shape[0])
     if not np.any(valid):
         return out
@@ -223,9 +225,7 @@ def semigroup_apply(
 
     At t > 0 the anchor must be strictly interior.
     """
-    x = np.asarray(x, dtype=float)
-    if params.t > 0 and not is_strict_interior(x, nonneg=True):
-        raise DegenerateAnchorError(f"anchor must be strictly interior, got {x}")
+    x = checked_chamber(x, nonneg=True, strict=params.t > 0)
     return float(semigroup_apply_rows(params, x[None, :], f, panels, order, y_max)[0])
 
 
@@ -341,15 +341,13 @@ def simulate_sde(
     caller.
 
     Raises ``ValueError``, before any draw, when alpha is not a finite
-    value > -1, when ``x0`` is not a non-negative chamber point (NaN, inf,
-    a negative or a decreasing coordinate; tied coordinates and a zero head
-    coordinate are allowed), when ``t_end`` is not finite and > 0, when
-    ``size`` < 1, or when ``t_end / dt`` exceeds ``MAX_SDE_STEPS``.
+    value > -1, when ``x0`` is not in the closed non-negative chamber (ties
+    and a zero head are allowed; :func:`kernels.checked_chamber`), when
+    ``t_end`` is not finite and > 0, when ``size`` < 1, or when
+    ``t_end / dt`` exceeds ``MAX_SDE_STEPS``.
     """
     checked_alpha(alpha)
-    x0 = np.asarray(x0, dtype=float)
-    if not is_chamber_point(x0, nonneg=True):
-        raise ValueError(f"x0 must be a finite, non-negative, non-decreasing point, got {x0}")
+    x0 = checked_chamber(x0, nonneg=True, name="x0")
     checked_time(t_end, name="t_end")
     if size is not None and size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
@@ -401,9 +399,7 @@ def simulate_matrix_ou(
     """
     alpha_int = checked_alpha_int(alpha_int)
     checked_time(t)
-    x0 = np.asarray(x0, dtype=float)
-    if not is_chamber_point(x0, nonneg=True):
-        raise ValueError(f"x0 must be a finite, non-negative, non-decreasing point, got {x0}")
+    x0 = checked_chamber(x0, nonneg=True, name="x0")
     n = x0.size
     m_rows = n + alpha_int
     m0 = np.zeros((m_rows, n), dtype=complex)

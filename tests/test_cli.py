@@ -210,6 +210,12 @@ def test_floats_are_17_digits(tmp_path):
         ["sample", "--sampler", "laguerre_ensemble", "--n", "0"],
         ["kernels-check", "--n", "1", "--panels", "0"],
         ["intertwine", "--n", "abc"],
+        # an --x that fits no anchor of the run; each of these ran on defaults and exited 0
+        ["intertwine", "--n", "1", "--x", "1,2,3,4,5"],
+        ["truncation", "--n", "1", "--x", "1,2,3"],
+        ["kernels-check", "--n", "1", "--x", "1,2,3"],
+        ["sample", "--sampler", "transition", "--x", "1,2,3"],
+        ["sample", "--sampler", "laguerre_ensemble", "--n", "2", "--x", "1,2,3"],
     ],
 )
 def test_library_domain_error_exits_2(tmp_path, capsys, argv):
@@ -217,6 +223,15 @@ def test_library_domain_error_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert err.count("\n") == 1
+
+
+def test_x_replaces_the_anchors_it_fits(tmp_path):
+    # --x 1,2,5 fits the N = 2 corner anchors only; the other anchors stay the defaults
+    assert run(["kernels-check", "--x", "1,2,5", "--alpha", "0.5", "--out", str(tmp_path)]) == 0
+    rows = list(csv.DictReader((tmp_path / "kernels_check.csv").read_text().splitlines()))
+    anchors = {(r["kernel"], r["N"]): r["anchor"] for r in rows if r["check"] == "normalization"}
+    assert anchors[("corner", "2")] == anchors[("alpha_corner", "2")] == "1 2 5"
+    assert anchors[("corner", "1")] == "1 2" and anchors[("alpha_square", "2")] == "1 3"
 
 
 def test_flag_parses_as_its_config_line(tmp_path, capsys):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laguerre_intertwine import kernels
+from laguerre_intertwine.determinantal import evaluate
 from laguerre_intertwine.experiments import TEST_FUNCTIONS, composed_corner_density
 from laguerre_intertwine.kernels import (
     DegenerateAnchorError,
@@ -18,13 +19,13 @@ from laguerre_intertwine.kernels import (
     UnsupportedDimensionError,
     apply_kernel_quadrature,
     apply_kernel_to_anchors,
+    checked_chamber,
     density_alpha_corner,
     density_alpha_square,
     density_corner,
     density_hat_corner,
     density_hat_square,
-    is_chamber_point,
-    is_strict_interior,
+    interior_rows,
     kernel_density,
     sample_alpha_corner,
     sample_alpha_corner_rows,
@@ -34,6 +35,15 @@ from laguerre_intertwine.kernels import (
     vandermonde,
 )
 from laguerre_intertwine.numerics import RngStream, power_stretch, unit_gauss_legendre
+from laguerre_intertwine.process import (
+    SdeConfig,
+    SemigroupParams,
+    km_density,
+    semigroup_apply,
+    semigroup_apply_rows,
+    simulate_matrix_ou,
+    simulate_sde,
+)
 from laguerre_intertwine.rmt import sample_corner_alpha_matrix, sample_haar_unitary
 from laguerre_intertwine.stats import EmpiricalSample, grid_cdf, ks_one_sample, ks_two_sample
 
@@ -49,13 +59,27 @@ def test_vandermonde_values():
 
 
 def test_chamber_predicates():
-    assert is_chamber_point(np.array([0.0, 1.0, 1.0]))
-    assert not is_chamber_point(np.array([1.0, 0.0]))
-    assert is_chamber_point(np.array([-1.0, 2.0]))
-    assert not is_chamber_point(np.array([-1.0, 2.0]), nonneg=True)
-    assert is_strict_interior(np.array([1.0, 2.0]), nonneg=True)
-    assert not is_strict_interior(np.array([0.0, 2.0]), nonneg=True)
-    assert not is_strict_interior(np.array([1.0, 1.0]))
+    # the closed chamber takes ties and a zero head; the open one neither
+    got = checked_chamber([0, 1, 1])
+    assert got.dtype == float and got.tolist() == [0.0, 1.0, 1.0]
+    with pytest.raises(ValueError, match="non-decreasing"):
+        checked_chamber(np.array([1.0, 0.0]))
+    assert checked_chamber(np.array([-1.0, 2.0])).tolist() == [-1.0, 2.0]
+    with pytest.raises(ValueError, match="non-decreasing"):
+        checked_chamber(np.array([-1.0, 2.0]), nonneg=True)
+    checked_chamber(np.array([1.0, 2.0]), nonneg=True, strict=True)
+    checked_chamber(np.array([0.0, 2.0]), strict=True)  # a zero head is interior unless nonneg
+    with pytest.raises(DegenerateAnchorError):
+        checked_chamber(np.array([0.0, 2.0]), nonneg=True, strict=True)
+    with pytest.raises(DegenerateAnchorError):
+        checked_chamber(np.array([1.0, 1.0]), strict=True)
+    rows = np.array([[1.0, 2.0], [1.0, 1.0], [0.0, 2.0]])
+    assert interior_rows(rows).tolist() == [True, False, True]
+    assert interior_rows(rows, positive_head=True).tolist() == [True, False, False]
+    assert checked_chamber(rows, ndim=2).shape == (3, 2)
+    for x, kwargs in [([], {}), ([1.0], {"min_len": 2}), (rows, {}), (1.0, {"ndim": None})]:
+        with pytest.raises(ValueError, match="shape"):
+            checked_chamber(x, **kwargs)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -64,8 +88,124 @@ def test_chamber_predicates_reject_non_finite(bad, pos):
     x = np.array([1.0, 2.0])
     x[pos] = bad
     for nonneg in (False, True):
-        assert not is_chamber_point(x, nonneg=nonneg)
-        assert not is_strict_interior(x, nonneg=nonneg)
+        for strict in (False, True):
+            with pytest.raises(ValueError, match="finite") as info:
+                checked_chamber(x, nonneg=nonneg, strict=strict)
+            assert not isinstance(info.value, DegenerateAnchorError)
+
+
+def _rng():
+    return RngStream(915, 0)
+
+
+# entry point -> (call on an anchor x, a valid anchor, nonneg, the shortest
+# anchor it takes, the strict defects it rejects); an anchor of rows (2-D)
+# gets its defect in the last row
+_SG0, _SG = SemigroupParams(0.5, 0.0, 2), SemigroupParams(0.5, 0.5, 2)
+_SQUARE, _CORNER = KernelSpec("alpha_square", 0.5), KernelSpec("alpha_corner", 0.5)
+_X2, _X3, _ROWS2 = (1.0, 2.0), (1.0, 2.0, 4.0), ((1.0, 2.0), (2.0, 3.0))
+_STRICT = ("tie", "zero_head")
+CHAMBER_ENTRIES = {
+    "kernel_density": (lambda x: kernel_density(_CORNER, x, [1.5, 3.0]), _X3, True, 2, _STRICT),
+    "density_corner": (lambda x: density_corner(x, [1.5, 3.0]), _X3, False, 2, ("tie",)),
+    "density_hat_corner": (lambda x: density_hat_corner(0.5, x, [1.5, 3.0]), _X3, True, 2, ("tie",)),
+    "apply_kernel_to_anchors": (lambda x: apply_kernel_to_anchors(_SQUARE, x, ONE, 2, 8),
+                                _ROWS2, True, 1, ()),
+    "apply_kernel_quadrature": (lambda x: apply_kernel_quadrature(_SQUARE, x, ONE, 2, 8),
+                                _X2, True, 1, _STRICT),
+    "sample_corner_many": (lambda x: sample_corner_many(x, _rng(), 3), _X3, False, 2, ()),
+    "sample_corner_rejection": (lambda x: sample_corner_rejection(x, _rng(), size=3),
+                                _X3, False, 2, ("tie",)),
+    "sample_alpha_square": (lambda x: sample_alpha_square(0.5, x, _rng(), size=3), _X2, True, 1, ()),
+    "sample_alpha_corner": (lambda x: sample_alpha_corner(0.5, x, _rng(), size=3), _X3, True, 2, ()),
+    "sample_alpha_corner_rows": (lambda x: sample_alpha_corner_rows(0.5, x, _rng()),
+                                 (_X3, (1.0, 3.0, 5.0)), True, 2, ()),
+    "km_density": (lambda x: km_density(0.5, 1.0, x, [1.0, 2.0]), _X2, True, 1, _STRICT),
+    "semigroup_apply_t0": (lambda x: semigroup_apply(_SG0, x, F_EXP, 2, 8), _X2, True, 2, ()),
+    "semigroup_apply": (lambda x: semigroup_apply(_SG, x, F_EXP, 2, 8), _X2, True, 2, _STRICT),
+    "semigroup_apply_rows_t0": (lambda x: semigroup_apply_rows(_SG0, x, F_EXP, 2, 8), _ROWS2, True, 2, ()),
+    "semigroup_apply_rows": (lambda x: semigroup_apply_rows(_SG, x, F_EXP, 2, 8), _ROWS2, True, 2, ()),
+    "simulate_sde": (lambda x: simulate_sde(0.5, x, 0.1, SdeConfig(dt=0.05), _rng(), size=2),
+                     _X2, True, 1, ()),
+    "simulate_matrix_ou": (lambda x: simulate_matrix_ou(1, x, 0.5, _rng(), size=2), _X2, True, 1, ()),
+    "evaluate_kernel": (lambda x: evaluate((_CORNER,), x, SCALAR_FUNCTIONS), _X3, True, 2, _STRICT),
+    "evaluate_semigroup": (lambda x: evaluate((_SG,), x, SCALAR_FUNCTIONS), _X2, True, 1, _STRICT),
+    "evaluate_semigroup_t0": (lambda x: evaluate((_SG0,), x, SCALAR_FUNCTIONS), _X2, True, 1, ()),
+}
+# the entry points that take one anchor or rows of any rank
+ANY_RANK = {"kernel_density", "density_corner", "density_hat_corner"}
+
+
+def _defective(name: str, defect: str) -> np.ndarray:
+    _, anchor, _, min_len, _ = CHAMBER_ENTRIES[name]
+    x = np.array(anchor)
+    if defect == "short":
+        return x[..., : min_len - 1]
+    if defect == "rank":  # a scalar where any rank >= 1 is taken, else one axis more
+        return np.float64(x[0]) if name in ANY_RANK else x[None]
+    row = x[-1] if x.ndim == 2 else x
+    if defect == "decreasing":
+        row[:] = row[::-1]
+    else:
+        pos, value = {"nan": (0, np.nan), "inf": (-1, np.inf), "negative": (0, -1.0),
+                      "tie": (1, row[0]), "zero_head": (0, 0.0)}[defect]
+        row[pos] = value
+    return x
+
+
+CHAMBER_CASES = [
+    pytest.param(CHAMBER_ENTRIES[name][0], _defective(name, defect), error, match, id=f"{name}-{defect}")
+    for name, (_, _, nonneg, _, strict) in CHAMBER_ENTRIES.items()
+    for defect, error, match in [
+        ("nan", ValueError, "finite and non-decreasing"),
+        ("inf", ValueError, "finite and non-decreasing"),
+        ("decreasing", ValueError, "finite and non-decreasing"),
+        ("negative", ValueError, "finite and non-decreasing"),
+        ("short", ValueError, "shape"),
+        ("rank", ValueError, "shape"),
+        ("tie", DegenerateAnchorError, "strictly interior"),
+        ("zero_head", DegenerateAnchorError, "strictly interior"),
+    ]
+    if (defect != "negative" or nonneg) and (error is ValueError or defect in strict)
+] + [
+    # the points y of the densities
+    pytest.param(call, np.array([bad, y1]), ValueError, "finite points y", id=f"{name}-y_{bad}")
+    for name, call, y1 in [
+        ("density_corner", lambda y: density_corner([1.0, 2.0, 4.0], y), 3.0),
+        ("density_alpha_square", lambda y: density_alpha_square(0.5, [1.0, 3.0], y), 2.0),
+        ("density_alpha_corner", lambda y: density_alpha_corner(0.5, [1.0, 2.0, 4.0], y), 3.0),
+        ("density_hat_corner", lambda y: density_hat_corner(0.5, [1.0, 2.0, 4.0], y), 3.0),
+        ("density_hat_square", lambda y: density_hat_square(0.5, [1.0, 3.0], y), 2.0),
+    ]
+    for bad in (np.nan, np.inf)
+] + [
+    # faults of the copies this check replaced, each seen as written here
+    pytest.param(lambda x: semigroup_apply(_SG0, x, F_EXP), [np.nan, 1.0], ValueError, "finite",
+                 id="t0_semigroup_nan_returned_nan"),
+    pytest.param(lambda x: semigroup_apply(_SG0, x, F_EXP), [2.0, 1.0], ValueError, "non-decreasing",
+                 id="t0_semigroup_decreasing_returned_a_value"),
+    pytest.param(lambda x: semigroup_apply_rows(_SG, x, F_EXP, 2, 8), [[2.0, 1.0]], ValueError,
+                 "non-decreasing", id="semigroup_rows_sorted_a_row"),
+    pytest.param(lambda x: evaluate((_SG0,), x, SCALAR_FUNCTIONS), [-1.0, 1.0], ValueError,
+                 "non-decreasing", id="t0_evaluate_negative_returned_one"),
+    pytest.param(lambda x: evaluate((_SG0,), x, SCALAR_FUNCTIONS), [np.nan, 1.0], ValueError,
+                 "finite", id="t0_evaluate_nan_raised_linalg_error"),
+    pytest.param(lambda y: density_alpha_corner(0.5, [1.0, 2.0, 4.0], y), [np.nan, 3.0], ValueError,
+                 "finite", id="density_nan_y_returned_zero"),
+    pytest.param(lambda x: km_density(0.5, 1.0, x, [1.0, 2.0]), [[1.0, 2.0]], ValueError, "shape",
+                 id="km_density_rank_reported_as_interior"),
+    pytest.param(lambda x: sample_alpha_corner(0.5, x, _rng(), size=2), [[1.0, 2.0], [1.0, 3.0]],
+                 ValueError, "shape", id="alpha_corner_rows_as_one_anchor"),
+]
+
+
+@pytest.mark.parametrize("call, x, error, match", CHAMBER_CASES)
+def test_chamber_check_at_every_entry_point(call, x, error, match):
+    # every anchor and start point goes through kernels.checked_chamber;
+    # the densities also check their points y
+    with np.errstate(all="raise"), pytest.raises(error, match=match) as info:
+        call(x)
+    assert error is DegenerateAnchorError or not isinstance(info.value, DegenerateAnchorError)
 
 
 @pytest.mark.parametrize("anchor", [[np.nan, 2.0], [1.0, np.inf], [np.nan, np.nan]])
