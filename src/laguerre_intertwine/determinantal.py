@@ -291,7 +291,7 @@ def evaluate(operators: Sequence[KernelSpec | SemigroupParams], x,
     that of the function it acts on.  x must be a strictly interior anchor
     of the outermost operator (:class:`DegenerateAnchorError` otherwise; a
     semigroup at t = 0 is the identity and leaves the check to the next
-    operator; a chain of those alone takes a point of the closed
+    operator; a chain of those alone returns f(x) at any point of the closed
     non-negative chamber).  ``ValueError`` is raised when the anchor matrix
     is too ill-conditioned for its determinant to be trusted (``COND_LIMIT``).
     """
@@ -306,6 +306,11 @@ def evaluate(operators: Sequence[KernelSpec | SemigroupParams], x,
         x = interior_anchor(outer, x)
     else:
         x = checked_chamber(x, nonneg=True, strict=outer is not None)
+        if outer is None and operators:  # identities alone
+            for op in operators:
+                if op.n_dim != x.size:
+                    raise ValueError(f"a {op.n_dim}-particle semigroup acts on a function of {x.size} coordinates")
+            return np.array([fn(x[None, :])[0] for fn in functions], dtype=float)
     c = x.size - sum(KERNELS[op.kind].dim_drop for op in operators if isinstance(op, KernelSpec))
     if c < 1:
         raise ValueError(f"an anchor of {x.size} coordinates leaves no coordinate after the kernels")

@@ -257,6 +257,7 @@ def _rel(lhs: float, rhs: float) -> float:
 def dual_check(cfg) -> list[Check]:
     """h-transform identities, dual generator residuals, and the N = 1
     density forms of the dual kernel exchange relations."""
+    _given_x(cfg, ())  # its points are fixed; it takes no --x
     td, dual_speed = diffusion.transition_density, diffusion.speed_measure_dual
     checks = []
 
@@ -365,6 +366,7 @@ def truncation(cfg) -> list[Check]:
 def invariance(cfg) -> list[Check]:
     """Ensemble projection: pushing the (N+1)-ensemble through the alpha
     corner kernel reproduces the N-ensemble."""
+    _given_x(cfg, ())  # its anchors are drawn; it takes no --x
     settings: list[tuple[int, float]] = [(2, 1.0), (2, 0.5), (1, 0.0)]
     if cfg.n is not None or cfg.alpha is not None:
         n = cfg.n if cfg.n is not None else 2
@@ -392,6 +394,7 @@ def invariance(cfg) -> list[Check]:
 
 def sde_vs_exact(cfg) -> list[Check]:
     """Euler scheme endpoints against the exact samplers, across steps."""
+    _given_x(cfg, ())  # its starting points are fixed; it takes no --x
     level = 0.01
     t_end = cfg.t if cfg.t is not None else 1.0
     n1 = min(cfg.n_samples, 20_000)

@@ -59,12 +59,12 @@ class RejectionLimitError(ValueError):
 MAX_REJECTION_ROUNDS = 10**7
 
 # Steps of the secular-equation solver.  A step that the rational model
-# cannot take bisects the bracket, which starts as half of the root's
-# interval, so even pure bisection ends within 2^-65 of the interval's width.
+# cannot take bisects the bracket, which the first step, at the midpoint,
+# halves, so even pure bisection ends within 2^-65 of the interval's width.
 MAX_SECULAR_STEPS = 64
 _SECULAR_TOL = 4.0 * np.finfo(float).eps
-# (pole x root) entries of one block of rows of the solver: its per-block
-# arrays then stay near 512 KiB each, in cache, whatever the row count.
+# (pole x root) entries of the pole arrays of one solve: its arrays then stay
+# near 512 KiB each, in cache, whatever the row count.
 _SECULAR_BLOCK = 2**16
 # (anchor x mesh point) entries of one chunk of anchor rows of the nested
 # quadrature; each row's sum is the same whatever the chunk holds.
@@ -464,93 +464,141 @@ def sample_corner_rejection(x, rng: RngStream, size: int | None = None) -> np.nd
 
 
 def _secular_roots(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per row, the M roots of sum_j w_j / (lam - p_j) = 0, one per [p_i, p_{i+1}].
+    """Per row, the M roots of sum_j w_j / (lam - p_j) = 0, one per [p_k, p_{k+1}].
 
     ``poles`` (R, M+1) has non-decreasing rows and ``weights`` (R, M+1) has
-    entries >= 0; the result is (R, M).  Rows are solved in blocks of at
-    most ``_SECULAR_BLOCK`` (pole x root) entries (or one row), so memory
-    does not grow with R.  Each root is sought as sigma, its distance from
-    the nearer end of its interval (of width h).  A step fits
-    C + S_n / sigma + S_f / (sigma - h) to the sum's value and slope, the
-    osculating model of LAPACK ``dlaed4`` (Li 1993; Gu and Eisenstat 1995),
-    and moves to the model's root; a bracket kept by the sum's sign takes a
-    bisection instead when that root falls outside it.  A root stops once
-    its step is a few ulps or the sum is below its rounding error, and after
-    ``MAX_SECULAR_STEPS`` steps at most.  A zero-width interval gives its
-    pole; so does an interval whose nearer side has only zero weights (a
-    Gamma weight that underflowed), the limit as those weights tend to 0.
-    Roots are clamped into their closed intervals.  Each root iterates on
-    its own, so no bit of it depends on the rows that share its block.
+    entries >= 0; the result is (R, M).  Root k sees two contiguous slices
+    of poles, 0..k below its interval and k+1..M above.  One solve
+    (:func:`_secular_group`) takes as many consecutive k as fit
+    ``_SECULAR_BLOCK`` pole entries with every row, each slice padded with
+    zero weights to the longest, or else one k on a block of rows.  A zero
+    weight adds exact zeros and each root iterates on its own, so no bit of
+    a root depends on what shares its solve.
     """
-    rows_per_block = max(1, _SECULAR_BLOCK // max(1, poles.shape[1] * (poles.shape[1] - 1)))
-    if len(poles) > rows_per_block:
-        return np.concatenate([
-            _secular_roots(poles[i : i + rows_per_block], weights[i : i + rows_per_block])
-            for i in range(0, len(poles), rows_per_block)
-        ])
-    lo_pole, hi_pole = poles[:, :-1], poles[:, 1:]
-    width = hi_pole - lo_pole
-    out = lo_pole.copy()
-    rows, ks = np.nonzero(width > 0)
-    if rows.size == 0:
-        return out
-    rows, ks = _at_least_two(rows), _at_least_two(ks)
-    a, b, h = lo_pole[rows, ks], hi_pole[rows, ks], width[rows, ks]
-    # one column per root, so that the sums over poles run down axis 0
-    p = np.ascontiguousarray(poles[rows].T)
-    w = np.ascontiguousarray(weights[rows].T)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        from_lo = np.sum(w / (a + 0.5 * h - p), axis=0) < 0
-    # offsets from the nearer pole, signed so that the far pole sits at +h:
-    # the nearer side's poles have offsets <= 0, the far side's >= h
-    e = p * np.where(from_lo, 1.0, -1.0) - np.where(from_lo, a, -b)
-    far = e > 0
-    near_w = (~far).astype(float)
-    h_far = far * h
-    noise = 2.0 * p.shape[0] * np.finfo(float).eps
-
-    sig = 0.5 * h
-    lo, hi = np.zeros_like(h), 0.5 * h
-    root = np.empty_like(h)
-    live = np.arange(h.size)
-    for _ in range(MAX_SECULAR_STEPS):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # each term's distance to its side's end pole over its own, in (0, 1]
-            ratio = (sig - h_far) / (sig - e)
-            # per side, p_* sums w * ratio and s_* sums w * ratio^2
-            wr = w * ratio
-            p_near = np.einsum("ij,ij->j", wr, near_w, optimize=False)
-            p_far = np.sum(wr, axis=0) - p_near
-            s_near = np.einsum("ij,ij,ij->j", wr, ratio, near_w, optimize=False)
-            s_far = np.einsum("ij,ij->j", wr, ratio, optimize=False) - s_near
-            # sigma times the sum: its sign, without its pole at sigma = 0
-            q = sig / (sig - h)
-            value = p_near + q * p_far
-            flat = np.abs(value) <= noise * (p_near - q * p_far)
-            c = (p_near - s_near) / sig + (p_far - s_far) / (sig - h)
-            beta = s_near + s_far - c * h
-            disc = np.sqrt(np.maximum(beta * beta + 4.0 * c * s_near * h, 0.0))
-            step = np.where(beta > 0, 2.0 * s_near * h / (beta + disc), (disc - beta) / (2.0 * c))
-        lo = np.where(value > 0, sig, lo)
-        hi = np.where(value < 0, sig, hi)
-        step[s_near == 0] = 0.0
-        step[flat] = sig[flat]
-        done = flat | (s_near == 0) | (np.abs(step - sig) <= _SECULAR_TOL * sig)
-        bisect = ~(done | ((lo < step) & (step < hi)))
-        step[bisect] = 0.5 * (lo[bisect] + hi[bisect])
-        done |= hi - lo <= _SECULAR_TOL * hi
-        if not done.any():
-            sig = step
-            continue
-        root[live[done]] = step[done]
-        keep = _at_least_two(np.flatnonzero(~done))
-        live, sig, lo, hi, h = live[keep], step[keep], lo[keep], hi[keep], h[keep]
-        if live.size == 0:
-            break
-        w, e, near_w, h_far = (np.take(arr, keep, axis=1) for arr in (w, e, near_w, h_far))
-    root[live] = sig
-    out[rows, ks] = np.clip(np.where(from_lo, a + root, b - root), a, b)
+    n_rows, m = poles.shape[0], poles.shape[1] - 1
+    out = np.empty((n_rows, m))
+    group = max((g for g in range(1, m + 1) if n_rows * g * (m + g) <= _SECULAR_BLOCK), default=1)
+    rows_per_block = max(1, _SECULAR_BLOCK // (group * (m + group)))
+    for i in range(0, n_rows, rows_per_block):
+        block = slice(i, i + rows_per_block)
+        # one column per row, so that the sums over poles run down axis 0
+        pt, wt = np.ascontiguousarray(poles[block].T), np.ascontiguousarray(weights[block].T)
+        for k0 in range(0, m, group):
+            out[block, k0 : k0 + group] = _secular_group(pt, wt, k0, min(k0 + group, m)).T
     return out
+
+
+def _secular_group(pt: np.ndarray, wt: np.ndarray, k0: int, k1: int) -> np.ndarray:
+    """Roots k0..k1-1 of each column of the poles ``pt`` and weights ``wt``.
+
+    The root at x above its lower pole a and y below its upper pole b
+    solves f = P_lo / x - P_up / y = 0: P_lo sums w * r over the poles p
+    below, r = x / (x + a - p) in (0, 1], P_up likewise above with
+    r = y / (y + p - b), and S_lo, S_up sum w * r^2.  A step fits
+    c + S_lo / x - S_up / y to the value and slope of f, the osculating
+    model of LAPACK ``dlaed4`` (Li 1993; Gu and Eisenstat 1995), and moves x
+    up and y down to its root, so no nearer side is chosen in advance.  The
+    first step, from the midpoint, and any step longer than half the nearer
+    distance take x and y from the model's root itself (:func:`_model_point`),
+    where x + e would lose the nearer one's digits.  A step that leaves the
+    bracket kept by the sign of f bisects it.  A root stops once its step is
+    a few ulps of the nearer distance, or the last two model steps shrink at
+    a rate that puts the next one there, or f is below its rounding error;
+    after ``MAX_SECULAR_STEPS`` steps at most.  A zero-width interval gives
+    its pole, and so does one whose weights on a side are all zero (a Gamma
+    weight that underflowed), the limit as they tend to 0: that side's pole,
+    the upper one if both.  Roots are clamped into their closed intervals.
+    """
+    g, n = k1 - k0, pt.shape[1]
+    a, b = pt[k0:k1].reshape(-1), pt[k0 + 1 : k1 + 1].reshape(-1)  # index-major
+    # each side's distances from its end of the interval, all >= 0
+    dl, wl = a.reshape(g, n) - pt[:k1, None], wt[:k1, None]
+    du, wu = pt[k0 + 1 :, None] - b.reshape(g, n), wt[k0 + 1 :, None]
+    if g > 1:  # a root's slices end at its own k: zero weights pad them
+        ks = np.arange(k0, k1)[:, None]
+        below, above = np.arange(k1)[:, None, None] <= ks, np.arange(k0 + 1, len(pt))[:, None, None] > ks
+        dl, wl, du, wu = (np.where(mask, v, 0.0) for mask, v in ((below, dl), (below, wl), (above, du), (above, wu)))
+    dl, wl, du, wu = (v.reshape(len(v), -1) for v in (dl, wl, du, wu))
+    out = np.where(wu.any(axis=0), a, b)
+    cols = np.flatnonzero((b > a) & wu.any(axis=0) & wl.any(axis=0))
+    if cols.size == 0:
+        return out.reshape(g, n)
+    if cols.size < a.size or a.size == 1:
+        cols = _at_least_two(cols)
+        a, b = a[cols], b[cols]
+        dl, wl, du, wu = (np.take(v, cols, axis=1) for v in (dl, wl, du, wu))
+    h = b - a
+    buf = np.empty((2, max(dl.size, du.size)))
+    x = y = 0.5 * h
+    lo, hi, prev = np.zeros_like(h), h, np.full_like(h, np.nan)
+    root_x, root_y = np.empty_like(h), np.empty_like(h)
+    live = np.arange(h.size)
+    for it in range(MAX_SECULAR_STEPS):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            p_lo, s_lo = _pole_sums(dl, wl, x, buf)
+            p_up, s_up = _pole_sums(du, wu, y, buf)
+            t_lo, t_up = y * p_lo, x * p_up
+            f = t_lo - t_up  # x * y times the sum
+            flat = np.abs(f) <= 2.0 * len(pt) * np.finfo(float).eps * (t_lo + t_up)
+            c = (p_lo - s_lo) / x - (p_up - s_up) / y
+            if it == 0:
+                nx, ny = _model_point(c, s_lo, s_up, h)
+                de, done = prev, flat | (np.minimum(nx, ny) == 0)
+            else:
+                slope = s_lo + s_up - c * (y - x)
+                e = 2.0 * f / (slope + np.sqrt(np.maximum(slope * slope + 4.0 * c * f, 0.0)))
+                near, de = np.minimum(x, y), np.abs(e)
+                done = flat | (de <= _SECULAR_TOL * near) | (de * (de / prev) ** 2 <= _SECULAR_TOL * near)
+                nx, ny = x + e, y - e
+                jump = np.flatnonzero(de > 0.5 * near)
+                if jump.size:  # x + e or y - e would lose the nearer one's digits
+                    nx[jump], ny[jump] = _model_point(c[jump], s_lo[jump], s_up[jump], h[jump])
+                    de[jump] = np.nan
+                    done[jump] |= np.minimum(nx[jump], ny[jump]) == 0
+        lo, hi = np.where(f > 0, x, lo), np.where(f < 0, x, hi)
+        bisect = ~(done | ((lo <= nx) & (nx <= hi)))
+        if bisect.any():
+            mid = 0.5 * (lo + hi)
+            nx, ny, de = np.where(bisect, mid, nx), np.where(bisect, h - mid, ny), np.where(bisect, np.nan, de)
+            done |= bisect & (hi - lo <= _SECULAR_TOL * np.minimum(hi, h - lo))
+        if flat.any():  # f is rounding: the point stays, whatever the step says
+            nx, ny = np.where(flat, x, nx), np.where(flat, y, ny)
+        if done.any():
+            idx = np.flatnonzero(done)
+            root_x[live[idx]], root_y[live[idx]] = nx[idx], ny[idx]
+            keep = _at_least_two(np.flatnonzero(~done))
+            live = live[keep]
+            if live.size == 0:
+                break
+            nx, ny, de, lo, hi, h = (v[keep] for v in (nx, ny, de, lo, hi, h))
+            dl, wl, du, wu = (np.take(v, keep, axis=1) for v in (dl, wl, du, wu))
+        x, y, prev = nx, ny, de
+    else:
+        root_x[live], root_y[live] = x, y
+    out[cols] = np.clip(np.where(root_x <= root_y, a + root_x, b - root_y), a, b)
+    return out.reshape(g, n)
+
+
+def _pole_sums(offsets: np.ndarray, w: np.ndarray, d: np.ndarray, buf: np.ndarray):
+    """Down axis 0, the sums of w * r and w * r^2 with r = d / (d + offsets), in ``buf``."""
+    r = np.add(offsets, d, out=buf[0, : offsets.size].reshape(offsets.shape))
+    np.divide(d, r, out=r)
+    wr = np.multiply(w, r, out=buf[1, : offsets.size].reshape(offsets.shape))
+    total = np.add.reduce(wr, axis=0)
+    wr *= r
+    return total, np.add.reduce(wr, axis=0)
+
+
+def _model_point(c, s_lo, s_up, h):
+    """The root of c + s_lo / x - s_up / y with x + y = h, as (x, y): the
+    nearer of the two to a few ulps, the other h minus it.  Each is the
+    quadratic's root in the form that cancels nothing; a root nearer than
+    the float range has a zero, its pole."""
+    b_lo, b_up = s_lo + s_up - c * h, s_lo + s_up + c * h
+    disc = np.sqrt(np.maximum(b_lo * b_lo + 4.0 * c * s_lo * h, 0.0))
+    x = np.where(b_lo > 0, 2.0 * s_lo * h / (b_lo + disc), (disc - b_lo) / (2.0 * c))
+    y = np.where(b_up > 0, 2.0 * s_up * h / (b_up + disc), (b_up - disc) / (2.0 * c))
+    return np.where(x <= y, x, h - y), np.where(x <= y, h - x, y)
 
 
 def _at_least_two(index: np.ndarray) -> np.ndarray:

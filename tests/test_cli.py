@@ -216,6 +216,10 @@ def test_floats_are_17_digits(tmp_path):
         ["kernels-check", "--n", "1", "--x", "1,2,3"],
         ["sample", "--sampler", "transition", "--x", "1,2,3"],
         ["sample", "--sampler", "laguerre_ensemble", "--n", "2", "--x", "1,2,3"],
+        # subcommands whose points are fixed or drawn take no --x at all
+        ["dual-check", "--x", "1,2"],
+        ["invariance", "--x", "1,2"],
+        ["sde-vs-exact", "--x", "1,2"],
     ],
 )
 def test_library_domain_error_exits_2(tmp_path, capsys, argv):

@@ -144,3 +144,14 @@ def test_ill_conditioned_anchor_raises(tmp_path):
                "--x", ",".join(map(str, x)), "--out", str(tmp_path)])
     assert rc == 2
 
+
+@pytest.mark.parametrize("anchor", [[0.0], [1.0, 1.0], [0.0, 0.0, 2.0]])
+def test_t_zero_chain_is_f_on_the_closed_chamber(anchor):
+    # a chain of t = 0 semigroups alone is the identity: f(x) at a zero head
+    # and at ties, where the determinant over Delta(x) has no value
+    x = np.array(anchor)
+    want = np.array([fn(x[None, :])[0] for fn in FUNCTIONS])
+    for chain in ((SemigroupParams(0.5, 0.0, x.size),), (SemigroupParams(-0.5, 0.0, x.size),) * 2):
+        assert np.array_equal(evaluate(chain, x, FUNCTIONS), want)
+    with pytest.raises(ValueError, match="semigroup acts on"):
+        evaluate((SemigroupParams(0.5, 0.0, x.size + 1),), x, FUNCTIONS)

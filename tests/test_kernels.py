@@ -5,6 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import binned_gof_2d
+from secular_oracle import reference_secular_roots
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -1141,6 +1142,45 @@ def test_secular_roots_in_blocks_match_one_call_bit_for_bit(m, monkeypatch):
     for rows_per_block in (3, 7, 1):
         monkeypatch.setattr(kernels, "_SECULAR_BLOCK", rows_per_block * m * (m + 1))
         assert np.array_equal(kernels._secular_roots(poles, weights), whole)
+
+
+def _assert_same_roots(got, want, poles):
+    # within 1e-12 of each root's distance to its nearer pole, plus the
+    # rounding of the position itself and the floor of the normal range
+    near = np.minimum(want - poles[:, :-1], poles[:, 1:] - want)
+    slack = 1e-12 * near + np.spacing(np.abs(want)) + np.finfo(float).tiny
+    assert np.all(np.abs(got - want) <= slack), np.max(np.abs(got - want) / slack)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8, 16])
+@pytest.mark.parametrize("alpha", [-0.99, -0.5, 0.5, 2.5])
+def test_secular_roots_match_previous_solver(alpha, m):
+    # the alpha_square draw: poles (0, z) with a Gamma(alpha + 1) weight at 0
+    # and Exp(1) weights at z, against the masked-sum solver it replaced
+    gen = np.random.default_rng(930 + m)
+    rows = 300
+    z = np.cumsum(gen.exponential(size=(rows, m)), axis=1)
+    z[1::6, 0] = 0.0  # a zero head: the poles 0 and z_1 tie
+    if m > 1:
+        z[2::6, 1] = z[2::6, 0]  # tied poles
+    poles = np.concatenate([np.zeros((rows, 1)), z], axis=1)
+    weights = np.concatenate([gen.standard_gamma(alpha + 1.0, (rows, 1)), gen.standard_exponential((rows, m))], axis=1)
+    weights[3::6, 0] = 0.0  # a Gamma weight that underflowed
+    got = kernels._secular_roots(poles, weights)
+    _assert_same_roots(got, reference_secular_roots(poles, weights), poles)
+    for r in range(6):  # a lone row, as sample(size=None) solves it
+        lone = kernels._secular_roots(poles[r : r + 1], weights[r : r + 1])
+        _assert_same_roots(lone, reference_secular_roots(poles[r : r + 1], weights[r : r + 1]), poles[r : r + 1])
+
+
+def test_secular_roots_in_window_at_extreme_scales():
+    # at subnormal widths the model's constant overflows and its step is not
+    # finite; such a root must come from the bracket, even where f is flat
+    gen = np.random.default_rng(933)
+    for scale in (1e-308, 1e-320, 1e300):
+        poles = np.sort(gen.uniform(0.0, 4.0, size=(200, 4)), axis=1) * scale
+        got = kernels._secular_roots(poles, gen.standard_exponential((200, 4)))
+        assert np.all((poles[:, :-1] <= got) & (got <= poles[:, 1:])), scale
 
 
 def test_secular_roots_stop_at_step_cap(monkeypatch):
