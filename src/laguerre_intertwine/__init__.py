@@ -32,8 +32,6 @@ from .kernels import (
     density_alpha_corner,
     density_alpha_square,
     density_corner,
-    density_hat_corner,
-    density_hat_square,
     kernel_density,
     sample_alpha_corner,
     sample_alpha_corner_rows,

@@ -49,13 +49,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 
 from . import diffusion
-from .kernels import (
-    KERNELS,
-    KernelSpec,
-    checked_chamber,
-    interior_anchor,
-    vandermonde,
-)
+from .kernels import KernelSpec, checked_chamber, interior_anchor, vandermonde
 from .numerics import (
     gauss_jacobi,
     pochhammer,
@@ -81,8 +75,6 @@ TAIL_EXPONENT = 40.0
 # cond * 2.2e-16, which reaches the tightest intertwine tolerance (1e-6)
 # near cond = 1e10.
 COND_LIMIT = 1e10
-
-KINDS = ("corner", "alpha_square", "alpha_corner")
 
 
 @dataclass(frozen=True)
@@ -218,13 +210,14 @@ class _Table:
 
 
 def _kernel_step(spec: KernelSpec, table: _Table, grid: LineGrid, edge_index: np.ndarray) -> _Table:
-    """The table of (kernel F)."""
+    """The table of (kernel F): the alpha_square step where the kind takes
+    alpha, then the corner step where it drops a coordinate."""
     c = table.nodes.shape[1]
     nodes, scale = table.nodes, table.scale
-    if spec.kind in ("alpha_square", "alpha_corner"):
+    if spec.row.takes_alpha:
         nodes, edge_values = _power_average(grid, nodes, spec.alpha)
         scale *= pochhammer(spec.alpha + 1.0, c)
-    if spec.kind in ("corner", "alpha_corner"):
+    if spec.row.dim_drop:
         count = nodes.shape[-2]
         nodes, edge_values = _power_average(grid, nodes, 0.0)
         nodes = nodes * grid.nodes[:count]
@@ -287,31 +280,30 @@ def evaluate(operators: Sequence[KernelSpec | SemigroupParams], x,
 
     ``operators`` are written in operator-product order, so the last one
     acts on f first: ``(SemigroupParams(...), KernelSpec(...))`` is P_t K f.
-    Kernels are the kinds in ``KINDS``; each semigroup's dimension must be
-    that of the function it acts on.  x must be a strictly interior anchor
-    of the outermost operator (:class:`DegenerateAnchorError` otherwise; a
-    semigroup at t = 0 is the identity and leaves the check to the next
-    operator; a chain of those alone returns f(x) at any point of the closed
-    non-negative chamber).  ``ValueError`` is raised when the anchor matrix
-    is too ill-conditioned for its determinant to be trusted (``COND_LIMIT``).
+    Kernels are any kind of ``kernels.KERNELS``; each semigroup's dimension
+    must be that of the function it acts on.  x must be a strictly interior
+    anchor of the outermost operator (:class:`DegenerateAnchorError`
+    otherwise; a semigroup at t = 0 is the identity and leaves the check to
+    the next operator; a chain of those alone, the empty chain among them,
+    returns f(x) at any point of the closed non-negative chamber).
+    ``ValueError`` is raised when the anchor matrix is too ill-conditioned
+    for its determinant to be trusted (``COND_LIMIT``).
     """
     operators = tuple(operators)
     for op in operators:
         if not isinstance(op, (KernelSpec, SemigroupParams)):
             raise TypeError(f"not a kernel or semigroup: {op!r}")
-        if isinstance(op, KernelSpec) and op.kind not in KINDS:
-            raise ValueError(f"no determinantal form for the {op.kind!r} kernel")
     outer = next((op for op in operators if not (isinstance(op, SemigroupParams) and op.t == 0)), None)
     if isinstance(outer, KernelSpec):
         x = interior_anchor(outer, x)
     else:
         x = checked_chamber(x, nonneg=True, strict=outer is not None)
-        if outer is None and operators:  # identities alone
+        if outer is None:  # identities alone, or none
             for op in operators:
                 if op.n_dim != x.size:
                     raise ValueError(f"a {op.n_dim}-particle semigroup acts on a function of {x.size} coordinates")
             return np.array([fn(x[None, :])[0] for fn in functions], dtype=float)
-    c = x.size - sum(KERNELS[op.kind].dim_drop for op in operators if isinstance(op, KernelSpec))
+    c = x.size - sum(op.row.dim_drop for op in operators if isinstance(op, KernelSpec))
     if c < 1:
         raise ValueError(f"an anchor of {x.size} coordinates leaves no coordinate after the kernels")
 

@@ -100,7 +100,7 @@ def intertwine_sides(identity: str, alpha: float, t: float, x: np.ndarray, funct
         raise ConfigError(f"unknown identity {identity!r}")
     kind, (up_da, up_dn), (dn_da, dn_dn) = IDENTITIES[identity]
     n_low = len(x) - up_dn
-    spec = KernelSpec(kind, None if kind == "corner" else alpha)
+    spec = KernelSpec(kind, alpha if kernels.KERNELS[kind].takes_alpha else None)
     upper = SemigroupParams(alpha + up_da, t, n_low + up_dn)
     lower = SemigroupParams(alpha + dn_da, t, n_low + dn_dn)
     lhs = determinantal.evaluate((upper, spec), x, functions)
@@ -126,7 +126,10 @@ def composed_corner_density(
 
 
 def _given_x(cfg, lengths) -> dict[int, tuple]:
-    """``{len(x): x}`` for the run's x, which must fit one of its anchor ``lengths``."""
+    """``{len(x): x}`` for the run's x, which must fit one of its anchor ``lengths``
+    (none: the run takes no x)."""
+    if cfg.x and not lengths:
+        raise ConfigError(f"{cfg.experiment} takes no --x")
     if cfg.x and len(cfg.x) not in lengths:
         raise ConfigError(f"--x has {len(cfg.x)} coordinates; the run's anchors have {sorted(lengths)}")
     return {len(cfg.x): cfg.x} if cfg.x else {}
@@ -453,7 +456,8 @@ def sample(cfg) -> tuple[np.ndarray, dict]:
             raise ConfigError(f"{cfg.sampler} sampler needs --x")
         draws = anchored[cfg.sampler]()
     elif cfg.sampler in sized:
-        _given_x(cfg, ())  # a sized sampler takes no --x
+        if cfg.x:
+            raise ConfigError(f"{cfg.sampler} sampler takes no --x")
         if cfg.n is None:
             raise ConfigError(f"{cfg.sampler} sampler needs --n")
         draws = sized[cfg.sampler]()

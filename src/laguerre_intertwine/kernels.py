@@ -3,9 +3,8 @@
 A chamber point is a plain 1-D numpy array with non-decreasing coordinates
 (non-negative for the kernels carrying a parameter alpha).  The module
 provides the Vandermonde determinant, the chamber check, density
-evaluators and exact samplers for the five kernels used throughout the
-package, and a nested-quadrature applier that computes (kernel f)(x) for
-test functions f.
+evaluators and exact samplers for the paper's three kernels, and a
+nested-quadrature applier that computes (kernel f)(x) for test functions f.
 
 Kernels:
 
@@ -16,17 +15,16 @@ Kernels:
                       ratio, supported on the inner window
                       z_{k-1} <= y_k <= z_k (z_0 = 0);
 * ``alpha_corner`` -- their composition from N+1 to N, with per-coordinate
-                      segment integrals in closed form;
-* ``hat_corner`` / ``hat_square`` -- positive (generally non-probability)
-                      kernels weighting the window by the dual speed measure.
+                      segment integrals in closed form; it intertwines the
+                      alpha-Laguerre process in N+1 and N dimensions.
 
 Each kind is one row of the table ``KERNELS`` (:class:`KernelRow`): its
-density, its window segments, the alpha domain, and how its density behaves
-at y = 0.  :func:`kernel_density` and the quadrature appliers validate
-through that row.  Densities are defined for strictly interior anchors and
-raise :class:`DegenerateAnchorError` on ties; samplers extend continuously
-to tied anchors (coordinates in zero-width windows are forced, the rest
-follow the weak-limit law).
+density, its window segments, whether it takes alpha, and whether its
+segment factor is log-singular at alpha = 0.  :func:`kernel_density` and
+the quadrature appliers validate through that row.  Densities are defined
+for strictly interior anchors and raise :class:`DegenerateAnchorError` on
+ties; samplers extend continuously to tied anchors (coordinates in
+zero-width windows are forced, the rest follow the weak-limit law).
 """
 
 from __future__ import annotations
@@ -140,9 +138,7 @@ def _in_window(breaks: tuple[int, ...], anchors: np.ndarray, y: np.ndarray) -> n
 # too.  The quadrature passes one node-weight array per coordinate, and a
 # coordinate's factor is multiplied by its own weight before the product:
 # at a head of 1e-300 the factor alone may exceed the float range where
-# factor times weight does not.  Pointwise evaluation passes w = None.  For
-# the rows flagged ``power_in_weights`` the weights carry the density's power
-# of y, which the density then leaves out.
+# factor times weight does not.  Pointwise evaluation passes w = None.
 
 def _weighted_product(factors: np.ndarray, w) -> np.ndarray:
     """prod_k factors[..., k] * w[k], or prod_k factors[..., k] when w is None."""
@@ -228,14 +224,6 @@ def _alpha_corner_density(alpha, x, y, w):
     return factorial(n) * pochhammer(alpha + 1.0, n) * vandermonde(y) / vandermonde(x) * weight
 
 
-def _hat_density(alpha, x, y, w):
-    """prod_k e^(y_k) y_k^(-alpha-1), the dual speed measure; with weights,
-    which carry y_k^(-alpha-1), prod_k e^(y_k) w_k."""
-    if w is None:
-        return np.prod(np.exp(y) * y ** (-alpha - 1.0), axis=-1)
-    return _weighted_product(np.exp(y), w)
-
-
 @dataclass(frozen=True)
 class KernelRow:
     """What every entry point knows about one kernel kind.
@@ -245,26 +233,20 @@ class KernelRow:
     points bound the interlacing window, consecutive points bound the
     segments on which the density is smooth (the quadrature panels), and
     the last break is the number of coordinates the kernel drops.
+
+    ``takes_alpha`` is one fact in three parts: the kind takes a finite
+    alpha > -1, its density carries y^alpha at y = 0 (so its anchors are
+    non-negative), and it is defined only at anchors whose head is > 0.
     """
 
     density: Callable[[float | None, np.ndarray, np.ndarray, list | None], np.ndarray]
     breaks: tuple[int, ...]
-    alpha_above: float | None  # alpha must be finite and exceed this; None: no alpha
-    positive_head: bool  # defined only at anchors whose head coordinate is > 0
-    weight_power: tuple[float, float] | None  # (c, e): the density carries y^(c alpha + e) at y = 0
+    takes_alpha: bool
     log_segment: bool  # at alpha = 0 a segment factor is log(b / y), log-singular at y = 0
-    power_in_weights: bool  # the quadrature folds y^(c alpha + e) into its weights
 
     @property
     def dim_drop(self) -> int:
         return self.breaks[-1]
-
-    def endpoint_exponent(self, alpha: float | None) -> float | None:
-        """The density's power of y at y = 0, when it is integrable (> -1)."""
-        if self.weight_power is None:
-            return None
-        power = self.weight_power[0] * alpha + self.weight_power[1]
-        return power if power > -1 else None
 
     def node_stretch(self, alpha: float | None) -> float:
         """Power of the quadrature's node map y = top * v^stretch (1: plain nodes).
@@ -273,32 +255,18 @@ class KernelRow:
         matters as the head goes to 0, where plain nodes lose 1e-3 of the
         alpha_corner mass at a head of 1e-300.
         """
-        exponent = self.endpoint_exponent(alpha)
-        if exponent is None:
+        if not self.takes_alpha:
             return 1.0
         if self.log_segment and alpha == 0:
             return power_stretch(-0.5)
-        return power_stretch(exponent)
-
-    def integrable(self, alpha: float | None, rows: np.ndarray) -> np.ndarray:
-        """Per anchor row: whether the density has a finite integral over the window.
-
-        It has, unless its power of y at 0 is <= -1 and the first window
-        starts at 0.
-        """
-        if self.weight_power is None or self.endpoint_exponent(alpha) is not None:
-            return np.ones(rows.shape[:-1], dtype=bool)
-        return _window_points(self.breaks, rows)[0][..., 0] > 0
+        return power_stretch(alpha)
 
 
 KERNELS: dict[str, KernelRow] = {
-    # kind: KernelRow(density, breaks, alpha_above, positive_head, weight_power, log_segment,
-    #                 power_in_weights)
-    "corner": KernelRow(_corner_density, (0, 1), None, False, None, False, False),
-    "alpha_square": KernelRow(_alpha_square_density, (-1, 0), -1.0, True, (1.0, 0.0), False, False),
-    "alpha_corner": KernelRow(_alpha_corner_density, (-1, 0, 1), -1.0, True, (1.0, 0.0), True, False),
-    "hat_corner": KernelRow(_hat_density, (0, 1), -np.inf, False, (-1.0, -1.0), False, True),
-    "hat_square": KernelRow(_hat_density, (-1, 0), -np.inf, True, (-1.0, -1.0), False, True),
+    # kind: KernelRow(density, breaks, takes_alpha, log_segment)
+    "corner": KernelRow(_corner_density, (0, 1), False, False),
+    "alpha_square": KernelRow(_alpha_square_density, (-1, 0), True, False),
+    "alpha_corner": KernelRow(_alpha_corner_density, (-1, 0, 1), True, True),
 }
 
 
@@ -312,11 +280,10 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.kind not in KERNELS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        above = self.row.alpha_above
-        if above is None and self.alpha is not None:
+        if self.row.takes_alpha:
+            checked_alpha(self.alpha)
+        elif self.alpha is not None:
             raise ValueError(f"kernel {self.kind!r} takes no alpha")
-        if above is not None:
-            checked_alpha(self.alpha, above)
 
     @property
     def row(self) -> KernelRow:
@@ -326,17 +293,17 @@ class KernelSpec:
 def _checked_anchors(spec: KernelSpec, anchors, ndim: int | None) -> tuple[np.ndarray, np.ndarray]:
     """The anchors as a float array of ``ndim`` axes, and per row whether it is strictly interior.
 
-    The anchors are checked by :func:`checked_chamber`, non-negative where
-    the density carries a power of y; there a strictly interior row with a
+    The anchors are checked by :func:`checked_chamber`, non-negative for
+    the kinds that take alpha; there a strictly interior row with a
     subnormal coordinate raises ``ValueError`` too: the density exceeds the
     float range, and its quadrature loses the digits of the subnormal.
     Strictly interior means strictly increasing, with a head above 0 for
-    the kinds flagged ``positive_head``.
+    the kinds that take alpha.
     """
     row = spec.row
-    nonneg = row.weight_power is not None
+    nonneg = row.takes_alpha
     a = checked_chamber(anchors, nonneg, min_len=row.dim_drop + 1, ndim=ndim, name=f"{spec.kind} anchor")
-    interior = interior_rows(a, row.positive_head)
+    interior = interior_rows(a, nonneg)
     if nonneg and np.any(interior & np.any((a > 0) & (a < np.finfo(float).tiny), axis=-1)):
         raise ValueError(f"{spec.kind} density exceeds the float range at a subnormal anchor")
     return a, interior
@@ -346,7 +313,7 @@ def interior_anchor(spec: KernelSpec, x, ndim: int | None = 1) -> np.ndarray:
     """The anchor(s) x as a float array, each row strictly interior for the kernel.
 
     Raises :class:`DegenerateAnchorError` for a tie, or a zero head for the
-    kinds flagged ``positive_head``, and ``ValueError`` as
+    kinds that take alpha, and ``ValueError`` as
     :func:`_checked_anchors` does.
     """
     x, interior = _checked_anchors(spec, x, ndim)
@@ -379,7 +346,7 @@ def kernel_density(spec: KernelSpec, x, y):
     if not np.all(np.isfinite(y)):
         raise ValueError(f"{spec.kind} density takes finite points y, got {y}")
     out = _window_density(spec.row, spec.alpha, x, y)
-    singular = spec.row.weight_power is not None and np.any(y == 0, axis=-1)
+    singular = spec.row.takes_alpha and np.any(y == 0, axis=-1)
     if not np.all(np.isfinite(out) | singular):
         raise ValueError(f"{spec.kind} density leaves the float range at an anchor row")
     return float(out) if out.ndim == 0 else out
@@ -398,16 +365,6 @@ def density_alpha_square(alpha: float, z, y):
 def density_alpha_corner(alpha: float, x, y):
     """Density of the alpha corner kernel at interior anchor x (length N+1)."""
     return kernel_density(KernelSpec("alpha_corner", alpha), x, y)
-
-
-def density_hat_corner(alpha: float, x, y):
-    """Positive kernel: outer-window indicator times prod e^y y^(-alpha-1)."""
-    return kernel_density(KernelSpec("hat_corner", alpha), x, y)
-
-
-def density_hat_square(alpha: float, x, y):
-    """Positive kernel: inner-window indicator times prod e^y y^(-alpha-1)."""
-    return kernel_density(KernelSpec("hat_square", alpha), x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -682,17 +639,15 @@ def apply_kernel_to_anchors(
 
     ``f`` maps an (M, N) array of chamber points (rows non-decreasing) to
     its (M,) values; any other shape raises ``ValueError``.  Rows that are
-    not strictly interior (a tie, or a zero head for the kinds flagged
-    ``positive_head``) leave a window of zero width and evaluate to exactly
-    0 without a call of f; callers pair them with vanishing prefactors.
-    ``ValueError`` is raised, rather than a NaN or an infinite value
-    returned, for anchors that are not chamber points of the kernel, for a
-    divergent integral (a hat kernel whose power of y at 0 is <= -1 over a
-    window starting at 0), and where the density leaves the float range (a
-    subnormal anchor coordinate, a window of subnormal width).  Quadrature
-    panels are anchored at the window segment endpoints so the integrand is
-    smooth on every panel.  Anchors are processed in chunks of about
-    ``_MESH_CHUNK`` mesh points.
+    not strictly interior (a tie, or a zero head for the kinds that take
+    alpha) leave a window of zero width and evaluate to exactly 0 without a
+    call of f; callers pair them with vanishing prefactors.  ``ValueError``
+    is raised, rather than a NaN or an infinite value returned, for anchors
+    that are not chamber points of the kernel, and where the density leaves
+    the float range (a subnormal anchor coordinate, a window of subnormal
+    width).  Quadrature panels are anchored at the window segment endpoints
+    so the integrand is smooth on every panel.  Anchors are processed in
+    chunks of about ``_MESH_CHUNK`` mesh points.
     """
     row = spec.row
     anchors, valid = _checked_anchors(spec, np.atleast_2d(anchors), ndim=2)
@@ -705,11 +660,6 @@ def apply_kernel_to_anchors(
         return out
     rows = anchors[valid]
     m = rows.shape[0]
-    if not np.all(row.integrable(spec.alpha, rows)):
-        raise ValueError(
-            f"{spec.kind} integral diverges at alpha = {spec.alpha}: its power of y "
-            "at 0 is <= -1 in floating point and a window starts at 0"
-        )
 
     # per-coordinate nodes/weights, shape (m, K_i); the alpha-weighted
     # kernels carry prod y_k^alpha, which is singular (or merely
@@ -717,11 +667,7 @@ def apply_kernel_to_anchors(
     # y = top * v^stretch with panel edges at the v-images of the window
     # breakpoints.  This resolves the weight even when a window's lower
     # edge sits arbitrarily close to 0 (anchors from quadrature meshes do).
-    # Where the weights carry the power y^p, it is taken in v,
-    # y^p dy = top^(p+1) m v^(m(p+1)-1) dv, which stays finite where the
-    # node top v^m underflows to 0 (p just above -1 gives m in the hundreds).
     stretch = row.node_stretch(spec.alpha)
-    power = row.weight_power[0] * spec.alpha + row.weight_power[1] if row.power_in_weights else 0.0
     points = _window_points(row.breaks, rows)
     with np.errstate(over="ignore"):
         seg = np.concatenate([hi - lo for lo, hi in zip(points[:-1], points[1:])], axis=-1)
@@ -739,12 +685,11 @@ def apply_kernel_to_anchors(
             for va, vb in zip(v_edges[:-1], v_edges[1:]):
                 v = va + (vb - va) * u_plain[None, :]
                 node_parts.append(top * v**stretch)
-                weight_parts.append(top ** (power + 1.0) * stretch * v ** (stretch * (power + 1.0) - 1.0)
-                                    * (vb - va) * w_plain[None, :])
+                weight_parts.append(top * stretch * v ** (stretch - 1.0) * (vb - va) * w_plain[None, :])
         else:
             for lo, hi in zip(edges[:-1], edges[1:]):
                 node_parts.append(lo + (hi - lo) * u_plain[None, :])
-                weight_parts.append((hi - lo) * w_plain[None, :] * node_parts[-1] ** power)
+                weight_parts.append((hi - lo) * w_plain[None, :])
         nodes.append(np.concatenate(node_parts, axis=1))
         weights.append(np.concatenate(weight_parts, axis=1))
 
@@ -764,7 +709,7 @@ def apply_kernel_to_anchors(
         anchor_block = rows[sl].reshape((mm,) + (1,) * n + (d,))
         contrib = _window_density(row, spec.alpha, anchor_block, pts, wgrids)
         # a point of nonzero weight lies in its interlacing window, so its
-        # coordinates are already non-decreasing: the corner, square and hat
+        # coordinates are already non-decreasing: the corner and square
         # windows do not overlap, and the alpha_corner segment integral is
         # zero unless y_k < y_{k+1}
         mask = contrib != 0.0

@@ -227,6 +227,8 @@ def test_library_domain_error_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert err.count("\n") == 1
+    if argv[1:] == ["--x", "1,2"]:  # a subcommand that takes no --x
+        assert err == f"configuration error: {argv[0]} takes no --x\n"
 
 
 def test_x_replaces_the_anchors_it_fits(tmp_path):

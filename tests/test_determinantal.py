@@ -13,6 +13,7 @@ from laguerre_intertwine.cli import ExperimentConfig, main
 from laguerre_intertwine.determinantal import evaluate, semigroup_top
 from laguerre_intertwine.experiments import CORNER_ANCHORS, SQUARE_ANCHORS, TEST_FUNCTIONS
 from laguerre_intertwine.kernels import (
+    KERNELS,
     DegenerateAnchorError,
     KernelSpec,
     apply_kernel_quadrature,
@@ -52,8 +53,9 @@ def test_semigroup_matches_mesh(n, alpha, t):
     assert np.max(np.abs(got - fine) / np.abs(fine)) <= 1e-12
 
 
-KERNEL_CASES = [("corner", None)] + [
-    (kind, alpha) for kind in ("alpha_square", "alpha_corner") for alpha in ALPHAS
+# every kind of the kernel table, so that a kind with no determinantal form fails here
+KERNEL_CASES = [
+    (kind, alpha) for kind, row in KERNELS.items() for alpha in (ALPHAS if row.takes_alpha else (None,))
 ]
 
 
@@ -100,8 +102,8 @@ def test_semigroup_anchor_checks():
             evaluate((params,), anchor, FUNCTIONS)
     with pytest.raises(ValueError, match="2-particle semigroup"):
         evaluate((SemigroupParams(0.5, 1.0, 2), KernelSpec("corner")), [1.0, 2.0, 4.0], FUNCTIONS)
-    with pytest.raises(ValueError, match="no determinantal form"):
-        evaluate((KernelSpec("hat_square", 0.5),), [1.0, 2.0], FUNCTIONS)
+    with pytest.raises(ValueError, match="unknown kernel kind"):
+        KernelSpec("hat_square", 0.5)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -147,11 +149,11 @@ def test_ill_conditioned_anchor_raises(tmp_path):
 
 @pytest.mark.parametrize("anchor", [[0.0], [1.0, 1.0], [0.0, 0.0, 2.0]])
 def test_t_zero_chain_is_f_on_the_closed_chamber(anchor):
-    # a chain of t = 0 semigroups alone is the identity: f(x) at a zero head
+    # a chain of t = 0 semigroups alone, or the empty chain, is the identity: f(x) at a zero head
     # and at ties, where the determinant over Delta(x) has no value
     x = np.array(anchor)
     want = np.array([fn(x[None, :])[0] for fn in FUNCTIONS])
-    for chain in ((SemigroupParams(0.5, 0.0, x.size),), (SemigroupParams(-0.5, 0.0, x.size),) * 2):
+    for chain in ((), (SemigroupParams(0.5, 0.0, x.size),), (SemigroupParams(-0.5, 0.0, x.size),) * 2):
         assert np.array_equal(evaluate(chain, x, FUNCTIONS), want)
     with pytest.raises(ValueError, match="semigroup acts on"):
         evaluate((SemigroupParams(0.5, 0.0, x.size + 1),), x, FUNCTIONS)

@@ -24,8 +24,6 @@ from laguerre_intertwine.kernels import (
     density_alpha_corner,
     density_alpha_square,
     density_corner,
-    density_hat_corner,
-    density_hat_square,
     interior_rows,
     kernel_density,
     sample_alpha_corner,
@@ -109,7 +107,6 @@ _STRICT = ("tie", "zero_head")
 CHAMBER_ENTRIES = {
     "kernel_density": (lambda x: kernel_density(_CORNER, x, [1.5, 3.0]), _X3, True, 2, _STRICT),
     "density_corner": (lambda x: density_corner(x, [1.5, 3.0]), _X3, False, 2, ("tie",)),
-    "density_hat_corner": (lambda x: density_hat_corner(0.5, x, [1.5, 3.0]), _X3, True, 2, ("tie",)),
     "apply_kernel_to_anchors": (lambda x: apply_kernel_to_anchors(_SQUARE, x, ONE, 2, 8),
                                 _ROWS2, True, 1, ()),
     "apply_kernel_quadrature": (lambda x: apply_kernel_quadrature(_SQUARE, x, ONE, 2, 8),
@@ -134,7 +131,7 @@ CHAMBER_ENTRIES = {
     "evaluate_semigroup_t0": (lambda x: evaluate((_SG0,), x, SCALAR_FUNCTIONS), _X2, True, 1, ()),
 }
 # the entry points that take one anchor or rows of any rank
-ANY_RANK = {"kernel_density", "density_corner", "density_hat_corner"}
+ANY_RANK = {"kernel_density", "density_corner"}
 
 
 def _defective(name: str, defect: str) -> np.ndarray:
@@ -175,8 +172,6 @@ CHAMBER_CASES = [
         ("density_corner", lambda y: density_corner([1.0, 2.0, 4.0], y), 3.0),
         ("density_alpha_square", lambda y: density_alpha_square(0.5, [1.0, 3.0], y), 2.0),
         ("density_alpha_corner", lambda y: density_alpha_corner(0.5, [1.0, 2.0, 4.0], y), 3.0),
-        ("density_hat_corner", lambda y: density_hat_corner(0.5, [1.0, 2.0, 4.0], y), 3.0),
-        ("density_hat_square", lambda y: density_hat_square(0.5, [1.0, 3.0], y), 2.0),
     ]
     for bad in (np.nan, np.inf)
 ] + [
@@ -308,15 +303,6 @@ def test_composition_identity_pointwise():
                     continue
                 composed = composed_corner_density(alpha, x, y, 4, 20)
                 assert composed == pytest.approx(direct, rel=1e-6)
-
-
-def test_hat_density_values():
-    assert density_hat_square(0.0, np.array([2.0]), np.array([1.0])) == pytest.approx(math.e)
-    assert density_hat_square(0.0, np.array([2.0]), np.array([2.5])) == 0.0
-    assert density_hat_corner(-1.0, np.array([1.0, 3.0]), np.array([2.0])) == pytest.approx(
-        math.e**2
-    )
-    assert density_hat_corner(0.0, np.array([1.0, 3.0]), np.array([0.5])) == 0.0
 
 
 def test_apply_kernel_expectations():
@@ -658,14 +644,14 @@ def test_sample_alpha_corner_degenerate_anchor_n2_matches_matrix_model():
 
 # -- the applier's test function contract --------------------------------------
 
-KINDS = ["corner", "alpha_square", "alpha_corner", "hat_corner", "hat_square"]
+KINDS = ["corner", "alpha_square", "alpha_corner"]
 CORNER_ROWS = {1: [1.0, 2.0], 2: [1.0, 2.0, 4.0], 3: [0.5, 2.0, 4.0, 7.0]}
 SQUARE_ROWS = {1: [2.0], 2: [1.0, 3.0], 3: [0.5, 2.5, 5.0]}
 
 
 def _spec_and_anchor(kind, alpha, n):
     spec = KernelSpec(kind, None if kind == "corner" else alpha)
-    rows = SQUARE_ROWS if kind in ("alpha_square", "hat_square") else CORNER_ROWS
+    rows = SQUARE_ROWS if kind == "alpha_square" else CORNER_ROWS
     return spec, np.array(rows[n])
 
 
@@ -682,11 +668,6 @@ def test_kernel_quadrature_points_are_sorted(kind, alpha, n):
         return F_EXP(y)
 
     order = 8 if n == 3 else 12
-    if kind == "hat_square" and alpha >= 0:
-        # y^(-alpha-1) is not integrable over the inner window [0, z_1]
-        with pytest.raises(ValueError, match="diverges"):
-            apply_kernel_to_anchors(spec, np.stack([anchor, 1.5 * anchor]), recording, 2, order)
-        return
     apply_kernel_to_anchors(spec, np.stack([anchor, 1.5 * anchor]), recording, 2, order)
     rows = np.concatenate(seen)
     assert rows.shape[0] > 0 and rows.shape[1] == n
@@ -727,8 +708,7 @@ def test_chunked_mesh_matches_one_chunk_bit_for_bit(kind, monkeypatch):
     for fn, want in zip(SCALAR_FUNCTIONS, whole):
         got = apply_kernel_to_anchors(spec, anchors, fn, 2, 10)
         assert got.shape == (len(anchors),) and np.array_equal(got, want)
-        if kind in ("corner", "alpha_square", "alpha_corner"):
-            assert got[1] == 0.0  # the degenerate anchor
+        assert got[1] == 0.0  # the degenerate anchor
 
 
 def test_tied_only_rows_give_zero_without_calling_f():
@@ -768,50 +748,26 @@ def test_apply_kernel_rejects_misshaped_f():
 )
 def test_apply_kernel_property(kind, alpha, n, raw, m, chunk):
     spec = KernelSpec(kind, None if kind == "corner" else alpha)
-    d = n if kind in ("alpha_square", "hat_square") else n + 1
+    d = n if kind == "alpha_square" else n + 1
     anchors = np.sort(np.array(raw[: m * d]).reshape(m, d), axis=-1)
-    # the rows the quadrature evaluates; over a window from 0 the hat
-    # kernels' y^(-alpha-1) is not integrable when -alpha-1 <= -1 in floating
-    # point; anchor coordinates or gaps below 1e-100 (subnormal ones among
-    # them) may put the density beyond the float range
+    # the rows the quadrature evaluates; anchor coordinates or gaps below
+    # 1e-100 (subnormal ones among them) may put the density beyond the
+    # float range
     evaluated = np.all(np.diff(anchors, axis=-1) > 0, axis=-1)
-    if kind in ("alpha_square", "alpha_corner", "hat_square"):
+    if kind != "corner":
         evaluated &= anchors[:, 0] > 0
-    from_zero = np.any(evaluated & (anchors[:, 0] == 0 if kind == "hat_corner" else True))
-    hat_power = -alpha - 1.0 if kind in ("hat_corner", "hat_square") else 0.0
-    divergent = from_zero and hat_power <= -1.0
     tiny = np.any((anchors > 0) & (anchors < 1e-100), axis=-1)
     tiny |= np.any(np.diff(anchors, axis=-1) < 1e-100, axis=-1)
     out_of_range = np.any(evaluated & tiny)
     try:
         got = apply_kernel_to_anchors(spec, anchors, F_EXP, 1, 6)
     except ValueError as exc:
-        # never a NaN: the error names a divergent integral, or a density
-        # beyond the float range at tiny anchors
-        msg = str(exc)
-        assert ("diverges" in msg and divergent) or ("float range" in msg and out_of_range), exc
+        # never a NaN: the error names a density beyond the float range at tiny anchors
+        assert "float range" in str(exc) and out_of_range, exc
         return
-    assert not divergent and got.shape == (m,) and np.all(np.isfinite(got))
+    assert got.shape == (m,) and np.all(np.isfinite(got))
     with mock.patch.object(kernels, "_MESH_CHUNK", chunk):
         assert np.array_equal(apply_kernel_to_anchors(spec, anchors, F_EXP, 1, 6), got)
-
-
-@pytest.mark.parametrize("alpha", [-0.5, 1.0])
-def test_hat_square_zero_width_window_contributes_zero(alpha):
-    # a zero head or a tie leaves a window of zero width, which must give
-    # exactly 0, not NaN (0/0 in the power-map panel edges, or an infinite
-    # density times a zero weight)
-    spec = KernelSpec("hat_square", alpha)
-    anchors = np.array([[0.0, 3.0], [1.0, 3.0], [1.0, 1.0]])
-    if alpha >= 0:
-        # the row (1, 3) is a divergent integral: y^(-2) over [0, 1]
-        with pytest.raises(ValueError, match="diverges"):
-            apply_kernel_to_anchors(spec, anchors, ONE)
-        return
-    got = apply_kernel_to_anchors(spec, anchors, ONE)
-    alone = apply_kernel_to_anchors(spec, np.array([[1.0, 3.0]]), ONE)
-    assert got[0] == 0.0 and got[2] == 0.0
-    assert np.isfinite(got[1]) and got[1] == alone[0]
 
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 1.0, 2.0, 2.5])
@@ -884,8 +840,6 @@ def test_corner_density_scales_exactly():
         ("alpha_square", [2.2e-311, 1.0]),
         ("alpha_square", [5e-324]),
         ("alpha_corner", [2.2e-311, 1.0, 2.0]),
-        ("hat_square", [2.2e-311, 1.0]),
-        ("hat_corner", [0.0, 2.2e-311, 1.0]),
         # a window of subnormal width: its weights underflow
         ("corner", [0.0, 5e-324, 1.0]),
     ],
@@ -923,66 +877,11 @@ def test_pointwise_density_out_of_float_range_raises(kind, anchor, y):
     assert kernel_density(spec, anchor, [2.0, 1e301]) == 0.0
 
 
-def test_divergent_hat_integrals_raise():
-    # with f = 1, hat_square at (2,) grew with the resolution (10.2, 11.6,
-    # 13.0, 14.3, ...) instead of diverging
-    for alpha in (0.0, 1.0):
-        with pytest.raises(ValueError, match="diverges"):
-            apply_kernel_quadrature(KernelSpec("hat_square", alpha), np.array([2.0]), ONE)
-        hat_corner = KernelSpec("hat_corner", alpha)
-        with pytest.raises(ValueError, match="diverges"):
-            apply_kernel_to_anchors(hat_corner, np.array([[1.0, 2.0], [0.0, 1.0]]), ONE)
-        # a positive head keeps the corner window away from 0
-        assert np.isfinite(apply_kernel_quadrature(hat_corner, np.array([1.0, 2.0]), ONE))
-    # alpha < 0: y^(-alpha-1) is integrable at 0; at alpha = -0.5 the
-    # integral of e^y y^-0.5 over [0, 1] is 2 * sum_k 1 / (k! (2k + 1))
-    exact = 2.0 * sum(1.0 / (math.factorial(k) * (2 * k + 1)) for k in range(30))
-    got = apply_kernel_to_anchors(KernelSpec("hat_corner", -0.5), np.array([[0.0, 1.0]]), ONE)
-    assert got[0] == pytest.approx(exact, rel=1e-10)
-    got = apply_kernel_quadrature(KernelSpec("hat_square", -0.5), np.array([1.0]), ONE)
-    assert got == pytest.approx(exact, rel=1e-10)
-
-
-@pytest.mark.parametrize("alpha", [-0.0078, -0.015, -0.05])
-def test_hat_integral_with_a_power_just_above_minus_one(alpha):
-    # the integral of e^y y^(-alpha-1) over [0, 1] is sum_k 1 / (k! (k - alpha)),
-    # about 1 / |alpha|; the power-map nodes of the first segment underflow
-    # to 0 here, which used to raise the float-range error
-    exact = sum(1.0 / (math.factorial(k) * (k - alpha)) for k in range(30))
-    square = apply_kernel_quadrature(KernelSpec("hat_square", alpha), np.array([1.0]), ONE, 4, 40)
-    corner = apply_kernel_quadrature(KernelSpec("hat_corner", alpha), np.array([0.0, 1.0]), ONE, 4, 40)
-    assert square == pytest.approx(exact, rel=1e-8)
-    assert corner == pytest.approx(exact, rel=1e-8)
-
-
-@pytest.mark.parametrize(
-    "alpha, panels, order, unit, square, corner",
-    [
-        (-0.2, 2, 20, 6.124467518176543, 6.143273490387936, 0.7952432928485709),
-        (-0.2, 4, 40, 6.124467518176563, 6.143273490387939, 0.7952432928485709),
-        (-0.5, 2, 20, 2.9253034918143586, 2.9282032302755088, 0.8576508694553433),
-        (-0.5, 4, 40, 2.925303491814365, 2.9282032302755097, 0.8576508694553433),
-    ],
-    ids=["-0.2-2x20", "-0.2-4x40", "-0.5-2x20", "-0.5-4x40"],
-)
-def test_hat_integrals_keep_their_values(alpha, panels, order, unit, square, corner):
-    # values of the hat quadrature before its weights carried the power of y
-    hat_square, hat_corner = KernelSpec("hat_square", alpha), KernelSpec("hat_corner", alpha)
-    got = [
-        apply_kernel_quadrature(hat_square, np.array([1.0]), ONE, panels, order),
-        apply_kernel_quadrature(hat_corner, np.array([0.0, 1.0]), ONE, panels, order),
-        apply_kernel_quadrature(hat_square, np.array([1.0, 3.0]), F_EXP, panels, order),
-        apply_kernel_quadrature(hat_corner, np.array([0.5, 1.0, 3.0]), F_EXP, panels, order),
-    ]
-    assert got == pytest.approx([unit, unit, square, corner], rel=1e-14, abs=0)
-
-
 def test_kernel_spec_checks_alpha_domain():
     for kind, alpha in [("corner", 0.5), ("alpha_square", -1.0), ("alpha_corner", None),
-                        ("hat_corner", np.nan), ("hat_square", None), ("nope", None)]:
+                        ("alpha_corner", np.nan), ("nope", None)]:
         with pytest.raises(ValueError):
             KernelSpec(kind, alpha)
-    assert KernelSpec("hat_corner", -3.0).alpha == -3.0
 
 
 def test_kernel_density_takes_anchor_rows():
