@@ -17,7 +17,6 @@ from .diffusion import (
     speed_measure_dual,
     transition_density,
     transition_density_absorbed,
-    transition_mean,
     transition_sample,
     transition_variance,
 )
@@ -29,9 +28,6 @@ from .kernels import (
     apply_kernel_quadrature,
     apply_kernel_to_anchors,
     checked_chamber,
-    density_alpha_corner,
-    density_alpha_square,
-    density_corner,
     kernel_density,
     sample_alpha_corner,
     sample_alpha_corner_rows,
@@ -43,14 +39,11 @@ from .kernels import (
 from .process import (
     SdeConfig,
     SemigroupParams,
-    km_density,
     lambda_eigen,
     semigroup_apply,
     semigroup_apply_rows,
     simulate_matrix_ou,
     simulate_sde,
-    subkm_density,
-    subkm_dual_density,
 )
 from .rmt import (
     laguerre_ensemble_density,

@@ -8,7 +8,8 @@ output directory, and reports through its exit code:
 * 0 -- every check passed,
 * 1 -- at least one check failed,
 * 2 -- configuration error, including input the library rejects as out
-  of domain (any ``ValueError``).
+  of domain (any ``ValueError``), a ``--config`` file that cannot be read
+  and an output directory that cannot be written (any ``OSError``).
 
 Subcommands: ``kernels-check``, ``intertwine``, ``dual-check``,
 ``truncation``, ``invariance``, ``sde-vs-exact``, ``sample``.  Options can
@@ -32,16 +33,19 @@ import numpy as np
 
 from . import experiments
 from .experiments import Check, ConfigError
+from .numerics import checked_time
 
 # the experiments' own dict, so an entry put into it is the one used
 TEST_FUNCTIONS = experiments.TEST_FUNCTIONS
 
 
-# config key -> the type its value is parsed to; the other keys are strings
+# config key -> the type its value is parsed to; the other keys are strings.
+# A tolerance that is not finite and > 0 would decide every check alike.
 VALUE_TYPES = {
     "x": lambda value: tuple(float(v) for v in value.split(",")),
     **dict.fromkeys(("n", "n_samples", "seed", "panels", "order"), int),
-    **dict.fromkeys(("alpha", "t", "dt", "tol"), float),
+    **dict.fromkeys(("alpha", "t", "dt"), float),
+    "tol": lambda value: checked_time(float(value), name="tol"),
     "out_dir": Path,
 }
 
@@ -190,8 +194,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sample":
             return _write_samples(cfg, csv_name, *experiment(cfg))
         return _report(cfg, csv_name, experiment(cfg))
-    except ValueError as exc:
-        # ConfigError, and domain errors the library raises on bad input
+    except (ValueError, OSError) as exc:
+        # ConfigError, domain errors the library raises on bad input, and a
+        # config file that cannot be read or an output directory that cannot be made
         print("configuration error: " + " ".join(str(exc).splitlines()), file=sys.stderr)
         return 2
 

@@ -232,9 +232,7 @@ def _kernel_step(spec: KernelSpec, table: _Table, grid: LineGrid, edge_index: np
 
 def _semigroup_step(params: SemigroupParams, table: _Table, grid: LineGrid, x: np.ndarray,
                     count: int) -> _Table:
-    """The table of (T_t F), at the nodes of the first ``count`` panels and at x."""
-    if params.t == 0:
-        return _Table(table.nodes[..., :count, :], table.anchor, table.unit, table.scale)
+    """The table of (T_t F), t > 0, at the nodes of the first ``count`` panels and at x."""
     targets = np.concatenate([grid.nodes[:count].ravel(), x])
     kernel = diffusion.transition_density(
         params.alpha, params.t, targets[:, None], grid.nodes.ravel()[None, :]
@@ -293,21 +291,25 @@ def evaluate(operators: Sequence[KernelSpec | SemigroupParams], x,
     for op in operators:
         if not isinstance(op, (KernelSpec, SemigroupParams)):
             raise TypeError(f"not a kernel or semigroup: {op!r}")
-    outer = next((op for op in operators if not (isinstance(op, SemigroupParams) and op.t == 0)), None)
-    if isinstance(outer, KernelSpec):
-        x = interior_anchor(outer, x)
+    # a semigroup at t = 0 is the identity: it is checked below, and then left out
+    acting = [op for op in operators if not (isinstance(op, SemigroupParams) and op.t == 0)]
+    if acting and isinstance(acting[0], KernelSpec):
+        x = interior_anchor(acting[0], x)
     else:
-        x = checked_chamber(x, nonneg=True, strict=outer is not None)
-        if outer is None:  # identities alone, or none
-            for op in operators:
-                if op.n_dim != x.size:
-                    raise ValueError(f"a {op.n_dim}-particle semigroup acts on a function of {x.size} coordinates")
-            return np.array([fn(x[None, :])[0] for fn in functions], dtype=float)
-    c = x.size - sum(op.row.dim_drop for op in operators if isinstance(op, KernelSpec))
+        x = checked_chamber(x, nonneg=True, strict=bool(acting))
+    c = x.size  # coordinates of the function each operator acts on, from the outside in
+    for op in operators:
+        if isinstance(op, KernelSpec):
+            c -= op.row.dim_drop
+        elif op.n_dim != c:
+            raise ValueError(f"a {op.n_dim}-particle semigroup acts on a function of {c} coordinates")
     if c < 1:
         raise ValueError(f"an anchor of {x.size} coordinates leaves no coordinate after the kernels")
+    if not acting:
+        return np.array([fn(x[None, :])[0] for fn in functions], dtype=float)
+    operators = acting
 
-    moving = [op for op in operators if isinstance(op, SemigroupParams) and op.t > 0]
+    moving = [op for op in operators if isinstance(op, SemigroupParams)]
     exponents = [op.alpha for op in moving]
     exponents += [op.alpha for op in operators if isinstance(op, KernelSpec) and op.alpha is not None]
     top = max([semigroup_top(op, float(x[-1])) for op in moving] + [x[-1]])
@@ -319,9 +321,9 @@ def evaluate(operators: Sequence[KernelSpec | SemigroupParams], x,
     need, needs = 0, []
     for op in operators:
         needs.append(need)
-        if isinstance(op, SemigroupParams) and op.t > 0:
+        if isinstance(op, SemigroupParams):
             need = len(grid.nodes)
-        elif isinstance(op, KernelSpec):
+        else:
             need = max(need, inner)
 
     table, index = _product_table(functions, grid, x, c, need)
@@ -329,9 +331,6 @@ def evaluate(operators: Sequence[KernelSpec | SemigroupParams], x,
         if isinstance(op, KernelSpec):
             table = _kernel_step(op, table, grid, edge_index)
         else:
-            if op.n_dim != table.nodes.shape[1]:
-                raise ValueError(f"a {op.n_dim}-particle semigroup acts on a function of "
-                                 f"{table.nodes.shape[1]} coordinates")
             table = _semigroup_step(op, table, grid, x, count)
 
     matrices = np.swapaxes(table.anchor, 1, 2)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 from math import lgamma
-from typing import Callable
 
 import numpy as np
 
@@ -158,12 +157,6 @@ def dual_transition_density_exit(alpha: float, t: float, x, y):
     return float(out) if out.ndim == 0 else out
 
 
-def transition_mean(alpha: float, t: float, x: float) -> float:
-    """E[Y | X_0 = x] = x e^-t + (alpha + 1)(1 - e^-t)."""
-    w = -np.expm1(-t)
-    return x * np.exp(-t) + (alpha + 1.0) * w
-
-
 def transition_variance(alpha: float, t: float, x: float) -> float:
     """Var[Y | X_0 = x] from the noncentral chi-square representation.
 
@@ -223,28 +216,21 @@ def backward_generator_residual(
     x: float,
     y: float,
     h: float,
-    density: Callable[[float, float, float, float], float] | None = None,
 ) -> float:
     """Central finite-difference residual of the backward Kolmogorov equation.
 
-    Evaluates ``d_t p - (x d_xx p + b(x) d_x p)`` at (t, x, y) where b is the
-    drift of the chosen family (``alpha + 1 - x`` for the primary/exit
-    families, ``x - alpha`` for the dual).  ``density`` overrides the density
-    being differentiated; by default the family's own closed form is used.
-    Step control is the caller's concern.
+    Evaluates ``d_t p - (x d_xx p + b(x) d_x p)`` for the family's own
+    closed-form density p at (t, x, y), where b is the drift of the chosen
+    family (``alpha + 1 - x`` for the primary/exit families, ``x - alpha``
+    for the dual).  Step control is the caller's concern.
     """
     family = BoundaryKind(family)
     if not (t > h and x > h and h > 0):
         raise ValueError("need t > h, x > h, h > 0")
-    if density is None:
-        if family is BoundaryKind.DUAL:
-            density = lambda a, s, u, v: dual_transition_density(a, s, u, v)
-        else:
-            density = lambda a, s, u, v: transition_density(a, s, u, v)
     if family is BoundaryKind.DUAL:
-        drift = x - alpha
+        density, drift = dual_transition_density, x - alpha
     else:
-        drift = alpha + 1.0 - x
+        density, drift = transition_density, alpha + 1.0 - x
 
     d_t = (density(alpha, t + h, x, y) - density(alpha, t - h, x, y)) / (2.0 * h)
     p_plus = density(alpha, t, x + h, y)

@@ -199,7 +199,7 @@ def kernels_check(cfg) -> list[Check]:
             worst = 0.0
             for _ in range(10):
                 y = np.sort(lo + rng.gen.random(n) * (x[1:] - lo))
-                direct = kernels.density_alpha_corner(alpha, x, y)
+                direct = kernels.kernel_density(KernelSpec("alpha_corner", alpha), x, y)
                 if direct > 0:
                     composed = composed_corner_density(alpha, x, y, panels=4, order=20)
                     worst = max(worst, abs(direct - composed) / direct)
@@ -307,11 +307,7 @@ def dual_check(cfg) -> list[Check]:
         r1 = numerics.gauss_legendre_rule(y, 40.0 + x + y, panels, order)
         absorbed = diffusion.transition_density_absorbed(alpha, t, x, r1.nodes)
         lhs = dual_speed(alpha, y) * float(np.dot(r1.weights, absorbed))
-        expo = -(alpha + 1.0)
-        if expo >= 0 and float(expo).is_integer():
-            r2 = numerics.gauss_legendre_rule(1e-300, x, panels, order)
-        else:
-            r2 = numerics.power_endpoint_rule(x, expo, panels, order)
+        r2 = numerics.power_endpoint_rule(x, -(alpha + 1.0), panels, order)
         exit_density = diffusion.dual_transition_density_exit(alpha, t, r2.nodes, y)
         rhs = float(np.dot(r2.weights, dual_speed(alpha, r2.nodes) * exit_density))
         detail = f"dual_same[alpha={alpha},t={t}]"

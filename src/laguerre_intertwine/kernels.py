@@ -352,21 +352,6 @@ def kernel_density(spec: KernelSpec, x, y):
     return float(out) if out.ndim == 0 else out
 
 
-def density_corner(x, y):
-    """Density of the corner kernel at anchor x (length N+1), zero off-window."""
-    return kernel_density(KernelSpec("corner"), x, y)
-
-
-def density_alpha_square(alpha: float, z, y):
-    """Density of the same-dimension alpha kernel at interior anchor z."""
-    return kernel_density(KernelSpec("alpha_square", alpha), z, y)
-
-
-def density_alpha_corner(alpha: float, x, y):
-    """Density of the alpha corner kernel at interior anchor x (length N+1)."""
-    return kernel_density(KernelSpec("alpha_corner", alpha), x, y)
-
-
 # ---------------------------------------------------------------------------
 # exact samplers
 # ---------------------------------------------------------------------------

@@ -4,8 +4,7 @@ The checks of the parameters alpha and t, the rising factorial, the
 exponentially scaled Bessel function ``ive``, composite Gauss-Legendre and
 Gauss-Jacobi quadrature, the test function values the quadrature appliers
 share, and seeded random streams used by every other module.  All samplers
-draw from an explicit :class:`RngStream`, so experiments are reproducible
-and parallel workers can own statistically independent streams.
+draw from an explicit :class:`RngStream`, so experiments are reproducible.
 """
 
 from __future__ import annotations
@@ -26,8 +25,7 @@ class RngStream:
 
     Two streams built from the same pair replay bit-identical sequences on a
     given build; streams with distinct ``stream_id`` are independent for
-    Monte Carlo purposes.  Each worker in a parallel experiment should own
-    its own stream.
+    Monte Carlo purposes.
     """
 
     seed: int
@@ -37,10 +35,6 @@ class RngStream:
     def __post_init__(self) -> None:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         self.gen = np.random.Generator(np.random.PCG64(ss))
-
-    def split(self, stream_id: int) -> "RngStream":
-        """Independent stream with the same seed and a new stream id."""
-        return RngStream(self.seed, stream_id)
 
 
 def checked_alpha(alpha, above: float = -1.0) -> float:

@@ -1,10 +1,13 @@
 """The N-particle non-colliding Laguerre process.
 
-Transition density in determinantal (Karlin-McGregor) form h-transformed by
-the Vandermonde, a quadrature semigroup for N <= 3, the bare sub-Markov
-determinants and their duals, an Euler-Maruyama simulator for the
+The semigroup's parameters and the eigenvalue of the Vandermonde under the
+summed generators, the semigroup by box quadrature for N <= 3 (the mesh
+oracle of :mod:`determinantal`), an Euler-Maruyama simulator for the
 interacting SDE, and the exact matrix Ornstein-Uhlenbeck simulator available
-at integer parameter.
+at integer parameter.  The transition density itself is never evaluated
+pointwise: the semigroup integrates the Karlin-McGregor determinant
+det[p_t(x_i, y_j)] against the test function (:func:`semigroup_apply_rows`,
+and in integrated form :func:`determinantal.evaluate`).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .diffusion import checked_args, log_density_indexed, transition_density, transition_variance
+from .diffusion import transition_density, transition_variance
 from .kernels import (
     UnsupportedDimensionError,
     checked_chamber,
@@ -72,63 +75,6 @@ def lambda_eigen(n_dim: int) -> float:
     if n_dim < 1:
         raise ValueError("N must be >= 1")
     return -0.5 * n_dim * (n_dim - 1)
-
-
-def _log_transition_matrix(alpha: float, t: float, x: np.ndarray, y: np.ndarray):
-    """log p_{alpha,t}(x_i, y_j) with broadcasting; x_i > 0 required."""
-    return log_density_indexed(
-        alpha, alpha if alpha > -1 else -alpha, t, x[..., :, None], y[..., None, :]
-    )
-
-
-def _scaled_det(log_mat: np.ndarray) -> np.ndarray:
-    """Determinant of exp(log_mat) with per-row log scaling for stability."""
-    row_max = np.max(log_mat, axis=-1, keepdims=True)
-    det = np.linalg.det(np.exp(log_mat - row_max))
-    return det * np.exp(np.sum(row_max[..., 0], axis=-1))
-
-
-def km_density(alpha: float, t: float, x, y):
-    """Non-colliding transition density at interior x, evaluated at y.
-
-    exp(-lambda_N t) (Delta(y)/Delta(x)) det[p_{alpha,t}(x_i, y_j)], with the
-    determinant factored row-wise in log space so small-t entries do not
-    underflow.  ``y`` may carry leading batch axes.  x is one anchor in the
-    open non-negative chamber (:func:`kernels.checked_chamber`); ``ValueError``
-    is raised at an anchor whose Vandermonde leaves the normal float range.
-    """
-    x = checked_chamber(x, nonneg=True, strict=True)
-    x, y = checked_args(alpha, t, x, y)
-    n = len(x)
-    delta_x = vandermonde(x)
-    if not np.finfo(float).tiny <= delta_x < np.inf:
-        raise ValueError(f"km_density leaves the float range: the anchor's Vandermonde is {delta_x}")
-    det = _scaled_det(_log_transition_matrix(alpha, t, x, y))
-    out = np.exp(-lambda_eigen(n) * t) * vandermonde(y) / delta_x * det
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def subkm_density(alpha: float, t: float, x, y):
-    """Bare determinant det[p_{alpha,t}(x_i, y_j)] (collision-killed law)."""
-    x, y = checked_args(alpha, t, x, y)
-    out = _scaled_det(_log_transition_matrix(alpha, t, x, y))
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def subkm_dual_density(alpha: float, t: float, x, y):
-    """Bare determinant det[p_hat_{alpha,t}(x_i, y_j)] of the dual family."""
-    x, y = checked_args(alpha, t, x, y)
-    ap = alpha + 1.0
-    xb = x[..., :, None]
-    yb = y[..., None, :]
-    log_mat = (
-        -t
-        + log_density_indexed(ap, ap if ap > -1 else -ap, t, xb, yb)
-        + (yb - xb)
-        - ap * (np.log(yb) - np.log(xb))
-    )
-    out = _scaled_det(log_mat)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def semigroup_ymax(alpha: float, t: float, x_top: float, n_dim: int) -> float:

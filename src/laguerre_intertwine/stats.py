@@ -20,7 +20,7 @@ from .numerics import power_stretch, unit_gauss_legendre
 
 @dataclass
 class EmpiricalSample:
-    """A vector of finite observations with a label for reports."""
+    """A vector of finite observations, with a label that names it in errors."""
 
     values: np.ndarray
     label: str = ""
@@ -39,16 +39,15 @@ class EmpiricalSample:
 class ComparisonReport:
     """Outcome of one statistical check.
 
-    ``passed`` is p_value > threshold for p-value tests, or
-    statistic < threshold for critical-value tests (``mode`` records which).
+    ``passed`` is the test's own verdict at its fixed threshold: p_value >
+    0.01 for the KS tests, |z| <= 4 for :func:`moment_compare`.  ``mode``
+    says which kind of test it is: a :class:`BonferroniFamily` adjusts the
+    level of the "p_value" ones and takes the verdict of the others.
     """
 
-    name: str
     statistic: float
     p_value: float
-    threshold: float
     passed: bool
-    n: tuple[int, ...]
     mode: str = "p_value"
 
 
@@ -88,12 +87,9 @@ def ks_two_sample(a: EmpiricalSample, b: EmpiricalSample) -> ComparisonReport:
     n_eff = a.n * b.n / (a.n + b.n)
     p = _ks_p_value(stat, n_eff)
     return ComparisonReport(
-        name=f"ks2[{a.label}|{b.label}]",
         statistic=stat,
         p_value=p,
-        threshold=0.01,
         passed=p > 0.01,
-        n=(a.n, b.n),
     )
 
 
@@ -111,12 +107,9 @@ def ks_one_sample(a: EmpiricalSample, cdf: Callable[[np.ndarray], np.ndarray]) -
     stat = float(np.max(np.abs(f - ecdf_mid(a.n))) + 0.5 / a.n)
     p = _ks_p_value(stat, a.n)
     return ComparisonReport(
-        name=f"ks1[{a.label}]",
         statistic=stat,
         p_value=p,
-        threshold=0.01,
         passed=p > 0.01,
-        n=(a.n,),
     )
 
 
@@ -134,12 +127,9 @@ def moment_compare(a: EmpiricalSample, target_mean: float, target_var: float) ->
 
     p = erfc(abs(z) / np.sqrt(2.0))
     return ComparisonReport(
-        name=f"moment[{a.label}]",
         statistic=abs(z),
         p_value=p,
-        threshold=4.0,
         passed=abs(z) <= 4.0,
-        n=(a.n,),
         mode="critical_value",
     )
 

@@ -21,7 +21,7 @@ from laguerre_intertwine.experiments import TEST_FUNCTIONS, composed_corner_dens
 from laguerre_intertwine.kernels import (
     KernelSpec,
     apply_kernel_quadrature,
-    density_alpha_corner,
+    kernel_density,
     sample_alpha_corner,
     sample_alpha_corner_rows,
     sample_alpha_square,
@@ -106,7 +106,7 @@ def test_criterion_02_composition_pointwise():
             while True:
                 lo = np.concatenate([[0.0], x[: n - 1]])
                 y = np.sort(lo + rng.random(n) * (x[1:] - lo))
-                direct = density_alpha_corner(alpha, x, y)
+                direct = kernel_density(KernelSpec("alpha_corner", alpha), x, y)
                 if direct <= 0.0:
                     continue
                 composed = composed_corner_density(alpha, x, y, panels=4, order=20)

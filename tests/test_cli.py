@@ -220,6 +220,8 @@ def test_floats_are_17_digits(tmp_path):
         ["dual-check", "--x", "1,2"],
         ["invariance", "--x", "1,2"],
         ["sde-vs-exact", "--x", "1,2"],
+        # a tolerance that is not finite and > 0 decided every check alike (exit 1, or 0 at inf)
+        *(["intertwine", "--n", "1", "--alpha", "1", "--t", "1", "--tol", tol] for tol in ("nan", "inf", "0", "-1")),
     ],
 )
 def test_library_domain_error_exits_2(tmp_path, capsys, argv):
@@ -229,6 +231,20 @@ def test_library_domain_error_exits_2(tmp_path, capsys, argv):
     assert err.count("\n") == 1
     if argv[1:] == ["--x", "1,2"]:  # a subcommand that takes no --x
         assert err == f"configuration error: {argv[0]} takes no --x\n"
+
+
+def test_unreadable_config_and_uncreatable_out_exit_2(tmp_path, capsys):
+    # the first two raised an OSError with a traceback, exit 1, the code of a
+    # failed check; a config line is checked as its flag is
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    (tmp_path / "tol.cfg").write_text("tol = inf\n")
+    for argv in (["intertwine", "--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path)],
+                 ["dual-check", "--out", str(blocker / "sub")],
+                 ["intertwine", "--config", str(tmp_path / "tol.cfg"), "--out", str(tmp_path)]):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
 
 
 def test_x_replaces_the_anchors_it_fits(tmp_path):

@@ -13,7 +13,6 @@ from laguerre_intertwine.diffusion import (
     speed_measure_dual,
     transition_density,
     transition_density_absorbed,
-    transition_mean,
     transition_sample,
     transition_variance,
 )
@@ -137,7 +136,6 @@ def test_sampler_mean():
     alpha, t, x = 1.0, 0.5, 3.0
     draws = transition_sample(alpha, t, x, rng, size=400_000)
     target = 3.0 * math.exp(-0.5) + 2.0 * (1.0 - math.exp(-0.5))
-    assert target == pytest.approx(transition_mean(alpha, t, x), rel=1e-14)
     rep = moment_compare(
         EmpiricalSample(draws), target_mean=target, target_var=transition_variance(alpha, t, x)
     )
@@ -182,13 +180,6 @@ def test_primary_generator_fd_residual():
     for (a, t, x, y) in [(1.0, 0.5, 2.0, 1.0), (-0.5, 0.5, 1.0, 1.0)]:
         res = backward_generator_residual("entrance_or_reflecting", a, t, x, y, h=1e-3)
         assert abs(res) <= 1e-4
-
-
-def test_generator_residual_constant_density():
-    res = backward_generator_residual(
-        "entrance_or_reflecting", 1.0, 0.5, 2.0, 1.0, 1e-3, density=lambda a, s, u, v: 1.0
-    )
-    assert res == 0.0
 
 
 def test_htransform_residual():

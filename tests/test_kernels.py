@@ -21,9 +21,6 @@ from laguerre_intertwine.kernels import (
     apply_kernel_quadrature,
     apply_kernel_to_anchors,
     checked_chamber,
-    density_alpha_corner,
-    density_alpha_square,
-    density_corner,
     interior_rows,
     kernel_density,
     sample_alpha_corner,
@@ -37,7 +34,6 @@ from laguerre_intertwine.numerics import RngStream, power_stretch, unit_gauss_le
 from laguerre_intertwine.process import (
     SdeConfig,
     SemigroupParams,
-    km_density,
     semigroup_apply,
     semigroup_apply_rows,
     simulate_matrix_ou,
@@ -99,14 +95,17 @@ def _rng():
 
 # entry point -> (call on an anchor x, a valid anchor, nonneg, the shortest
 # anchor it takes, the strict defects it rejects); an anchor of rows (2-D)
-# gets its defect in the last row
+# gets its defect in the last row.  "density_corner" is kernel_density of the
+# corner kind, the one kind that takes no alpha: its anchor may have a zero
+# head and negative coordinates
 _SG0, _SG = SemigroupParams(0.5, 0.0, 2), SemigroupParams(0.5, 0.5, 2)
 _SQUARE, _CORNER = KernelSpec("alpha_square", 0.5), KernelSpec("alpha_corner", 0.5)
+_PLAIN_CORNER = KernelSpec("corner")
 _X2, _X3, _ROWS2 = (1.0, 2.0), (1.0, 2.0, 4.0), ((1.0, 2.0), (2.0, 3.0))
 _STRICT = ("tie", "zero_head")
 CHAMBER_ENTRIES = {
     "kernel_density": (lambda x: kernel_density(_CORNER, x, [1.5, 3.0]), _X3, True, 2, _STRICT),
-    "density_corner": (lambda x: density_corner(x, [1.5, 3.0]), _X3, False, 2, ("tie",)),
+    "density_corner": (lambda x: kernel_density(_PLAIN_CORNER, x, [1.5, 3.0]), _X3, False, 2, ("tie",)),
     "apply_kernel_to_anchors": (lambda x: apply_kernel_to_anchors(_SQUARE, x, ONE, 2, 8),
                                 _ROWS2, True, 1, ()),
     "apply_kernel_quadrature": (lambda x: apply_kernel_quadrature(_SQUARE, x, ONE, 2, 8),
@@ -118,7 +117,6 @@ CHAMBER_ENTRIES = {
     "sample_alpha_corner": (lambda x: sample_alpha_corner(0.5, x, _rng(), size=3), _X3, True, 2, ()),
     "sample_alpha_corner_rows": (lambda x: sample_alpha_corner_rows(0.5, x, _rng()),
                                  (_X3, (1.0, 3.0, 5.0)), True, 2, ()),
-    "km_density": (lambda x: km_density(0.5, 1.0, x, [1.0, 2.0]), _X2, True, 1, _STRICT),
     "semigroup_apply_t0": (lambda x: semigroup_apply(_SG0, x, F_EXP, 2, 8), _X2, True, 2, ()),
     "semigroup_apply": (lambda x: semigroup_apply(_SG, x, F_EXP, 2, 8), _X2, True, 2, _STRICT),
     "semigroup_apply_rows_t0": (lambda x: semigroup_apply_rows(_SG0, x, F_EXP, 2, 8), _ROWS2, True, 2, ()),
@@ -166,12 +164,12 @@ CHAMBER_CASES = [
     ]
     if (defect != "negative" or nonneg) and (error is ValueError or defect in strict)
 ] + [
-    # the points y of the densities
+    # the points y of the densities, one case per kind
     pytest.param(call, np.array([bad, y1]), ValueError, "finite points y", id=f"{name}-y_{bad}")
     for name, call, y1 in [
-        ("density_corner", lambda y: density_corner([1.0, 2.0, 4.0], y), 3.0),
-        ("density_alpha_square", lambda y: density_alpha_square(0.5, [1.0, 3.0], y), 2.0),
-        ("density_alpha_corner", lambda y: density_alpha_corner(0.5, [1.0, 2.0, 4.0], y), 3.0),
+        ("density_corner", lambda y: kernel_density(_PLAIN_CORNER, [1.0, 2.0, 4.0], y), 3.0),
+        ("density_alpha_square", lambda y: kernel_density(_SQUARE, [1.0, 3.0], y), 2.0),
+        ("density_alpha_corner", lambda y: kernel_density(_CORNER, [1.0, 2.0, 4.0], y), 3.0),
     ]
     for bad in (np.nan, np.inf)
 ] + [
@@ -186,10 +184,8 @@ CHAMBER_CASES = [
                  "non-decreasing", id="t0_evaluate_negative_returned_one"),
     pytest.param(lambda x: evaluate((_SG0,), x, SCALAR_FUNCTIONS), [np.nan, 1.0], ValueError,
                  "finite", id="t0_evaluate_nan_raised_linalg_error"),
-    pytest.param(lambda y: density_alpha_corner(0.5, [1.0, 2.0, 4.0], y), [np.nan, 3.0], ValueError,
+    pytest.param(lambda y: kernel_density(_CORNER, [1.0, 2.0, 4.0], y), [np.nan, 3.0], ValueError,
                  "finite", id="density_nan_y_returned_zero"),
-    pytest.param(lambda x: km_density(0.5, 1.0, x, [1.0, 2.0]), [[1.0, 2.0]], ValueError, "shape",
-                 id="km_density_rank_reported_as_interior"),
     pytest.param(lambda x: sample_alpha_corner(0.5, x, _rng(), size=2), [[1.0, 2.0], [1.0, 3.0]],
                  ValueError, "shape", id="alpha_corner_rows_as_one_anchor"),
 ]
@@ -229,10 +225,10 @@ def test_window_membership():
 
 
 def test_density_corner_values():
-    assert density_corner(np.array([0.0, 2.0]), np.array([1.0])) == pytest.approx(0.5)
-    val = density_corner(np.array([0.0, 1.0, 2.0]), np.array([0.5, 1.5]))
+    assert kernel_density(_PLAIN_CORNER, np.array([0.0, 2.0]), np.array([1.0])) == pytest.approx(0.5)
+    val = kernel_density(_PLAIN_CORNER, np.array([0.0, 1.0, 2.0]), np.array([0.5, 1.5]))
     assert val == pytest.approx(1.0)
-    assert density_corner(np.array([0.0, 1.0, 2.0]), np.array([0.5, 2.5])) == 0.0
+    assert kernel_density(_PLAIN_CORNER, np.array([0.0, 1.0, 2.0]), np.array([0.5, 2.5])) == 0.0
 
 
 def test_density_corner_normalizes():
@@ -243,14 +239,15 @@ def test_density_corner_normalizes():
 
 def test_density_corner_degenerate_anchor():
     with pytest.raises(DegenerateAnchorError):
-        density_corner(np.array([1.0, 1.0, 2.0]), np.array([1.0, 1.5]))
+        kernel_density(_PLAIN_CORNER, np.array([1.0, 1.0, 2.0]), np.array([1.0, 1.5]))
 
 
 def test_density_alpha_square_values():
-    assert density_alpha_square(0.0, np.array([2.0]), np.array([1.0])) == pytest.approx(0.5)
-    assert density_alpha_square(1.0, np.array([1.0]), np.array([0.5])) == pytest.approx(1.0)
+    square = lambda alpha, z, y: kernel_density(KernelSpec("alpha_square", alpha), z, y)
+    assert square(0.0, np.array([2.0]), np.array([1.0])) == pytest.approx(0.5)
+    assert square(1.0, np.array([1.0]), np.array([0.5])) == pytest.approx(1.0)
     with pytest.raises(DegenerateAnchorError):
-        density_alpha_square(0.5, np.array([0.0, 1.0]), np.array([0.0, 0.5]))
+        square(0.5, np.array([0.0, 1.0]), np.array([0.0, 0.5]))
 
 
 def test_alpha_square_normalization_lemma():
@@ -261,10 +258,10 @@ def test_alpha_square_normalization_lemma():
 
 
 def test_density_alpha_corner_values():
-    x = np.array([1.0, 2.0])
-    assert density_alpha_corner(0.0, x, np.array([0.5])) == pytest.approx(math.log(2.0))
-    assert density_alpha_corner(0.0, x, np.array([1.5])) == pytest.approx(math.log(4.0 / 3.0))
-    val = apply_kernel_quadrature(KernelSpec("alpha_corner", 0.0), x, ONE, 2, 20)
+    x, spec = np.array([1.0, 2.0]), KernelSpec("alpha_corner", 0.0)
+    assert kernel_density(spec, x, np.array([0.5])) == pytest.approx(math.log(2.0))
+    assert kernel_density(spec, x, np.array([1.5])) == pytest.approx(math.log(4.0 / 3.0))
+    val = apply_kernel_quadrature(spec, x, ONE, 2, 20)
     assert val == pytest.approx(1.0, abs=1e-10)
 
 
@@ -298,7 +295,7 @@ def test_composition_identity_pointwise():
             for _ in range(5):
                 lo = np.concatenate([[0.0], x[: n - 1]])
                 y = np.sort(lo + rng.random(n) * (x[1:] - lo))
-                direct = density_alpha_corner(alpha, x, y)
+                direct = kernel_density(KernelSpec("alpha_corner", alpha), x, y)
                 if direct <= 0.0:
                     continue
                 composed = composed_corner_density(alpha, x, y, 4, 20)
@@ -400,7 +397,7 @@ def test_sample_corner_binned_gof_n2():
     draws = sample_corner_many(x, rng, 100_000)
     p = binned_gof_2d(
         draws,
-        lambda mesh: density_corner(x, mesh),
+        lambda mesh: kernel_density(_PLAIN_CORNER, x, mesh),
         np.linspace(0.0, 1.0, 7),
         np.linspace(1.0, 2.0, 7),
     )
@@ -571,7 +568,7 @@ def test_sample_alpha_square_marginals_vs_quadrature():
 
     def marginal_1(v):
         pts = np.stack(np.broadcast_arrays(v[:, None], y2[None, :]), axis=-1)
-        return density_alpha_square(alpha, z, pts) @ w2
+        return kernel_density(KernelSpec("alpha_square", alpha), z, pts) @ w2
 
     cdf1 = grid_cdf(marginal_1, 0.0, z[0], endpoint_exponent=alpha)
     rep = ks_one_sample(EmpiricalSample(draws[:, 0], "marg1"), cdf1)
@@ -582,7 +579,7 @@ def test_sample_alpha_square_marginals_vs_quadrature():
         y1 = z[0] * (u1**3)
         wy1 = 3.0 * z[0] * u1**2 * w1
         pts = np.stack(np.broadcast_arrays(y1[None, :], v[:, None]), axis=-1)
-        return density_alpha_square(alpha, z, pts) @ wy1
+        return kernel_density(KernelSpec("alpha_square", alpha), z, pts) @ wy1
 
     cdf2 = grid_cdf(marginal_2, z[0], z[1])
     rep = ks_one_sample(EmpiricalSample(draws[:, 1], "marg2"), cdf2)
@@ -602,7 +599,7 @@ def test_sample_alpha_corner_n1_vs_density_cdf():
     rng = RngStream(910, 0)
     x = np.array([1.0, 2.0])
     draws = sample_alpha_corner(0.0, x, rng, size=100_000)[:, 0]
-    cdf = grid_cdf(lambda v: density_alpha_corner(0.0, x, v[..., None]), 0.0, 2.0)
+    cdf = grid_cdf(lambda v: kernel_density(KernelSpec("alpha_corner", 0.0), x, v[..., None]), 0.0, 2.0)
     rep = ks_one_sample(EmpiricalSample(draws, "alpha_corner"), cdf)
     assert rep.p_value > 0.01
 
@@ -613,7 +610,7 @@ def test_sample_alpha_corner_binned_gof_n2():
     draws = sample_alpha_corner(alpha, x, rng, size=100_000)
     p = binned_gof_2d(
         draws,
-        lambda mesh: density_alpha_corner(alpha, x, mesh),
+        lambda mesh: kernel_density(KernelSpec("alpha_corner", alpha), x, mesh),
         np.concatenate([np.linspace(0.0, 1.0, 5), np.linspace(1.0, 2.0, 5)[1:]]),
         np.concatenate([np.linspace(1.0, 2.0, 5), np.linspace(2.0, 4.0, 5)[1:]]),
     )
@@ -890,7 +887,7 @@ def test_kernel_density_takes_anchor_rows():
     got = kernel_density(KernelSpec("alpha_corner", 0.5), anchors, y)
     assert got.shape == (2,)
     for k in range(2):
-        assert got[k] == density_alpha_corner(0.5, anchors[k], y[k])
+        assert got[k] == kernel_density(_CORNER, anchors[k], y[k])
     with pytest.raises(DegenerateAnchorError):
         kernel_density(KernelSpec("corner"), np.array([[1.0, 2.0], [1.0, 1.0]]), np.array([1.5]))
     with pytest.raises(ValueError):

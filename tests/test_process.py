@@ -8,23 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laguerre_intertwine.diffusion import dual_transition_density, transition_density, transition_sample
-from laguerre_intertwine.kernels import DegenerateAnchorError, vandermonde
+from laguerre_intertwine.diffusion import transition_density, transition_sample
+from laguerre_intertwine.kernels import vandermonde
 from laguerre_intertwine.numerics import RngStream, power_endpoint_rule
 from laguerre_intertwine import process
 from laguerre_intertwine.experiments import TEST_FUNCTIONS
 from laguerre_intertwine.process import (
     SdeConfig,
     SemigroupParams,
-    km_density,
     lambda_eigen,
     semigroup_apply,
     semigroup_apply_rows,
     simulate_matrix_ou,
     simulate_sde,
     semigroup_ymax,
-    subkm_density,
-    subkm_dual_density,
 )
 from laguerre_intertwine.process import _box_axis_nodes
 from laguerre_intertwine.rmt import (
@@ -42,9 +39,6 @@ ONE = lambda y: np.ones(y.shape[:-1])
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: km_density(0.5, 1.0, [1.0, 2.0], [math.nan, 2.0]),
-        lambda: subkm_density(0.5, 1.0, [math.nan, 2.0], [1.0, 2.0]),
-        lambda: subkm_dual_density(0.5, 1.0, [1.0, 2.0], [math.nan, 2.0]),
         lambda: simulate_matrix_ou(1, [1.0, 2.0], math.inf, RngStream(1, 0)),
         lambda: sample_laguerre_ensemble(2, math.inf, RngStream(1, 0)),
         lambda: sample_laguerre_ensemble(0, 0.5, RngStream(1, 0)),
@@ -55,7 +49,6 @@ ONE = lambda y: np.ones(y.shape[:-1])
         lambda: sample_corner_alpha_matrix(1, [math.nan, 2.0], RngStream(1, 0)),
     ],
     ids=[
-        "km_density_nan_y", "subkm_density_nan_x", "subkm_dual_density_nan_y",
         "matrix_ou_inf_t", "laguerre_ensemble_inf_alpha", "laguerre_ensemble_n0",
         "laguerre_density_inf_alpha", "laguerre_density_nan_x", "wishart_inf_alpha",
         "invariant_rectangular_inf_alpha", "corner_alpha_matrix_nan_z",
@@ -74,39 +67,10 @@ def test_lambda_eigen_values():
     assert lambda_eigen(4) == -6.0
 
 
-def test_km_density_reduces_to_single_particle():
-    for (a, t, x, y) in [(0.5, 0.4, 1.0, 2.0), (1.0, 1.0, 3.0, 0.5)]:
-        assert km_density(a, t, [x], [y]) == pytest.approx(
-            transition_density(a, t, x, y), rel=1e-13
-        )
-
-
 def test_km_density_mass_n2():
     params = SemigroupParams(0.0, 0.5, 2)
     val = semigroup_apply(params, np.array([1.0, 2.0]), ONE, panels=3, order=20)
     assert abs(val - 1.0) < 1e-6
-
-
-def test_km_density_rejects_ties():
-    with pytest.raises(DegenerateAnchorError):
-        km_density(0.5, 0.5, [1.0, 1.0], [1.0, 2.0])
-
-
-def test_km_density_raises_where_the_anchor_vandermonde_underflows():
-    # Delta(x) = 2e-600 underflows to 0; the density came out as NaN
-    with pytest.raises(ValueError, match="float range"):
-        km_density(0.5, 0.5, [1e-200, 2e-200, 3e-200], [1.0, 2.0, 3.0])
-
-
-def test_km_positivity_on_quadrature_nodes():
-    alpha, t = 0.5, 0.4
-    x = np.array([1.0, 2.5])
-    rule = power_endpoint_rule(25.0, alpha, 10, 12)
-    pts = np.stack(np.meshgrid(rule.nodes, rule.nodes, indexing="ij"), axis=-1)
-    ordered = np.sort(pts, axis=-1)
-    keep = ordered[..., 0] < ordered[..., 1]
-    vals = km_density(alpha, t, x, ordered[keep])
-    assert np.all(vals >= 0.0)
 
 
 def test_km_stationarity_n2():
@@ -297,19 +261,6 @@ def test_semigroup_t_zero_is_identity():
     f = lambda y: np.exp(-np.sum(y, axis=-1))
     val = semigroup_apply(SemigroupParams(0.5, 0.0, 2), np.array([1.0, 2.0]), f)
     assert val == pytest.approx(math.exp(-3.0), rel=1e-14)
-
-
-def test_subkm_reductions_and_antisymmetry():
-    a, t = 0.5, 0.4
-    assert subkm_density(a, t, [1.0], [2.0]) == pytest.approx(
-        transition_density(a, t, 1.0, 2.0), rel=1e-13
-    )
-    assert subkm_dual_density(a, t, [1.0], [2.0]) == pytest.approx(
-        dual_transition_density(a, t, 1.0, 2.0), rel=1e-13
-    )
-    d1 = subkm_density(a, t, [1.0, 2.0], [[0.5, 1.5]])[0]
-    d2 = subkm_density(a, t, [1.0, 2.0], [[1.5, 0.5]])[0]
-    assert d1 == pytest.approx(-d2, rel=1e-13)
 
 
 def test_subkm_total_mass_below_one():

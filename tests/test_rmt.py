@@ -215,14 +215,14 @@ def test_corner_alpha_matrix_interlaces():
 def test_truncated_scalar_construction_matches_closed_form():
     # 2x2 invariant construction truncated to 1x1: the squared entry follows
     # the one-dimensional alpha corner density
-    from laguerre_intertwine.kernels import density_alpha_corner
+    from laguerre_intertwine.kernels import KernelSpec, kernel_density
     from laguerre_intertwine.stats import grid_cdf
 
     rng = RngStream(56, 0)
     x = np.array([1.0, 2.0])
     big = sample_invariant_rectangular(x, 0, rng, size=50_000)
     vals = radial_part(truncate(big, 1, 1))[:, 0]
-    cdf = grid_cdf(lambda v: density_alpha_corner(0.0, x, v[..., None]), 0.0, 2.0)
+    cdf = grid_cdf(lambda v: kernel_density(KernelSpec("alpha_corner", 0.0), x, v[..., None]), 0.0, 2.0)
     rep = ks_one_sample(EmpiricalSample(vals, "trunc2x2"), cdf)
     assert rep.p_value > 0.01
 
