@@ -39,14 +39,18 @@ from .numerics import checked_time
 TEST_FUNCTIONS = experiments.TEST_FUNCTIONS
 
 
-# config key -> the type its value is parsed to; the other keys are strings.
-# A tolerance that is not finite and > 0 would decide every check alike.
+# config key -> the type its value is parsed to; the other keys are strings
 VALUE_TYPES = {
     "x": lambda value: tuple(float(v) for v in value.split(",")),
     **dict.fromkeys(("n", "n_samples", "seed", "panels", "order"), int),
-    **dict.fromkeys(("alpha", "t", "dt"), float),
-    "tol": lambda value: checked_time(float(value), name="tol"),
+    **dict.fromkeys(("alpha", "t", "tol", "dt"), float),
     "out_dir": Path,
+}
+
+# config key -> the rule its parsed value must meet, whose ValueError names the
+# reason.  A tolerance that is not finite and > 0 would decide every check alike.
+VALUE_RULES = {
+    "tol": lambda value: checked_time(value, name="tol"),
 }
 
 
@@ -87,6 +91,8 @@ class ExperimentConfig:
             parsed = VALUE_TYPES.get(key, str)(value)
         except ValueError:
             raise ConfigError(f"bad value {value!r} for {key}") from None
+        if key in VALUE_RULES:
+            parsed = VALUE_RULES[key](parsed)
         return replace(self, **{key: parsed})
 
 
@@ -100,7 +106,6 @@ def _fmt(value) -> str:
 
 def _write_csv(path: Path, rows: list[dict]) -> None:
     """RFC 4180 CSV: header line first, a field quoted only if it needs it."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     if not rows:
         path.write_text("")
         return
@@ -133,7 +138,6 @@ def _report(cfg: ExperimentConfig, csv_name: str, checks: list[Check]) -> int:
 def _write_samples(cfg: ExperimentConfig, csv_name: str, draws: np.ndarray, meta: dict) -> int:
     """Draws one per line, after ``# key=value`` metadata lines and the header."""
     path = Path(cfg.out_dir) / csv_name
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"# {key}={_fmt(value)}" for key, value in meta.items()]
     lines.append(",".join(f"y{k + 1}" for k in range(draws.shape[1])))
     lines += [",".join(_fmt(v) for v in row) for row in draws]
@@ -191,6 +195,8 @@ def main(argv: list[str] | None = None) -> int:
             if getattr(args, key) is not None:
                 cfg = cfg.with_option(key, getattr(args, key))
         experiment, csv_name = COMMANDS[args.command]
+        # before the experiment runs, so that an --out that cannot be made costs no work
+        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
         if args.command == "sample":
             return _write_samples(cfg, csv_name, *experiment(cfg))
         return _report(cfg, csv_name, experiment(cfg))

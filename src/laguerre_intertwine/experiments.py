@@ -392,7 +392,7 @@ def invariance(cfg) -> list[Check]:
 
 
 def sde_vs_exact(cfg) -> list[Check]:
-    """Euler scheme endpoints against the exact samplers, across steps."""
+    """SDE endpoints (:func:`process.simulate_sde`) against the exact samplers, across steps."""
     _given_x(cfg, ())  # its starting points are fixed; it takes no --x
     level = 0.01
     t_end = cfg.t if cfg.t is not None else 1.0
@@ -424,7 +424,7 @@ def sde_vs_exact(cfg) -> list[Check]:
 
     # two particles against the exact matrix evolution
     n2 = min(cfg.n_samples, 10_000)
-    sde = process.simulate_sde(1.0, np.array([1.0, 3.0]), 0.5, SdeConfig(dt=1e-4), rng, size=n2)
+    sde = process.simulate_sde(1.0, np.array([1.0, 3.0]), 0.5, SdeConfig(dt=1e-3), rng, size=n2)
     mou = process.simulate_matrix_ou(1, np.array([1.0, 3.0]), 0.5, rng, size=n2)
     checks.append(_two_sample_family("sde_vs_matrix_ou[N=2,alpha=1]", sde, mou))
     return checks

@@ -2,12 +2,14 @@
 
 The semigroup's parameters and the eigenvalue of the Vandermonde under the
 summed generators, the semigroup by box quadrature for N <= 3 (the mesh
-oracle of :mod:`determinantal`), an Euler-Maruyama simulator for the
-interacting SDE, and the exact matrix Ornstein-Uhlenbeck simulator available
-at integer parameter.  The transition density itself is never evaluated
-pointwise: the semigroup integrates the Karlin-McGregor determinant
-det[p_t(x_i, y_j)] against the test function (:func:`semigroup_apply_rows`,
-and in integrated form :func:`determinantal.evaluate`).
+oracle of :mod:`determinantal`), a simulator for the interacting SDE (a
+drift-implicit step in Y = sqrt(X) for alpha > -1/2, Euler-Maruyama for
+alpha in (-1, -1/2]), and the exact matrix Ornstein-Uhlenbeck simulator
+available at integer parameter.  The transition density itself is never
+evaluated pointwise: the semigroup integrates the Karlin-McGregor
+determinant det[p_t(x_i, y_j)] against the test function
+(:func:`semigroup_apply_rows`, and in integrated form
+:func:`determinantal.evaluate`).
 """
 
 from __future__ import annotations
@@ -30,15 +32,30 @@ from .numerics import RngStream, checked_alpha, checked_alpha_int, checked_time,
 from .rmt import radial_part
 
 
-# Most Euler steps one simulate_sde call may take.  The experiments take at
-# most 10^4 (dt = 1e-4 on [0, 1]); a count above the cap is a mistyped dt,
-# and 10^7 steps of a 20k batch already take hours.
+# Most time steps one simulate_sde call may take.  The experiments take
+# 10^3 at the default dt (1e-3 on [0, 1]); a count above the cap is a
+# mistyped dt, and 10^7 steps of a 20k batch already take hours.
 MAX_SDE_STEPS = 10**7
 
-# Positivity floor of the Euler scheme: the diffusion coefficient floors X
-# at it, a negative coordinate is clamped to it, and it caps the
-# interaction denominator.
+# Positivity floor of the Euler scheme (alpha <= -1/2 only): the diffusion
+# coefficient floors X at it, a negative coordinate is clamped to it, and
+# it caps the interaction denominator.
 SDE_FLOOR_EPS = 1e-10
+
+# The drift-implicit step's Newton solve.  A path stops once a Newton step
+# moves each coordinate by at most _NEWTON_TOL of its distance to the
+# nearest wall of the chamber (0 or a neighbour): Newton's error after that
+# step is of order _NEWTON_TOL^2 (about 4e-15) of the distance.  A step of at most _NEWTON_FULL of those distances is taken
+# whole (it stays inside, where Newton converges quadratically); a longer
+# one is halved until it stays inside and passes the Armijo test.  From the
+# explicit step most paths stop in their second round.  A path still moving
+# after _NEWTON_ROUNDS rounds, or whose step _NEWTON_HALVINGS halvings do
+# not make acceptable, raises.
+_NEWTON_TOL = 2.0**-24
+_NEWTON_FULL = 0.25
+_NEWTON_ROUNDS = 50
+_NEWTON_HALVINGS = 60
+_ARMIJO = 1e-4
 
 # Normals per block that simulate_sde's worker thread draws ahead of the
 # stepper: 2^18 float64 is 2 MiB, and two blocks are in flight.
@@ -62,7 +79,7 @@ class SemigroupParams:
 
 @dataclass(frozen=True)
 class SdeConfig:
-    """Euler scheme configuration: the time step."""
+    """SDE scheme configuration: the time step."""
 
     dt: float
 
@@ -249,6 +266,232 @@ class _EulerState:
         self.xs, self.new = new, xs
 
 
+class _ImplicitState:
+    """The drift-implicit step in Y = sqrt(X), one array per coordinate.
+
+    For alpha > -1/2 the process is Y = sqrt(X) with additive noise,
+    dY = dB / sqrt(2) + grad U(Y) dt, where
+
+        U(y) = ((alpha + 1/2) / 2) sum_i log y_i - sum_i y_i^2 / 4
+               + (1/2) sum_{i<j} log(y_j^2 - y_i^2)
+
+    is strictly concave on the open chamber 0 < y_1 < ... < y_N.  A step
+    draws c = y + sqrt(dt / 2) z and moves to the unique maximiser y' of
+    dt U(y') - |y' - c|^2 / 2, the root of G(y') = c - y' + dt grad U(y')
+    in the chamber (Alfonsi's implicit scheme for the squared Bessel and
+    CIR processes, applied to the particle system).  So every step ends
+    strictly inside the chamber, with no floor, clamp or re-sort.
+
+    N = 1 solves the quadratic (1 + dt/2) y'^2 - c y' - dt a = 0,
+    a = (alpha + 1/2) / 2, in the form that cancels nothing for either sign
+    of c.  N >= 2 runs a damped Newton solve per path on the arrays of the
+    paths not yet converged.  It starts from the explicit step c + dt grad
+    U(y), which is c plus the previous step's displacement y' - c, where
+    that lies inside the chamber, else from the current state moved off the
+    walls (each coordinate at least sqrt(dt / 2) above the one below it and
+    above 0, which separates a tie or a zero head of the start).  The Newton
+    system (I - dt Hess U) d = G is solved by elimination on the
+    per-coordinate arrays (its matrix is symmetric and at least I), with the
+    head's row that of y_0 G_0 where the head moves toward 0.  A step that
+    moves no coordinate by more than a quarter of its distance to the
+    nearest wall is taken whole; a longer one is halved until it stays
+    inside the chamber and decreases the merit by the Armijo rule.
+    """
+
+    def __init__(self, alpha: float, x0: np.ndarray, batch: int, dt: float):
+        self.a2 = alpha + 0.5  # 2 a
+        self.k = 0.5 * dt
+        self.noise = np.sqrt(0.5 * dt)
+        self.ys = [np.full(batch, v) for v in np.sqrt(x0)]
+        if x0.size > 1:
+            # the explicit step's displacement dt grad U, from the start moved off
+            # the walls (a tie or a zero head has no drift); later the step's y' - c
+            self.shift = [self.k * t for t in self._drift(self._off_walls(self.ys))[0]]
+
+    @property
+    def xs(self) -> list[np.ndarray]:
+        return [y * y for y in self.ys]
+
+    def step(self, z: np.ndarray) -> None:
+        """One implicit step; ``z`` is the step's (batch, N) normal block."""
+        c = [y + self.noise * z[:, i] for i, y in enumerate(self.ys)]
+        if len(c) == 1:
+            c = c[0]
+            quad, b = 1.0 + self.k, self.k * self.a2
+            u = np.sqrt(c * c + 4.0 * quad * b)
+            u += np.abs(c)
+            y = 2.0 * b / u
+            np.divide(u, 2.0 * quad, out=y, where=c >= 0)
+            self.ys = [y]
+            return
+        ys = self._solve(c)
+        self.shift = [y - ci for y, ci in zip(ys, c)]
+        self.ys = ys
+
+    def _off_walls(self, y):
+        """y with each coordinate at least sqrt(dt / 2) above the one below it and
+        above 0: a point strictly inside the chamber."""
+        out, lo = [], 0.0
+        for v in y:
+            lo = np.maximum(v, lo + self.noise)
+            out.append(lo)
+        return out
+
+    def _drift(self, y):
+        """t = 2 grad U(y), with a2 / y and each pair's (i, j, 1/(y_j - y_i), 1/(y_j + y_i))."""
+        ainv = [self.a2 / v for v in y]
+        t = [ai - v for ai, v in zip(ainv, y)]
+        pairs = []
+        for i, j in combinations(range(len(y)), 2):
+            p = 1.0 / (y[j] - y[i])
+            q = 1.0 / (y[j] + y[i])
+            t[i] += q - p
+            t[j] += q + p
+            pairs.append((i, j, p, q))
+        return t, ainv, pairs
+
+    def _residual(self, y, c):
+        """G = c - y + dt grad U(y), and the terms of the Newton matrix."""
+        t, ainv, pairs = self._drift(y)
+        return [self.k * ti - v + ci for ti, v, ci in zip(t, y, c)], ainv, pairs
+
+    def _newton(self, y, ainv, pairs, g):
+        """d with (I - dt Hess U(y)) d = g, by elimination without pivoting."""
+        n, k = len(y), self.k
+        m = [[None] * n for _ in range(n)]  # upper triangle
+        diag = [1.0 + ai / v for ai, v in zip(ainv, y)]
+        for i, j, p, q in pairs:
+            pp, qq = p * p, q * q
+            h = pp + qq
+            diag[i] += h
+            diag[j] += h
+            m[i][j] = k * (qq - pp)
+        for i in range(n):
+            m[i][i] = k * diag[i] + 1.0
+        # toward the wall at 0 (G_0 < 0) the head's row is Newton's for y_0 G_0, in
+        # which the term dt a / y_0 cancels: where that term is small, the plain row
+        # would only halve y_0 per round on the way down to a root near 0
+        m[0][0] = m[0][0] - np.minimum(g[0], 0.0) / y[0]
+        b = list(g)
+        for r in range(n):
+            for i in range(r + 1, n):
+                f = m[r][i] / m[r][r]
+                for j in range(i, n):
+                    m[i][j] = m[i][j] - f * m[r][j]
+                b[i] = b[i] - f * b[r]
+        d = [None] * n
+        for r in reversed(range(n)):
+            acc = b[r]
+            for j in range(r + 1, n):
+                acc = acc - m[r][j] * d[j]
+            d[r] = acc / m[r][r]
+        return d
+
+    @staticmethod
+    def _inside(y):
+        ok = y[0] > 0
+        for lo, hi in zip(y, y[1:]):
+            ok &= hi > lo
+        return ok
+
+    @staticmethod
+    def _step_ratio(y, d):
+        """The largest ratio of a coordinate's move |d_i| to its distance from the
+        nearest wall (0 or a neighbour), per row."""
+        gaps = [y[0]] + [hi - lo for lo, hi in zip(y, y[1:])]
+        walls = [np.minimum(lo, hi) for lo, hi in zip(gaps, gaps[1:])] + [gaps[-1]]
+        ratio = np.abs(d[0]) / walls[0]
+        for di, wall in zip(d[1:], walls[1:]):
+            np.maximum(ratio, np.abs(di) / wall, out=ratio)
+        return ratio
+
+    def _solve(self, c):
+        """The maximiser for every path, as new arrays."""
+        y = [ci + si for ci, si in zip(c, self.shift)]
+        outside = ~self._inside(y)
+        if outside.any():
+            for v, b in zip(y, self._off_walls(self.ys)):
+                np.copyto(v, b, where=outside)
+        out, rows = y, None  # y holds the rows ``rows`` of out (None: all of them)
+        g, ainv, pairs = self._residual(y, c)
+        for _ in range(_NEWTON_ROUNDS):
+            d = self._newton(y, ainv, pairs, g)
+            ratio = self._step_ratio(y, d)
+            done = ratio <= _NEWTON_TOL
+            if done.any():
+                keep = np.flatnonzero(~done)
+                rest = [v[keep] for v in y]
+                for v, dv in zip(y, d):
+                    v += dv
+                if rows is not None:
+                    for o, v in zip(out, y):
+                        o[rows] = v
+                if keep.size == 0:
+                    return out
+                rows = keep if rows is None else rows[keep]
+                y, c, d, g = rest, *([v[keep] for v in a] for a in (c, d, g))
+                ratio = ratio[keep]
+            y, g, ainv, pairs = self._line_search(y, c, d, g, ratio <= _NEWTON_FULL)
+            if rows is None:
+                out = y
+        raise RuntimeError(
+            f"implicit SDE step: Newton did not converge in {_NEWTON_ROUNDS} rounds"
+        )
+
+    def _line_search(self, y, c, d, g, full):
+        """The new point and its residual terms after the Newton step ``d``: the
+        step whole on the rows ``full``, elsewhere halved per row until it stays
+        inside the chamber and decreases the merit (:meth:`_merit`) by the
+        Armijo rule."""
+        trial = [v + dv for v, dv in zip(y, d)]
+        if not full.all():
+            rows = np.flatnonzero(~full)
+            y_r, c_r, d_r, g_r = ([v[rows] for v in a] for a in (y, c, d, g))
+            merit = self._merit(y_r, c_r, g_r)
+            start, lam = merit(g_r, y_r[0]), 1.0
+            for _ in range(_NEWTON_HALVINGS):
+                moved = [v + lam * dv for v, dv in zip(y_r, d_r)]
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    g_moved = self._residual(moved, c_r)[0]
+                    decrease = merit(g_moved, moved[0]) <= (1.0 - 2.0 * _ARMIJO * lam) * start
+                    ok = self._inside(moved) & decrease
+                if ok.all():
+                    break
+                lam = np.where(ok, lam, 0.5 * lam)
+            else:
+                raise RuntimeError(
+                    f"implicit SDE step: {_NEWTON_HALVINGS} halvings of a Newton step "
+                    "found no decrease"
+                )
+            for v, v_rows in zip(trial, moved):
+                v[rows] = v_rows
+        return (trial, *self._residual(trial, c))
+
+    def _merit(self, y, c, g):
+        """The merit of the line search from y: sum_i (w_i R_i)^2 for the residual R
+        whose Newton step was taken, R_0 = y_0 G_0 on the rows whose head moves
+        toward 0 (G_0 < 0) and G otherwise, so that the step's slope along it is
+        -2 times its value.  The weights, fixed at y, are 1 / the sum of the
+        magnitudes of the terms of R_i there, so that a coordinate whose
+        residual is at its rounding does not hide the others."""
+        k = self.k
+        _, ainv, pairs = self._drift(y)
+        size = [np.abs(ci) + (1.0 + k) * v + k * ai for ci, v, ai in zip(c, y, ainv)]
+        for i, j, p, q in pairs:
+            size[i] += k * (p + q)
+            size[j] += k * (p + q)
+        toward = g[0] < 0
+        size[0] *= np.where(toward, y[0], 1.0)
+        weights = [1.0 / v for v in size]
+
+        def merit(g_at, y0_at):
+            r0 = g_at[0] * weights[0]
+            np.multiply(r0, y0_at, out=r0, where=toward)
+            return r0 * r0 + sum((v * w) ** 2 for v, w in zip(g_at[1:], weights[1:]))
+
+        return merit
+
+
 def simulate_sde(
     alpha: float,
     x0,
@@ -257,18 +500,28 @@ def simulate_sde(
     rng: RngStream,
     size: int | None = None,
 ):
-    """Euler-Maruyama endpoint of the interacting square-root SDE.
+    """Endpoint of the interacting square-root SDE by a time-stepping scheme.
 
     dX^i = sqrt(2 X^i) dB^i + (alpha + 1 - X^i + sum_{j != i} 2 X^i /
-    (X^i - X^j)) dt, with per-step safeguards: the diffusion coefficient
-    floors X at ``SDE_FLOOR_EPS``, negative coordinates are clamped to the
-    floor after each step, near-collisions cap the interaction denominator,
-    and coordinates are re-sorted ascending.  The simulator is a
-    cross-check; precision comes from the exact samplers.
+    (X^i - X^j)) dt.  The simulator is a cross-check; precision comes from
+    the exact samplers.  Step s reads one ``(batch, N)`` standard normal
+    block (coordinate i reads column i), and the state is one array per
+    coordinate.
 
-    The state is one array per coordinate.  Step s reads one ``(batch, N)``
-    standard normal block (coordinate i reads column i), and computes, for
-    each i,
+    For alpha > -1/2 each step is the drift-implicit step in Y = sqrt(X)
+    of :class:`_ImplicitState`: every endpoint lies strictly inside the
+    chamber (positive and strictly increasing in Y), so no safeguard is
+    needed, and the step does not make the rare huge excursions of the
+    Euler step near a collision.  N = 1 takes a closed form; from N = 2
+    each path runs a damped Newton solve, and a path that does not converge
+    raises ``RuntimeError`` (the loops are capped), never a value.
+
+    For alpha in (-1, -1/2], where the log y_i term of U vanishes or turns
+    convex and Y reaches 0, each step is Euler-Maruyama with per-step safeguards at ``SDE_FLOOR_EPS``
+    (used by this step only): the diffusion coefficient floors X at it,
+    negative coordinates are clamped to it, near-collisions cap the
+    interaction denominator, and coordinates are re-sorted ascending.  For
+    each i it computes
 
         drift = alpha - x_i + 1.0 + sum_{j != i, ascending j} term_ij
         moved = x_i + drift * dt + sqrt(max(2 x_i, 2 eps)) * sqrt(dt) * z[:, i]
@@ -300,12 +553,16 @@ def simulate_sde(
     steps = t_end / cfg.dt
     if not steps <= MAX_SDE_STEPS:
         raise ValueError(
-            f"t_end / dt = {steps:.3g} Euler steps exceeds the limit of {MAX_SDE_STEPS}"
+            f"t_end / dt = {steps:.3g} time steps exceeds the limit of {MAX_SDE_STEPS}"
         )
     n = x0.size
     batch = 1 if size is None else size
     n_steps = max(1, int(round(steps)))
-    state = _EulerState(alpha, x0, batch, t_end / n_steps, SDE_FLOOR_EPS)
+    dt = t_end / n_steps
+    if alpha > -0.5:
+        state = _ImplicitState(alpha, x0, batch, dt)
+    else:
+        state = _EulerState(alpha, x0, batch, dt, SDE_FLOOR_EPS)
     block = min(n_steps, max(1, SDE_BLOCK_NORMALS // (batch * n)))
     starts = range(0, n_steps, block)
     buffers = [np.empty((block, batch, n)) for _ in range(min(2, len(starts)))]

@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from laguerre_intertwine import cli, kernels
+from laguerre_intertwine import cli, kernels, process
 from laguerre_intertwine.cli import ExperimentConfig, ConfigError, main
 
 
@@ -245,6 +245,26 @@ def test_unreadable_config_and_uncreatable_out_exit_2(tmp_path, capsys):
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+
+def test_uncreatable_out_exits_2_before_any_check(tmp_path, capsys, monkeypatch):
+    # the directory was made only when the CSVs were written, after every check had run
+    def simulate_sde(*args, **kwargs):
+        raise AssertionError("sde-vs-exact ran with an --out it cannot make")
+
+    monkeypatch.setattr(process, "simulate_sde", simulate_sde)
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    assert run(["sde-vs-exact", "--out", str(blocker / "sub")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "0"])
+def test_checked_value_error_gives_the_rule(tmp_path, capsys, tol):
+    assert run(["intertwine", "--n", "1", "--tol", tol, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"configuration error: tol must be finite and > 0, got {float(tol)}\n"
 
 
 def test_x_replaces_the_anchors_it_fits(tmp_path):

@@ -352,17 +352,18 @@ class _BlockSpy:
 @pytest.mark.parametrize(
     "alpha, x0, size",
     [
-        (0.0, [1.0], 400),
-        (1.0, [1.0, 3.0], 400),
+        (-0.75, [1.0], 400),
+        (-0.5, [1.0, 3.0], 400),
         (-0.5, [0.5, 1.5, 3.0], 300),
-        (1.0, [0.1, 0.5, 1.0, 2.0, 4.0], 200),
-        (1.0, [1.0, 1.0, 3.0], 300),  # tied anchor
+        (-0.75, [0.1, 0.5, 1.0, 2.0, 4.0], 200),
+        (-0.6, [1.0, 1.0, 3.0], 300),  # tied anchor
         (-0.5, [0.0, 0.5, 2.0], 300),  # zero head coordinate
         (-0.5, [0.0, 0.5, 2.0], None),
-        (1.0, [1.0], None),
+        (-0.9, [1.0], None),
     ],
 )
 def test_sde_matches_gap_tensor_oracle(alpha, x0, size):
+    # the Euler step runs for alpha <= -1/2 only
     out = _assert_sde_matches_oracle(alpha, x0, 0.2, SdeConfig(dt=2e-3), size, seed=81)
     assert out.ndim == (1 if size is None else 2)
 
@@ -396,7 +397,7 @@ def test_sde_blocks_match_oracle_under_fast_thread_switching(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        _assert_sde_matches_oracle(1.0, [0.5, 1.5, 3.0], 0.2, SdeConfig(dt=2e-3), 500, seed=90)
+        _assert_sde_matches_oracle(-0.5, [0.5, 1.5, 3.0], 0.2, SdeConfig(dt=2e-3), 500, seed=90)
     finally:
         sys.setswitchinterval(interval)
 
@@ -437,7 +438,7 @@ def test_sde_worker_error_reaches_caller(monkeypatch):
     x0=st.lists(
         st.one_of(st.floats(0.0, 5.0), st.sampled_from([0.0, 1.0])), min_size=1, max_size=4
     ).map(sorted),
-    alpha=st.floats(-0.99, 3.0),
+    alpha=st.floats(-0.99, -0.5),
     dt=st.sampled_from([1e-3, 1e-2, 0.1]),
     steps=st.integers(1, 20),
     size=st.integers(1, 8),
@@ -446,6 +447,150 @@ def test_sde_stepper_property(x0, alpha, dt, steps, size):
     out = _assert_sde_matches_oracle(alpha, x0, steps * dt, SdeConfig(dt=dt), size, seed=82)
     assert np.all(np.diff(out, axis=1) >= 0)
     assert np.all(out >= 0)
+
+
+def _implicit_step_oracle(alpha, c, dt):
+    """Oracle: the maximiser of dt U(v) - |v - c|^2 / 2 on the chamber, one path in plain Python.
+
+    U(v) = ((alpha + 1/2) / 2) sum log v_i - sum v_i^2 / 4 + (1/2) sum_{i<j} log(v_j^2 - v_i^2),
+    its gradient and Hessian written from the terms v_i / (v_i^2 - v_j^2), Newton by
+    ``np.linalg.solve`` from (1, 2, ..., N), halving on F itself while the step is large and
+    full steps near the maximum, where F changes by less than its rounding.
+    """
+    n, a = len(c), 0.5 * (alpha + 0.5)
+
+    def objective(v):
+        if v[0] <= 0 or any(hi <= lo for lo, hi in zip(v, v[1:])):
+            return -math.inf
+        u = a * sum(math.log(w) for w in v) - sum(w * w for w in v) / 4
+        u += 0.5 * sum(math.log(v[j] ** 2 - v[i] ** 2) for i in range(n) for j in range(i + 1, n))
+        return dt * u - sum((w - ci) ** 2 for w, ci in zip(v, c)) / 2
+
+    def residual(v):
+        grad, hess = np.zeros(n), np.zeros((n, n))
+        for i in range(n):
+            grad[i] = a / v[i] - v[i] / 2
+            hess[i, i] = -a / v[i] ** 2 - 0.5
+            for j in range(n):
+                if j != i:
+                    den = v[i] ** 2 - v[j] ** 2
+                    grad[i] += v[i] / den
+                    hess[i, i] -= (v[i] ** 2 + v[j] ** 2) / den**2
+                    hess[i, j] = 2 * v[i] * v[j] / den**2
+        return dt * grad - (v - c), np.eye(n) - dt * hess
+
+    v = np.arange(1.0, n + 1)
+    for _ in range(200):
+        g, jac = residual(v)
+        step = np.linalg.solve(jac, g)
+        lam, base = 1.0, objective(v)
+        while max(abs(step)) > 1e-6 * min(v) and objective(v + lam * step) < base:
+            lam /= 2
+        v = v + lam * step
+        if lam * max(abs(step)) <= 1e-15 * min(v):
+            break
+    g, _ = residual(v)
+    assert max(abs(g)) <= 1e-13 * (max(abs(v)) + max(abs(c)))
+    return v
+
+
+@pytest.mark.parametrize(
+    "alpha, x0, dt, steps",
+    [
+        (0.0, [1.0], 1e-2, 4),  # the closed form at N = 1
+        (3.0, [0.0], 0.5, 2),  # the closed form from a zero start
+        (1.0, [1.0, 3.0], 1e-3, 3),
+        (-0.4, [0.0, 0.0], 1.0, 2),  # a zero head tied with the next coordinate
+        (0.5, [1.0, 1.0, 3.0], 0.05, 3),  # tied anchor
+        (0.5, [0.0, 0.5, 2.0], 0.1, 2),  # zero head coordinate
+        (-0.49, [0.0, 1e-4, 1e-4], 1.0, 3),
+        (2.0, [0.1, 0.5, 1.0, 2.0, 4.0], 0.02, 3),
+    ],
+)
+def test_implicit_step_matches_scalar_newton_oracle(alpha, x0, dt, steps):
+    size = 12
+    got = simulate_sde(alpha, np.array(x0), steps * dt, SdeConfig(dt=dt), RngStream(91, 0), size=size)
+    gen = RngStream(91, 0).gen
+    zs = [gen.standard_normal((size, len(x0))) for _ in range(steps)]
+    for path in range(size):
+        y = np.sqrt(np.array(x0))
+        for z in zs:
+            y = _implicit_step_oracle(alpha, y + math.sqrt(dt / 2) * z[path], dt)
+        np.testing.assert_allclose(got[path], y * y, rtol=1e-12, atol=0)
+
+
+def _implicit_residual(alpha, y, c, dt):
+    """c - y + dt grad U(y) and the sum of the magnitudes of its terms, per path."""
+    a = 0.5 * (alpha + 0.5)
+    terms = [c, -y, dt * a / y, -dt * y / 2]
+    n = y.shape[1]
+    for i in range(n):
+        for j in range(n):
+            if j != i:
+                pair = np.zeros_like(y)
+                pair[:, i] = dt * y[:, i] / ((y[:, i] - y[:, j]) * (y[:, i] + y[:, j]))
+                terms.append(pair)
+    return sum(terms), sum(np.abs(t) for t in terms)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    x0=st.lists(
+        st.one_of(st.floats(0.0, 5.0), st.sampled_from([0.0, 1.0])), min_size=1, max_size=4
+    ).map(sorted),
+    alpha=st.floats(-0.5, 3.0, exclude_min=True),
+    dt=st.one_of(st.sampled_from([1e-3, 0.1, 1.0]), st.floats(1e-4, 1.0)),
+    size=st.integers(1, 8),
+)
+def test_implicit_step_property(x0, alpha, dt, size):
+    # one step: strictly inside the chamber, and a root of its fixed-point residual
+    out = simulate_sde(alpha, np.array(x0), dt, SdeConfig(dt=dt), RngStream(92, 0), size=size)
+    assert np.all(out > 0)
+    assert np.all(np.diff(out, axis=1) > 0)
+    z = RngStream(92, 0).gen.standard_normal((size, len(x0)))
+    c = np.sqrt(np.array(x0)) + math.sqrt(dt / 2) * z
+    residual, scale = _implicit_residual(alpha, np.sqrt(out), c, dt)
+    assert np.all(np.abs(residual) <= 1e-9 * scale)
+
+
+def test_implicit_step_has_no_euler_outliers():
+    # at dt = 0.05 the Euler step sends about a dozen of 50k paths past x1 + x2 = 100, where the
+    # law has no mass; the implicit step's largest is about 15
+    x0, t_end = np.array([1.0, 3.0]), 0.5
+    coarse = simulate_sde(1.0, x0, t_end, SdeConfig(dt=0.05), RngStream(93, 0), size=50_000)
+    assert np.max(coarse.sum(axis=1)) <= 100.0
+    # E e1(T) = e^-T e1(x) + N (alpha + N) (1 - e^-T); the step's weak error is first order
+    # in dt (at dt = 0.05 about -0.034, 4.6 standard errors of 50k paths), so the mean is
+    # taken at dt = 0.01
+    e1 = simulate_sde(1.0, x0, t_end, SdeConfig(dt=0.01), RngStream(94, 0), size=50_000).sum(axis=1)
+    exact = math.exp(-t_end) * x0.sum() + 2 * (1.0 + 2) * -math.expm1(-t_end)
+    z = (e1.mean() - exact) / (e1.std(ddof=1) / math.sqrt(e1.size))
+    assert abs(z) <= 4.0
+
+
+def test_implicit_step_reaches_a_head_near_zero(monkeypatch):
+    # at alpha just above -1/2 the head's root lies near 1e-34 and its barrier term is
+    # tiny; with the head's row taken from y_0 G_0 every path converges within 30 rounds
+    # (the plain Newton row needs up to about 40)
+    monkeypatch.setattr(process, "_NEWTON_ROUNDS", 30)
+    alpha, dt = -0.49999999999999994, 1.0
+    out = simulate_sde(alpha, np.array([1.0, 4.0]), 3 * dt, SdeConfig(dt=dt), RngStream(96, 0), size=2000)
+    assert np.all(out > 0) and np.all(np.diff(out, axis=1) > 0)
+    assert np.min(out[:, 0]) < 1e-30
+
+
+@pytest.mark.parametrize(
+    "cap, limit, message",
+    [("_NEWTON_ROUNDS", 1, "Newton did not converge in 1 rounds"), ("_NEWTON_HALVINGS", 0, "0 halvings")],
+    ids=["rounds", "halvings"],
+)
+def test_implicit_step_raises_when_newton_is_capped(monkeypatch, cap, limit, message):
+    # from a zero start with dt = 1 the first Newton steps are long, so some are halved
+    monkeypatch.setattr(process, cap, limit)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"implicit SDE step: {message}"):
+        simulate_sde(1.0, np.array([0.0, 0.0]), 1.0, SdeConfig(dt=1.0), RngStream(95, 0), size=50)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("x0", [[np.nan, 2.0], [1.0, np.inf], [-1.0, 2.0], [2.0, 1.0], []])
@@ -474,7 +619,7 @@ def test_sde_rejects_bad_arguments(alpha, t_end, size):
 def test_sde_rejects_too_many_steps(dt):
     # 1 / 1e-300 asks for 1e300 steps; 1 / 5e-324 overflows to inf
     rng = RngStream(85, 0)
-    with pytest.raises(ValueError, match="Euler steps"):
+    with pytest.raises(ValueError, match="time steps"):
         simulate_sde(0.0, np.array([1.0]), 1.0, SdeConfig(dt=dt), rng)
     assert rng.gen.standard_normal() == RngStream(85, 0).gen.standard_normal()  # nothing drawn
 
@@ -483,14 +628,14 @@ def test_sde_step_cap_is_inclusive(monkeypatch):
     monkeypatch.setattr(process, "MAX_SDE_STEPS", 10)
     rng = RngStream(86, 0)
     assert simulate_sde(0.0, np.array([1.0]), 1.0, SdeConfig(dt=0.1), rng).shape == (1,)
-    with pytest.raises(ValueError, match="Euler steps"):
+    with pytest.raises(ValueError, match="time steps"):
         simulate_sde(0.0, np.array([1.0]), 1.0, SdeConfig(dt=0.09), rng)
 
 
 def test_sde_long_run_reaches_ensemble():
     rng = RngStream(73, 0)
     n_draws = 20_000
-    out = simulate_sde(1.0, np.array([1.0, 3.0]), 8.0, SdeConfig(dt=2e-3), rng, size=n_draws)
+    out = simulate_sde(1.0, np.array([1.0, 3.0]), 8.0, SdeConfig(dt=2e-2), rng, size=n_draws)
     ens = sample_laguerre_ensemble(2, 1.0, rng, size=n_draws)
     # compare the total-mass statistic by a two-sample z-test at 4 sigma
     a, b = out.sum(1), ens.sum(1)
@@ -517,7 +662,7 @@ def test_matrix_ou_equilibrium_is_wishart():
 
 def test_matrix_ou_vs_sde_n2():
     rng = RngStream(76, 0)
-    sde = simulate_sde(1.0, np.array([1.0, 3.0]), 0.5, SdeConfig(dt=1e-4), rng, size=10_000)
+    sde = simulate_sde(1.0, np.array([1.0, 3.0]), 0.5, SdeConfig(dt=1e-3), rng, size=10_000)
     mou = simulate_matrix_ou(1, np.array([1.0, 3.0]), 0.5, rng, size=10_000)
     for k in range(2):
         rep = ks_two_sample(EmpiricalSample(sde[:, k]), EmpiricalSample(mou[:, k]))
