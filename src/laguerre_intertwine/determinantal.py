@@ -25,13 +25,13 @@ prod_j (1 + s a(y_j)) g(y_j); by Jacobi's formula its value is
 det M tr(M^-1 M'), where M' is the same chain applied to y^{k-1} a(y) g(y).
 
 The H_k are tabulated on one composite Gauss-Legendre grid on (0, top)
-whose panel edges include 0 and every anchor coordinate.  The first panel
-clusters its nodes at 0 by the power map of :func:`numerics.power_endpoint_rule`,
-which resolves the y^alpha factor of the transition density and of the
-alpha_square weight.  An integral from 0 is a cumulative sum over whole
-panels plus, inside a panel, the integral of the polynomial interpolating
-the panel's node values (:func:`_scaled_moments`, by the Gauss-Jacobi rule
-of :func:`numerics.gauss_jacobi`).
+whose panel edges include 0 and every anchor coordinate; every panel has
+plain nodes.  The H_k are smooth at 0; the one factor that is not, y^alpha
+(of the transition density, and of the alpha_square weight), is integrated
+exactly against the polynomial interpolating the node values of the first
+panel (:func:`_scaled_moments`, product integration by the Gauss-Jacobi rule
+of :func:`numerics.gauss_jacobi`).  An integral from 0 is a cumulative sum
+over whole panels plus, inside a panel, the same interpolant's integral.
 
 The mesh appliers :func:`kernels.apply_kernel_to_anchors` and
 :func:`process.semigroup_apply_rows` compute the same quantities for any
@@ -50,18 +50,12 @@ from numpy.polynomial.legendre import leggauss, legvander
 
 from . import diffusion
 from .kernels import KernelSpec, checked_chamber, interior_anchor, vandermonde
-from .numerics import (
-    gauss_jacobi,
-    pochhammer,
-    power_endpoint_rule,
-    power_stretch,
-    unit_gauss_legendre,
-)
+from .numerics import gauss_jacobi, pochhammer, unit_gauss_legendre
 from .process import SemigroupParams, lambda_eigen
 
 # Gauss-Legendre nodes per panel, and the widest panel above the first.
 # With these the operators match a fine mesh to 1e-14 at N <= 3, and the two
-# sides of each identity agree to 2e-11 (N <= 2) and 1e-10 (N = 6) at the
+# sides of each identity agree to 2e-13 (N <= 2) and 1e-10 (N = 6) at the
 # default anchors.
 ORDER = 20
 PANEL_WIDTH = 2.0
@@ -97,20 +91,11 @@ class ProductFunction:
 
 @dataclass(frozen=True)
 class LineGrid:
-    """Composite Gauss-Legendre nodes on (0, edges[-1]), ``order`` per panel.
-
-    The first panel, (0, edges[1]), carries the nodes y = edges[1] v^stretch
-    of the power map; the others are plain.
-    """
+    """Composite Gauss-Legendre nodes on (0, edges[-1]), ``ORDER`` per panel."""
 
     edges: np.ndarray  # (P + 1,), edges[0] = 0
-    nodes: np.ndarray  # (P, order)
-    weights: np.ndarray  # (P, order)
-    stretch: float
-
-    @property
-    def order(self) -> int:
-        return self.nodes.shape[1]
+    nodes: np.ndarray  # (P, ORDER)
+    weights: np.ndarray  # (P, ORDER)
 
 
 def semigroup_top(params: SemigroupParams, x_top: float) -> float:
@@ -127,27 +112,28 @@ def semigroup_top(params: SemigroupParams, x_top: float) -> float:
     return float((np.sqrt(x_top * np.exp(-params.t)) + np.sqrt(TAIL_EXPONENT * w)) ** 2)
 
 
-def line_grid(points, top: float, exponent: float) -> LineGrid:
+def line_grid(points, top: float, t: float) -> LineGrid:
     """The grid on (0, max(top, points)) with an edge at each of ``points``.
 
-    The first panel ends at min(1, the smallest positive point) and is
-    stretched for integrands that carry y^exponent at 0.  Gaps between
-    consecutive edges wider than ``PANEL_WIDTH`` are split evenly.
+    The panels from 0 double in width from 5 (1 - e^-t) up to min(1, the
+    smallest positive point), t the shortest semigroup time (inf: none), so
+    that the narrow transition density of a small t is resolved near 0: no
+    panel is added at t >= 0.25, five at t = 0.01 when that point is >= 1.
+    Gaps between consecutive edges wider than ``PANEL_WIDTH`` are split evenly.
     """
     points = np.asarray(points, dtype=float)
     positive = points[points > 0]
     first = min(1.0, float(positive.min()))
-    knots = np.unique(np.concatenate([[first], positive, [top]]))
-    edges = [np.zeros(1), knots[:1]]
-    for a, b in zip(knots[:-1], knots[1:]):
+    head = -5.0 * np.expm1(-t)
+    head = head * 2.0 ** np.arange(max(0, int(np.ceil(np.log2(first / head)))))
+    knots = np.unique(np.concatenate([head, [first], positive, [top]]))
+    edges = [np.zeros(1)]
+    for a, b in zip(np.append(0.0, knots[:-1]), knots):
         edges.append(np.linspace(a, b, int(np.ceil((b - a) / PANEL_WIDTH)) + 1)[1:])
     edges = np.concatenate(edges)
-    rule = power_endpoint_rule(first, exponent, 1, ORDER)
     u, w = unit_gauss_legendre(1, ORDER)
-    lo, width = edges[1:-1, None], np.diff(edges)[1:, None]
-    nodes = np.concatenate([rule.nodes[None, :], lo + width * u], axis=0)
-    weights = np.concatenate([rule.weights[None, :], width * w], axis=0)
-    return LineGrid(edges, nodes, weights, power_stretch(exponent))
+    width = np.diff(edges)[:, None]
+    return LineGrid(edges, edges[:-1, None] + width * u, width * w)
 
 
 @lru_cache(maxsize=None)
@@ -158,7 +144,8 @@ def _scaled_moments(order: int, q: float) -> np.ndarray:
     the Lagrange polynomial of node l.  Then int_0^{v_j} v^(q-1) P(v) dv is
     v_j^q sum_l R[j, l] P(v_l) for every polynomial P of degree < order,
     with no division by a small v_j^q.  The Gauss-Jacobi rule of weight
-    r^(q-1) integrates these polynomials exactly.
+    r^(q-1) integrates these polynomials exactly.  The first panel's
+    integrals against y^(q-1) are these with v = y / s.
     """
     x, w = leggauss(order)
     v = np.append(0.5 * (x + 1.0), 1.0)
@@ -169,20 +156,20 @@ def _scaled_moments(order: int, q: float) -> np.ndarray:
     xr, wr = gauss_jacobi(order, q - 1.0)
     r = 0.5 * (xr + 1.0)
     basis = legvander(2.0 * v[:, None] * r[None, :] - 1.0, order - 1) @ coef
-    return np.einsum("r,jrl->jl", wr / 2.0**q, basis)
+    return np.einsum("r,jrl->jl", wr / 2.0, basis)
 
 
 def _power_average(grid: LineGrid, values: np.ndarray, p: float):
     """A(y) = y^-(p+1) int_0^y u^p H(u) du from H at the nodes of the first P' panels.
 
-    ``values`` has shape (..., P', order).  Returns A at those nodes, same
+    ``values`` has shape (..., P', ORDER).  Returns A at those nodes, same
     shape, and at the edges 0..P', shape (..., P' + 1).  A(0) is left 0: the
     corner step uses it only as 0 * A(0), and the anchor checks keep the
     alpha_square step away from a zero head.
     """
-    n, m, count = grid.order, grid.stretch, values.shape[-2]
-    # first panel, y = s v^m: y^p dy = s^(p+1) m v^(m(p+1)-1) dv
-    head = m * np.einsum("jl,...l->...j", _scaled_moments(n, m * (p + 1.0)), values[..., 0, :])
+    n, count = ORDER, values.shape[-2]
+    # first panel (0, s), y = s v: y^p dy = s^(p+1) v^p dv
+    head = np.einsum("jl,...l->...j", _scaled_moments(n, p + 1.0), values[..., 0, :])
     at_nodes = np.empty_like(values)
     at_edges = np.zeros(values.shape[:-2] + (count + 1,))
     at_nodes[..., 0, :], at_edges[..., 1] = head[..., :n], head[..., n]
@@ -203,7 +190,7 @@ def _power_average(grid: LineGrid, values: np.ndarray, p: float):
 class _Table:
     """scale * det[H_k(y_j)] / Delta(y) for B column sets at once."""
 
-    nodes: np.ndarray  # (B, c, P', order): H_k at the nodes of the first P' panels
+    nodes: np.ndarray  # (B, c, P', ORDER): H_k at the nodes of the first P' panels
     anchor: np.ndarray  # (B, c, d): H_k at the anchor coordinates
     unit: np.ndarray  # (B,): the constant column a corner step appends
     scale: float
@@ -232,16 +219,23 @@ def _kernel_step(spec: KernelSpec, table: _Table, grid: LineGrid, edge_index: np
 
 def _semigroup_step(params: SemigroupParams, table: _Table, grid: LineGrid, x: np.ndarray,
                     count: int) -> _Table:
-    """The table of (T_t F), t > 0, at the nodes of the first ``count`` panels and at x."""
-    targets = np.concatenate([grid.nodes[:count].ravel(), x])
-    kernel = diffusion.transition_density(
-        params.alpha, params.t, targets[:, None], grid.nodes.ravel()[None, :]
-    ) * grid.weights.ravel()[None, :]
+    """The table of (T_t F), t > 0, at the nodes of the first ``count`` panels and at x.
+
+    On the first panel (0, s), p_t(x, y) / y^alpha takes the product weights
+    s^(alpha+1) int_0^1 v^alpha L_l(v) dv; their product is formed in log space.
+    """
+    alpha = params.alpha
+    targets = np.concatenate([grid.nodes[:count].ravel(), x])[:, None]
+    s, y = grid.edges[1], grid.nodes[0]
+    log_p = diffusion.log_density_indexed(alpha, alpha, params.t, targets, grid.nodes.ravel()[None, :])
+    log_p[:, :ORDER] += alpha * np.log(s / y) + np.log(s)
+    weights = np.concatenate([_scaled_moments(ORDER, alpha + 1.0)[-1], grid.weights[1:].ravel()])
+    kernel = np.exp(log_p) * weights
     b, c = table.nodes.shape[:2]
     out = np.einsum("bck,pk->bcp", table.nodes.reshape(b, c, -1), kernel)
-    nodes = out[..., : count * grid.order].reshape(b, c, count, grid.order)
+    nodes = out[..., : count * ORDER].reshape(b, c, count, ORDER)
     scale = table.scale * np.exp(-lambda_eigen(c) * params.t)
-    return _Table(nodes, out[..., count * grid.order :], table.unit, scale)
+    return _Table(nodes, out[..., count * ORDER :], table.unit, scale)
 
 
 def _product_table(functions, grid: LineGrid, x: np.ndarray, c: int, count: int):
@@ -261,14 +255,17 @@ def _product_table(functions, grid: LineGrid, x: np.ndarray, c: int, count: int)
             sets.append(powers * (fn.a(points) * g))
             units.append(0.0)  # the derivative of a constant column
     values = np.stack(sets)
-    split = count * grid.order
-    nodes = values[..., :split].reshape(len(sets), c, count, grid.order)
+    split = count * ORDER
+    nodes = values[..., :split].reshape(len(sets), c, count, ORDER)
     return _Table(nodes, values[..., split:], np.array(units), 1.0), index
 
 
 def _equilibrated_cond(matrix: np.ndarray) -> float:
-    matrix = matrix / np.max(np.abs(matrix), axis=1, keepdims=True)
-    matrix = matrix / np.max(np.abs(matrix), axis=0, keepdims=True)
+    for axis in (1, 0):
+        scale = np.max(np.abs(matrix), axis=axis, keepdims=True)
+        if not np.all(scale > 0):
+            return np.inf  # a zero row or column
+        matrix = matrix / scale
     return float(np.linalg.cond(matrix))
 
 
@@ -310,10 +307,8 @@ def evaluate(operators: Sequence[KernelSpec | SemigroupParams], x,
     operators = acting
 
     moving = [op for op in operators if isinstance(op, SemigroupParams)]
-    exponents = [op.alpha for op in moving]
-    exponents += [op.alpha for op in operators if isinstance(op, KernelSpec) and op.alpha is not None]
     top = max([semigroup_top(op, float(x[-1])) for op in moving] + [x[-1]])
-    grid = line_grid(x, top, min(exponents, default=0.0))
+    grid = line_grid(x, top, min([op.t for op in moving], default=np.inf))
     edge_index = np.searchsorted(grid.edges, x)
     inner = edge_index[-1]  # the panels below the top anchor coordinate
 
@@ -327,13 +322,17 @@ def evaluate(operators: Sequence[KernelSpec | SemigroupParams], x,
             need = max(need, inner)
 
     table, index = _product_table(functions, grid, x, c, need)
-    for op, count in reversed(list(zip(operators, needs))):
-        if isinstance(op, KernelSpec):
-            table = _kernel_step(op, table, grid, edge_index)
-        else:
-            table = _semigroup_step(op, table, grid, x, count)
+    # a power of y beyond the float range (alpha in the hundreds) is refused below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i, op in reversed(list(enumerate(operators))):
+            if isinstance(op, KernelSpec):
+                table = _kernel_step(op, table, grid, edge_index)
+            else:  # only the outermost operator's values at x are read
+                table = _semigroup_step(op, table, grid, x if i == 0 else x[:0], needs[i])
 
     matrices = np.swapaxes(table.anchor, 1, 2)
+    if not np.all(np.isfinite(matrices)):
+        raise ValueError(f"anchor matrix is not finite at x = {x}")
     pref = table.scale / vandermonde(x)
     out = np.empty(len(index))
     for i, (base, derivative) in enumerate(index):

@@ -278,8 +278,9 @@ def _ive_debye(nu: float, z: np.ndarray) -> np.ndarray:
 
 
 def gauss_jacobi(n: int, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jacobi nodes and weights on (-1, 1) for the weight (1 + x)^b, b > -1.
+    """Gauss-Jacobi nodes and weights on (-1, 1) for the weight ((1 + x) / 2)^b, b > -1.
 
+    Its mass is 2 / (b + 1), so the rule is finite at any b (that of (1 + x)^b is 2^b times it).
     Golub-Welsch nodes, refined by two Newton steps on the three-term
     recurrence of the orthonormal polynomials p_k.  The weights are the
     Christoffel numbers 1 / sum_{k<n} p_k(x)^2: as b -> -1 the first node
@@ -297,7 +298,7 @@ def gauss_jacobi(n: int, b: float) -> tuple[np.ndarray, np.ndarray]:
     diag = np.concatenate([[b / (b + 2.0)], b * b / (s[:-1] * (s[:-1] + 2.0))])
     off = np.sqrt(4.0 * k * k * (k + b) ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
     x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
-    mass = 2.0 ** (b + 1.0) / (b + 1.0)
+    mass = 2.0 / (b + 1.0)
     for _ in range(2):
         p, dp, _christoffel = _orthonormal_recurrence(diag, off, mass, x)
         x = x - p / dp

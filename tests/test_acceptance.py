@@ -150,6 +150,19 @@ def test_criterion_04_shifted_intertwinings(intertwine_rows):
     assert ok
 
 
+@pytest.mark.parametrize("n, alpha, t", [(3, -0.99, None), (1, -0.5, 0.01), (2, -0.5, 0.01)])
+def test_intertwinings_near_alpha_minus_one_and_at_small_t(n, alpha, t):
+    # criteria 03 and 04 where the engine's first panel once decided the
+    # result: y^alpha near alpha = -1, and the narrow density of a small t
+    checks = experiments.intertwine(ExperimentConfig(n=n, alpha=alpha, t=t))
+    worst = max(c.statistic / c.threshold for c in checks)
+    ok = {c.row["check"] for c in checks} == set(experiments.IDENTITIES) and all(
+        c.passed and c.threshold == experiments.INTERTWINE_TOL[n] for c in checks
+    )
+    report(4, f"intertwinings at N={n}, alpha={alpha}, t={t or 1.0}", ok, f"worst rel/tol = {worst:.2e}")
+    assert ok and len(checks) == 9
+
+
 def test_criterion_05_htransform_identities():
     worst_32a = 0.0
     for (a, t, x, y) in [

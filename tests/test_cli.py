@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +232,16 @@ def test_library_domain_error_exits_2(tmp_path, capsys, argv):
     assert err.count("\n") == 1
     if argv[1:] == ["--x", "1,2"]:  # a subcommand that takes no --x
         assert err == f"configuration error: {argv[0]} takes no --x\n"
+
+
+def test_alpha_beyond_the_float_range_exits_cleanly(tmp_path, capsys):
+    # numerics.gauss_jacobi raised OverflowError at b = 1100: a traceback, exit 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["intertwine", "--alpha", "1100", "--n", "1", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc in (0, 2)
+    assert err.count("\n") == (rc == 2) and err.startswith("configuration error: " if rc else "")
 
 
 def test_unreadable_config_and_uncreatable_out_exit_2(tmp_path, capsys):

@@ -10,8 +10,13 @@ import pytest
 
 from laguerre_intertwine import experiments
 from laguerre_intertwine.cli import ExperimentConfig, main
-from laguerre_intertwine.determinantal import evaluate, semigroup_top
-from laguerre_intertwine.experiments import CORNER_ANCHORS, SQUARE_ANCHORS, TEST_FUNCTIONS
+from laguerre_intertwine.determinantal import ProductFunction, evaluate, semigroup_top
+from laguerre_intertwine.experiments import (
+    CORNER_ANCHORS,
+    SQUARE_ANCHORS,
+    TEST_FUNCTIONS,
+    intertwine_sides,
+)
 from laguerre_intertwine.kernels import (
     KERNELS,
     DegenerateAnchorError,
@@ -157,3 +162,42 @@ def test_t_zero_chain_is_f_on_the_closed_chamber(anchor):
         assert np.array_equal(evaluate(chain, x, FUNCTIONS), want)
     with pytest.raises(ValueError, match="semigroup acts on"):
         evaluate((SemigroupParams(0.5, 0.0, x.size + 1),), x, FUNCTIONS)
+
+
+@pytest.mark.parametrize("t", [0.01, 0.25, 1.0])
+@pytest.mark.parametrize("alpha", [-0.5, -0.9, -0.99, -0.999, 0.0, 2.5])
+def test_closed_forms_at_one_particle(alpha, t):
+    # on g(y) = 1 + s y: P_t y = x e^-t + (alpha + 1)(1 - e^-t), and the
+    # alpha_square kernel from z has mean z (alpha + 1) / (alpha + 2)
+    slopes = np.array([0.5, -0.25])
+    fns = [ProductFunction(g=lambda y, s=s: 1.0 + s * y) for s in slopes]
+    decay, w = np.exp(-t), -np.expm1(-t)
+    x = z = 2.0
+    got = evaluate((SemigroupParams(alpha, t, 1),), [x], fns)
+    want = 1.0 + slopes * (x * decay + (alpha + 1.0) * w)
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-11
+    got = evaluate((KernelSpec("alpha_square", alpha), SemigroupParams(alpha, t, 1)), [z], fns)
+    want = 1.0 + slopes * (z * (alpha + 1.0) / (alpha + 2.0) * decay + (alpha + 1.0) * w)
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-11
+
+
+def test_non_finite_anchor_matrix_is_refused(monkeypatch, tmp_path, capsys):
+    # at alpha in the hundreds the powers y^alpha of the kernel step leave
+    # the float range; np.linalg.cond once got the NaN matrix ("SVD did not
+    # converge"), and a matrix with a zero row its NaN equilibration
+    cond = np.linalg.cond
+
+    def finite_cond(matrix):
+        assert np.all(np.isfinite(matrix))
+        return cond(matrix)
+
+    monkeypatch.setattr(np.linalg, "cond", finite_cond)
+    x = np.array(CORNER_ANCHORS[1])
+    with pytest.raises(ValueError, match="anchor matrix is not finite"):
+        intertwine_sides("same_alpha", 400.0, 1.0, x, FUNCTIONS)
+    with pytest.raises(ValueError, match="condition number inf"):  # a zero row
+        intertwine_sides("corner_shift", 400.0, 1.0, x, FUNCTIONS)
+    for alpha in ("150", "300", "400"):
+        assert main(["intertwine", "--alpha", alpha, "--n", "1", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: anchor matrix") and err.count("\n") == 1

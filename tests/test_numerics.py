@@ -241,12 +241,22 @@ def test_jacobi_moment_oracle():
 @pytest.mark.parametrize("b, tol", [(-0.999, 2.5e-12), (-0.99, 4e-13), (-0.5, 4e-13), (0.0, 4e-13), (1.5, 4e-13)])
 def test_gauss_jacobi_integrates_even_moments(b, tol):
     x, w = gauss_jacobi(20, b)
+    w = w * 2.0**b  # the rule's weight is ((1 + x) / 2)^b
     moments = _jacobi_moments(b, 39)
     for k in range(0, 39, 2):
         assert abs(np.dot(w, x**k) - moments[k]) <= tol * moments[k], k
     xs, _ = roots_jacobi(20, 0.0, b)
     assert np.max(np.abs(x - xs)) <= 1e-15
     assert np.all(np.diff(x) > 0)
+
+
+@pytest.mark.parametrize("b", [125.0, 1100.0])
+def test_gauss_jacobi_is_finite_at_large_b(b):
+    # the weight (1 + x)^b had mass 2^(b+1) / (b+1), which overflowed at b = 1100
+    x, w = gauss_jacobi(20, b)
+    k = np.arange(40)
+    moments = np.sum(w[:, None] * (0.5 * (x[:, None] + 1.0)) ** k, axis=0)
+    assert np.allclose(moments, 2.0 / (b + k + 1.0), rtol=1e-12, atol=0.0)
 
 
 def test_gauss_jacobi_domain():
