@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, log, sqrt
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,8 +55,8 @@ from .process import SemigroupParams, lambda_eigen
 
 # Gauss-Legendre nodes per panel, and the widest panel above the first.
 # With these the operators match a fine mesh to 1e-14 at N <= 3, and the two
-# sides of each identity agree to 2e-13 (N <= 2) and 1e-10 (N = 6) at the
-# default anchors.
+# sides of each identity agree to 2e-13 (N <= 2), 1e-10 (N = 6) and 1.4e-9
+# (N = 8) at the default anchors.
 ORDER = 20
 PANEL_WIDTH = 2.0
 
@@ -106,10 +106,25 @@ def semigroup_top(params: SemigroupParams, x_top: float) -> float:
     is below e^-TAIL_EXPONENT of its peak beyond
     y = (sqrt(x e^-t) + sqrt(TAIL_EXPONENT (1 - e^-t)))^2.  (The 12 sigma
     cut of :func:`process.semigroup_ymax` leaves about 3e-7 of the mass at
-    x = (1, 2), t = 1: the tail is exponential, not Gaussian.)
+    x = (1, 2), t = 1: the tail is exponential, not Gaussian.)  For alpha > 0
+    the powers of y carry mass beyond that cut: from x = 0 the density is
+    y^alpha e^(-y/w) up to a factor, w = 1 - e^-t, which falls to
+    e^-TAIL_EXPONENT of its peak at y = w q, q > alpha the root of
+    q - alpha - alpha log(q / alpha) = TAIL_EXPONENT; the top is the larger
+    of the two cuts.
     """
     w = -np.expm1(-params.t)
-    return float((np.sqrt(x_top * np.exp(-params.t)) + np.sqrt(TAIL_EXPONENT * w)) ** 2)
+    top = float((np.sqrt(x_top * np.exp(-params.t)) + np.sqrt(TAIL_EXPONENT * w)) ** 2)
+    alpha = params.alpha
+    if alpha > 0:
+        # Newton on the convex, increasing left side from a start where it is
+        # positive: the iterates fall to the root, within rounding in six steps
+        # for alpha up to 1e3
+        q = alpha + TAIL_EXPONENT + sqrt(TAIL_EXPONENT * (TAIL_EXPONENT + 2.0 * alpha))
+        for _ in range(6):
+            q -= (q - alpha - alpha * log(q / alpha) - TAIL_EXPONENT) / (1.0 - alpha / q)
+        top = max(top, w * q)
+    return top
 
 
 def line_grid(points, top: float, t: float) -> LineGrid:

@@ -65,10 +65,13 @@ ALPHA_GRID = (-0.5, 0.0, 1.0, 2.5)
 CORNER_ANCHORS = {
     1: (1.0, 2.0), 2: (1.0, 2.0, 4.0), 3: (1.0, 2.0, 4.0, 7.0), 4: (1.0, 2.0, 4.0, 7.0, 11.0),
     5: (1.0, 2.0, 4.0, 7.0, 11.0, 16.0), 6: (1.0, 2.0, 4.0, 7.0, 11.0, 16.0, 22.0),
+    7: (1.0, 2.0, 4.0, 7.0, 11.0, 16.0, 22.0, 29.0),
+    8: (1.0, 2.0, 4.0, 7.0, 11.0, 16.0, 22.0, 29.0, 37.0),
 }
 SQUARE_ANCHORS = {
     1: (2.0,), 2: (1.0, 3.0), 3: (1.0, 2.5, 5.0), 4: (1.0, 2.5, 5.0, 8.5),
     5: (1.0, 2.5, 5.0, 8.5, 13.0), 6: (1.0, 2.5, 5.0, 8.5, 13.0, 18.5),
+    7: (1.0, 2.5, 5.0, 8.5, 13.0, 18.5, 25.0), 8: (1.0, 2.5, 5.0, 8.5, 13.0, 18.5, 25.0, 32.5),
 }
 
 # identity -> (kernel kind, (alpha shift, extra dimensions) of the upper and
@@ -81,9 +84,9 @@ IDENTITIES = {
 
 # intertwine tolerance on rel_error per lower dimension N: 1e-5 and 1e-4 at
 # N <= 2, the gates of the nested mesh quadrature; 1e-6 at N >= 3, where
-# the determinantal sides agree to about 1e-10 and the condition limit
-# (determinantal.COND_LIMIT) keeps the determinants to about 2e-6
-INTERTWINE_TOL = {1: 1e-5, 2: 1e-4, 3: 1e-6, 4: 1e-6, 5: 1e-6, 6: 1e-6}
+# the determinantal sides agree to about 1e-10 (1.4e-9 at N = 8) and the
+# condition limit (determinantal.COND_LIMIT) keeps the determinants to about 2e-6
+INTERTWINE_TOL = {1: 1e-5, 2: 1e-4, 3: 1e-6, 4: 1e-6, 5: 1e-6, 6: 1e-6, 7: 1e-6, 8: 1e-6}
 
 # stream of the composition points in kernels-check
 COMPOSITION_STREAM = 300

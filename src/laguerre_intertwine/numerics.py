@@ -116,17 +116,6 @@ def power_stretch(exponent: float) -> float:
     return max(3.0, 3.0 / (1.0 + exponent))
 
 
-def unit_power_nodes(
-    exponent: float, panels: int, order: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights on (0, 1) adapted to a y^exponent factor at 0."""
-    u, w = unit_gauss_legendre(panels, order)
-    m = power_stretch(exponent)
-    if m == 1.0:
-        return u, w
-    return u**m, m * u ** (m - 1.0) * w
-
-
 def power_endpoint_rule(
     b: float, exponent: float, panels: int, order: int
 ) -> QuadratureRule:
@@ -137,7 +126,10 @@ def power_endpoint_rule(
     """
     if not b > 0:
         raise ValueError(f"need b > 0, got {b}")
-    u, w = unit_power_nodes(exponent, panels, order)
+    u, w = unit_gauss_legendre(panels, order)
+    m = power_stretch(exponent)
+    if m != 1.0:
+        u, w = u**m, m * u ** (m - 1.0) * w
     return QuadratureRule(nodes=b * u, weights=b * w)
 
 

@@ -28,7 +28,10 @@ from .kernels import (
     interior_rows,
     vandermonde,
 )
-from .numerics import RngStream, checked_alpha, checked_alpha_int, checked_time, pointwise_values
+from .numerics import (
+    RngStream, checked_alpha, checked_alpha_int, checked_time, gauss_legendre_rule,
+    pointwise_values, power_endpoint_rule, power_stretch,
+)
 from .rmt import radial_part
 
 
@@ -116,17 +119,13 @@ def _box_axis_nodes(alpha: float, y_max: float, panels: int, order: int):
     and a plain composite rule above it; integer alpha is analytic at 0 and
     uses a single plain composite rule.
     """
-    from .numerics import power_stretch, unit_gauss_legendre, unit_power_nodes
-
     if power_stretch(alpha) == 1.0:
-        u, w = unit_gauss_legendre(panels, order)
-        return y_max * u, y_max * w
+        rule = power_endpoint_rule(y_max, alpha, panels, order)
+        return rule.nodes, rule.weights
     y_split = min(1.0, 0.25 * y_max)
-    u0, w0 = unit_power_nodes(alpha, 1, order)
-    u1, w1 = unit_gauss_legendre(panels, order)
-    nodes = np.concatenate([y_split * u0, y_split + (y_max - y_split) * u1])
-    wts = np.concatenate([y_split * w0, (y_max - y_split) * w1])
-    return nodes, wts
+    head = power_endpoint_rule(y_split, alpha, 1, order)
+    body = gauss_legendre_rule(y_split, y_max, panels, order)
+    return np.concatenate([head.nodes, body.nodes]), np.concatenate([head.weights, body.weights])
 
 
 def semigroup_apply_rows(
@@ -193,77 +192,27 @@ def semigroup_apply(
 
 
 class _EulerState:
-    """The Euler scheme's state, one array per coordinate, stepped in place.
+    """The Euler scheme's state: one (batch, N) array, each row ascending."""
 
-    Every step reuses the same preallocated arrays.  Each operation and its
-    grouping are those of the plain expressions in :func:`simulate_sde`'s
-    docstring, so the bits are too: ``xi + drift * dt`` is summed as
-    ``drift * dt + xi`` (addition commutes exactly), and a term ``-q`` after
-    the first is subtracted as ``q`` (``d + (-q)`` is ``d - q``).
-    """
-
-    def __init__(self, alpha: float, x0: np.ndarray, batch: int, dt: float, eps: float):
-        n = x0.size
-        self.alpha, self.dt, self.eps = alpha, dt, eps
-        self.sq_dt = np.sqrt(dt)
-        self.xs = [np.full(batch, v) for v in x0]
-        self.new = [np.empty(batch) for _ in range(n)]
-        self.two_x = [np.empty(batch) for _ in range(n)]
-        self.gaps = {(i, j): np.empty(batch) for i in range(n) for j in range(i + 1, n)}
-        # coordinate i's interaction terms in ascending j, as (gap, plus):
-        # 2 x_i / gap for j < i (plus) and -(2 x_i / gap) for j > i
-        self.terms = [
-            [(self.gaps[min(i, j), max(i, j)], j < i) for j in range(n) if j != i]
-            for i in range(n)
-        ]
-        self.acc, self.q, self.noise, self.spare = (np.empty(batch) for _ in range(4))
-        self.below = np.empty(batch, dtype=bool)
+    def __init__(self, alpha: float, x0: np.ndarray, batch: int, dt: float):
+        self.alpha, self.dt, self.sq_dt = alpha, dt, np.sqrt(dt)
+        self.x = np.tile(x0, (batch, 1))
 
     def step(self, z: np.ndarray) -> None:
         """One Euler step; ``z`` is the step's (batch, N) normal block."""
-        xs, new, two_x = self.xs, self.new, self.two_x
-        acc, q, noise, eps = self.acc, self.q, self.noise, self.eps
-        n = len(xs)
-        for i, xi in enumerate(xs):
-            np.multiply(xi, 2.0, out=two_x[i])
-        for (i, j), gap in self.gaps.items():
-            np.subtract(xs[j], xs[i], out=gap)
-            np.maximum(gap, eps, out=gap)
-        for i, xi in enumerate(xs):
-            drift = new[i]
-            np.subtract(self.alpha, xi, out=drift)
-            drift += 1.0
-            if n > 1:
-                (gap, plus), *rest = self.terms[i]
-                np.divide(two_x[i], gap, out=acc)
-                if not plus:
-                    np.negative(acc, out=acc)
-                for gap, plus in rest:
-                    np.divide(two_x[i], gap, out=q)
-                    if plus:
-                        acc += q
-                    else:
-                        acc -= q
-                drift += acc
-            # doubling is exact, so max(2x, 2 eps) is 2 max(x, eps)
-            np.maximum(two_x[i], 2.0 * eps, out=noise)
-            np.sqrt(noise, out=noise)
-            noise *= self.sq_dt
-            noise *= z[:, i]
-            drift *= self.dt
-            drift += xi
-            drift += noise
-            np.less(drift, 0.0, out=self.below)
-            np.copyto(drift, eps, where=self.below)
-        spare = self.spare
-        for r in range(n):
-            for i in range(r % 2, n - 1, 2):
-                lo, hi = new[i], new[i + 1]
-                np.minimum(lo, hi, out=spare)
-                np.maximum(lo, hi, out=hi)
-                new[i], spare = spare, lo
-        self.spare = spare
-        self.xs, self.new = new, xs
+        x, eps = self.x, SDE_FLOOR_EPS
+        two_x = 2.0 * x
+        # each coordinate's interaction terms are summed in ascending j before
+        # they join the drift: that order fixes the endpoints' bits
+        inter = np.zeros_like(x)
+        for j in range(x.shape[1]):
+            xj = x[:, j, None]
+            inter[:, j + 1 :] += two_x[:, j + 1 :] / np.maximum(x[:, j + 1 :] - xj, eps)
+            inter[:, :j] -= two_x[:, :j] / np.maximum(xj - x[:, :j], eps)
+        drift = self.alpha - x + 1.0 + inter
+        noise = np.sqrt(2.0 * np.maximum(x, eps)) * self.sq_dt * z
+        moved = x + drift * self.dt + noise
+        self.x = np.sort(np.where(moved < 0, eps, moved), axis=1)
 
 
 class _ImplicitState:
@@ -309,8 +258,8 @@ class _ImplicitState:
             self.shift = [self.k * t for t in self._drift(self._off_walls(self.ys))[0]]
 
     @property
-    def xs(self) -> list[np.ndarray]:
-        return [y * y for y in self.ys]
+    def x(self) -> np.ndarray:
+        return np.stack([y * y for y in self.ys], axis=1)
 
     def step(self, z: np.ndarray) -> None:
         """One implicit step; ``z`` is the step's (batch, N) normal block."""
@@ -505,8 +454,7 @@ def simulate_sde(
     dX^i = sqrt(2 X^i) dB^i + (alpha + 1 - X^i + sum_{j != i} 2 X^i /
     (X^i - X^j)) dt.  The simulator is a cross-check; precision comes from
     the exact samplers.  Step s reads one ``(batch, N)`` standard normal
-    block (coordinate i reads column i), and the state is one array per
-    coordinate.
+    block (coordinate i reads column i).
 
     For alpha > -1/2 each step is the drift-implicit step in Y = sqrt(X)
     of :class:`_ImplicitState`: every endpoint lies strictly inside the
@@ -517,19 +465,18 @@ def simulate_sde(
     raises ``RuntimeError`` (the loops are capped), never a value.
 
     For alpha in (-1, -1/2], where the log y_i term of U vanishes or turns
-    convex and Y reaches 0, each step is Euler-Maruyama with per-step safeguards at ``SDE_FLOOR_EPS``
-    (used by this step only): the diffusion coefficient floors X at it,
-    negative coordinates are clamped to it, near-collisions cap the
-    interaction denominator, and coordinates are re-sorted ascending.  For
-    each i it computes
+    convex and Y reaches 0, each step is Euler-Maruyama on one ``(batch, N)``
+    array with per-step safeguards at eps = ``SDE_FLOOR_EPS`` (used by this
+    step only): the diffusion coefficient floors X at it, negative
+    coordinates are clamped to it, near-collisions cap the interaction
+    denominator, and each row is re-sorted ascending.  For each i it computes
 
-        drift = alpha - x_i + 1.0 + sum_{j != i, ascending j} term_ij
-        moved = x_i + drift * dt + sqrt(max(2 x_i, 2 eps)) * sqrt(dt) * z[:, i]
+        drift = alpha - x_i + 1.0 + (sum_{j != i, ascending j} term_ij)
+        moved = x_i + drift * dt + sqrt(2 max(x_i, eps)) * sqrt(dt) * z[:, i]
 
     with term_ij = 2 x_i / max(x_i - x_j, eps) for j < i and
     -(2 x_i / max(x_j - x_i, eps)) for j > i, clamps a negative ``moved``
-    to eps, and re-sorts with an odd-even transposition network of
-    ``np.minimum``/``np.maximum``.
+    to eps, and sorts each row.
 
     The normals are drawn ahead in blocks of up to ``SDE_BLOCK_NORMALS``
     on one worker thread, which fills one of two ``(K, batch, N)`` buffers
@@ -562,7 +509,7 @@ def simulate_sde(
     if alpha > -0.5:
         state = _ImplicitState(alpha, x0, batch, dt)
     else:
-        state = _EulerState(alpha, x0, batch, dt, SDE_FLOOR_EPS)
+        state = _EulerState(alpha, x0, batch, dt)
     block = min(n_steps, max(1, SDE_BLOCK_NORMALS // (batch * n)))
     starts = range(0, n_steps, block)
     buffers = [np.empty((block, batch, n)) for _ in range(min(2, len(starts)))]
@@ -580,8 +527,7 @@ def simulate_sde(
                 pending = worker.submit(draw, k + 1)
             for z in z_block:
                 state.step(z)
-    x = np.stack(state.xs, axis=1)
-    return x[0] if size is None else x
+    return state.x[0] if size is None else state.x
 
 
 def simulate_matrix_ou(

@@ -72,7 +72,7 @@ def test_intertwine_reads_test_functions_at_call_time(tmp_path, monkeypatch):
 
 
 def test_intertwine_bad_dimension(tmp_path):
-    assert run(["intertwine", "--out", str(tmp_path), "--n", "7"]) == 2
+    assert run(["intertwine", "--out", str(tmp_path), "--n", "9"]) == 2
 
 
 def test_truncation_small(tmp_path):

@@ -134,7 +134,7 @@ def test_shifted_kernel_alpha_fails_same_alpha(monkeypatch):
     assert len(same) == 18 and not any(c.passed for c in same)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_intertwine_passes_at_larger_n(n):
     checks = experiments.intertwine(ExperimentConfig(n=n))
     assert {c.row["check"] for c in checks} == set(experiments.IDENTITIES)
@@ -165,7 +165,7 @@ def test_t_zero_chain_is_f_on_the_closed_chamber(anchor):
 
 
 @pytest.mark.parametrize("t", [0.01, 0.25, 1.0])
-@pytest.mark.parametrize("alpha", [-0.5, -0.9, -0.99, -0.999, 0.0, 2.5])
+@pytest.mark.parametrize("alpha", [-0.5, -0.9, -0.99, -0.999, 0.0, 2.5, 30.0])
 def test_closed_forms_at_one_particle(alpha, t):
     # on g(y) = 1 + s y: P_t y = x e^-t + (alpha + 1)(1 - e^-t), and the
     # alpha_square kernel from z has mean z (alpha + 1) / (alpha + 2)
