@@ -15,6 +15,8 @@ Subcommands: ``kernels-check``, ``intertwine``, ``dual-check``,
 ``truncation``, ``invariance``, ``sde-vs-exact``, ``sample``.  Options can
 also come from a flat ``key=value`` config file (``--config``); command-line
 flags override file values and go through the same parse as a file line.
+An option the subcommand does not read, set to other than its default by
+either, exits 2 (``<subcommand> takes no --<flag>``).
 Identical configuration and seed reproduce the CSV outputs byte for byte.
 The experiments themselves live in :mod:`laguerre_intertwine.experiments`;
 this module parses the options, writes the CSVs and maps the outcome to the
@@ -150,15 +152,17 @@ def _write_samples(cfg: ExperimentConfig, csv_name: str, draws: np.ndarray, meta
 # entry point
 # ---------------------------------------------------------------------------
 
-# subcommand -> (experiment, CSV it writes); ``sample`` writes draws instead
+# subcommand -> (experiment, CSV it writes, config keys it reads besides seed and
+# out_dir); ``sample`` writes draws instead
 COMMANDS = {
-    "kernels-check": (experiments.kernels_check, "kernels_check.csv"),
-    "intertwine": (experiments.intertwine, "intertwine.csv"),
-    "dual-check": (experiments.dual_check, "dual_check.csv"),
-    "truncation": (experiments.truncation, "truncation.csv"),
-    "invariance": (experiments.invariance, "invariance.csv"),
-    "sde-vs-exact": (experiments.sde_vs_exact, "sde_vs_exact.csv"),
-    "sample": (experiments.sample, "samples.csv"),
+    "kernels-check": (experiments.kernels_check, "kernels_check.csv",
+                      {"n", "alpha", "x", "tol", "panels", "order"}),
+    "intertwine": (experiments.intertwine, "intertwine.csv", {"n", "alpha", "t", "x", "tol"}),
+    "dual-check": (experiments.dual_check, "dual_check.csv", {"tol", "panels", "order"}),
+    "truncation": (experiments.truncation, "truncation.csv", {"n", "alpha", "x", "n_samples"}),
+    "invariance": (experiments.invariance, "invariance.csv", {"n", "alpha", "n_samples"}),
+    "sde-vs-exact": (experiments.sde_vs_exact, "sde_vs_exact.csv", {"t", "dt", "n_samples"}),
+    "sample": (experiments.sample, "samples.csv", {"sampler", "n", "alpha", "t", "x", "n_samples"}),
 }
 
 
@@ -169,6 +173,7 @@ FLAG_KEYS = {
     "--n-samples": "n_samples", "--dt": "dt", "--panels": "panels", "--order": "order",
     "--tol": "tol", "--out": "out_dir", "--sampler": "sampler",
 }
+FLAG_NAMES = {key: flag for flag, key in FLAG_KEYS.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,7 +199,13 @@ def main(argv: list[str] | None = None) -> int:
         for key in FLAG_KEYS.values():
             if getattr(args, key) is not None:
                 cfg = cfg.with_option(key, getattr(args, key))
-        experiment, csv_name = COMMANDS[args.command]
+        experiment, csv_name, keys = COMMANDS[args.command]
+        # a value the experiment would not read, from a flag or a config line
+        unread = [FLAG_NAMES[f.name] for f in fields(cfg)
+                  if f.name not in keys | {"experiment", "seed", "out_dir"}
+                  and getattr(cfg, f.name) != f.default]
+        if unread:
+            raise ConfigError(f"{args.command} takes no {', '.join(unread)}")
         # before the experiment runs, so that an --out that cannot be made costs no work
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
         if args.command == "sample":

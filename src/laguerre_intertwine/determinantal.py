@@ -127,7 +127,7 @@ def semigroup_top(params: SemigroupParams, x_top: float) -> float:
     return top
 
 
-def line_grid(points, top: float, t: float) -> LineGrid:
+def line_grid(points, top: float, t: float, alpha: float) -> LineGrid:
     """The grid on (0, max(top, points)) with an edge at each of ``points``.
 
     The panels from 0 double in width from 5 (1 - e^-t) up to min(1, the
@@ -135,6 +135,12 @@ def line_grid(points, top: float, t: float) -> LineGrid:
     that the narrow transition density of a small t is resolved near 0: no
     panel is added at t >= 0.25, five at t = 0.01 when that point is >= 1.
     Gaps between consecutive edges wider than ``PANEL_WIDTH`` are split evenly.
+    Then each panel (a, b) above the first is split geometrically until
+    alpha log(b / a) <= 8, alpha the largest kernel alpha (0: none): a kernel
+    step interpolates y^alpha H there (:func:`_power_average`).  Where
+    y^alpha spans at most e^8, the ORDER-point interpolant of e^(8 s) on
+    (0, 1) is off by 9e-14 of its largest value, 3e-10 of its smallest.
+    (At y^36 on the panel (1, 2), a span of 7e10, intertwine was off by 1e-3.)
     """
     points = np.asarray(points, dtype=float)
     positive = points[points > 0]
@@ -146,6 +152,12 @@ def line_grid(points, top: float, t: float) -> LineGrid:
     for a, b in zip(np.append(0.0, knots[:-1]), knots):
         edges.append(np.linspace(a, b, int(np.ceil((b - a) / PANEL_WIDTH)) + 1)[1:])
     edges = np.concatenate(edges)
+    lo, hi = edges[1:-1], edges[2:]
+    pieces = np.maximum(1, np.ceil(alpha * np.log(hi / lo) / 8.0)).astype(int)
+    panel = np.repeat(np.arange(lo.size), pieces)
+    step = np.arange(panel.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    ratio = hi[panel] / lo[panel]
+    edges = np.concatenate([[0.0], lo[panel] * ratio ** (step / pieces[panel]), edges[-1:]])
     u, w = unit_gauss_legendre(1, ORDER)
     width = np.diff(edges)[:, None]
     return LineGrid(edges, edges[:-1, None] + width * u, width * w)
@@ -323,7 +335,8 @@ def evaluate(operators: Sequence[KernelSpec | SemigroupParams], x,
 
     moving = [op for op in operators if isinstance(op, SemigroupParams)]
     top = max([semigroup_top(op, float(x[-1])) for op in moving] + [x[-1]])
-    grid = line_grid(x, top, min([op.t for op in moving], default=np.inf))
+    kernel_alphas = [op.alpha for op in operators if isinstance(op, KernelSpec) and op.row.takes_alpha]
+    grid = line_grid(x, top, min([op.t for op in moving], default=np.inf), max(kernel_alphas, default=0.0))
     edge_index = np.searchsorted(grid.edges, x)
     inner = edge_index[-1]  # the panels below the top anchor coordinate
 

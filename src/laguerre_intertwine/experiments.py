@@ -129,10 +129,7 @@ def composed_corner_density(
 
 
 def _given_x(cfg, lengths) -> dict[int, tuple]:
-    """``{len(x): x}`` for the run's x, which must fit one of its anchor ``lengths``
-    (none: the run takes no x)."""
-    if cfg.x and not lengths:
-        raise ConfigError(f"{cfg.experiment} takes no --x")
+    """``{len(x): x}`` for the run's x, which must fit one of its anchor ``lengths``."""
     if cfg.x and len(cfg.x) not in lengths:
         raise ConfigError(f"--x has {len(cfg.x)} coordinates; the run's anchors have {sorted(lengths)}")
     return {len(cfg.x): cfg.x} if cfg.x else {}
@@ -263,7 +260,6 @@ def _rel(lhs: float, rhs: float) -> float:
 def dual_check(cfg) -> list[Check]:
     """h-transform identities, dual generator residuals, and the N = 1
     density forms of the dual kernel exchange relations."""
-    _given_x(cfg, ())  # its points are fixed; it takes no --x
     td, dual_speed = diffusion.transition_density, diffusion.speed_measure_dual
     checks = []
 
@@ -368,7 +364,6 @@ def truncation(cfg) -> list[Check]:
 def invariance(cfg) -> list[Check]:
     """Ensemble projection: pushing the (N+1)-ensemble through the alpha
     corner kernel reproduces the N-ensemble."""
-    _given_x(cfg, ())  # its anchors are drawn; it takes no --x
     settings: list[tuple[int, float]] = [(2, 1.0), (2, 0.5), (1, 0.0)]
     if cfg.n is not None or cfg.alpha is not None:
         n = cfg.n if cfg.n is not None else 2
@@ -396,7 +391,6 @@ def invariance(cfg) -> list[Check]:
 
 def sde_vs_exact(cfg) -> list[Check]:
     """SDE endpoints (:func:`process.simulate_sde`) against the exact samplers, across steps."""
-    _given_x(cfg, ())  # its starting points are fixed; it takes no --x
     level = 0.01
     t_end = cfg.t if cfg.t is not None else 1.0
     n1 = min(cfg.n_samples, 20_000)

@@ -21,9 +21,10 @@ Kernels:
 Each kind is one row of the table ``KERNELS`` (:class:`KernelRow`): its
 density, its window segments, whether it takes alpha, and whether its
 segment factor is log-singular at alpha = 0.  :func:`kernel_density` and
-the quadrature appliers validate through that row.  Densities are defined
-for strictly interior anchors and raise :class:`DegenerateAnchorError` on
-ties; samplers extend continuously to tied anchors (coordinates in
+the quadrature appliers validate through that row.  Densities and the
+appliers are defined for strictly interior anchors and raise
+:class:`DegenerateAnchorError` on a tie, or a zero head for the kinds that
+take alpha; samplers extend continuously to tied anchors (coordinates in
 zero-width windows are forced, the rest follow the weak-limit law).
 """
 
@@ -64,9 +65,6 @@ _SECULAR_TOL = 4.0 * np.finfo(float).eps
 # (pole x root) entries of the pole arrays of one solve: its arrays then stay
 # near 512 KiB each, in cache, whatever the row count.
 _SECULAR_BLOCK = 2**16
-# (anchor x mesh point) entries of one chunk of anchor rows of the nested
-# quadrature; each row's sum is the same whatever the chunk holds.
-_MESH_CHUNK = 250_000
 
 
 # ---------------------------------------------------------------------------
@@ -290,35 +288,20 @@ class KernelSpec:
         return KERNELS[self.kind]
 
 
-def _checked_anchors(spec: KernelSpec, anchors, ndim: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """The anchors as a float array of ``ndim`` axes, and per row whether it is strictly interior.
-
-    The anchors are checked by :func:`checked_chamber`, non-negative for
-    the kinds that take alpha; there a strictly interior row with a
-    subnormal coordinate raises ``ValueError`` too: the density exceeds the
-    float range, and its quadrature loses the digits of the subnormal.
-    Strictly interior means strictly increasing, with a head above 0 for
-    the kinds that take alpha.
-    """
-    row = spec.row
-    nonneg = row.takes_alpha
-    a = checked_chamber(anchors, nonneg, min_len=row.dim_drop + 1, ndim=ndim, name=f"{spec.kind} anchor")
-    interior = interior_rows(a, nonneg)
-    if nonneg and np.any(interior & np.any((a > 0) & (a < np.finfo(float).tiny), axis=-1)):
-        raise ValueError(f"{spec.kind} density exceeds the float range at a subnormal anchor")
-    return a, interior
-
-
 def interior_anchor(spec: KernelSpec, x, ndim: int | None = 1) -> np.ndarray:
     """The anchor(s) x as a float array, each row strictly interior for the kernel.
 
-    Raises :class:`DegenerateAnchorError` for a tie, or a zero head for the
-    kinds that take alpha, and ``ValueError`` as
-    :func:`_checked_anchors` does.
+    The anchors are checked by :func:`checked_chamber`, non-negative for
+    the kinds that take alpha.  A tie, or a zero head for those kinds,
+    raises :class:`DegenerateAnchorError`; so does, as ``ValueError``, a
+    subnormal coordinate there: the density exceeds the float range, and
+    its quadrature loses the digits of the subnormal.
     """
-    x, interior = _checked_anchors(spec, x, ndim)
-    if not np.all(interior):
-        raise DegenerateAnchorError(f"{spec.kind} anchor must be strictly interior, got {x}")
+    row = spec.row
+    x = checked_chamber(x, row.takes_alpha, strict=True, min_len=row.dim_drop + 1, ndim=ndim,
+                        name=f"{spec.kind} anchor")
+    if row.takes_alpha and np.any((x > 0) & (x < np.finfo(float).tiny)):
+        raise ValueError(f"{spec.kind} density exceeds the float range at a subnormal anchor")
     return x
 
 
@@ -613,102 +596,6 @@ def sample_alpha_corner(alpha: float, x, rng: RngStream, size: int | None = None
 # quadrature application
 # ---------------------------------------------------------------------------
 
-def apply_kernel_to_anchors(
-    spec: KernelSpec,
-    anchors: np.ndarray,
-    f: Callable[[np.ndarray], np.ndarray],
-    panels: int = 2,
-    order: int = 20,
-) -> np.ndarray:
-    """(kernel f)(anchor) for a batch of anchors, by nested quadrature: an (m,) array.
-
-    ``f`` maps an (M, N) array of chamber points (rows non-decreasing) to
-    its (M,) values; any other shape raises ``ValueError``.  Rows that are
-    not strictly interior (a tie, or a zero head for the kinds that take
-    alpha) leave a window of zero width and evaluate to exactly 0 without a
-    call of f; callers pair them with vanishing prefactors.  ``ValueError``
-    is raised, rather than a NaN or an infinite value returned, for anchors
-    that are not chamber points of the kernel, and where the density leaves
-    the float range (a subnormal anchor coordinate, a window of subnormal
-    width).  Quadrature panels are anchored at the window segment endpoints
-    so the integrand is smooth on every panel.  Anchors are processed in
-    chunks of about ``_MESH_CHUNK`` mesh points.
-    """
-    row = spec.row
-    anchors, valid = _checked_anchors(spec, np.atleast_2d(anchors), ndim=2)
-    d = anchors.shape[-1]
-    n = d - row.dim_drop
-    if n > 3:
-        raise UnsupportedDimensionError("kernel quadrature is guarded to N <= 3")
-    out = np.zeros(anchors.shape[0])
-    if not np.any(valid):
-        return out
-    rows = anchors[valid]
-    m = rows.shape[0]
-
-    # per-coordinate nodes/weights, shape (m, K_i); the alpha-weighted
-    # kernels carry prod y_k^alpha, which is singular (or merely
-    # non-analytic) at y = 0, so their nodes come from the power map
-    # y = top * v^stretch with panel edges at the v-images of the window
-    # breakpoints.  This resolves the weight even when a window's lower
-    # edge sits arbitrarily close to 0 (anchors from quadrature meshes do).
-    stretch = row.node_stretch(spec.alpha)
-    points = _window_points(row.breaks, rows)
-    with np.errstate(over="ignore"):
-        seg = np.concatenate([hi - lo for lo, hi in zip(points[:-1], points[1:])], axis=-1)
-    if np.any(((seg > 0) & (seg < np.finfo(float).tiny)) | np.isinf(seg)):
-        raise ValueError(f"{spec.kind} quadrature weights leave the float range: a window "
-                         "segment of subnormal or infinite width")
-    nodes, weights = [], []
-    u_plain, w_plain = unit_gauss_legendre(panels, order)
-    for i in range(n):
-        edges = [p[:, i, None] for p in points]
-        node_parts, weight_parts = [], []
-        if stretch > 1.0:
-            top = edges[-1]
-            v_edges = [(e / top) ** (1.0 / stretch) for e in edges]
-            for va, vb in zip(v_edges[:-1], v_edges[1:]):
-                v = va + (vb - va) * u_plain[None, :]
-                node_parts.append(top * v**stretch)
-                weight_parts.append(top * stretch * v ** (stretch - 1.0) * (vb - va) * w_plain[None, :])
-        else:
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                node_parts.append(lo + (hi - lo) * u_plain[None, :])
-                weight_parts.append((hi - lo) * w_plain[None, :])
-        nodes.append(np.concatenate(node_parts, axis=1))
-        weights.append(np.concatenate(weight_parts, axis=1))
-
-    sizes = [nd.shape[1] for nd in nodes]
-    rows_per_chunk = max(1, _MESH_CHUNK // int(np.prod(sizes)))
-    sums = np.empty(m)
-    for start in range(0, m, rows_per_chunk):
-        sl = slice(start, min(start + rows_per_chunk, m))
-        mm = sl.stop - sl.start
-        grids, wgrids = [], []
-        for i in range(n):
-            shape = [mm] + [1] * n
-            shape[1 + i] = sizes[i]
-            grids.append(nodes[i][sl].reshape(shape))
-            wgrids.append(weights[i][sl].reshape(shape))
-        pts = np.stack(np.broadcast_arrays(*grids), axis=-1)
-        anchor_block = rows[sl].reshape((mm,) + (1,) * n + (d,))
-        contrib = _window_density(row, spec.alpha, anchor_block, pts, wgrids)
-        # a point of nonzero weight lies in its interlacing window, so its
-        # coordinates are already non-decreasing: the corner and square
-        # windows do not overlap, and the alpha_corner segment integral is
-        # zero unless y_k < y_{k+1}
-        mask = contrib != 0.0
-        vals = np.zeros_like(contrib)
-        vals[mask] = pointwise_values(f, pts[mask])
-        sums[sl] = np.sum(contrib * vals, axis=tuple(range(1, n + 1)))
-        # a density beyond the float range leaves a sum that is not finite;
-        # the mesh itself is searched only then
-        if not np.all(np.isfinite(sums[sl])) and not np.all(np.isfinite(contrib)):
-            raise ValueError(f"{spec.kind} density leaves the float range at an anchor row")
-    out[valid] = sums
-    return out
-
-
 def apply_kernel_quadrature(
     spec: KernelSpec,
     x,
@@ -718,8 +605,82 @@ def apply_kernel_quadrature(
 ) -> float:
     """(kernel f)(x) by nested composite Gauss-Legendre quadrature, N <= 3.
 
-    The anchor must be strictly interior, as for :func:`kernel_density`;
-    ``f`` is as for :func:`apply_kernel_to_anchors`.
+    ``f`` maps an (M, N) array of chamber points (rows non-decreasing) to
+    its (M,) values; any other shape raises ``ValueError``.  The anchor
+    must be strictly interior, as for :func:`kernel_density`
+    (:class:`DegenerateAnchorError` otherwise).  ``ValueError`` is raised,
+    rather than a NaN or an infinite value returned, for an anchor that is
+    not a chamber point of the kernel, and where the density leaves the
+    float range (a subnormal anchor coordinate, a window of subnormal
+    width).  Quadrature panels are anchored at the window segment endpoints
+    so the integrand is smooth on every panel.
     """
+    row = spec.row
     x = interior_anchor(spec, x)
-    return float(apply_kernel_to_anchors(spec, x[None, :], f, panels, order)[0])
+    n = x.size - row.dim_drop
+    if n > 3:
+        raise UnsupportedDimensionError("kernel quadrature is guarded to N <= 3")
+
+    # per-coordinate nodes/weights, shape (K_i,); the alpha-weighted
+    # kernels carry prod y_k^alpha, which is singular (or merely
+    # non-analytic) at y = 0, so their nodes come from the power map
+    # y = top * v^stretch with panel edges at the v-images of the window
+    # breakpoints.  This resolves the weight even when a window's lower
+    # edge sits arbitrarily close to 0.
+    stretch = row.node_stretch(spec.alpha)
+    points = _window_points(row.breaks, x)
+    with np.errstate(over="ignore"):
+        seg = np.concatenate([hi - lo for lo, hi in zip(points[:-1], points[1:])])
+    if np.any(((seg > 0) & (seg < np.finfo(float).tiny)) | np.isinf(seg)):
+        raise ValueError(f"{spec.kind} quadrature weights leave the float range: a window "
+                         "segment of subnormal or infinite width")
+    nodes, weights = [], []
+    u_plain, w_plain = unit_gauss_legendre(panels, order)
+    for i in range(n):
+        edges = [p[i, None] for p in points]
+        node_parts, weight_parts = [], []
+        if stretch > 1.0:
+            top = edges[-1]
+            v_edges = [(e / top) ** (1.0 / stretch) for e in edges]
+            for va, vb in zip(v_edges[:-1], v_edges[1:]):
+                v = va + (vb - va) * u_plain
+                node_parts.append(top * v**stretch)
+                weight_parts.append(top * stretch * v ** (stretch - 1.0) * (vb - va) * w_plain)
+        else:
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                node_parts.append(lo + (hi - lo) * u_plain)
+                weight_parts.append((hi - lo) * w_plain)
+        nodes.append(np.concatenate(node_parts))
+        weights.append(np.concatenate(weight_parts))
+
+    pts = np.stack(np.meshgrid(*nodes, indexing="ij"), axis=-1)
+    contrib = _window_density(row, spec.alpha, x, pts, np.meshgrid(*weights, indexing="ij", sparse=True))
+    # a point of nonzero weight lies in its interlacing window, so its
+    # coordinates are already non-decreasing: the corner and square windows
+    # do not overlap, and the alpha_corner segment integral is zero unless
+    # y_k < y_{k+1}
+    mask = contrib != 0.0
+    vals = np.zeros_like(contrib)
+    vals[mask] = pointwise_values(f, pts[mask])
+    total = np.sum(contrib * vals)
+    # a density beyond the float range leaves a sum that is not finite; the
+    # mesh itself is searched only then
+    if not np.isfinite(total) and not np.all(np.isfinite(contrib)):
+        raise ValueError(f"{spec.kind} density leaves the float range at the anchor")
+    return float(total)
+
+
+def apply_kernel_to_anchors(
+    spec: KernelSpec,
+    anchors: np.ndarray,
+    f: Callable[[np.ndarray], np.ndarray],
+    panels: int = 2,
+    order: int = 20,
+) -> np.ndarray:
+    """(kernel f) at each anchor row, an (m,) array: :func:`apply_kernel_quadrature` per row.
+
+    Every row must be strictly interior; the rows are all checked before
+    the first is integrated.
+    """
+    anchors = interior_anchor(spec, np.atleast_2d(anchors), ndim=2)
+    return np.array([apply_kernel_quadrature(spec, x, f, panels, order) for x in anchors], dtype=float)

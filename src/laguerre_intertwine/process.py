@@ -22,12 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .diffusion import transition_density, transition_variance
-from .kernels import (
-    UnsupportedDimensionError,
-    checked_chamber,
-    interior_rows,
-    vandermonde,
-)
+from .kernels import UnsupportedDimensionError, checked_chamber, vandermonde
 from .numerics import (
     RngStream, checked_alpha, checked_alpha_int, checked_time, gauss_legendre_rule,
     pointwise_values, power_endpoint_rule, power_stretch,
@@ -144,35 +139,31 @@ def semigroup_apply_rows(
     sorted.  ``f`` maps an (M, N) array of such points to its (M,) values
     (any other shape raises ``ValueError``) and is called once per chamber
     point, shared across anchors.  Each row is an N-coordinate point of the
-    closed non-negative chamber; a row with a tie returns 0 without a call
-    of f (the prefactor vanishes there; callers mask them).
+    non-negative chamber: at t = 0, where the semigroup is the identity, of
+    the closed one; at t > 0 strictly interior
+    (:class:`kernels.DegenerateAnchorError` otherwise).
     """
     n = params.n_dim
     if n > 3:
         raise UnsupportedDimensionError("semigroup quadrature is guarded to N <= 3")
-    x_rows = checked_chamber(np.atleast_2d(x_rows), nonneg=True, ndim=2, name="anchor rows")
+    x_rows = checked_chamber(np.atleast_2d(x_rows), nonneg=True, strict=params.t > 0, ndim=2,
+                             name="anchor rows")
     if x_rows.shape[1] != n:
         raise ValueError(f"a {n}-particle semigroup takes no anchor rows of shape {x_rows.shape}")
     if params.t == 0:
         return pointwise_values(f, x_rows)
-    valid = interior_rows(x_rows)
-    out = np.zeros(x_rows.shape[0])
-    if not np.any(valid):
-        return out
     if y_max is None:
         y_max = semigroup_ymax(params.alpha, params.t, float(np.max(x_rows)), n)
     nodes, wts = _box_axis_nodes(params.alpha, y_max, panels, order)
-    rows = x_rows[valid]
     chamber = np.array(list(combinations(range(nodes.size), n)))  # (C, N)
     pts = nodes[chamber]
     weight = vandermonde(pts) * np.prod(wts[chamber], axis=-1) * pointwise_values(f, pts)
     # p(x_a, node_k) for every row, (m, N, K); det[p(x_a, y_b)] per chamber point, (m, C),
     # from C-ordered matrices, so that each row's sum below runs as for that row alone
-    p = transition_density(params.alpha, params.t, rows[:, :, None], nodes[None, None, :])
+    p = transition_density(params.alpha, params.t, x_rows[:, :, None], nodes[None, None, :])
     det = np.linalg.det(np.ascontiguousarray(np.moveaxis(p[:, :, chamber], 1, 2)))
-    pref = np.exp(-lambda_eigen(n) * params.t) / vandermonde(rows)
-    out[valid] = pref * np.sum(det * weight, axis=-1)
-    return out
+    pref = np.exp(-lambda_eigen(n) * params.t) / vandermonde(x_rows)
+    return pref * np.sum(det * weight, axis=-1)
 
 
 def semigroup_apply(

@@ -196,6 +196,19 @@ def test_floats_are_17_digits(tmp_path):
     assert len(val.split(".")[-1]) >= 10  # full precision survives the round trip
 
 
+# one option per subcommand that it does not read, last; each of these ran
+# without it and exited 0
+UNREAD_OPTIONS = [
+    ["kernels-check", "--sampler", "corner"],
+    ["intertwine", "--dt", "7"],
+    ["dual-check", "--alpha", "5"],
+    ["truncation", "--tol", "0.5"],
+    ["invariance", "--t", "5"],
+    ["sde-vs-exact", "--alpha", "2"],
+    ["sample", "--sampler", "corner", "--x", "1,2", "--panels", "9"],
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -223,6 +236,7 @@ def test_floats_are_17_digits(tmp_path):
         ["sde-vs-exact", "--x", "1,2"],
         # a tolerance that is not finite and > 0 decided every check alike (exit 1, or 0 at inf)
         *(["intertwine", "--n", "1", "--alpha", "1", "--t", "1", "--tol", tol] for tol in ("nan", "inf", "0", "-1")),
+        *UNREAD_OPTIONS,
     ],
 )
 def test_library_domain_error_exits_2(tmp_path, capsys, argv):
@@ -230,8 +244,8 @@ def test_library_domain_error_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert err.count("\n") == 1
-    if argv[1:] == ["--x", "1,2"]:  # a subcommand that takes no --x
-        assert err == f"configuration error: {argv[0]} takes no --x\n"
+    if argv[1:] == ["--x", "1,2"] or argv in UNREAD_OPTIONS:
+        assert err == f"configuration error: {argv[0]} takes no {argv[-2]}\n"
 
 
 def test_alpha_beyond_the_float_range_exits_cleanly(tmp_path, capsys):

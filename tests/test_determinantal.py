@@ -142,6 +142,13 @@ def test_intertwine_passes_at_larger_n(n):
     assert all(c.threshold == experiments.INTERTWINE_TOL[n] == 1e-6 for c in checks)
 
 
+def test_intertwine_passes_at_alpha_36():
+    # y^36 spans a factor of 7e10 on the panel (1, 2), where the kernel step
+    # interpolates y^alpha H: the same_alpha rows were off by up to 1e-3
+    checks = experiments.intertwine(ExperimentConfig(n=1, alpha=36.0))
+    assert len(checks) == 18 and all(c.passed for c in checks)
+
+
 def test_ill_conditioned_anchor_raises(tmp_path):
     # a near tie leaves a determinant that float64 cannot resolve
     x = [1.0, 1.0 + 1e-12, 2.0]

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -107,7 +106,7 @@ CHAMBER_ENTRIES = {
     "kernel_density": (lambda x: kernel_density(_CORNER, x, [1.5, 3.0]), _X3, True, 2, _STRICT),
     "density_corner": (lambda x: kernel_density(_PLAIN_CORNER, x, [1.5, 3.0]), _X3, False, 2, ("tie",)),
     "apply_kernel_to_anchors": (lambda x: apply_kernel_to_anchors(_SQUARE, x, ONE, 2, 8),
-                                _ROWS2, True, 1, ()),
+                                _ROWS2, True, 1, _STRICT),
     "apply_kernel_quadrature": (lambda x: apply_kernel_quadrature(_SQUARE, x, ONE, 2, 8),
                                 _X2, True, 1, _STRICT),
     "sample_corner_many": (lambda x: sample_corner_many(x, _rng(), 3), _X3, False, 2, ()),
@@ -120,7 +119,7 @@ CHAMBER_ENTRIES = {
     "semigroup_apply_t0": (lambda x: semigroup_apply(_SG0, x, F_EXP, 2, 8), _X2, True, 2, ()),
     "semigroup_apply": (lambda x: semigroup_apply(_SG, x, F_EXP, 2, 8), _X2, True, 2, _STRICT),
     "semigroup_apply_rows_t0": (lambda x: semigroup_apply_rows(_SG0, x, F_EXP, 2, 8), _ROWS2, True, 2, ()),
-    "semigroup_apply_rows": (lambda x: semigroup_apply_rows(_SG, x, F_EXP, 2, 8), _ROWS2, True, 2, ()),
+    "semigroup_apply_rows": (lambda x: semigroup_apply_rows(_SG, x, F_EXP, 2, 8), _ROWS2, True, 2, _STRICT),
     "simulate_sde": (lambda x: simulate_sde(0.5, x, 0.1, SdeConfig(dt=0.05), _rng(), size=2),
                      _X2, True, 1, ()),
     "simulate_matrix_ou": (lambda x: simulate_matrix_ou(1, x, 0.5, _rng(), size=2), _X2, True, 1, ()),
@@ -687,36 +686,6 @@ def test_kernel_quadrature_points_are_sorted_with_stretched_nodes():
     assert np.all(np.diff(rows, axis=-1) >= 0)
 
 
-def _degenerate_batch(kind):
-    spec, anchor = _spec_and_anchor(kind, -0.5, 2)
-    tied = anchor.copy()
-    tied[1] = tied[0]
-    zero_head = anchor.copy()
-    zero_head[0] = 0.0
-    return spec, np.stack([anchor, tied, 1.5 * anchor, zero_head, 0.5 * anchor])
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_chunked_mesh_matches_one_chunk_bit_for_bit(kind, monkeypatch):
-    spec, anchors = _degenerate_batch(kind)
-    whole = [apply_kernel_to_anchors(spec, anchors, fn, 2, 10) for fn in SCALAR_FUNCTIONS]
-    # a small chunk budget runs several chunks of a few anchors each
-    monkeypatch.setattr(kernels, "_MESH_CHUNK", 500)
-    for fn, want in zip(SCALAR_FUNCTIONS, whole):
-        got = apply_kernel_to_anchors(spec, anchors, fn, 2, 10)
-        assert got.shape == (len(anchors),) and np.array_equal(got, want)
-        assert got[1] == 0.0  # the degenerate anchor
-
-
-def test_tied_only_rows_give_zero_without_calling_f():
-    def never(y):
-        raise AssertionError("f called")
-
-    anchors = np.array([[1.0, 1.0, 2.0], [0.0, 1.0, 2.0]])
-    got = apply_kernel_to_anchors(KernelSpec("alpha_corner", 1.0), anchors, never)
-    assert got.shape == (2,) and np.all(got == 0.0)
-
-
 def test_apply_kernel_quadrature_return_types():
     spec, anchor = KernelSpec("alpha_corner", 1.0), np.array([1.0, 2.0, 4.0])
     value = apply_kernel_quadrature(spec, anchor, F_EXP, 2, 10)
@@ -741,30 +710,32 @@ def test_apply_kernel_rejects_misshaped_f():
     n=st.integers(1, 2),
     raw=st.lists(st.floats(0.0, 6.0), min_size=9, max_size=9),
     m=st.integers(1, 3),
-    chunk=st.sampled_from([1, 300]),
 )
-def test_apply_kernel_property(kind, alpha, n, raw, m, chunk):
+def test_apply_kernel_property(kind, alpha, n, raw, m):
     spec = KernelSpec(kind, None if kind == "corner" else alpha)
     d = n if kind == "alpha_square" else n + 1
     anchors = np.sort(np.array(raw[: m * d]).reshape(m, d), axis=-1)
-    # the rows the quadrature evaluates; anchor coordinates or gaps below
-    # 1e-100 (subnormal ones among them) may put the density beyond the
-    # float range
-    evaluated = np.all(np.diff(anchors, axis=-1) > 0, axis=-1)
+    # the rows are evaluated only if all are strictly interior; anchor
+    # coordinates or gaps below 1e-100 (subnormal ones among them) may then
+    # put the density beyond the float range
+    interior = np.all(np.diff(anchors, axis=-1) > 0, axis=-1)
     if kind != "corner":
-        evaluated &= anchors[:, 0] > 0
+        interior &= anchors[:, 0] > 0
     tiny = np.any((anchors > 0) & (anchors < 1e-100), axis=-1)
     tiny |= np.any(np.diff(anchors, axis=-1) < 1e-100, axis=-1)
-    out_of_range = np.any(evaluated & tiny)
     try:
         got = apply_kernel_to_anchors(spec, anchors, F_EXP, 1, 6)
+    except DegenerateAnchorError:
+        assert not np.all(interior)
+        return
     except ValueError as exc:
         # never a NaN: the error names a density beyond the float range at tiny anchors
-        assert "float range" in str(exc) and out_of_range, exc
+        assert "float range" in str(exc) and np.all(interior) and np.any(tiny), exc
         return
+    assert np.all(interior)
     assert got.shape == (m,) and np.all(np.isfinite(got))
-    with mock.patch.object(kernels, "_MESH_CHUNK", chunk):
-        assert np.array_equal(apply_kernel_to_anchors(spec, anchors, F_EXP, 1, 6), got)
+    for row, value in zip(anchors, got):
+        assert value == apply_kernel_quadrature(spec, row, F_EXP, 1, 6)
 
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 1.0, 2.0, 2.5])
