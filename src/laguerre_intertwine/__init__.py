@@ -46,10 +46,7 @@ from .process import (
     simulate_sde,
 )
 from .rmt import (
-    laguerre_ensemble_density,
-    laguerre_ensemble_log_norm,
     radial_part,
-    sample_corner_alpha_matrix,
     sample_ginibre,
     sample_haar_unitary,
     sample_invariant_rectangular,
@@ -61,7 +58,6 @@ from .stats import (
     BonferroniFamily,
     ComparisonReport,
     EmpiricalSample,
-    grid_cdf,
     ks_one_sample,
     ks_two_sample,
     moment_compare,

@@ -27,7 +27,6 @@ from .numerics import checked_alpha, checked_time, ive, sample_noncentral_chisq
 
 class BoundaryKind(str, Enum):
     ENTRANCE_OR_REFLECTING = "entrance_or_reflecting"
-    EXIT = "exit"
     DUAL = "dual"
 
 
@@ -221,8 +220,8 @@ def backward_generator_residual(
 
     Evaluates ``d_t p - (x d_xx p + b(x) d_x p)`` for the family's own
     closed-form density p at (t, x, y), where b is the drift of the chosen
-    family (``alpha + 1 - x`` for the primary/exit families, ``x - alpha``
-    for the dual).  Step control is the caller's concern.
+    family (``alpha + 1 - x`` for the primary family, ``x - alpha`` for the
+    dual).  Step control is the caller's concern.
     """
     family = BoundaryKind(family)
     if not (t > h and x > h and h > 0):

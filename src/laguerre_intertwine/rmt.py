@@ -1,9 +1,12 @@
 """Random-matrix layer.
 
 Complex Ginibre and Haar-unitary sampling, corner truncations, radial parts
-(squared singular values), and the matrix models whose radial laws realize
-the interlacing kernels: Wishart/Laguerre ensembles, the bidiagonal model
-for real parameter, and truncated-Haar constructions.
+(squared singular values), the Wishart/Laguerre ensembles (the bidiagonal
+model for real parameter), and the bi-unitarily invariant matrix with a
+prescribed radial part, whose truncation realizes the alpha corner kernel
+at integer alpha (the ``truncation`` experiment).  The matrix model of the
+alpha_square kernel and the ensemble's density are test oracles
+(``tests/oracles.py``).
 
 Most samplers take an optional ``size`` and then return a stacked array of
 draws; linear algebra is batched through numpy's stacked qr/eigh.
@@ -11,12 +14,9 @@ draws; linear algebra is batched through numpy's stacked qr/eigh.
 
 from __future__ import annotations
 
-from math import lgamma
-
 import numpy as np
 
 from .diffusion import checked_args
-from .kernels import vandermonde
 from .numerics import RngStream, checked_alpha, checked_alpha_int
 
 _EIG_CLAMP = 1e-12
@@ -113,21 +113,6 @@ def sample_laguerre_ensemble(
     return vals[0] if squeeze else vals
 
 
-def laguerre_ensemble_log_norm(n_dim: int, alpha: float) -> float:
-    """log of the unordered normalization: prod_{j=1}^N Gamma(j+1) Gamma(alpha+j); alpha > -1."""
-    checked_alpha(alpha)
-    return sum((lgamma(j + 1.0) + lgamma(alpha + j) for j in range(1, n_dim + 1)), 0.0)
-
-
-def laguerre_ensemble_density(n_dim: int, alpha: float, x: np.ndarray):
-    """Ensemble density on the ordered chamber (integrates to 1 there)."""
-    log_norm = laguerre_ensemble_log_norm(n_dim, alpha) - lgamma(n_dim + 1.0)
-    x, _ = checked_args(alpha, None, x, zero_x=True)
-    log_w = np.sum(alpha * np.log(x) - x, axis=-1)
-    out = vandermonde(x) ** 2 * np.exp(log_w - log_norm)
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def sample_invariant_rectangular(
     x: np.ndarray, alpha_int: int, rng: RngStream, size: int | None = None
 ) -> np.ndarray:
@@ -151,19 +136,3 @@ def sample_invariant_rectangular(
     v = sample_haar_unitary(m1, rng, size=size)
     u = sample_haar_unitary(n1, rng, size=size)
     return v @ d @ u
-
-
-def sample_corner_alpha_matrix(
-    alpha_int: int, z: np.ndarray, rng: RngStream, size: int | None = None
-) -> np.ndarray:
-    """Matrix model for the inner interlacing kernel at integer alpha.
-
-    Draws a Haar unitary of order N+alpha+1, truncates it to (N+alpha) x N,
-    right-multiplies by diag(sqrt(z)) and returns the radial part.  The
-    output interlaces below z on every draw.
-    """
-    z, _ = checked_args(checked_alpha_int(alpha_int), None, z, zero_x=True)
-    n = z.shape[-1]
-    v = sample_haar_unitary(n + int(alpha_int) + 1, rng, size=size)
-    t = truncate(v, n + int(alpha_int), n)
-    return radial_part(t * np.sqrt(z)[..., None, :])

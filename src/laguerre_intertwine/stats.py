@@ -2,10 +2,12 @@
 
 Kolmogorov-Smirnov one- and two-sample tests with the asymptotic p-value
 (Kolmogorov survival series with the Stephens effective-size correction),
-moment z-tests against analytic targets, CDF tabulation from a density, and
-Bonferroni bookkeeping for families of tests.  The harness is calibrated by
-its own acceptance gate: at level 0.01 the null rejection rate over repeated
-replications must sit in [0.2%, 3%].
+moment z-tests against analytic targets, and Bonferroni bookkeeping for
+families of tests.  The harness is calibrated by its own acceptance gate:
+at level 0.01 the null rejection rate over repeated replications must sit
+in [0.2%, 3%].  A CDF tabulated from a density, for one-sample tests
+against laws with no closed-form CDF, is the test oracle
+``tests/oracles.py::grid_cdf``.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-
-from .numerics import power_stretch, unit_gauss_legendre
 
 
 @dataclass
@@ -132,41 +132,6 @@ def moment_compare(a: EmpiricalSample, target_mean: float, target_var: float) ->
         passed=abs(z) <= 4.0,
         mode="critical_value",
     )
-
-
-def grid_cdf(
-    pdf: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    endpoint_exponent: float | None = None,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Tabulate a CDF from a density by cumulative panel quadrature.
-
-    Integrates the density with one Gauss-Legendre panel per cell of an
-    8001-point grid, accumulates, normalizes the tiny tail defect away, and
-    returns a linear interpolant clipped to [0, 1].  ``endpoint_exponent`` declares a
-    power-law factor y^exponent of the density at ``lo = 0``; the grid is
-    then power-spaced so the singular cells carry negligible mass.
-    Accuracy is far below the resolving power of KS at the sample sizes
-    used here.
-    """
-    if endpoint_exponent is not None and lo == 0.0:
-        m = max(power_stretch(endpoint_exponent), 2.0)
-        edges = hi * np.linspace(0.0, 1.0, 8001) ** m
-    else:
-        edges = np.linspace(lo, hi, 8001)
-    u, w = unit_gauss_legendre(1, 12)
-    widths = np.diff(edges)
-    nodes = edges[:-1, None] + widths[:, None] * u[None, :]
-    vals = pdf(nodes.ravel()).reshape(nodes.shape)
-    cell_mass = (vals * w[None, :]).sum(axis=1) * widths
-    cum = np.concatenate([[0.0], np.cumsum(cell_mass)])
-    total = cum[-1]
-
-    def cdf(x):
-        return np.clip(np.interp(x, edges, cum) / max(total, 1e-300), 0.0, 1.0)
-
-    return cdf
 
 
 @dataclass

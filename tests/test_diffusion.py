@@ -5,9 +5,7 @@ import pytest
 from scipy.special import gammaln
 
 from laguerre_intertwine.diffusion import (
-    BoundaryKind,
     _log_density_entrance,
-    backward_generator_residual,
     dual_transition_density,
     htransform_residual_32a,
     speed_measure_dual,
@@ -19,7 +17,7 @@ from laguerre_intertwine.diffusion import (
 from laguerre_intertwine.kernels import sample_alpha_corner, sample_alpha_corner_rows, sample_alpha_square
 from laguerre_intertwine.numerics import RngStream, power_endpoint_rule
 from laguerre_intertwine.process import SemigroupParams, semigroup_ymax
-from laguerre_intertwine.stats import EmpiricalSample, grid_cdf, ks_one_sample, ks_two_sample, moment_compare
+from laguerre_intertwine.stats import EmpiricalSample, ks_two_sample, moment_compare
 
 
 def density_mass(alpha, t, x, y_max=80.0, panels=40, order=20):
@@ -39,19 +37,6 @@ def test_conservative_mass_grid():
         for t in (0.1, 1.0, 5.0):
             for x in (0.0, 0.5, 4.0):
                 assert abs(density_mass(alpha, t, x) - 1.0) < 1e-8
-
-
-def test_chapman_kolmogorov():
-    alpha, x, y, s, t = 0.5, 1.0, 2.0, 0.3, 0.7
-    rule = power_endpoint_rule(50.0, alpha, 40, 20)
-    lhs = float(
-        np.dot(
-            rule.weights,
-            transition_density(alpha, s, x, rule.nodes)
-            * transition_density(alpha, t, rule.nodes, y),
-        )
-    )
-    assert abs(lhs - transition_density(alpha, s + t, x, y)) < 1e-8
 
 
 def test_stationarity_of_gamma_weight():
@@ -106,22 +91,6 @@ def test_non_finite_input_raises(call):
         call()
 
 
-def test_sampler_matches_density_three_settings():
-    # exact sampler against the quadrature CDF of its own density
-    for k, (alpha, t, x) in enumerate([(0.0, 1.0, 1.0), (1.0, 0.5, 3.0), (-0.5, 0.7, 0.2)]):
-        rng = RngStream(555, k)
-        draws = transition_sample(alpha, t, x, rng, size=100_000)
-        hi = float(np.max(draws)) * 1.2 + 1.0
-        cdf = grid_cdf(
-            lambda v: transition_density(alpha, t, x, np.maximum(v, 1e-300)),
-            0.0,
-            hi,
-            endpoint_exponent=alpha,
-        )
-        rep = ks_one_sample(EmpiricalSample(draws, f"exact[{alpha},{t},{x}]"), cdf)
-        assert rep.p_value > 0.01, (alpha, t, x, rep.p_value)
-
-
 def test_sampler_zero_start_is_gamma():
     rng = RngStream(556, 0)
     alpha, t = 1.0, 0.8
@@ -170,22 +139,10 @@ def test_dual_density_definitional_identity():
     assert lhs == pytest.approx(transition_density(a + 1.0, t, x, y), rel=1e-14)
 
 
-def test_dual_generator_fd_residual():
-    for (a, t, x, y) in [(0.0, 0.5, 1.5, 1.0), (1.5, 0.8, 2.0, 3.0)]:
-        res = backward_generator_residual(BoundaryKind.DUAL, a, t, x, y, h=1e-3)
-        assert abs(res) <= 1e-4
-
-
-def test_primary_generator_fd_residual():
-    for (a, t, x, y) in [(1.0, 0.5, 2.0, 1.0), (-0.5, 0.5, 1.0, 1.0)]:
-        res = backward_generator_residual("entrance_or_reflecting", a, t, x, y, h=1e-3)
-        assert abs(res) <= 1e-4
-
-
 def test_htransform_residual():
-    for (a, t, x, y) in [(1.5, 0.7, 1.0, 2.0), (0.25, 0.1, 3.0, 0.5)]:
-        res = htransform_residual_32a(a, t, x, y)
-        assert abs(res) / transition_density(a, t, x, y) < 1e-10
+    # a case beside dual-check's htransform rows, and the exact 0 at alpha = 0
+    a, t, x, y = 2.5, 1.0, 0.5, 4.0
+    assert abs(htransform_residual_32a(a, t, x, y)) / transition_density(a, t, x, y) < 1e-10
     assert htransform_residual_32a(0.0, 0.5, 1.0, 2.0) == 0.0
 
 

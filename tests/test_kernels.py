@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import binned_gof_2d
+from oracles import grid_cdf, sample_corner_alpha_matrix
 from secular_oracle import reference_secular_roots
 
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from laguerre_intertwine import kernels
 from laguerre_intertwine.determinantal import evaluate
-from laguerre_intertwine.experiments import TEST_FUNCTIONS, composed_corner_density
+from laguerre_intertwine.experiments import TEST_FUNCTIONS
 from laguerre_intertwine.kernels import (
     DegenerateAnchorError,
     KernelSpec,
@@ -38,8 +39,8 @@ from laguerre_intertwine.process import (
     simulate_matrix_ou,
     simulate_sde,
 )
-from laguerre_intertwine.rmt import sample_corner_alpha_matrix, sample_haar_unitary
-from laguerre_intertwine.stats import EmpiricalSample, grid_cdf, ks_one_sample, ks_two_sample
+from laguerre_intertwine.rmt import sample_haar_unitary
+from laguerre_intertwine.stats import EmpiricalSample, ks_one_sample, ks_two_sample
 
 ONE = lambda y: np.ones(y.shape[:-1])
 F_EXP = lambda y: np.exp(-np.sum(y, axis=-1))
@@ -264,43 +265,6 @@ def test_density_alpha_corner_values():
     assert val == pytest.approx(1.0, abs=1e-10)
 
 
-def test_normalization_grid():
-    # every probability kernel integrates to 1 on the acceptance grid
-    corner_anchors = {1: [1.0, 2.0], 2: [1.0, 2.0, 4.0], 3: [1.0, 2.0, 4.0, 7.0]}
-    square_anchors = {1: [2.0], 2: [1.0, 3.0], 3: [1.0, 2.5, 5.0]}
-    for n in (1, 2, 3):
-        val = apply_kernel_quadrature(
-            KernelSpec("corner"), np.array(corner_anchors[n]), ONE, 2, 20
-        )
-        assert abs(val - 1.0) < 1e-7
-        for alpha in (-0.5, 0.0, 1.0, 2.5):
-            for kind, anchor in (
-                ("alpha_square", square_anchors[n]),
-                ("alpha_corner", corner_anchors[n]),
-            ):
-                val = apply_kernel_quadrature(
-                    KernelSpec(kind, alpha), np.array(anchor), ONE, 2, 20
-                )
-                assert abs(val - 1.0) < 1e-7, (kind, n, alpha, val)
-
-
-def test_composition_identity_pointwise():
-    # the alpha corner kernel equals corner followed by the same-dimension
-    # alpha kernel, density by density
-    rng = np.random.default_rng(5)
-    for alpha in (-0.5, 0.0, 1.0):
-        for x in (np.array([1.0, 2.0]), np.array([1.0, 2.0, 4.0])):
-            n = len(x) - 1
-            for _ in range(5):
-                lo = np.concatenate([[0.0], x[: n - 1]])
-                y = np.sort(lo + rng.random(n) * (x[1:] - lo))
-                direct = kernel_density(KernelSpec("alpha_corner", alpha), x, y)
-                if direct <= 0.0:
-                    continue
-                composed = composed_corner_density(alpha, x, y, 4, 20)
-                assert composed == pytest.approx(direct, rel=1e-6)
-
-
 def test_apply_kernel_expectations():
     # mean of the uniform corner law on [0, 2]
     val = apply_kernel_quadrature(
@@ -336,22 +300,6 @@ def test_continuity_at_degenerate_anchor():
     diffs = [abs(vals[i + 1] - vals[i]) for i in range(4)]
     for i in range(3):
         assert diffs[i + 1] <= 0.3 * diffs[i]
-
-
-def test_feller_decay_along_ray():
-    vals = []
-    for s in (10.0, 20.0, 40.0, 80.0):
-        vals.append(
-            apply_kernel_quadrature(
-                KernelSpec("alpha_square", 0.0),
-                np.array([1.0, 2.0, s]),
-                F_EXP,
-                4,
-                16,
-            )
-        )
-    assert all(vals[i + 1] < vals[i] for i in range(3))
-    assert vals[-1] < 1e-3
 
 
 def test_vandermonde_is_generator_eigenfunction():
@@ -401,15 +349,6 @@ def test_sample_corner_binned_gof_n2():
         np.linspace(1.0, 2.0, 7),
     )
     assert p > 0.01
-
-
-def test_sample_corner_rejection_agrees_with_matrix_model():
-    rng = RngStream(904, 0)
-    x = np.array([0.0, 1.0, 2.0])
-    a = sample_corner_many(x, rng, 10_000)
-    b = sample_corner_rejection(x, rng, size=10_000)
-    for k in range(2):
-        assert ks_two_sample(EmpiricalSample(a[:, k]), EmpiricalSample(b[:, k])).p_value > 0.01 / 2
 
 
 def test_sample_corner_rejection_n3_marginals():
@@ -583,15 +522,6 @@ def test_sample_alpha_square_marginals_vs_quadrature():
     cdf2 = grid_cdf(marginal_2, z[0], z[1])
     rep = ks_one_sample(EmpiricalSample(draws[:, 1], "marg2"), cdf2)
     assert rep.p_value > 0.01 / 2
-
-
-def test_sample_alpha_square_vs_matrix_model():
-    rng = RngStream(909, 0)
-    z = np.array([1.0, 2.0])
-    a = sample_alpha_square(1.0, z, rng, size=20_000)
-    b = sample_corner_alpha_matrix(1, z, rng, size=20_000)
-    for k in range(2):
-        assert ks_two_sample(EmpiricalSample(a[:, k]), EmpiricalSample(b[:, k])).p_value > 0.01 / 2
 
 
 def test_sample_alpha_corner_n1_vs_density_cdf():

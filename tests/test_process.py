@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import laguerre_ensemble_density
 
-from laguerre_intertwine.diffusion import transition_density, transition_sample
+from laguerre_intertwine.diffusion import transition_density
 from laguerre_intertwine.kernels import vandermonde
 from laguerre_intertwine.numerics import RngStream, power_endpoint_rule
 from laguerre_intertwine import process
@@ -25,8 +26,6 @@ from laguerre_intertwine.process import (
 )
 from laguerre_intertwine.process import _box_axis_nodes
 from laguerre_intertwine.rmt import (
-    laguerre_ensemble_density,
-    sample_corner_alpha_matrix,
     sample_invariant_rectangular,
     sample_laguerre_ensemble,
     sample_wishart_radial,
@@ -42,16 +41,12 @@ ONE = lambda y: np.ones(y.shape[:-1])
         lambda: simulate_matrix_ou(1, [1.0, 2.0], math.inf, RngStream(1, 0)),
         lambda: sample_laguerre_ensemble(2, math.inf, RngStream(1, 0)),
         lambda: sample_laguerre_ensemble(0, 0.5, RngStream(1, 0)),
-        lambda: laguerre_ensemble_density(2, math.inf, [1.0, 2.0]),
-        lambda: laguerre_ensemble_density(2, 0.5, [math.nan, 2.0]),
         lambda: sample_wishart_radial(2, math.inf, RngStream(1, 0)),
         lambda: sample_invariant_rectangular([1.0, 2.0], math.inf, RngStream(1, 0)),
-        lambda: sample_corner_alpha_matrix(1, [math.nan, 2.0], RngStream(1, 0)),
     ],
     ids=[
         "matrix_ou_inf_t", "laguerre_ensemble_inf_alpha", "laguerre_ensemble_n0",
-        "laguerre_density_inf_alpha", "laguerre_density_nan_x", "wishart_inf_alpha",
-        "invariant_rectangular_inf_alpha", "corner_alpha_matrix_nan_z",
+        "wishart_inf_alpha", "invariant_rectangular_inf_alpha",
     ],
 )
 def test_out_of_domain_input_raises(call):
@@ -261,14 +256,6 @@ def test_subkm_total_mass_below_one():
     upper = np.triu(np.outer(rule.weights, rule.weights), k=1)
     mass = float((det * upper).sum())
     assert 0.0 < mass < 1.0
-
-
-def test_sde_matches_exact_n1():
-    rng = RngStream(71, 0)
-    draws = simulate_sde(0.0, np.array([1.0]), 1.0, SdeConfig(dt=1e-3), rng, size=20_000)[:, 0]
-    exact = transition_sample(0.0, 1.0, 1.0, rng, size=20_000)
-    rep = ks_two_sample(EmpiricalSample(draws, "sde"), EmpiricalSample(exact, "exact"))
-    assert rep.p_value > 0.01
 
 
 def test_sde_output_sorted_and_nonnegative():
@@ -630,29 +617,12 @@ def test_sde_long_run_reaches_ensemble():
     assert abs(z) <= 4.0
 
 
-def test_matrix_ou_matches_exact_n1():
-    rng = RngStream(74, 0)
-    draws = simulate_matrix_ou(0, np.array([1.5]), 0.7, rng, size=100_000)[:, 0]
-    exact = transition_sample(0.0, 0.7, 1.5, rng, size=100_000)
-    rep = ks_two_sample(EmpiricalSample(draws, "ou"), EmpiricalSample(exact, "exact"))
-    assert rep.p_value > 0.01
-
-
 def test_matrix_ou_equilibrium_is_wishart():
     rng = RngStream(75, 0)
     draws = simulate_matrix_ou(1, np.array([1.0, 3.0]), 40.0, rng, size=20_000)
     ref = sample_wishart_radial(2, 1, rng, size=20_000)
     for k in range(2):
         rep = ks_two_sample(EmpiricalSample(draws[:, k]), EmpiricalSample(ref[:, k]))
-        assert rep.p_value > 0.01 / 2
-
-
-def test_matrix_ou_vs_sde_n2():
-    rng = RngStream(76, 0)
-    sde = simulate_sde(1.0, np.array([1.0, 3.0]), 0.5, SdeConfig(dt=1e-3), rng, size=10_000)
-    mou = simulate_matrix_ou(1, np.array([1.0, 3.0]), 0.5, rng, size=10_000)
-    for k in range(2):
-        rep = ks_two_sample(EmpiricalSample(sde[:, k]), EmpiricalSample(mou[:, k]))
         assert rep.p_value > 0.01 / 2
 
 

@@ -2,15 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from oracles import grid_cdf, laguerre_ensemble_density, sample_corner_alpha_matrix
 from scipy.special import gammainc, gammaln
 
-from laguerre_intertwine.kernels import sample_corner_rejection
+from laguerre_intertwine.kernels import sample_corner_rejection, vandermonde
 from laguerre_intertwine.numerics import RngStream, power_endpoint_rule
 from laguerre_intertwine.rmt import (
-    laguerre_ensemble_density,
-    laguerre_ensemble_log_norm,
     radial_part,
-    sample_corner_alpha_matrix,
     sample_ginibre,
     sample_haar_unitary,
     sample_invariant_rectangular,
@@ -145,19 +143,24 @@ def test_laguerre_normalization_constant():
     x, y = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
     w = np.outer(rule.weights, rule.weights)
     val = float(((x - y) ** 2 * (x * y) ** alpha * np.exp(-x - y) * w).sum())
-    target = math.exp(laguerre_ensemble_log_norm(2, alpha))
+    target = math.gamma(2.0) * math.gamma(alpha + 1.0) * math.gamma(3.0) * math.gamma(alpha + 2.0)
     assert val == pytest.approx(target, rel=1e-6)
 
 
 def test_laguerre_log_norm_matches_scipy_gammaln():
+    # the oracle density's normalization N! / prod_j Gamma(j+1) Gamma(alpha+j)
+    x = np.array([0.5, 1.0, 2.0, 3.5, 5.0, 6.0, 8.0, 9.5, 11.0, 13.0])
     for n in (1, 2, 5, 10):
+        y = x[:n]
+        log_weight = 2.0 * np.log(vandermonde(y)) + np.sum(-y)
         for alpha in (-0.9, -0.5, 0.0, 1.5, 7.0):
             j = np.arange(1, n + 1, dtype=float)
-            want = float(np.sum(gammaln(j + 1.0) + gammaln(alpha + j)))
-            assert laguerre_ensemble_log_norm(n, alpha) == pytest.approx(want, rel=1e-14, abs=1e-14)
+            log_norm = float(np.sum(gammaln(j + 1.0) + gammaln(alpha + j)) - gammaln(n + 1.0))
+            want = log_weight + alpha * np.sum(np.log(y)) - log_norm
+            assert math.log(laguerre_ensemble_density(n, alpha, y)) == pytest.approx(want, rel=1e-13, abs=1e-13)
     for alpha in (-1.0, -1.5, math.nan):
         with pytest.raises(ValueError, match="alpha > -1"):
-            laguerre_ensemble_log_norm(2, alpha)
+            laguerre_ensemble_density(2, alpha, [1.0, 2.0])
 
 
 def test_laguerre_ensemble_density_normalized():
@@ -216,7 +219,6 @@ def test_truncated_scalar_construction_matches_closed_form():
     # 2x2 invariant construction truncated to 1x1: the squared entry follows
     # the one-dimensional alpha corner density
     from laguerre_intertwine.kernels import KernelSpec, kernel_density
-    from laguerre_intertwine.stats import grid_cdf
 
     rng = RngStream(56, 0)
     x = np.array([1.0, 2.0])
