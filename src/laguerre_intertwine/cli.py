@@ -12,7 +12,8 @@ output directory, and reports through its exit code:
   and an output directory that cannot be written (any ``OSError``).
 
 Subcommands: ``kernels-check``, ``intertwine``, ``dual-check``,
-``truncation``, ``invariance``, ``sde-vs-exact``, ``sample``.  Options can
+``truncation``, ``invariance``, ``sde-vs-exact``, ``sample``; the options
+may come before or after the subcommand.  Options can
 also come from a flat ``key=value`` config file (``--config``); command-line
 flags override file values and go through the same parse as a file line.
 An option the subcommand does not read, set to other than its default by
@@ -177,17 +178,20 @@ FLAG_NAMES = {key: flag for flag, key in FLAG_KEYS.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser: the subcommand, then the options every subcommand shares.
+
+    A flag may come before the subcommand as well as after it.
+    """
     parser = argparse.ArgumentParser(
         prog="laguerre-intertwine",
         description="Verification experiments for interlacing kernels and "
                     "non-colliding Laguerre diffusions.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=Path, default=None, help="flat key=value file")
-        for flag, key in FLAG_KEYS.items():
-            p.add_argument(flag, dest=key, default=None, help=f"config key {key}")
+    parser.add_argument("command", choices=COMMANDS, metavar="subcommand",
+                        help="one of " + ", ".join(COMMANDS))
+    parser.add_argument("--config", type=Path, default=None, help="flat key=value file")
+    for flag, key in FLAG_KEYS.items():
+        parser.add_argument(flag, dest=key, default=None, help=f"config key {key}")
     return parser
 
 

@@ -33,6 +33,24 @@ panel (:func:`_scaled_moments`, product integration by the Gauss-Jacobi rule
 of :func:`numerics.gauss_jacobi`).  An integral from 0 is a cumulative sum
 over whole panels plus, inside a panel, the same interpolant's integral.
 
+The semigroup step evaluates no Bessel function.  The transition density
+is the Poisson-Gamma mixture of the noncentral chi-square law (Johnson,
+Kotz and Balakrishnan, *Continuous Univariate Distributions* vol. 2,
+ch. 29), w = 1 - e^-t:
+
+    p_t(x, y) = sum_k Pois(k; x e^-t / w) Gamma(y; shape k + alpha + 1, scale w),
+
+so the step is two small products: the Gamma moments of the H_k on the
+grid (on the first panel with the y^alpha product weights), then the
+Poisson weights of each target (:func:`_semigroup_step`).  Both factors
+are formed in log space with lgamma, in blocks of ``K_BLOCK`` values of k
+that each touch only the targets and nodes whose Poisson or Gamma mass
+reaches the block.  ``tests/oracles.py`` keeps the pointwise table of the
+Bessel form on (targets x nodes) as the step's oracle.
+
+The anchor matrices of all test functions of one call are equilibrated,
+conditioned, factored and solved as one stacked array.
+
 The mesh appliers :func:`kernels.apply_kernel_to_anchors` and
 :func:`process.semigroup_apply_rows` compute the same quantities for any
 test function, at a cost that grows as K^N; they are this module's oracle.
@@ -42,27 +60,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, log, sqrt
+from math import factorial, lgamma, log, sqrt
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 
-from . import diffusion
 from .kernels import KernelSpec, checked_chamber, interior_anchor, vandermonde
 from .numerics import gauss_jacobi, pochhammer, unit_gauss_legendre
 from .process import SemigroupParams, lambda_eigen
 
 # Gauss-Legendre nodes per panel, and the widest panel above the first.
 # With these the operators match a fine mesh to 1e-14 at N <= 3, and the two
-# sides of each identity agree to 2e-13 (N <= 2), 1e-10 (N = 6) and 1.4e-9
+# sides of each identity agree to 5e-14 (N <= 2), 2e-11 (N = 6) and 1.5e-9
 # (N = 8) at the default anchors.
 ORDER = 20
 PANEL_WIDTH = 2.0
 
 # The semigroup integrals are cut where the transition density from the
-# top anchor coordinate has fallen below e^-TAIL_EXPONENT of its peak.
+# top anchor coordinate has fallen below e^-TAIL_EXPONENT of its peak, and
+# the semigroup step keeps the Poisson weights and Gamma densities of its
+# mixture down to e^-TAIL_EXPONENT of their peaks.
 TAIL_EXPONENT = 40.0
+
+# Values of k per block of the semigroup step.  At t = 0.01 a block of 128
+# wastes less around each node's span of about 18 sqrt(k) values than one of
+# 256, and costs less in per-block overhead than one of 64.
+K_BLOCK = 128
 
 # Largest condition number of the equilibrated anchor matrix that is
 # evaluated.  Its determinant's relative error is bounded by about
@@ -244,25 +268,115 @@ def _kernel_step(spec: KernelSpec, table: _Table, grid: LineGrid, edge_index: np
     return _Table(nodes, edge_values[..., edge_index], table.unit, scale)
 
 
+def _tail_span(mode, skew: float):
+    """(lo, hi) around ``mode`` outside which a Poisson (``skew`` 1/3) or Gamma (``skew`` 1)
+    log density has fallen more than TAIL_EXPONENT below its peak.
+
+    The Poisson weight of k at mean m falls by about m h(k / m),
+    h(u) = u log u - u + 1; the Gamma density of shape m + 1 at u falls by
+    m g(u / m), g(v) = v - 1 - log v.  Both falls are at least
+    d^2 / (2 m) at d = k - m (or u - m) < 0, and d^2 / (2 (m + skew d)) at
+    d > 0 (Bernstein's bound for h; g(v) >= (v - 1)^2 / (2 v) for v >= 1).
+    """
+    tail = TAIL_EXPONENT
+    reach = skew * tail
+    return mode - np.sqrt(2.0 * tail * mode), mode + reach + np.sqrt(reach * reach + 2.0 * tail * mode)
+
+
+@lru_cache(maxsize=64)
+def _log_gamma(shift: float, size: int) -> np.ndarray:
+    """lgamma(shift + k) for k = 0 .. size - 1 (read-only)."""
+    out = np.array([lgamma(shift + k) for k in range(size)])
+    out.flags.writeable = False
+    return out
+
+
+def _floored_exp(exponent: np.ndarray) -> np.ndarray:
+    """exp(exponent) in place, with the exponent raised to -4 TAIL_EXPONENT.
+
+    Each Poisson weight and Gamma density of the semigroup step peaks above
+    e^-12 (for means below 1e9), so a raised entry lies more than
+    3 TAIL_EXPONENT below its peak, far under the e^-TAIL_EXPONENT cut of
+    the blocks.  Left alone it could be subnormal, and subnormal numbers
+    make exp and the products a hundred times slower on x86.
+    """
+    return np.exp(np.maximum(exponent, -4.0 * TAIL_EXPONENT, out=exponent), out=exponent)
+
+
 def _semigroup_step(params: SemigroupParams, table: _Table, grid: LineGrid, x: np.ndarray,
                     count: int) -> _Table:
     """The table of (T_t F), t > 0, at the nodes of the first ``count`` panels and at x.
 
-    On the first panel (0, s), p_t(x, y) / y^alpha takes the product weights
-    s^(alpha+1) int_0^1 v^alpha L_l(v) dv; their product is formed in log space.
+    The transition density is the Poisson-Gamma mixture of the noncentral
+    chi-square law, w = 1 - e^-t:
+
+        p_t(x, y) = sum_k Pois(k; x e^-t / w) Gamma(y; shape k + alpha + 1, scale w),
+
+    so (P_t H)(x) = sum_k Pois(k; x e^-t / w) m_k with the Gamma moments
+    m_k = int Gamma_k H, taken on the grid.  On the first panel (0, s),
+    Gamma_k(y) / y^alpha takes the product weights s^(alpha+1) int_0^1 v^alpha L_l(v) dv.
+    Both factors are formed in log space with lgamma, each exponent as one
+    rank-3 matrix product; no Bessel function is evaluated.  The k run in
+    blocks of ``K_BLOCK``, and each block touches only the targets whose
+    Poisson weights, and the nodes whose Gamma densities, reach it above
+    e^-TAIL_EXPONENT of their peak (:func:`_tail_span`): at t = 0.01 and
+    N = 8 the Poisson means reach 4000, and each target and node needs
+    only about 18 sqrt(mean) of the k.  At t >= 0.25 and the default
+    anchors one or two blocks hold every k.
+    ``tests/oracles.py`` keeps the pointwise table of p_t as this step's oracle.
     """
-    alpha = params.alpha
-    targets = np.concatenate([grid.nodes[:count].ravel(), x])[:, None]
-    s, y = grid.edges[1], grid.nodes[0]
-    log_p = diffusion.log_density_indexed(alpha, alpha, params.t, targets, grid.nodes.ravel()[None, :])
-    log_p[:, :ORDER] += alpha * np.log(s / y) + np.log(s)
+    alpha, t = params.alpha, params.t
+    w = -np.expm1(-t)
+    targets = np.concatenate([grid.nodes[:count].ravel(), x])
+    rate = targets * (np.exp(-t) / w)
+    rate_lo, rate_hi = _tail_span(rate, 1.0 / 3.0)
+    k_start = max(0, int(np.floor(rate_lo.min())))
+    k_end = int(np.ceil(rate_hi.max())) + 1
+    size = -(-k_end // K_BLOCK) * K_BLOCK  # a few table sizes, so that the cache is reused
+    k = np.arange(k_start, k_end, dtype=float)
+    ones = np.ones(k.size)
+    log_gamma = _log_gamma(alpha + 1.0, size)[k_start:k_end] + (k + alpha + 1.0) * np.log(w)
+    # each exponent is a product of (target or node) terms and k terms:
+    # log Pois(k; r) = k log r - r - lgamma(k + 1), and
+    # log Gamma_k(y) = k log y + alpha log y - y / w - log_gamma[k], on the first
+    # panel the same over y^alpha times s^(alpha+1)
+    poisson_k = np.stack([k, ones, -_log_gamma(1.0, size)[k_start:k_end]])
+    gamma_k = np.stack([k, ones, -log_gamma])
+    poisson_rows = np.column_stack([np.log(rate), -rate, np.ones(rate.size)])
+    y = grid.nodes.ravel()
+    scaled = y / w  # Gamma_k peaks near y / w = k + alpha
+    offset = alpha * np.log(y) - scaled
+    offset[:ORDER] = (alpha + 1.0) * np.log(grid.edges[1]) - scaled[:ORDER]
+    gamma_rows = np.column_stack([np.log(y), offset, np.ones(y.size)])
     weights = np.concatenate([_scaled_moments(ORDER, alpha + 1.0)[-1], grid.weights[1:].ravel()])
-    kernel = np.exp(log_p) * weights
+
+    # per block [k0, k1): the targets whose Poisson weights reach it, and the nodes
+    # where one of its Gamma_k is above e^-TAIL_EXPONENT of its peak, at
+    # y / w = k + alpha (the lower end is lowest at the mode TAIL_EXPONENT / 2)
+    k0 = np.arange(k_start, k_end, K_BLOCK)
+    k1 = np.minimum(k0 + K_BLOCK, k_end)
+    reach = (rate_lo[None, :] < k1[:, None]) & (rate_hi[None, :] >= k0[:, None])
+    node_lo = np.searchsorted(scaled, _tail_span(np.maximum(k0 + alpha, TAIL_EXPONENT / 2.0), 1.0)[0])
+    node_hi = np.searchsorted(scaled, _tail_span(np.maximum(k1 - 1 + alpha, 0.0), 1.0)[1])
+
     b, c = table.nodes.shape[:2]
-    out = np.einsum("bck,pk->bcp", table.nodes.reshape(b, c, -1), kernel)
-    nodes = out[..., : count * ORDER].reshape(b, c, count, ORDER)
+    weighted = table.nodes.reshape(b * c, -1) * weights
+    out = np.zeros((b * c, targets.size))
+    for i, (j0, j1) in enumerate(zip(node_lo, node_hi)):
+        rows = np.flatnonzero(reach[i])
+        if rows.size == 0 or j0 == j1:
+            continue
+        block = slice(k0[i] - k_start, k1[i] - k_start)
+        gamma = _floored_exp(gamma_rows[j0:j1] @ gamma_k[:, block])
+        poisson = _floored_exp(poisson_rows[rows] @ poisson_k[:, block])
+        # the moments first: forming the density at the nodes first costs less for
+        # a few targets, but from N = 4 on it leaves the two sides of an identity
+        # three to five times further apart
+        out[:, rows] += (weighted[:, j0:j1] @ gamma) @ poisson.T
+    split = count * ORDER
+    nodes = out[:, :split].reshape(b, c, count, ORDER)
     scale = table.scale * np.exp(-lambda_eigen(c) * params.t)
-    return _Table(nodes, out[..., count * ORDER :], table.unit, scale)
+    return _Table(nodes, out[:, split:].reshape(b, c, -1), table.unit, scale)
 
 
 def _product_table(functions, grid: LineGrid, x: np.ndarray, c: int, count: int):
@@ -287,13 +401,18 @@ def _product_table(functions, grid: LineGrid, x: np.ndarray, c: int, count: int)
     return _Table(nodes, values[..., split:], np.array(units), 1.0), index
 
 
-def _equilibrated_cond(matrix: np.ndarray) -> float:
-    for axis in (1, 0):
-        scale = np.max(np.abs(matrix), axis=axis, keepdims=True)
-        if not np.all(scale > 0):
-            return np.inf  # a zero row or column
-        matrix = matrix / scale
-    return float(np.linalg.cond(matrix))
+def _equilibrated_cond(matrices: np.ndarray) -> np.ndarray:
+    """Condition numbers of a stack of matrices, each scaled to unit row and then
+    column maxima; inf for a matrix with a zero row or column."""
+    full = np.ones(len(matrices), dtype=bool)
+    for axis in (2, 1):
+        scale = np.max(np.abs(matrices), axis=axis, keepdims=True)
+        full &= np.all(scale > 0, axis=(1, 2))
+        matrices = matrices / np.where(scale > 0, scale, 1.0)
+    cond = np.full(len(matrices), np.inf)
+    if np.any(full):
+        cond[full] = np.linalg.cond(matrices[full])
+    return cond
 
 
 def evaluate(operators: Sequence[KernelSpec | SemigroupParams], x,
@@ -362,15 +481,15 @@ def evaluate(operators: Sequence[KernelSpec | SemigroupParams], x,
     if not np.all(np.isfinite(matrices)):
         raise ValueError(f"anchor matrix is not finite at x = {x}")
     pref = table.scale / vandermonde(x)
-    out = np.empty(len(index))
-    for i, (base, derivative) in enumerate(index):
-        m = matrices[base]
-        cond = _equilibrated_cond(m)
-        if not cond <= COND_LIMIT:
-            raise ValueError(f"anchor matrix condition number {cond:.3g} exceeds {COND_LIMIT:.0e} "
-                             f"at x = {x}")
-        det = np.linalg.det(m)
-        if derivative is not None:
-            det *= np.trace(np.linalg.solve(m, matrices[derivative]))
-        out[i] = pref * det
-    return out
+    base = matrices[[b for b, _ in index]]
+    cond = _equilibrated_cond(base)
+    bad = np.flatnonzero(~(cond <= COND_LIMIT))
+    if bad.size:
+        raise ValueError(f"anchor matrix condition number {cond[bad[0]]:.3g} exceeds {COND_LIMIT:.0e} "
+                         f"at x = {x}")
+    det = np.linalg.det(base)
+    paired = [i for i, (_, d) in enumerate(index) if d is not None]
+    if paired:
+        derivative = matrices[[index[i][1] for i in paired]]
+        det[paired] *= np.trace(np.linalg.solve(base[paired], derivative), axis1=1, axis2=2)
+    return pref * det

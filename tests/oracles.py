@@ -1,4 +1,4 @@
-"""Test-only oracles: a matrix model, a closed-form density and a tabulated CDF.
+"""Test-only oracles: a matrix model, a closed-form density, a tabulated CDF and a semigroup step.
 
 None of these is used by the library; the tests compare its samplers and
 quadratures against them.
@@ -9,6 +9,9 @@ quadratures against them.
   ordered chamber, normalization included.
 * ``grid_cdf``: a CDF tabulated from a density by panel quadrature, for
   one-sample KS tests against laws with no closed-form CDF.
+* ``semigroup_step_pointwise``: the determinantal engine's semigroup step
+  with the transition density tabulated point by point on (targets x grid
+  nodes) from its Bessel form, the step the Poisson-Gamma mixture replaced.
 """
 
 from __future__ import annotations
@@ -17,8 +20,10 @@ from math import lgamma
 
 import numpy as np
 
+from laguerre_intertwine import determinantal, diffusion
 from laguerre_intertwine.kernels import vandermonde
 from laguerre_intertwine.numerics import checked_alpha, checked_alpha_int, power_stretch, unit_gauss_legendre
+from laguerre_intertwine.process import lambda_eigen
 from laguerre_intertwine.rmt import radial_part, sample_haar_unitary, truncate
 
 
@@ -62,3 +67,24 @@ def grid_cdf(pdf, lo: float, hi: float, endpoint_exponent: float | None = None):
     cell_mass = (pdf(nodes.ravel()).reshape(nodes.shape) * w[None, :]).sum(axis=1) * widths
     cum = np.concatenate([[0.0], np.cumsum(cell_mass)])
     return lambda x: np.clip(np.interp(x, edges, cum) / max(cum[-1], 1e-300), 0.0, 1.0)
+
+
+def semigroup_step_pointwise(params, table, grid, x: np.ndarray, count: int):
+    """``determinantal._semigroup_step`` with p_t(target, node) tabulated by
+    ``diffusion.log_density_indexed``.
+
+    On the first panel (0, s), p_t(x, y) / y^alpha takes the product weights
+    s^(alpha+1) int_0^1 v^alpha L_l(v) dv; their product is formed in log space.
+    """
+    order, alpha = determinantal.ORDER, params.alpha
+    targets = np.concatenate([grid.nodes[:count].ravel(), x])[:, None]
+    s, y = grid.edges[1], grid.nodes[0]
+    log_p = diffusion.log_density_indexed(alpha, alpha, params.t, targets, grid.nodes.ravel()[None, :])
+    log_p[:, :order] += alpha * np.log(s / y) + np.log(s)
+    weights = np.concatenate([determinantal._scaled_moments(order, alpha + 1.0)[-1], grid.weights[1:].ravel()])
+    kernel = np.exp(log_p) * weights
+    b, c = table.nodes.shape[:2]
+    out = np.einsum("bck,pk->bcp", table.nodes.reshape(b, c, -1), kernel)
+    nodes = out[..., : count * order].reshape(b, c, count, order)
+    scale = table.scale * np.exp(-lambda_eigen(c) * params.t)
+    return determinantal._Table(nodes, out[..., count * order :], table.unit, scale)

@@ -19,6 +19,9 @@ def test_kernels_check_passes_and_writes_csv(tmp_path):
     rows = (tmp_path / "kernels_check.csv").read_text().splitlines()
     assert rows[0].startswith("check,kernel,alpha,N,anchor,integral,error,tol,pass")
     assert len(rows) > 5
+    # a composition row has no integral; its error column holds the worst relative error
+    composition = [r for r in csv.DictReader(rows) if r["check"] == "composition"]
+    assert composition and all(r["integral"] == "" and float(r["error"]) <= 1e-6 for r in composition)
     summary = (tmp_path / "summary.csv").read_text().splitlines()
     assert summary[0] == "experiment,detail,statistic,threshold,seed,pass"
 
@@ -111,6 +114,9 @@ def test_sde_vs_exact_small(tmp_path):
     body = (tmp_path / "sde_vs_exact.csv").read_text().splitlines()
     checks = [line.split(",")[0] for line in body[1:]]
     assert "dt_trend" in checks  # refining dt must not worsen agreement
+    # the trend row has no p-value; its level column holds the slack that decides it
+    trend = next(r for r in csv.DictReader(body) if r["check"] == "dt_trend")
+    assert trend["p_value"] == "" and float(trend["level"]) == 2.0 * np.sqrt(2.0 / 4000)
 
 
 def test_experiment_csv_reproducible(tmp_path):
@@ -335,3 +341,23 @@ def test_csv_artifacts_parse_with_csv_module(tmp_path):
     assert sde_rows[-1]["check"] == "sde_vs_matrix_ou[N=2,alpha=1]"
     summary = list(csv.DictReader((tmp_path / "dual" / "summary.csv").read_text().splitlines()))
     assert "dual_same[alpha=-1.5,t=0.5]" in [r["detail"] for r in summary]
+
+
+@pytest.mark.parametrize("argv, code", [
+    ([], 2), (["no-such-command"], 2), (["--n", "1"], 2), (["--help"], 0), (["intertwine", "--help"], 0),
+])
+def test_subcommand_is_required_and_help_exits_0(argv, code, capsys):
+    # one parser: the subcommand is a positional choice, so argparse exits 2 on a
+    # missing or unknown one, and 0 after printing the help
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == code
+    out, err = capsys.readouterr()
+    assert ("usage: laguerre-intertwine" in out) if code == 0 else ("usage:" in err)
+
+
+def test_a_flag_may_come_before_the_subcommand(tmp_path):
+    args = ["--n", "1", "--alpha", "0.5", "--t", "0.25"]
+    assert run(args + ["intertwine", "--out", str(tmp_path / "before")]) == 0
+    assert run(["intertwine", *args, "--out", str(tmp_path / "after")]) == 0
+    assert (tmp_path / "before" / "intertwine.csv").read_bytes() == (tmp_path / "after" / "intertwine.csv").read_bytes()

@@ -2,13 +2,16 @@
 
 Each operator is pinned twice: to the mesh at the resolutions the
 intertwine experiment ran before the engine replaced it, and, for the
-semigroup, to a finer mesh over the engine's own box.
+semigroup, to a finer mesh over the engine's own box.  The semigroup step
+is also pinned to the transition density tabulated point by point on the
+engine's own grid (``oracles.semigroup_step_pointwise``).
 """
 
 import numpy as np
 import pytest
+from oracles import semigroup_step_pointwise
 
-from laguerre_intertwine import experiments
+from laguerre_intertwine import determinantal, experiments
 from laguerre_intertwine.cli import ExperimentConfig, main
 from laguerre_intertwine.determinantal import ProductFunction, evaluate, semigroup_top
 from laguerre_intertwine.experiments import (
@@ -56,6 +59,28 @@ def test_semigroup_matches_mesh(n, alpha, t):
         semigroup_apply_rows, params, x[None, :], 8, 20, y_max=semigroup_top(params, x[-1])
     )
     assert np.max(np.abs(got - fine) / np.abs(fine)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+@pytest.mark.parametrize("alpha", [-0.99, -0.5, 0.0, 1.0, 2.5, 10.0, 30.0])
+def test_semigroup_step_matches_pointwise_density(alpha, n):
+    # the Poisson-Gamma mixture step against the Bessel form of p_t, tabulated
+    # on (targets x nodes): at the nodes below the top anchor and at the anchors,
+    # within 1e-11 of each output row's largest value
+    x = np.array(SQUARE_ANCHORS[n])
+    for t in (0.01, 0.05, 0.25, 1.0, 4.0):
+        params = SemigroupParams(alpha, t, n)
+        grid = determinantal.line_grid(x, semigroup_top(params, x[-1]), t, 0.0)
+        count = int(np.searchsorted(grid.edges, x[-1]))
+        table, _ = determinantal._product_table(FUNCTIONS, grid, x, n, len(grid.nodes))
+        got = determinantal._semigroup_step(params, table, grid, x, count)
+        want = semigroup_step_pointwise(params, table, grid, x, count)
+        assert got.scale == want.scale
+        rows = len(FUNCTIONS) + 1, n  # the sum_exp_sum function carries a derivative set
+        got_rows = np.concatenate([got.nodes.reshape(*rows, -1), got.anchor], axis=-1)
+        want_rows = np.concatenate([want.nodes.reshape(*rows, -1), want.anchor], axis=-1)
+        error = np.max(np.abs(got_rows - want_rows), axis=-1) / np.max(np.abs(want_rows), axis=-1)
+        assert np.max(error) <= 1e-11, (t, np.max(error))
 
 
 # every kind of the kernel table, so that a kind with no determinantal form fails here
@@ -171,7 +196,7 @@ def test_t_zero_chain_is_f_on_the_closed_chamber(anchor):
         evaluate((SemigroupParams(0.5, 0.0, x.size + 1),), x, FUNCTIONS)
 
 
-@pytest.mark.parametrize("t", [0.01, 0.25, 1.0])
+@pytest.mark.parametrize("t", [0.01, 0.25, 1.0, 4.0, 10.0])
 @pytest.mark.parametrize("alpha", [-0.5, -0.9, -0.99, -0.999, 0.0, 2.5, 30.0])
 def test_closed_forms_at_one_particle(alpha, t):
     # on g(y) = 1 + s y: P_t y = x e^-t + (alpha + 1)(1 - e^-t), and the
@@ -202,8 +227,13 @@ def test_non_finite_anchor_matrix_is_refused(monkeypatch, tmp_path, capsys):
     x = np.array(CORNER_ANCHORS[1])
     with pytest.raises(ValueError, match="anchor matrix is not finite"):
         intertwine_sides("same_alpha", 400.0, 1.0, x, FUNCTIONS)
-    with pytest.raises(ValueError, match="condition number inf"):  # a zero row
+    with pytest.raises(ValueError, match="condition number"):
         intertwine_sides("corner_shift", 400.0, 1.0, x, FUNCTIONS)
+    # a test function that vanishes below the top anchor leaves the alpha_square
+    # kernel's row at the lower anchor zero, stacked with matrices that are not
+    vanishing = ProductFunction(g=lambda y: np.where(y > 1.5, 1.0, 0.0))
+    with pytest.raises(ValueError, match="condition number inf"):  # a zero row
+        evaluate((KernelSpec("alpha_square", 0.5),), [1.0, 2.0], FUNCTIONS + (vanishing,))
     for alpha in ("150", "300", "400"):
         assert main(["intertwine", "--alpha", alpha, "--n", "1", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
