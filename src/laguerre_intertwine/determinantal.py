@@ -49,12 +49,21 @@ reaches the block.  ``tests/oracles.py`` keeps the pointwise table of the
 Bessel form on (targets x nodes) as the step's oracle.
 
 One call of :func:`evaluate_chains` evaluates several chains at one
-anchor.  Each chain's grid is built from its own top, shortest time and
-largest kernel alpha; the chains whose grids are equal share one product
-table, and the anchor matrices of all chains and all test functions of
-the call are equilibrated, conditioned, factored and solved as one
-stacked array.  Only equal grids are shared, so each chain's values are
-bit-identical to those of its own call (:func:`evaluate`).
+anchor and does the work they share once.  The anchor is checked once per
+outermost check (a kernel kind, or a semigroup).  Each chain's grid comes
+from its own top, shortest time and largest kernel alpha: the panel edges
+once per (top, time), their alpha split once per triple, and the grid once
+per distinct edge set.  The chains on one grid share one product table, and
+their steps run from the inside out: a step that several chains take (one
+operator on one input table at one panel count) runs once, and the
+semigroup steps of one depth that share their time and targets are one call
+of :func:`_semigroup_step`, which forms the Poisson half of the mixture
+once, the Gamma half once per alpha and the products per table.  The anchor
+matrices of all chains and all test functions of the call are
+equilibrated, conditioned, factored and solved as one stacked array.  Only
+equal work is shared, and no product runs over stacked tables (that would
+move the last bits), so each chain's values are bit-identical to those of
+its own call (:func:`evaluate`).  Nothing is kept from one call to the next.
 
 The mesh appliers :func:`kernels.apply_kernel_to_anchors` and
 :func:`process.semigroup_apply_rows` compute the same quantities for any
@@ -156,20 +165,14 @@ def semigroup_top(params: SemigroupParams, x_top: float) -> float:
     return top
 
 
-def line_grid(points, top: float, t: float, alpha: float) -> LineGrid:
-    """The grid on (0, max(top, points)) with an edge at each of ``points``.
+def panel_edges(points, top: float, t: float) -> np.ndarray:
+    """The panel edges on (0, max(top, points)), with an edge at each of ``points``.
 
     The panels from 0 double in width from 5 (1 - e^-t) up to min(1, the
     smallest positive point), t the shortest semigroup time (inf: none), so
     that the narrow transition density of a small t is resolved near 0: no
     panel is added at t >= 0.25, five at t = 0.01 when that point is >= 1.
     Gaps between consecutive edges wider than ``PANEL_WIDTH`` are split evenly.
-    Then each panel (a, b) above the first is split geometrically until
-    alpha log(b / a) <= 8, alpha the largest kernel alpha (0: none): a kernel
-    step interpolates y^alpha H there (:func:`_power_average`).  Where
-    y^alpha spans at most e^8, the ORDER-point interpolant of e^(8 s) on
-    (0, 1) is off by 9e-14 of its largest value, 3e-10 of its smallest.
-    (At y^36 on the panel (1, 2), a span of 7e10, intertwine was off by 1e-3.)
     """
     points = np.asarray(points, dtype=float)
     positive = points[points > 0]
@@ -180,13 +183,31 @@ def line_grid(points, top: float, t: float, alpha: float) -> LineGrid:
     edges = [np.zeros(1)]
     for a, b in zip(np.append(0.0, knots[:-1]), knots):
         edges.append(np.linspace(a, b, int(np.ceil((b - a) / PANEL_WIDTH)) + 1)[1:])
-    edges = np.concatenate(edges)
+    return np.concatenate(edges)
+
+
+def alpha_split(edges: np.ndarray, alpha: float) -> np.ndarray:
+    """``edges`` with each panel (a, b) above the first split geometrically
+    until alpha log(b / a) <= 8, alpha the largest kernel alpha (0: none).
+
+    A kernel step interpolates y^alpha H there (:func:`_power_average`).
+    Where y^alpha spans at most e^8, the ORDER-point interpolant of e^(8 s)
+    on (0, 1) is off by 9e-14 of its largest value, 3e-10 of its smallest.
+    (At y^36 on the panel (1, 2), a span of 7e10, intertwine was off by 1e-3.)
+    At alpha <= 0 no panel is split, and ``edges`` is returned as it is.
+    """
+    if alpha <= 0:
+        return edges
     lo, hi = edges[1:-1], edges[2:]
     pieces = np.maximum(1, np.ceil(alpha * np.log(hi / lo) / 8.0)).astype(int)
     panel = np.repeat(np.arange(lo.size), pieces)
     step = np.arange(panel.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
     ratio = hi[panel] / lo[panel]
-    edges = np.concatenate([[0.0], lo[panel] * ratio ** (step / pieces[panel]), edges[-1:]])
+    return np.concatenate([[0.0], lo[panel] * ratio ** (step / pieces[panel]), edges[-1:]])
+
+
+def line_grid(edges: np.ndarray) -> LineGrid:
+    """The grid of ``ORDER`` Gauss-Legendre nodes on each panel between ``edges``."""
     u, w = unit_gauss_legendre(1, ORDER)
     width = np.diff(edges)[:, None]
     return LineGrid(edges, edges[:-1, None] + width * u, width * w)
@@ -308,9 +329,10 @@ def _floored_exp(exponent: np.ndarray) -> np.ndarray:
     return np.exp(np.maximum(exponent, -4.0 * TAIL_EXPONENT, out=exponent), out=exponent)
 
 
-def _semigroup_step(params: SemigroupParams, table: _Table, grid: LineGrid, x: np.ndarray,
-                    count: int) -> _Table:
-    """The table of (T_t F), t > 0, at the nodes of the first ``count`` panels and at x.
+def _semigroup_step(steps: Sequence[tuple[SemigroupParams, _Table]], grid: LineGrid, x: np.ndarray,
+                    count: int) -> list[_Table]:
+    """Per (semigroup, table of F) of ``steps``, all at one t > 0: the table of
+    (T_t F) at the nodes of the first ``count`` panels and at x.
 
     The transition density is the Poisson-Gamma mixture of the noncentral
     chi-square law, w = 1 - e^-t:
@@ -328,9 +350,16 @@ def _semigroup_step(params: SemigroupParams, table: _Table, grid: LineGrid, x: n
     N = 8 the Poisson means reach 4000, and each target and node needs
     only about 18 sqrt(mean) of the k.  At t >= 0.25 and the default
     anchors one or two blocks hold every k.
+
+    The steps share everything of the mixture that does not depend on
+    alpha: the targets, their Poisson rates, the k-blocks and each block's
+    Poisson weights are formed once, the Gamma densities once per alpha, and
+    the products per table, each exactly as for that table alone.  (One
+    product over the stacked tables of an alpha would move the last bits of
+    the values from N = 4 on.)
     ``tests/oracles.py`` keeps the pointwise table of p_t as this step's oracle.
     """
-    alpha, t = params.alpha, params.t
+    t = steps[0][0].t
     w = -np.expm1(-t)
     targets = np.concatenate([grid.nodes[:count].ravel(), x])
     rate = targets * (np.exp(-t) / w)
@@ -340,48 +369,65 @@ def _semigroup_step(params: SemigroupParams, table: _Table, grid: LineGrid, x: n
     size = -(-k_end // K_BLOCK) * K_BLOCK  # a few table sizes, so that the cache is reused
     k = np.arange(k_start, k_end, dtype=float)
     ones = np.ones(k.size)
-    log_gamma = _log_gamma(alpha + 1.0, size)[k_start:k_end] + (k + alpha + 1.0) * np.log(w)
     # each exponent is a product of (target or node) terms and k terms:
     # log Pois(k; r) = k log r - r - lgamma(k + 1), and
     # log Gamma_k(y) = k log y + alpha log y - y / w - log_gamma[k], on the first
     # panel the same over y^alpha times s^(alpha+1)
     poisson_k = np.stack([k, ones, -_log_gamma(1.0, size)[k_start:k_end]])
-    gamma_k = np.stack([k, ones, -log_gamma])
     poisson_rows = np.column_stack([np.log(rate), -rate, np.ones(rate.size)])
     y = grid.nodes.ravel()
     scaled = y / w  # Gamma_k peaks near y / w = k + alpha
-    offset = alpha * np.log(y) - scaled
-    offset[:ORDER] = (alpha + 1.0) * np.log(grid.edges[1]) - scaled[:ORDER]
-    gamma_rows = np.column_stack([np.log(y), offset, np.ones(y.size)])
-    weights = np.concatenate([_scaled_moments(ORDER, alpha + 1.0)[-1], grid.weights[1:].ravel()])
-
-    # per block [k0, k1): the targets whose Poisson weights reach it, and the nodes
-    # where one of its Gamma_k is above e^-TAIL_EXPONENT of its peak, at
-    # y / w = k + alpha (the lower end is lowest at the mode TAIL_EXPONENT / 2)
+    # per block [k0, k1): the targets whose Poisson weights reach it, and (per
+    # alpha below) the nodes where one of its Gamma_k is above e^-TAIL_EXPONENT
+    # of its peak, at y / w = k + alpha (the lower end is lowest at the mode
+    # TAIL_EXPONENT / 2)
     k0 = np.arange(k_start, k_end, K_BLOCK)
     k1 = np.minimum(k0 + K_BLOCK, k_end)
     reach = (rate_lo[None, :] < k1[:, None]) & (rate_hi[None, :] >= k0[:, None])
-    node_lo = np.searchsorted(scaled, _tail_span(np.maximum(k0 + alpha, TAIL_EXPONENT / 2.0), 1.0)[0])
-    node_hi = np.searchsorted(scaled, _tail_span(np.maximum(k1 - 1 + alpha, 0.0), 1.0)[1])
 
-    b, c = table.nodes.shape[:2]
-    weighted = table.nodes.reshape(b * c, -1) * weights
-    out = np.zeros((b * c, targets.size))
-    for i, (j0, j1) in enumerate(zip(node_lo, node_hi)):
+    by_alpha = {}
+    for s, (params, _) in enumerate(steps):
+        by_alpha.setdefault(params.alpha, []).append(s)
+    gammas = []  # per alpha: node terms, k terms, first and end node per block, [(step, weighted table)]
+    for alpha, members in by_alpha.items():
+        log_gamma = _log_gamma(alpha + 1.0, size)[k_start:k_end] + (k + alpha + 1.0) * np.log(w)
+        offset = alpha * np.log(y) - scaled
+        offset[:ORDER] = (alpha + 1.0) * np.log(grid.edges[1]) - scaled[:ORDER]
+        node_lo = np.searchsorted(scaled, _tail_span(np.maximum(k0 + alpha, TAIL_EXPONENT / 2.0), 1.0)[0])
+        node_hi = np.searchsorted(scaled, _tail_span(np.maximum(k1 - 1 + alpha, 0.0), 1.0)[1])
+        weights = np.concatenate([_scaled_moments(ORDER, alpha + 1.0)[-1], grid.weights[1:].ravel()])
+        weighted = [(s, steps[s][1].nodes.reshape(-1, weights.size) * weights) for s in members]
+        gammas.append((np.column_stack([np.log(y), offset, np.ones(y.size)]),
+                       np.stack([k, ones, -log_gamma]), node_lo, node_hi, weighted))
+    outs = [np.zeros((b * c, targets.size)) for b, c in (table.nodes.shape[:2] for _, table in steps)]
+
+    for i in range(k0.size):
         rows = np.flatnonzero(reach[i])
-        if rows.size == 0 or j0 == j1:
+        if rows.size == 0:
             continue
         block = slice(k0[i] - k_start, k1[i] - k_start)
-        gamma = _floored_exp(gamma_rows[j0:j1] @ gamma_k[:, block])
-        poisson = _floored_exp(poisson_rows[rows] @ poisson_k[:, block])
-        # the moments first: forming the density at the nodes first costs less for
-        # a few targets, but from N = 4 on it leaves the two sides of an identity
-        # three to five times further apart
-        out[:, rows] += (weighted[:, j0:j1] @ gamma) @ poisson.T
+        poisson = None
+        for gamma_rows, gamma_k, node_lo, node_hi, weighted in gammas:
+            j0, j1 = node_lo[i], node_hi[i]
+            if j0 == j1:
+                continue
+            if poisson is None:
+                poisson = _floored_exp(poisson_rows[rows] @ poisson_k[:, block])
+            gamma = _floored_exp(gamma_rows[j0:j1] @ gamma_k[:, block])
+            # the moments first: forming the density at the nodes first costs less for
+            # a few targets, but from N = 4 on it leaves the two sides of an identity
+            # three to five times further apart
+            for s, table in weighted:
+                outs[s][:, rows] += (table[:, j0:j1] @ gamma) @ poisson.T
+
     split = count * ORDER
-    nodes = out[:, :split].reshape(b, c, count, ORDER)
-    scale = table.scale * np.exp(-lambda_eigen(c) * params.t)
-    return _Table(nodes, out[:, split:].reshape(b, c, -1), table.unit, scale)
+    tables = []
+    for (_, table), out in zip(steps, outs):
+        b, c = table.nodes.shape[:2]
+        scale = table.scale * np.exp(-lambda_eigen(c) * t)
+        tables.append(_Table(out[:, :split].reshape(b, c, count, ORDER), out[:, split:].reshape(b, c, -1),
+                             table.unit, scale))
+    return tables
 
 
 def _product_table(functions, grid: LineGrid, x: np.ndarray, c: int, count: int):
@@ -420,20 +466,25 @@ def _equilibrated_cond(matrices: np.ndarray) -> np.ndarray:
     return cond
 
 
-def _checked_chain(operators, x):
+def _checked_chain(operators, x, checked: dict):
     """(the operators that act, x checked for the outermost, coordinates of f).
 
     A semigroup at t = 0 is the identity: it is checked here, and then left out.
+    ``checked`` holds x as checked per outermost check (a kernel kind, or
+    whether a semigroup acts), so that chains sharing one check it once.
     """
     operators = tuple(operators)
     for op in operators:
         if not isinstance(op, (KernelSpec, SemigroupParams)):
             raise TypeError(f"not a kernel or semigroup: {op!r}")
     acting = tuple(op for op in operators if not (isinstance(op, SemigroupParams) and op.t == 0))
-    if acting and isinstance(acting[0], KernelSpec):
-        x = interior_anchor(acting[0], x)
-    else:
-        x = checked_chamber(x, nonneg=True, strict=bool(acting))
+    outer = acting[0].kind if acting and isinstance(acting[0], KernelSpec) else bool(acting)
+    if outer not in checked:
+        if isinstance(outer, str):
+            checked[outer] = interior_anchor(acting[0], x)
+        else:
+            checked[outer] = checked_chamber(x, nonneg=True, strict=outer)
+    x = checked[outer]
     c = x.size  # coordinates of the function each operator acts on, from the outside in
     for op in operators:
         if isinstance(op, KernelSpec):
@@ -470,16 +521,22 @@ def evaluate_chains(chains: Sequence[Sequence[KernelSpec | SemigroupParams]], x,
     functions)``, bit for bit.
 
     The chains must act on functions of the same number of coordinates
-    (``ValueError`` otherwise, and for an empty list).  Each chain's grid is
-    built from its own top, shortest time and largest kernel alpha, once
-    per distinct triple; the chains whose grids are equal share one product
-    table, sliced to the panels each needs, and then run their own steps.
-    The anchor matrices of all chains are equilibrated, conditioned,
-    factored and solved as one stacked array.  A chain that
-    :func:`evaluate` refuses on its own refuses the whole call, with the
-    error of the first such chain.
+    (``ValueError`` otherwise, and for an empty list).  The call does once
+    what its chains share: the anchor check per outermost check; the panel
+    edges per (top, shortest time), their alpha split per (top, time,
+    largest kernel alpha) and the grid per distinct edge set; one product
+    table per grid, sliced to the panels each chain needs; each distinct
+    step (operator, input table, panel count); and, per depth from the
+    inside and per (time, targets), the semigroup set-up, whose Gamma half
+    is formed per alpha and whose final products stay per table.  One
+    product over stacked tables would move the values' last bits, and the
+    values must not depend on the call.  The anchor matrices of all chains
+    are equilibrated, conditioned, factored and solved as one stacked
+    array.  A chain that :func:`evaluate` refuses on its own refuses the
+    whole call, with the error of the first such chain.
     """
-    checked = [_checked_chain(ops, x) for ops in chains]
+    checked_x = {}
+    checked = [_checked_chain(ops, x, checked_x) for ops in chains]
     if not checked:
         raise ValueError("no chain to evaluate")
     counts = sorted({c for _, _, c in checked})
@@ -496,31 +553,60 @@ def evaluate_chains(chains: Sequence[Sequence[KernelSpec | SemigroupParams]], x,
     if not rows:
         return out
 
-    grids, groups = {}, {}
+    # the panel edges once per (top, shortest time), split once per (top, time,
+    # kernel alpha), and one grid per distinct edge set
+    bases, splits, groups = {}, {}, {}
     for i in rows:
-        key = _grid_key(checked[i][0], x)
-        if key not in grids:
-            grids[key] = line_grid(x, *key)
-        groups.setdefault(grids[key].edges.tobytes(), (grids[key], []))[1].append(i)
-    anchors, scales = {}, {}
+        top, t, alpha = key = _grid_key(checked[i][0], x)
+        if key not in splits:
+            if (top, t) not in bases:
+                bases[top, t] = panel_edges(x, top, t)
+            splits[key] = alpha_split(bases[top, t], alpha)
+        edges = splits[key].tobytes()
+        if edges not in groups:
+            groups[edges] = (line_grid(splits[key]), [])
+        groups[edges][1].append(i)
+    results = {}
     for grid, members in groups.values():
         edge_index = np.searchsorted(grid.edges, x)
         inner = edge_index[-1]  # the panels below the top anchor coordinate
         needs = {i: _panel_needs(checked[i][0], len(grid.nodes), inner) for i in members}
         shared, index = _product_table(functions, grid, x, c, max(needs[i][-1] for i in members))
+        # a table is named by the panels of the product table it starts from and the
+        # steps that made it, from the inside out; a step is its operator, and for
+        # a semigroup its panel count and whether x is among its targets
+        tables, names = {}, {}
         for i in members:
-            operators = checked[i][0]
-            table = _Table(shared.nodes[:, :, : needs[i][-1]], shared.anchor, shared.unit, shared.scale)
+            names[i] = (needs[i][-1],)
+            tables[names[i]] = _Table(shared.nodes[:, :, : needs[i][-1]], shared.anchor, shared.unit, shared.scale)
+        # the steps run from the inside out, one depth at a time, each distinct step
+        # once; the semigroup steps of one depth that share their time and targets
+        # share one call
+        for depth in range(1, max(len(checked[i][0]) for i in members) + 1):
+            kernel_steps, semigroup_steps = {}, {}
+            for i in members:
+                operators = checked[i][0]
+                j = len(operators) - depth
+                if j < 0:
+                    continue
+                op = operators[j]
+                if isinstance(op, KernelSpec):
+                    names[i] += (op,)
+                    kernel_steps[names[i]] = op
+                else:  # only the outermost operator's values at x are read
+                    names[i] += ((op, needs[i][j], j == 0),)
+                    semigroup_steps.setdefault((op.t, needs[i][j], j == 0), {})[names[i]] = op
             # a power of y beyond the float range (alpha in the hundreds) is refused below
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                for j, op in reversed(list(enumerate(operators))):
-                    if isinstance(op, KernelSpec):
-                        table = _kernel_step(op, table, grid, edge_index)
-                    else:  # only the outermost operator's values at x are read
-                        table = _semigroup_step(op, table, grid, x if j == 0 else x[:0], needs[i][j])
-            anchors[i], scales[i] = table.anchor, table.scale
+                for name, op in kernel_steps.items():
+                    tables[name] = _kernel_step(op, tables[name[:-1]], grid, edge_index)
+                for (_, count, outermost), steps in semigroup_steps.items():
+                    made = _semigroup_step([(op, tables[name[:-1]]) for name, op in steps.items()],
+                                           grid, x if outermost else x[:0], count)
+                    tables.update(zip(steps, made))
+        results.update((i, tables[names[i]]) for i in members)
 
-    matrices = np.swapaxes(np.stack([anchors[i] for i in rows]), -1, -2)  # (C', B, d, d)
+    matrices = np.swapaxes(np.stack([results[i].anchor for i in rows]), -1, -2)  # (C', B, d, d)
     finite = np.all(np.isfinite(matrices), axis=(1, 2, 3))
     base = matrices[:, [b for b, _ in index]]
     cond = np.full(base.shape[:2], np.inf)
@@ -538,7 +624,7 @@ def evaluate_chains(chains: Sequence[Sequence[KernelSpec | SemigroupParams]], x,
     if paired:
         derivative = matrices[:, [index[f][1] for f in paired]]
         det[:, paired] *= np.trace(np.linalg.solve(base[:, paired], derivative), axis1=-2, axis2=-1)
-    out[rows] = np.array([scales[i] for i in rows])[:, None] / vandermonde(x) * det
+    out[rows] = np.array([results[i].scale for i in rows])[:, None] / vandermonde(x) * det
     return out
 
 

@@ -105,16 +105,6 @@ def intertwine_chains(identity: str, alpha: float, t: float, size: int):
     return (upper, spec), (spec, lower)
 
 
-def intertwine_sides(identity: str, alpha: float, t: float, x: np.ndarray, functions):
-    """Both sides of one intertwining identity, each an (F,) array.
-
-    The two chains of :func:`intertwine_chains` go to the determinantal
-    engine in one call; each side's values are those of its own call.
-    """
-    lhs, rhs = determinantal.evaluate_chains(intertwine_chains(identity, alpha, t, len(x)), x, functions)
-    return lhs, rhs
-
-
 def composed_corner_density(
     alpha: float, x: np.ndarray, y: np.ndarray, panels: int, order: int
 ) -> float:

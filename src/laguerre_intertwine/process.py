@@ -14,7 +14,6 @@ determinant det[p_t(x_i, y_j)] against the test function
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
@@ -510,6 +509,10 @@ def simulate_sde(
         z = buffers[k % 2][: min(block, n_steps - starts[k])]
         rng.gen.standard_normal(out=z)
         return z
+
+    # imported here, by its one user: ``import laguerre_intertwine`` then loads
+    # neither concurrent.futures nor the logging module it imports
+    from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="simulate_sde-normals") as worker:
         pending = worker.submit(draw, 0)

@@ -7,6 +7,8 @@ is also pinned to the transition density tabulated point by point on the
 engine's own grid (``oracles.semigroup_step_pointwise``).
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from oracles import semigroup_step_pointwise
@@ -19,7 +21,6 @@ from laguerre_intertwine.experiments import (
     SQUARE_ANCHORS,
     TEST_FUNCTIONS,
     intertwine_chains,
-    intertwine_sides,
 )
 from laguerre_intertwine.kernels import (
     KERNELS,
@@ -71,10 +72,10 @@ def test_semigroup_step_matches_pointwise_density(alpha, n):
     x = np.array(SQUARE_ANCHORS[n])
     for t in (0.01, 0.05, 0.25, 1.0, 4.0):
         params = SemigroupParams(alpha, t, n)
-        grid = determinantal.line_grid(x, semigroup_top(params, x[-1]), t, 0.0)
+        grid = determinantal.line_grid(determinantal.panel_edges(x, semigroup_top(params, x[-1]), t))
         count = int(np.searchsorted(grid.edges, x[-1]))
         table, _ = determinantal._product_table(FUNCTIONS, grid, x, n, len(grid.nodes))
-        got = determinantal._semigroup_step(params, table, grid, x, count)
+        got, = determinantal._semigroup_step([(params, table)], grid, x, count)
         want = semigroup_step_pointwise(params, table, grid, x, count)
         assert got.scale == want.scale
         rows = len(FUNCTIONS) + 1, n  # the sum_exp_sum function carries a derivative set
@@ -228,9 +229,9 @@ def test_non_finite_anchor_matrix_is_refused(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(np.linalg, "cond", finite_cond)
     x = np.array(CORNER_ANCHORS[1])
     with pytest.raises(ValueError, match="anchor matrix is not finite"):
-        intertwine_sides("same_alpha", 400.0, 1.0, x, FUNCTIONS)
+        evaluate_chains(intertwine_chains("same_alpha", 400.0, 1.0, x.size), x, FUNCTIONS)
     with pytest.raises(ValueError, match="condition number"):
-        intertwine_sides("corner_shift", 400.0, 1.0, x, FUNCTIONS)
+        evaluate_chains(intertwine_chains("corner_shift", 400.0, 1.0, x.size), x, FUNCTIONS)
     # a test function that vanishes below the top anchor leaves the alpha_square
     # kernel's row at the lower anchor zero, stacked with matrices that are not
     vanishing = ProductFunction(g=lambda y: np.where(y > 1.5, 1.0, 0.0))
@@ -242,10 +243,11 @@ def test_non_finite_anchor_matrix_is_refused(monkeypatch, tmp_path, capsys):
         assert err.startswith("configuration error: anchor matrix") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_a_chain_value_does_not_depend_on_its_call(n):
-    # the chains of one call share grids, product tables and the stacked linear
-    # algebra; each row must be the bits of the chain's own call, in any mix
+    # the chains of one call share grids, product tables, steps, semigroup
+    # set-ups and the stacked linear algebra; each row must be the bits of the
+    # chain's own call, in any mix, and with a chain in it twice
     rng = np.random.default_rng(2700 + n)
     for anchor, identities in ((CORNER_ANCHORS[n], ("same_alpha", "corner_shift")),
                                (SQUARE_ANCHORS[n], ("square_shift",))):
@@ -263,11 +265,40 @@ def test_a_chain_value_does_not_depend_on_its_call(n):
         assert len(chains) >= 40
         order = rng.permutation(len(chains))
         cuts = np.sort(rng.choice(np.arange(1, len(chains)), size=3, replace=False))
-        for mix in [order] + np.split(order, cuts):
+        for mix in [np.append(order, order[0])] + np.split(order, cuts):
             got = evaluate_chains([chains[i] for i in mix], x, FUNCTIONS)
             assert got.shape == (len(mix), len(FUNCTIONS))
             for row, i in zip(got, mix):
                 assert np.array_equal(row, alone[i]), chains[i]
+
+
+def test_a_call_runs_each_shared_step_once(monkeypatch):
+    # corner_shift's lhs P_t^alpha corner at alpha = 0 and -0.5: the top of the
+    # grid grows with alpha only from alpha > 0, so both chains take one grid,
+    # one anchor check and one corner step, and their two semigroup steps
+    # share one set-up
+    x = np.array(CORNER_ANCHORS[2])
+    c, c_prime = (intertwine_chains("corner_shift", alpha, 1.0, x.size)[0] for alpha in (0.0, -0.5))
+    alone = [evaluate(chain, x, FUNCTIONS) for chain in (c, c, c_prime)]
+    calls, steps = Counter(), Counter()
+
+    def counted(name):
+        real = getattr(determinantal, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "_semigroup_step":
+                steps.update(params for params, _ in args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(determinantal, name, wrapper)
+
+    for name in ("checked_chamber", "line_grid", "_kernel_step", "_semigroup_step"):
+        counted(name)
+    got = evaluate_chains([c, c, c_prime], x, FUNCTIONS)
+    assert all(np.array_equal(row, want) for row, want in zip(got, alone))
+    assert calls == {"checked_chamber": 1, "line_grid": 1, "_kernel_step": 1, "_semigroup_step": 1}
+    assert steps == {c[0]: 1, c_prime[0]: 1}
 
 
 def test_evaluate_chains_refuses_as_its_chains():
