@@ -60,7 +60,6 @@ from .stats import (
     EmpiricalSample,
     ks_one_sample,
     ks_two_sample,
-    moment_compare,
 )
 
 __version__ = "0.1.0"

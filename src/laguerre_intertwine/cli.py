@@ -87,8 +87,8 @@ class ExperimentConfig:
         return cfg
 
     def with_option(self, key: str, value: str) -> "ExperimentConfig":
-        names = {f.name for f in fields(self)}
-        if key not in names:
+        """This config with the option ``key`` (a key of ``FLAG_NAMES``) parsed from ``value``."""
+        if key not in FLAG_NAMES:
             raise ConfigError(f"unknown config key {key!r}")
         try:
             parsed = VALUE_TYPES.get(key, str)(value)

@@ -139,17 +139,25 @@ def _linear_statistics(sample: np.ndarray) -> dict[str, np.ndarray]:
     return out
 
 
-def _two_sample_family(detail: str, a: np.ndarray, b: np.ndarray) -> Check:
-    """Per-marginal KS plus linear statistics, Bonferroni at family level 0.01."""
-    fam = BonferroniFamily()
-    sa, sb = _linear_statistics(a), _linear_statistics(b)
-    for name in sa:
-        pair = EmpiricalSample(sa[name], name), EmpiricalSample(sb[name], name)
-        fam.add(stats.ks_two_sample(*pair))
-    worst = min(r.p_value for r in fam.reports)
+def _family_check(detail: str, reports: list) -> Check:
+    """The row of a family of KS reports, Bonferroni at family level 0.01."""
+    fam = BonferroniFamily(reports=reports)
+    worst = min(r.p_value for r in reports)
     adjusted = fam.adjusted_level
-    row = {"check": detail, "n_tests": len(fam.reports), "min_p": worst, "adjusted_level": adjusted}
+    row = {"check": detail, "n_tests": len(reports), "min_p": worst, "adjusted_level": adjusted}
     return Check(row, fam.passed, worst, adjusted, detail)
+
+
+def _two_sample_family(detail: str, a: np.ndarray, b: np.ndarray) -> Check:
+    """Per-marginal KS plus linear statistics, as one family."""
+    sa, sb = _linear_statistics(a), _linear_statistics(b)
+    pairs = [(EmpiricalSample(sa[name], name), EmpiricalSample(sb[name], name)) for name in sa]
+    return _family_check(detail, [stats.ks_two_sample(*pair) for pair in pairs])
+
+
+def _rel(lhs: float, rhs: float) -> float:
+    """|lhs - rhs| relative to the larger of the two, 0 where both are 0."""
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +248,7 @@ def intertwine(cfg) -> list[Check]:
         for identity, alpha, t in cases:
             for fname, lhs, rhs in zip(TEST_FUNCTIONS, *sides[identity, alpha, t]):
                 lhs, rhs = float(lhs), float(rhs)
-                rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+                rel = _rel(lhs, rhs)
                 row = {
                     "check": identity, "alpha": alpha, "t": t, "N": n, "f": fname,
                     "lhs": lhs, "rhs": rhs, "rel_error": rel, "tol": tol,
@@ -253,10 +261,6 @@ def intertwine(cfg) -> list[Check]:
 def _residual_check(check: str, alpha, t, x, y, residual: float, tol: float, detail: str) -> Check:
     row = {"check": check, "alpha": alpha, "t": t, "x": x, "y": y, "residual": residual, "tol": tol}
     return Check(row, residual <= tol, residual, tol, detail)
-
-
-def _rel(lhs: float, rhs: float) -> float:
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
 
 
 def dual_check(cfg) -> list[Check]:
@@ -382,9 +386,7 @@ def invariance(cfg) -> list[Check]:
             # closed-form target: the 1-dimensional ensemble is Exp(1)
             exp1_cdf = lambda v: -np.expm1(-np.maximum(v, 0.0))
             report = stats.ks_one_sample(EmpiricalSample(pushed[:, 0], "pushforward"), exp1_cdf)
-            detail = "invariance[N=1,alpha=0]"
-            row = {"check": detail, "n_tests": 1, "min_p": report.p_value, "adjusted_level": 0.01}
-            checks.append(Check(row, report.p_value > 0.01, report.p_value, 0.01, detail))
+            checks.append(_family_check("invariance[N=1,alpha=0]", [report]))
         else:
             direct = rmt.sample_laguerre_ensemble(n, alpha, rng_b, size=cfg.n_samples)
             checks.append(_two_sample_family(f"invariance[N={n},alpha={alpha}]", pushed, direct))

@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .numerics import (
-    RngStream, checked_alpha, pochhammer, pointwise_values, power_stretch, unit_gauss_legendre,
+    RngStream, checked_alpha, checked_size, pochhammer, pointwise_values, power_stretch, unit_gauss_legendre,
 )
 
 
@@ -347,8 +347,7 @@ def sample_corner_many(x, rng: RngStream, n: int) -> np.ndarray:
     is proportional to Vandermonde(y) on the outer window.  Ties in x pin
     the coordinate of their zero-width window.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"the number of draws must be an integer >= 0, got {n!r}")
+    n = checked_size(n, optional=False)
     x = checked_chamber(x, min_len=2)
     return _corner_roots(np.tile(x, (n, 1)), rng)
 
@@ -368,7 +367,7 @@ def sample_corner_rejection(x, rng: RngStream, size: int | None = None) -> np.nd
     for i in range(n):
         for j in range(i + 1, n):
             bound *= x[j + 1] - x[i]
-    total = 1 if size is None else size
+    total = checked_size(size)
     out = np.empty((total, n))
     pending = np.arange(total)
     widths = np.diff(x)
@@ -559,7 +558,7 @@ def sample_alpha_square(alpha: float, z, rng: RngStream, size: int | None = None
     """
     checked_alpha(alpha)
     z = checked_chamber(z, nonneg=True)
-    total = 1 if size is None else size
+    total = checked_size(size)
     out = _alpha_square_roots(alpha, np.tile(z, (total, 1)), rng)
     return out[0] if size is None else out
 
@@ -587,7 +586,7 @@ def sample_alpha_corner(alpha: float, x, rng: RngStream, size: int | None = None
     """
     checked_alpha(alpha)
     x = checked_chamber(x, nonneg=True, min_len=2)
-    total = 1 if size is None else size
+    total = checked_size(size)
     out = _alpha_square_roots(alpha, _corner_roots(np.tile(x, (total, 1)), rng), rng)
     return out[0] if size is None else out
 

@@ -58,6 +58,18 @@ def checked_time(t, zero: bool = False, name: str = "t") -> float:
     return float(t)
 
 
+def checked_size(size, optional: bool = True) -> int:
+    """The number of draws a sampler's ``size`` asks for: an int >= 0 (a numpy
+    integer too), or None where ``optional`` (one draw, not stacked), which
+    counts 1.  Anything else, a bool, a float or a str included, raises
+    ``ValueError``; the samplers check it before their first draw."""
+    if size is None and optional:
+        return 1
+    if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 0:
+        raise ValueError(f"the number of draws must be an integer >= 0, got {size!r}")
+    return int(size)
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Composite Gauss-Legendre nodes/weights on an interval."""
@@ -333,5 +345,6 @@ def sample_noncentral_chisq(
         raise ValueError(f"dof must be positive, got {dof}")
     if noncentrality < 0:
         raise ValueError(f"noncentrality must be >= 0, got {noncentrality}")
+    checked_size(size)
     k = rng.gen.poisson(0.5 * noncentrality, size=size)
     return rng.gen.gamma(0.5 * dof + k, 2.0)

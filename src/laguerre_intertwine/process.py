@@ -23,7 +23,7 @@ import numpy as np
 from .diffusion import transition_density, transition_variance
 from .kernels import UnsupportedDimensionError, checked_chamber, vandermonde
 from .numerics import (
-    RngStream, checked_alpha, checked_alpha_int, checked_time, gauss_legendre_rule,
+    RngStream, checked_alpha, checked_alpha_int, checked_size, checked_time, gauss_legendre_rule,
     pointwise_values, power_endpoint_rule, power_stretch,
 )
 from .rmt import radial_part
@@ -480,21 +480,23 @@ def simulate_sde(
     Raises ``ValueError``, before any draw, when alpha is not a finite
     value > -1, when ``x0`` is not in the closed non-negative chamber (ties
     and a zero head are allowed; :func:`kernels.checked_chamber`), when
-    ``t_end`` is not finite and > 0, when ``size`` < 1, or when
-    ``t_end / dt`` exceeds ``MAX_SDE_STEPS``.
+    ``t_end`` is not finite and > 0, when ``size`` is neither None (one
+    path, returned as an (N,) array) nor an int >= 0 (a stack of ``size``
+    paths, (size, N); :func:`numerics.checked_size`), or when
+    ``t_end / dt`` exceeds ``MAX_SDE_STEPS``.  At ``size`` 0 the result is
+    an empty (0, N) array, and no worker starts.
     """
     checked_alpha(alpha)
     x0 = checked_chamber(x0, nonneg=True, name="x0")
     checked_time(t_end, name="t_end")
-    if size is not None and size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
+    batch, n = checked_size(size), x0.size
     steps = t_end / cfg.dt
     if not steps <= MAX_SDE_STEPS:
         raise ValueError(
             f"t_end / dt = {steps:.3g} time steps exceeds the limit of {MAX_SDE_STEPS}"
         )
-    n = x0.size
-    batch = 1 if size is None else size
+    if batch == 0:
+        return np.empty((0, n))
     n_steps = max(1, int(round(steps)))
     dt = t_end / n_steps
     if alpha > -0.5:
@@ -544,11 +546,10 @@ def simulate_matrix_ou(
     alpha_int = checked_alpha_int(alpha_int)
     checked_time(t)
     x0 = checked_chamber(x0, nonneg=True, name="x0")
-    n = x0.size
+    n, batch = x0.size, checked_size(size)
     m_rows = n + alpha_int
     m0 = np.zeros((m_rows, n), dtype=complex)
     m0[:n, :n] = np.diag(np.sqrt(x0))
-    batch = 1 if size is None else size
     g = rng.gen.standard_normal((batch, m_rows, n)) + 1j * rng.gen.standard_normal(
         (batch, m_rows, n)
     )

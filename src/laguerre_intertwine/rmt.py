@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .diffusion import checked_args
-from .numerics import RngStream, checked_alpha, checked_alpha_int
+from .numerics import RngStream, checked_alpha, checked_alpha_int, checked_size
 
 _EIG_CLAMP = 1e-12
 
@@ -31,7 +31,7 @@ def sample_ginibre(m: int, n: int, rng: RngStream, size: int | None = None) -> n
     """
     if m < 1 or n < 1:
         raise ValueError("matrix dimensions must be >= 1")
-    shape = (m, n) if size is None else (size, m, n)
+    shape = (m, n) if size is None else (checked_size(size), m, n)
     g = rng.gen.standard_normal(shape) + 1j * rng.gen.standard_normal(shape)
     return g / np.sqrt(2.0)
 
@@ -97,9 +97,7 @@ def sample_laguerre_ensemble(
     checked_alpha(alpha)
     if n_dim < 1:
         raise ValueError(f"N must be >= 1, got {n_dim}")
-    squeeze = size is None
-    b = 1 if size is None else size
-    n = n_dim
+    b, n = checked_size(size), n_dim
     diag_dof = 2.0 * (alpha + n - np.arange(n))
     sub_dof = 2.0 * (n - 1 - np.arange(n - 1)) if n > 1 else np.empty(0)
     mat = np.zeros((b, n, n))
@@ -110,7 +108,7 @@ def sample_laguerre_ensemble(
         mat[:, jdx + 1, jdx] = np.sqrt(rng.gen.chisquare(sub_dof, size=(b, n - 1)))
     w = 0.5 * mat @ np.swapaxes(mat, -2, -1)
     vals = np.maximum(np.linalg.eigvalsh(w), 0.0)
-    return vals[0] if squeeze else vals
+    return vals[0] if size is None else vals
 
 
 def sample_invariant_rectangular(

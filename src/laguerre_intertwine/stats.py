@@ -1,9 +1,10 @@
 """Goodness-of-fit machinery for the verification experiments.
 
 Kolmogorov-Smirnov one- and two-sample tests with the asymptotic p-value
-(Kolmogorov survival series with the Stephens effective-size correction),
-moment z-tests against analytic targets, and Bonferroni bookkeeping for
-families of tests.  The harness is calibrated by its own acceptance gate:
+(Kolmogorov survival series with the Stephens effective-size correction)
+and Bonferroni bookkeeping for families of them.  Every verdict is a
+p-value against a level: 0.01 for one test, 0.01 / k for each of a family
+of k.  The harness is calibrated by its own acceptance gate:
 at level 0.01 the null rejection rate over repeated replications must sit
 in [0.2%, 3%].  A CDF tabulated from a density, for one-sample tests
 against laws with no closed-form CDF, is the test oracle
@@ -37,18 +38,13 @@ class EmpiricalSample:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Outcome of one statistical check.
-
-    ``passed`` is the test's own verdict at its fixed threshold: p_value >
-    0.01 for the KS tests, |z| <= 4 for :func:`moment_compare`.  ``mode``
-    says which kind of test it is: a :class:`BonferroniFamily` adjusts the
-    level of the "p_value" ones and takes the verdict of the others.
-    """
+    """Outcome of one KS test: its statistic, its p-value and its own verdict
+    p_value > 0.01.  A :class:`BonferroniFamily` judges the p-value at its
+    adjusted level instead."""
 
     statistic: float
     p_value: float
     passed: bool
-    mode: str = "p_value"
 
 
 def kolmogorov_sf(lam: float) -> float:
@@ -113,27 +109,6 @@ def ks_one_sample(a: EmpiricalSample, cdf: Callable[[np.ndarray], np.ndarray]) -
     )
 
 
-def moment_compare(a: EmpiricalSample, target_mean: float, target_var: float) -> ComparisonReport:
-    """z-score of the sample mean against an analytic mean and variance.
-
-    The Monte Carlo standard error is sqrt(target_var / n); the check passes
-    iff |z| <= 4 (critical-value mode).
-    """
-    if a.n < 100:
-        raise ValueError("moment comparison needs at least 100 points")
-    se = np.sqrt(target_var / a.n)
-    z = float((np.mean(a.values) - target_mean) / se)
-    from math import erfc
-
-    p = erfc(abs(z) / np.sqrt(2.0))
-    return ComparisonReport(
-        statistic=abs(z),
-        p_value=p,
-        passed=abs(z) <= 4.0,
-        mode="critical_value",
-    )
-
-
 @dataclass
 class BonferroniFamily:
     """A family of tests run at a joint significance level."""
@@ -146,17 +121,8 @@ class BonferroniFamily:
 
     @property
     def adjusted_level(self) -> float:
-        k = max(1, sum(1 for r in self.reports if r.mode == "p_value"))
-        return self.family_level / k
+        return self.family_level / max(1, len(self.reports))
 
     @property
     def passed(self) -> bool:
-        level = self.adjusted_level
-        for r in self.reports:
-            if r.mode == "p_value":
-                if r.p_value <= level:
-                    return False
-            elif not r.passed:
-                return False
-        return True
-
+        return all(r.p_value > self.adjusted_level for r in self.reports)

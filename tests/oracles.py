@@ -1,4 +1,5 @@
-"""Test-only oracles: a matrix model, a closed-form density, a tabulated CDF and a semigroup step.
+"""Test-only oracles: a matrix model, a closed-form density, a tabulated CDF, a semigroup step
+and a mean z-check.
 
 None of these is used by the library; the tests compare its samplers and
 quadratures against them.
@@ -12,6 +13,8 @@ quadratures against them.
 * ``semigroup_step_pointwise``: the determinantal engine's semigroup step
   with the transition density tabulated point by point on (targets x grid
   nodes) from its Bessel form, the step the Poisson-Gamma mixture replaced.
+* ``mean_z``: the z-score of a sample mean against an analytic mean and
+  variance, which the moment tests hold to |z| <= ``MEAN_Z_MAX``.
 """
 
 from __future__ import annotations
@@ -88,3 +91,14 @@ def semigroup_step_pointwise(params, table, grid, x: np.ndarray, count: int):
     nodes = out[..., : count * order].reshape(b, c, count, order)
     scale = table.scale * np.exp(-lambda_eigen(c) * params.t)
     return determinantal._Table(nodes, out[..., count * order :], table.unit, scale)
+
+
+MEAN_Z_MAX = 4.0
+
+
+def mean_z(values, target_mean: float, target_var: float) -> float:
+    """(mean - target_mean) / sqrt(target_var / n) over n >= 100 values."""
+    values = np.asarray(values, dtype=float).ravel()
+    if values.size < 100:
+        raise ValueError("a mean z-check needs at least 100 values")
+    return float((values.mean() - target_mean) / np.sqrt(target_var / values.size))

@@ -112,6 +112,12 @@ def test_invariance_small(tmp_path):
         "--n-samples", "3000", "--seed", "12",
     ])
     assert rc == 0
+    # the one-sample KS row against Exp(1) is a family of one at level 0.01
+    (row,) = csv.DictReader((tmp_path / "invariance.csv").read_text().splitlines())
+    (summary,) = csv.DictReader((tmp_path / "summary.csv").read_text().splitlines())
+    assert row["check"] == "invariance[N=1,alpha=0]"
+    assert (row["n_tests"], row["adjusted_level"], row["pass"]) == ("1", "0.01", "1")
+    assert row["min_p"] == summary["statistic"] and summary["threshold"] == "0.01"
 
 
 def test_invariance_runs_at_n8(tmp_path):
@@ -194,6 +200,9 @@ def test_config_rejects_unknown_key(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("nonsense = 1\n")
     assert run(["sample", "--config", str(cfg_file), "--sampler", "corner"]) == 2
+    # the subcommand is not an option: a config line cannot name another one
+    cfg_file.write_text("experiment = intertwine\n")
+    assert run(["kernels-check", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
 
 
 def test_experiment_config_parsing():
@@ -202,6 +211,8 @@ def test_experiment_config_parsing():
     assert ExperimentConfig().with_option("alpha", "0.5").alpha == 0.5
     with pytest.raises(ConfigError):
         ExperimentConfig().with_option("bogus", "1")
+    with pytest.raises(ConfigError):
+        ExperimentConfig().with_option("experiment", "intertwine")
 
 
 def test_floats_are_17_digits(tmp_path):

@@ -579,7 +579,7 @@ def test_simulators_reject_bad_anchor(x0):
 
 @pytest.mark.parametrize(
     "alpha, t_end, size",
-    [(0.0, -1.0, 4), (0.0, 0.0, 4), (0.0, np.nan, 4), (0.0, np.inf, 4), (0.0, 1.0, 0),
+    [(0.0, -1.0, 4), (0.0, 0.0, 4), (0.0, np.nan, 4), (0.0, np.inf, 4), (0.0, 1.0, -1),
      (np.nan, 1.0, 4), (-1.0, 1.0, 4)],
 )
 def test_sde_rejects_bad_arguments(alpha, t_end, size):

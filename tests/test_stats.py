@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
-from oracles import grid_cdf
+from oracles import MEAN_Z_MAX, grid_cdf, mean_z
 
 from laguerre_intertwine.numerics import RngStream
 from laguerre_intertwine.stats import (
     BonferroniFamily,
+    ComparisonReport,
     EmpiricalSample,
     ecdf_mid,
     kolmogorov_sf,
     ks_one_sample,
     ks_two_sample,
-    moment_compare,
 )
 
 
@@ -67,15 +67,15 @@ def test_ks_one_sample_rejects_constant():
     assert rep.p_value < 1e-10
 
 
-def test_moment_compare_behavior():
+def test_mean_z_behavior():
     rng = RngStream(65, 0)
     draws = rng.gen.gamma(2.0, 1.0, size=100_000)
-    ok = moment_compare(EmpiricalSample(draws), target_mean=2.0, target_var=2.0)
-    assert ok.passed and ok.mode == "critical_value"
-    shifted = moment_compare(EmpiricalSample(draws + 0.1), target_mean=2.0, target_var=2.0)
-    assert not shifted.passed
+    assert abs(mean_z(draws, 2.0, 2.0)) <= MEAN_Z_MAX
+    # a shift of 0.1 is 0.1 / sqrt(2 / 1e5) = 22 standard errors
+    assert mean_z(draws + 0.1, 2.0, 2.0) > MEAN_Z_MAX
+    assert mean_z([1.0, 3.0] * 50, 2.0, 1.0) == 0.0
     with pytest.raises(ValueError):
-        moment_compare(EmpiricalSample(np.arange(10.0)), 0.0, 1.0)
+        mean_z(np.arange(10.0), 0.0, 1.0)
 
 
 def test_empirical_sample_rejects_nonfinite():
@@ -102,4 +102,19 @@ def test_bonferroni_family():
     fam.add(good)
     fam.add(good)
     assert fam.adjusted_level == pytest.approx(0.005)
+    assert fam.passed
+
+
+@pytest.mark.parametrize("p_value, passed", [(0.0100001, True), (0.0099999, False), (0.01, False)])
+def test_bonferroni_family_of_one(p_value, passed):
+    # a family of one keeps the level of its one test and that test's own verdict
+    report = ComparisonReport(statistic=0.1, p_value=p_value, passed=p_value > 0.01)
+    fam = BonferroniFamily(family_level=0.01, reports=[report])
+    assert fam.adjusted_level == 0.01
+    assert fam.passed is report.passed is passed
+
+
+def test_empty_family_passes_at_family_level():
+    fam = BonferroniFamily(family_level=0.01)
+    assert fam.adjusted_level == 0.01
     assert fam.passed
