@@ -23,7 +23,6 @@ from .diffusion import (
 from .kernels import (
     DegenerateAnchorError,
     KernelSpec,
-    RejectionLimitError,
     UnsupportedDimensionError,
     apply_kernel_quadrature,
     apply_kernel_to_anchors,
@@ -33,7 +32,6 @@ from .kernels import (
     sample_alpha_corner_rows,
     sample_alpha_square,
     sample_corner_many,
-    sample_corner_rejection,
     vandermonde,
 )
 from .process import (

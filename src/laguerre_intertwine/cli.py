@@ -45,7 +45,7 @@ TEST_FUNCTIONS = experiments.TEST_FUNCTIONS
 # config key -> the type its value is parsed to; the other keys are strings
 VALUE_TYPES = {
     "x": lambda value: tuple(float(v) for v in value.split(",")),
-    **dict.fromkeys(("n", "n_samples", "seed", "panels", "order"), int),
+    **dict.fromkeys(("n", "n_samples", "seed"), int),
     **dict.fromkeys(("alpha", "t", "tol", "dt"), float),
     "out_dir": Path,
 }
@@ -67,8 +67,6 @@ class ExperimentConfig:
     n_samples: int = 20_000
     dt: float = 1e-3
     seed: int = 20260808
-    panels: int | None = None  # None: the experiment's default
-    order: int | None = None
     tol: float | None = None
     out_dir: Path = Path("out")
     sampler: str = ""
@@ -157,9 +155,9 @@ def _write_samples(cfg: ExperimentConfig, csv_name: str, draws: np.ndarray, meta
 # out_dir); ``sample`` writes draws instead
 COMMANDS = {
     "kernels-check": (experiments.kernels_check, "kernels_check.csv",
-                      {"n", "alpha", "x", "tol", "panels", "order"}),
+                      {"n", "alpha", "x", "tol"}),
     "intertwine": (experiments.intertwine, "intertwine.csv", {"n", "alpha", "t", "x", "tol"}),
-    "dual-check": (experiments.dual_check, "dual_check.csv", {"tol", "panels", "order"}),
+    "dual-check": (experiments.dual_check, "dual_check.csv", {"tol"}),
     "truncation": (experiments.truncation, "truncation.csv", {"n", "alpha", "x", "n_samples"}),
     "invariance": (experiments.invariance, "invariance.csv", {"n", "alpha", "n_samples"}),
     "sde-vs-exact": (experiments.sde_vs_exact, "sde_vs_exact.csv", {"t", "dt", "n_samples"}),
@@ -171,8 +169,8 @@ COMMANDS = {
 # as it parses that key's line in a config file
 FLAG_KEYS = {
     "--seed": "seed", "--alpha": "alpha", "--n": "n", "--t": "t", "--x": "x",
-    "--n-samples": "n_samples", "--dt": "dt", "--panels": "panels", "--order": "order",
-    "--tol": "tol", "--out": "out_dir", "--sampler": "sampler",
+    "--n-samples": "n_samples", "--dt": "dt", "--tol": "tol", "--out": "out_dir",
+    "--sampler": "sampler",
 }
 FLAG_NAMES = {key: flag for flag, key in FLAG_KEYS.items()}
 

@@ -7,8 +7,8 @@ writes them out; the acceptance tests assert on the same rows.
 ``ConfigError`` marks a configuration the experiment cannot run.
 
 Layer functions are called through their modules
-(``kernels.apply_kernel_to_anchors``), never through names imported into
-this one, so a wrapper installed on a module attribute sees every call.
+(``determinantal.evaluate``), never through names imported into this one,
+so a wrapper installed on a module attribute sees every call.
 """
 
 from __future__ import annotations
@@ -55,10 +55,6 @@ TEST_FUNCTIONS = {
     "inv_prod": ProductFunction(g=lambda y: 1.0 / (1.0 + y)),
     "sum_exp_sum": ProductFunction(g=lambda y: np.exp(-y), a=lambda y: y),
 }
-
-
-def _one(y: np.ndarray) -> np.ndarray:
-    return np.ones(y.shape[:-1])
 
 
 ALPHA_GRID = (-0.5, 0.0, 1.0, 2.5)
@@ -165,13 +161,14 @@ def _rel(lhs: float, rhs: float) -> float:
 # ---------------------------------------------------------------------------
 
 def kernels_check(cfg) -> list[Check]:
-    """Normalization of the probability kernels and the two-step composition."""
+    """Normalization of the probability kernels, each the engine's value of
+    the constant function 1, and the two-step composition."""
     n_values = (1, 2, 3) if cfg.n is None else (cfg.n,)
-    if any(n < 1 or n > 3 for n in n_values):
-        raise ConfigError("kernels-check supports N in {1, 2, 3}")
+    if any(n not in CORNER_ANCHORS for n in n_values):
+        raise ConfigError(f"kernels-check supports N in 1..{max(CORNER_ANCHORS)}")
     alphas = ALPHA_GRID if cfg.alpha is None else (cfg.alpha,)
     tol = cfg.tol if cfg.tol is not None else 1e-7
-    panels, order = (2 if cfg.panels is None else cfg.panels), (20 if cfg.order is None else cfg.order)
+    one = [ProductFunction(g=np.ones_like)]
     given = _given_x(cfg, {n + 1 for n in n_values})
     checks = []
     for n in n_values:
@@ -182,7 +179,7 @@ def kernels_check(cfg) -> list[Check]:
             cases.append(("alpha_corner", alpha, corner_anchor))
         for kind, alpha, anchor in cases:
             spec = KernelSpec(kind, alpha)
-            mass = kernels.apply_kernel_quadrature(spec, np.array(anchor), _one, panels, order)
+            mass = float(determinantal.evaluate([spec], np.array(anchor), one)[0])
             err = abs(mass - 1.0)
             row = {
                 "check": "normalization", "kernel": kind, "alpha": "" if alpha is None else alpha,
@@ -300,7 +297,7 @@ def dual_check(cfg) -> list[Check]:
 
     # dual kernel exchange, N = 1 density forms (12-point grid)
     tol = cfg.tol if cfg.tol is not None else 1e-5
-    panels, order = (40 if cfg.panels is None else cfg.panels), (20 if cfg.order is None else cfg.order)
+    panels, order = 40, 20
 
     # same dimension: exit-continuation branch, parameters below 0
     for (alpha, t, x, y) in [
@@ -441,7 +438,6 @@ def sample(cfg) -> tuple[np.ndarray, dict]:
     alpha = cfg.alpha if cfg.alpha is not None else 0.0
     anchored = {
         "corner": lambda: kernels.sample_corner_many(cfg.x, rng, n),
-        "corner_rejection": lambda: kernels.sample_corner_rejection(cfg.x, rng, size=n),
         "alpha_square": lambda: kernels.sample_alpha_square(alpha, cfg.x, rng, size=n),
         "alpha_corner": lambda: kernels.sample_alpha_corner(alpha, cfg.x, rng, size=n),
     }

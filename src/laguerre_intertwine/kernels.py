@@ -4,7 +4,11 @@ A chamber point is a plain 1-D numpy array with non-decreasing coordinates
 (non-negative for the kernels carrying a parameter alpha).  The module
 provides the Vandermonde determinant, the chamber check, density
 evaluators and exact samplers for the paper's three kernels, and a
-nested-quadrature applier that computes (kernel f)(x) for test functions f.
+nested-quadrature applier that computes (kernel f)(x) for pointwise test
+functions f.  The library computes (kernel f)(x) with the determinantal
+engine (:mod:`determinantal`); the applier, which integrates the explicit
+density over an N-fold mesh, is that engine's independent oracle, kept
+here because the benchmark's tracer (``perfbench/tracing.py``) names it.
 
 Kernels:
 
@@ -48,14 +52,6 @@ class DegenerateAnchorError(ValueError):
 class UnsupportedDimensionError(ValueError):
     """Operation guarded to small dimensions was asked for a larger one."""
 
-
-class RejectionLimitError(ValueError):
-    """A rejection sampler ran ``MAX_REJECTION_ROUNDS`` rounds and still waits."""
-
-
-# Rounds the oracle rejection sampler ``sample_corner_rejection`` may run
-# before it raises; draws that finish below the cap are unchanged by it.
-MAX_REJECTION_ROUNDS = 10**7
 
 # Steps of the secular-equation solver.  A step that the rational model
 # cannot take bisects the bracket, which the first step, at the midpoint,
@@ -350,41 +346,6 @@ def sample_corner_many(x, rng: RngStream, n: int) -> np.ndarray:
     n = checked_size(n, optional=False)
     x = checked_chamber(x, min_len=2)
     return _corner_roots(np.tile(x, (n, 1)), rng)
-
-
-def sample_corner_rejection(x, rng: RngStream, size: int | None = None) -> np.ndarray:
-    """Independent rejection sampler for the corner kernel (oracle, N <= 4).
-
-    Proposes y_k uniform on [x_k, x_{k+1}] and accepts with probability
-    Vandermonde(y) / prod_{i<j} (x_{j+1} - x_i), a valid bound on the outer
-    window.
-    """
-    x = interior_anchor(KernelSpec("corner"), x)
-    n = len(x) - 1
-    if n > 4:
-        raise UnsupportedDimensionError("rejection sampling is guarded to N <= 4")
-    bound = 1.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            bound *= x[j + 1] - x[i]
-    total = checked_size(size)
-    out = np.empty((total, n))
-    pending = np.arange(total)
-    widths = np.diff(x)
-    for _ in range(MAX_REJECTION_ROUNDS):
-        if not pending.size:
-            break
-        u = rng.gen.random((pending.size, n))
-        y = x[:-1] + u * widths
-        ratio = vandermonde(y) / bound
-        accept = rng.gen.random(pending.size) < ratio
-        out[pending[accept]] = y[accept]
-        pending = pending[~accept]
-    if pending.size:
-        raise RejectionLimitError(
-            f"corner rejection sampler: rejection sampling still waits after {MAX_REJECTION_ROUNDS} rounds"
-        )
-    return out[0] if size is None else out
 
 
 def _secular_roots(poles: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -119,12 +119,15 @@ def sample_invariant_rectangular(
     D is diag(sqrt(x)) padded with alpha zero rows to (N+alpha+1) x (N+1);
     V and U are independent Haar unitaries of matching orders.  ``x`` is one
     radial part (N+1,), shared by ``size`` draws, or anchor rows
-    (rows, N+1), one draw per row (``size`` then defaults to the row count).
+    (rows, N+1), one draw per row: ``size`` is then None or the row count,
+    and any other count raises ``ValueError`` before the first draw.
     """
     x, _ = checked_args(checked_alpha_int(alpha_int), None, x, zero_x=True)
     if x.ndim not in (1, 2):
         raise ValueError("radial parts must be one row or a stack of rows")
-    if x.ndim == 2 and size is None:
+    if x.ndim == 2:
+        if size is not None and checked_size(size) != x.shape[0]:
+            raise ValueError(f"{x.shape[0]} anchor rows give {x.shape[0]} draws, not size={size!r}")
         size = x.shape[0]
     n1 = x.shape[-1]  # N + 1
     m1 = n1 + int(alpha_int)

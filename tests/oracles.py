@@ -1,11 +1,15 @@
-"""Test-only oracles: a matrix model, a closed-form density, a tabulated CDF, a semigroup step
-and a mean z-check.
+"""Test-only oracles: a matrix model, a rejection sampler, a closed-form density, a tabulated
+CDF, a semigroup step and a mean z-check.
 
 None of these is used by the library; the tests compare its samplers and
 quadratures against them.
 
 * ``sample_corner_alpha_matrix``: the truncated-Haar model of the
   alpha_square kernel at integer alpha.
+* ``sample_corner_rejection``: the corner kernel by uniform proposals on
+  the outer window and a Vandermonde acceptance test (N <= 4), whose loop
+  stops after ``MAX_REJECTION_ROUNDS`` rounds with a
+  ``RejectionLimitError``.
 * ``laguerre_ensemble_density``: the Laguerre ensemble's density on the
   ordered chamber, normalization included.
 * ``grid_cdf``: a CDF tabulated from a density by panel quadrature, for
@@ -24,8 +28,10 @@ from math import lgamma
 import numpy as np
 
 from laguerre_intertwine import determinantal, diffusion
-from laguerre_intertwine.kernels import vandermonde
-from laguerre_intertwine.numerics import checked_alpha, checked_alpha_int, power_stretch, unit_gauss_legendre
+from laguerre_intertwine.kernels import KernelSpec, UnsupportedDimensionError, interior_anchor, vandermonde
+from laguerre_intertwine.numerics import (
+    checked_alpha, checked_alpha_int, checked_size, power_stretch, unit_gauss_legendre,
+)
 from laguerre_intertwine.process import lambda_eigen
 from laguerre_intertwine.rmt import radial_part, sample_haar_unitary, truncate
 
@@ -39,6 +45,50 @@ def sample_corner_alpha_matrix(alpha_int: int, z, rng, size: int | None = None) 
     n = z.shape[-1]
     v = sample_haar_unitary(n + alpha_int + 1, rng, size=size)
     return radial_part(truncate(v, n + alpha_int, n) * np.sqrt(z)[..., None, :])
+
+
+class RejectionLimitError(ValueError):
+    """A rejection sampler ran ``MAX_REJECTION_ROUNDS`` rounds and still waits."""
+
+
+# Rounds ``sample_corner_rejection`` may run before it raises; draws that
+# finish below the cap are unchanged by it.
+MAX_REJECTION_ROUNDS = 10**7
+
+
+def sample_corner_rejection(x, rng, size: int | None = None) -> np.ndarray:
+    """Independent rejection sampler for the corner kernel (N <= 4).
+
+    Proposes y_k uniform on [x_k, x_{k+1}] and accepts with probability
+    Vandermonde(y) / prod_{i<j} (x_{j+1} - x_i), a valid bound on the outer
+    window.
+    """
+    x = interior_anchor(KernelSpec("corner"), x)
+    n = len(x) - 1
+    if n > 4:
+        raise UnsupportedDimensionError("rejection sampling is guarded to N <= 4")
+    bound = 1.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            bound *= x[j + 1] - x[i]
+    total = checked_size(size)
+    out = np.empty((total, n))
+    pending = np.arange(total)
+    widths = np.diff(x)
+    for _ in range(MAX_REJECTION_ROUNDS):
+        if not pending.size:
+            break
+        u = rng.gen.random((pending.size, n))
+        y = x[:-1] + u * widths
+        ratio = vandermonde(y) / bound
+        accept = rng.gen.random(pending.size) < ratio
+        out[pending[accept]] = y[accept]
+        pending = pending[~accept]
+    if pending.size:
+        raise RejectionLimitError(
+            f"corner rejection sampler: rejection sampling still waits after {MAX_REJECTION_ROUNDS} rounds"
+        )
+    return out[0] if size is None else out
 
 
 def laguerre_ensemble_density(n_dim: int, alpha: float, x):

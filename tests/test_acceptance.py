@@ -12,7 +12,7 @@ written here, once, at fixed seeds.
 
 import numpy as np
 import pytest
-from oracles import grid_cdf, sample_corner_alpha_matrix
+from oracles import grid_cdf, sample_corner_alpha_matrix, sample_corner_rejection
 
 from laguerre_intertwine import experiments
 from laguerre_intertwine.cli import ExperimentConfig
@@ -23,7 +23,6 @@ from laguerre_intertwine.kernels import (
     apply_kernel_quadrature,
     sample_alpha_square,
     sample_corner_many,
-    sample_corner_rejection,
 )
 from laguerre_intertwine.numerics import RngStream
 from laguerre_intertwine.process import simulate_matrix_ou

@@ -1,11 +1,12 @@
 import csv
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 
-from laguerre_intertwine import cli, kernels, process
+from laguerre_intertwine import cli, determinantal, experiments, process
 from laguerre_intertwine.cli import ExperimentConfig, ConfigError, main
 
 
@@ -27,17 +28,29 @@ def test_kernels_check_passes_and_writes_csv(tmp_path):
 
 
 def test_kernels_check_unsupported_dimension(tmp_path):
-    assert run(["kernels-check", "--out", str(tmp_path), "--n", "4"]) == 2
+    assert run(["kernels-check", "--out", str(tmp_path), "--n", "9"]) == 2
+
+
+def test_kernels_check_normalizes_every_kind_up_to_n8():
+    # every kind at every N the check takes, alpha near -1 and at 10 included
+    for n, alpha in itertools.product(range(1, 9), (-0.99, -0.5, 0.0, 1.0, 2.5, 10.0)):
+        checks = experiments.kernels_check(ExperimentConfig(n=n, alpha=alpha))
+        kinds = [c.row["kernel"] for c in checks if c.row["check"] == "normalization"]
+        assert kinds == ["corner", "alpha_square", "alpha_corner"]
+        assert all(c.row["tol"] == 1e-7 for c in checks if c.row["check"] == "normalization")
+        assert all(c.passed for c in checks), [(c.detail, c.statistic) for c in checks if not c.passed]
 
 
 def test_kernels_check_corrupted_density_hook(tmp_path, monkeypatch):
-    # a kernel whose mass is off by 1% must fail its normalization checks
-    apply = kernels.apply_kernel_quadrature
-    monkeypatch.setattr(kernels, "apply_kernel_quadrature", lambda *args: 1.01 * apply(*args))
+    # a kernel whose mass is off by 1% must fail its normalization checks; the
+    # composition rows, which evaluate the densities pointwise, still pass
+    evaluate = determinantal.evaluate
+    monkeypatch.setattr(determinantal, "evaluate", lambda *args: 1.01 * evaluate(*args))
     rc = run(["kernels-check", "--out", str(tmp_path), "--n", "1"])
     assert rc == 1
     rows = list(csv.DictReader((tmp_path / "kernels_check.csv").read_text().splitlines()))
     assert {r["pass"] for r in rows if r["check"] == "normalization"} == {"0"}
+    assert {r["pass"] for r in rows if r["check"] == "composition"} == {"1"}
 
 
 def test_intertwine_single_combo(tmp_path):
@@ -237,7 +250,7 @@ UNREAD_OPTIONS = [
     ["truncation", "--tol", "0.5"],
     ["invariance", "--t", "5"],
     ["sde-vs-exact", "--alpha", "2"],
-    ["sample", "--sampler", "corner", "--x", "1,2", "--panels", "9"],
+    ["sample", "--sampler", "corner", "--x", "1,2", "--dt", "0.5"],
 ]
 
 
@@ -254,7 +267,7 @@ UNREAD_OPTIONS = [
         ["sample", "--sampler", "wishart_radial", "--alpha", "1.5", "--n", "2"],
         ["sample", "--sampler", "laguerre_ensemble", "--alpha", "inf", "--n", "2"],
         ["sample", "--sampler", "laguerre_ensemble", "--n", "0"],
-        ["kernels-check", "--n", "1", "--panels", "0"],
+        ["kernels-check", "--n", "1", "--alpha", "-1"],
         ["intertwine", "--n", "abc"],
         # an --x that fits no anchor of the run; each of these ran on defaults and exited 0
         ["intertwine", "--n", "1", "--x", "1,2,3,4,5"],
@@ -278,6 +291,20 @@ def test_library_domain_error_exits_2(tmp_path, capsys, argv):
     assert err.count("\n") == 1
     if argv[1:] == ["--x", "1,2"] or argv in UNREAD_OPTIONS:
         assert err == f"configuration error: {argv[0]} takes no {argv[-2]}\n"
+
+
+def test_removed_options_exit_2(tmp_path, capsys):
+    # --panels and --order are no options: argparse refuses them as flags, and
+    # a config file as keys; the corner rejection sampler is a test oracle
+    for argv in (["kernels-check", "--panels", "2"], ["dual-check", "--order", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+    (tmp_path / "panels.cfg").write_text("panels = 2\n")
+    assert run(["kernels-check", "--config", str(tmp_path / "panels.cfg"), "--out", str(tmp_path)]) == 2
+    assert run(["sample", "--sampler", "corner_rejection", "--x", "1,2", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown config key 'panels'" in err and "unknown sampler 'corner_rejection'" in err
 
 
 def test_alpha_beyond_the_float_range_exits_cleanly(tmp_path, capsys):

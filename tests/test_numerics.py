@@ -31,7 +31,6 @@ from laguerre_intertwine.stats import EmpiricalSample, ks_one_sample
 X = [0.0, 1.0, 3.0]
 SAMPLERS = {
     "sample_corner_many": lambda rng, size: kernels.sample_corner_many(X, rng, size),
-    "sample_corner_rejection": lambda rng, size: kernels.sample_corner_rejection(X, rng, size),
     "sample_alpha_square": lambda rng, size: kernels.sample_alpha_square(0.5, [1.0, 3.0], rng, size),
     "sample_alpha_corner": lambda rng, size: kernels.sample_alpha_corner(0.5, X, rng, size),
     "sample_ginibre": lambda rng, size: rmt.sample_ginibre(3, 2, rng, size),
@@ -55,10 +54,19 @@ def test_samplers_share_one_draw_count_rule(name):
     for size in (-1, 2.5, True, "3"):
         with pytest.raises(ValueError, match="the number of draws must be an integer >= 0"):
             SAMPLERS[name](rng, size)
+    if name == "sample_invariant_rectangular":
+        # anchor rows fix the count: size is None or the row count
+        rows = np.tile(X, (3, 1))
+        for size in (0, 1, 2, np.int64(4)):
+            with pytest.raises(ValueError, match="3 anchor rows give 3 draws"):
+                rmt.sample_invariant_rectangular(rows, 1, rng, size)
     assert rng.gen.bit_generator.state == state  # refused before any draw
     empty = SAMPLERS[name](rng, 0)
     assert empty.shape[0] == 0 and empty.size == 0
     assert SAMPLERS[name](rng, np.int64(2)).shape[0] == 2
+    if name == "sample_invariant_rectangular":
+        for size in (None, 3, np.int64(3)):
+            assert rmt.sample_invariant_rectangular(rows, 1, rng, size).shape == (3, 4, 3)
 
 
 def test_checked_size():

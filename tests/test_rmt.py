@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from oracles import MEAN_Z_MAX, grid_cdf, laguerre_ensemble_density, mean_z, sample_corner_alpha_matrix
+from oracles import (
+    MEAN_Z_MAX, grid_cdf, laguerre_ensemble_density, mean_z, sample_corner_alpha_matrix, sample_corner_rejection,
+)
 from scipy.special import gammainc, gammaln
 
-from laguerre_intertwine.kernels import sample_corner_rejection, vandermonde
+from laguerre_intertwine.kernels import vandermonde
 from laguerre_intertwine.numerics import RngStream, power_endpoint_rule
 from laguerre_intertwine.rmt import (
     radial_part,
