@@ -18,7 +18,6 @@ from .diffusion import (
     transition_density,
     transition_density_absorbed,
     transition_sample,
-    transition_variance,
 )
 from .kernels import (
     DegenerateAnchorError,

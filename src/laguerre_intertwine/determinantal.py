@@ -66,15 +66,16 @@ move the last bits), so each chain's values are bit-identical to those of
 its own call (:func:`evaluate`).  Nothing is kept from one call to the next.
 
 The mesh appliers :func:`kernels.apply_kernel_to_anchors` and
-:func:`process.semigroup_apply_rows` compute the same quantities for any
-test function, at a cost that grows as K^N; they are this module's oracle.
+:func:`process.semigroup_apply_rows` (over the same cut,
+:func:`process.semigroup_top`) compute the same quantities for any test
+function, at a cost that grows as K^N; they are this module's oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, lgamma, log, sqrt
+from math import factorial, lgamma
 from typing import Callable, Sequence
 
 import numpy as np
@@ -82,7 +83,7 @@ from numpy.polynomial.legendre import leggauss, legvander
 
 from .kernels import KernelSpec, checked_chamber, interior_anchor, vandermonde
 from .numerics import gauss_jacobi, pochhammer, unit_gauss_legendre
-from .process import SemigroupParams, lambda_eigen
+from .process import TAIL_EXPONENT, SemigroupParams, lambda_eigen, semigroup_top
 
 # Gauss-Legendre nodes per panel, and the widest panel above the first.
 # With these the operators match a fine mesh to 1e-14 at N <= 3, and the two
@@ -90,12 +91,6 @@ from .process import SemigroupParams, lambda_eigen
 # (N = 8) at the default anchors.
 ORDER = 20
 PANEL_WIDTH = 2.0
-
-# The semigroup integrals are cut where the transition density from the
-# top anchor coordinate has fallen below e^-TAIL_EXPONENT of its peak, and
-# the semigroup step keeps the Poisson weights and Gamma densities of its
-# mixture down to e^-TAIL_EXPONENT of their peaks.
-TAIL_EXPONENT = 40.0
 
 # Values of k per block of the semigroup step.  At t = 0.01 a block of 128
 # wastes less around each node's span of about 18 sqrt(k) values than one of
@@ -136,48 +131,21 @@ class LineGrid:
     weights: np.ndarray  # (P, ORDER)
 
 
-def semigroup_top(params: SemigroupParams, x_top: float) -> float:
-    """Where the semigroup integrals over y end, for anchors up to ``x_top``.
-
-    The transition density p_t(x, y) falls off as
-    exp(-(sqrt(y) - sqrt(x e^-t))^2 / (1 - e^-t)) times powers of y, so it
-    is below e^-TAIL_EXPONENT of its peak beyond
-    y = (sqrt(x e^-t) + sqrt(TAIL_EXPONENT (1 - e^-t)))^2.  (The 12 sigma
-    cut of :func:`process.semigroup_ymax` leaves about 3e-7 of the mass at
-    x = (1, 2), t = 1: the tail is exponential, not Gaussian.)  For alpha > 0
-    the powers of y carry mass beyond that cut: from x = 0 the density is
-    y^alpha e^(-y/w) up to a factor, w = 1 - e^-t, which falls to
-    e^-TAIL_EXPONENT of its peak at y = w q, q > alpha the root of
-    q - alpha - alpha log(q / alpha) = TAIL_EXPONENT; the top is the larger
-    of the two cuts.
-    """
-    w = -np.expm1(-params.t)
-    top = float((np.sqrt(x_top * np.exp(-params.t)) + np.sqrt(TAIL_EXPONENT * w)) ** 2)
-    alpha = params.alpha
-    if alpha > 0:
-        # Newton on the convex, increasing left side from a start where it is
-        # positive: the iterates fall to the root, within rounding in six steps
-        # for alpha up to 1e3
-        q = alpha + TAIL_EXPONENT + sqrt(TAIL_EXPONENT * (TAIL_EXPONENT + 2.0 * alpha))
-        for _ in range(6):
-            q -= (q - alpha - alpha * log(q / alpha) - TAIL_EXPONENT) / (1.0 - alpha / q)
-        top = max(top, w * q)
-    return top
-
-
 def panel_edges(points, top: float, t: float) -> np.ndarray:
     """The panel edges on (0, max(top, points)), with an edge at each of ``points``.
 
-    The panels from 0 double in width from 5 (1 - e^-t) up to min(1, the
-    smallest positive point), t the shortest semigroup time (inf: none), so
-    that the narrow transition density of a small t is resolved near 0: no
-    panel is added at t >= 0.25, five at t = 0.01 when that point is >= 1.
-    Gaps between consecutive edges wider than ``PANEL_WIDTH`` are split evenly.
+    The panels from 0 double in width from min(5 (1 - e^-t), h) up to
+    min(1, top), t the shortest semigroup time (inf: none) and h the
+    smallest positive point: so the narrow transition density of a small t
+    is resolved near 0, and so is y^alpha H, which a kernel step
+    interpolates, on panels of ratio 2 above a small h.  At h >= 1 no panel
+    is added at t >= 0.25, five at t = 0.01.  Gaps between consecutive edges
+    wider than ``PANEL_WIDTH`` are split evenly.
     """
     points = np.asarray(points, dtype=float)
     positive = points[points > 0]
-    first = min(1.0, float(positive.min()))
-    head = -5.0 * np.expm1(-t)
+    first = min(1.0, top)
+    head = min(-5.0 * np.expm1(-t), float(positive.min()))
     head = head * 2.0 ** np.arange(max(0, int(np.ceil(np.log2(first / head)))))
     knots = np.unique(np.concatenate([head, [first], positive, [top]]))
     edges = [np.zeros(1)]

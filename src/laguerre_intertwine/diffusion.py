@@ -156,16 +156,6 @@ def dual_transition_density_exit(alpha: float, t: float, x, y):
     return float(out) if out.ndim == 0 else out
 
 
-def transition_variance(alpha: float, t: float, x: float) -> float:
-    """Var[Y | X_0 = x] from the noncentral chi-square representation.
-
-    Y = c chi^2(2(alpha+1), lam) with c = w/2, w = 1 - e^-t and c lam = x e^-t,
-    so Var Y = 2 c^2 (2(alpha+1) + 2 lam) = w^2 (alpha+1) + 2 w x e^-t (0 at t = 0).
-    """
-    w = -np.expm1(-t)
-    return w * w * (alpha + 1.0) + 2.0 * w * x * np.exp(-t)
-
-
 def speed_measure_dual(alpha: float, x):
     """Speed-measure density e^x x^(-alpha-1) of the dual generator."""
     x, _ = checked_args(alpha, None, x)

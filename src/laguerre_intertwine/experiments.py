@@ -288,7 +288,7 @@ def dual_check(cfg) -> list[Check]:
 
     # Chapman-Kolmogorov by quadrature
     for (alpha, x, y, s, t) in [(0.5, 1.0, 2.0, 0.3, 0.7), (1.0, 2.0, 1.0, 0.5, 0.5)]:
-        top = determinantal.semigroup_top(SemigroupParams(alpha, s, 1), x) + y + 20.0
+        top = process.semigroup_top(SemigroupParams(alpha, s, 1), x) + y + 20.0
         rule = numerics.power_endpoint_rule(top, alpha, 40, 20)
         lhs = float(np.dot(rule.weights, td(alpha, s, x, rule.nodes) * td(alpha, t, rule.nodes, y)))
         err = abs(lhs - td(alpha, s + t, x, y))

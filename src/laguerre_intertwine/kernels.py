@@ -230,37 +230,24 @@ class KernelRow:
 
     ``takes_alpha`` is one fact in three parts: the kind takes a finite
     alpha > -1, its density carries y^alpha at y = 0 (so its anchors are
-    non-negative), and it is defined only at anchors whose head is > 0.
+    non-negative, and the mesh clusters its nodes for y^alpha), and it is
+    defined only at anchors whose head is > 0.
     """
 
     density: Callable[[float | None, np.ndarray, np.ndarray, list | None], np.ndarray]
     breaks: tuple[int, ...]
     takes_alpha: bool
-    log_segment: bool  # at alpha = 0 a segment factor is log(b / y), log-singular at y = 0
 
     @property
     def dim_drop(self) -> int:
         return self.breaks[-1]
 
-    def node_stretch(self, alpha: float | None) -> float:
-        """Power of the quadrature's node map y = top * v^stretch (1: plain nodes).
-
-        The log-singular segment factor gets the clustering of y^(-1/2): it
-        matters as the head goes to 0, where plain nodes lose 1e-3 of the
-        alpha_corner mass at a head of 1e-300.
-        """
-        if not self.takes_alpha:
-            return 1.0
-        if self.log_segment and alpha == 0:
-            return power_stretch(-0.5)
-        return power_stretch(alpha)
-
 
 KERNELS: dict[str, KernelRow] = {
-    # kind: KernelRow(density, breaks, takes_alpha, log_segment)
-    "corner": KernelRow(_corner_density, (0, 1), False, False),
-    "alpha_square": KernelRow(_alpha_square_density, (-1, 0), True, False),
-    "alpha_corner": KernelRow(_alpha_corner_density, (-1, 0, 1), True, True),
+    # kind: KernelRow(density, breaks, takes_alpha)
+    "corner": KernelRow(_corner_density, (0, 1), False),
+    "alpha_square": KernelRow(_alpha_square_density, (-1, 0), True),
+    "alpha_corner": KernelRow(_alpha_corner_density, (-1, 0, 1), True),
 }
 
 
@@ -572,8 +559,11 @@ def apply_kernel_quadrature(
     rather than a NaN or an infinite value returned, for an anchor that is
     not a chamber point of the kernel, and where the density leaves the
     float range (a subnormal anchor coordinate, a window of subnormal
-    width).  Quadrature panels are anchored at the window segment endpoints
-    so the integrand is smooth on every panel.
+    width).  Each window segment (lo, hi) takes Gauss nodes in v = y^(1/m)
+    on (lo^(1/m), hi^(1/m)), the map of :func:`numerics.power_endpoint_rule`
+    for y^e at 0: e = alpha for the alpha kinds (-1/2 at alpha = 0, where
+    the alpha_corner factor log(b / y) is log-singular at a small head), and
+    e = 0, plain nodes, for the corner kind.
     """
     row = spec.row
     x = interior_anchor(spec, x)
@@ -581,37 +571,22 @@ def apply_kernel_quadrature(
     if n > 3:
         raise UnsupportedDimensionError("kernel quadrature is guarded to N <= 3")
 
-    # per-coordinate nodes/weights, shape (K_i,); the alpha-weighted
-    # kernels carry prod y_k^alpha, which is singular (or merely
-    # non-analytic) at y = 0, so their nodes come from the power map
-    # y = top * v^stretch with panel edges at the v-images of the window
-    # breakpoints.  This resolves the weight even when a window's lower
-    # edge sits arbitrarily close to 0.
-    stretch = row.node_stretch(spec.alpha)
     points = _window_points(row.breaks, x)
     with np.errstate(over="ignore"):
         seg = np.concatenate([hi - lo for lo, hi in zip(points[:-1], points[1:])])
     if np.any(((seg > 0) & (seg < np.finfo(float).tiny)) | np.isinf(seg)):
         raise ValueError(f"{spec.kind} quadrature weights leave the float range: a window "
                          "segment of subnormal or infinite width")
+    # per-coordinate nodes and weights, shape (K_i,)
+    m = power_stretch((spec.alpha if spec.alpha != 0 else -0.5) if row.takes_alpha else 0.0)
+    u, w = unit_gauss_legendre(panels, order)
     nodes, weights = [], []
-    u_plain, w_plain = unit_gauss_legendre(panels, order)
     for i in range(n):
-        edges = [p[i, None] for p in points]
-        node_parts, weight_parts = [], []
-        if stretch > 1.0:
-            top = edges[-1]
-            v_edges = [(e / top) ** (1.0 / stretch) for e in edges]
-            for va, vb in zip(v_edges[:-1], v_edges[1:]):
-                v = va + (vb - va) * u_plain
-                node_parts.append(top * v**stretch)
-                weight_parts.append(top * stretch * v ** (stretch - 1.0) * (vb - va) * w_plain)
-        else:
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                node_parts.append(lo + (hi - lo) * u_plain)
-                weight_parts.append((hi - lo) * w_plain)
-        nodes.append(np.concatenate(node_parts))
-        weights.append(np.concatenate(weight_parts))
+        v_edges = np.array([p[i] for p in points]) ** (1.0 / m)
+        width = np.diff(v_edges)[:, None]
+        v = (v_edges[:-1, None] + width * u).ravel()
+        nodes.append(v**m)
+        weights.append(m * v ** (m - 1.0) * (width * w).ravel())
 
     pts = np.stack(np.meshgrid(*nodes, indexing="ij"), axis=-1)
     contrib = _window_density(row, spec.alpha, x, pts, np.meshgrid(*weights, indexing="ij", sparse=True))

@@ -1,13 +1,14 @@
 """The N-particle non-colliding Laguerre process.
 
-The semigroup's parameters and the eigenvalue of the Vandermonde under the
-summed generators, the semigroup by box quadrature for N <= 3 (the mesh
-oracle of :mod:`determinantal`), a simulator for the interacting SDE (a
-drift-implicit step in Y = sqrt(X) for alpha > -1/2, Euler-Maruyama for
-alpha in (-1, -1/2]), and the exact matrix Ornstein-Uhlenbeck simulator
-available at integer parameter.  The transition density itself is never
-evaluated pointwise: the semigroup integrates the Karlin-McGregor
-determinant det[p_t(x_i, y_j)] against the test function
+The semigroup's parameters, the Vandermonde's eigenvalue under the summed
+generators, the one tail cut of the semigroup integrals
+(:func:`semigroup_top`), the semigroup by box quadrature for N <= 3 (the
+mesh oracle of :mod:`determinantal`), a simulator for the interacting SDE
+(a drift-implicit step in Y = sqrt(X) for alpha > -1/2, Euler-Maruyama
+for alpha in (-1, -1/2]), and the exact matrix Ornstein-Uhlenbeck
+simulator available at integer parameter.  The transition density
+itself is never evaluated pointwise: the semigroup integrates the
+Karlin-McGregor determinant det[p_t(x_i, y_j)] against the test function
 (:func:`semigroup_apply_rows`, and in integrated form
 :func:`determinantal.evaluate`).
 """
@@ -16,15 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import log, sqrt
 from typing import Callable
 
 import numpy as np
 
-from .diffusion import transition_density, transition_variance
+from .diffusion import transition_density
 from .kernels import UnsupportedDimensionError, checked_chamber, vandermonde
 from .numerics import (
-    RngStream, checked_alpha, checked_alpha_int, checked_size, checked_time, gauss_legendre_rule,
-    pointwise_values, power_endpoint_rule, power_stretch,
+    RngStream, checked_alpha, checked_alpha_int, checked_size, checked_time, pointwise_values,
+    power_endpoint_rule,
 )
 from .rmt import radial_part
 
@@ -59,6 +61,12 @@ _ARMIJO = 1e-4
 # stepper: 2^18 float64 is 2 MiB, and two blocks are in flight.
 SDE_BLOCK_NORMALS = 2**18
 
+# The semigroup integrals end where the transition density from the top
+# anchor coordinate falls below e^-TAIL_EXPONENT of its peak (semigroup_top),
+# and the semigroup step of determinantal keeps the Poisson weights and Gamma
+# densities of its mixture down to e^-TAIL_EXPONENT of their peaks.
+TAIL_EXPONENT = 40.0
+
 
 @dataclass(frozen=True)
 class SemigroupParams:
@@ -92,35 +100,31 @@ def lambda_eigen(n_dim: int) -> float:
     return -0.5 * n_dim * (n_dim - 1)
 
 
-def semigroup_ymax(alpha: float, t: float, x_top: float, n_dim: int) -> float:
-    """Truncation point for semigroup quadrature boxes.
+def semigroup_top(params: SemigroupParams, x_top: float) -> float:
+    """Where the semigroup integrals over y end, for anchors up to ``x_top``.
 
-    Top-particle mean plus twelve standard deviations of the one-particle
-    noncentral chi-square law.  Its upper tail is exponential, not
-    Gaussian, so the cut leaves more mass than twelve Gaussian sigmas
-    would: at t = 1, alpha = -0.5 about 3.1e-7 of it at x = (1, 2) and
-    3.7e-8 at x = (2,).  :func:`determinantal.semigroup_top` cuts further out.
+    The transition density p_t(x, y) falls off as
+    exp(-(sqrt(y) - sqrt(x e^-t))^2 / (1 - e^-t)) times powers of y, so it
+    is below e^-TAIL_EXPONENT of its peak beyond
+    y = (sqrt(x e^-t) + sqrt(TAIL_EXPONENT (1 - e^-t)))^2.  For alpha > 0
+    the powers of y carry mass beyond that cut: from x = 0 the density is
+    y^alpha e^(-y/w) up to a factor, w = 1 - e^-t, which falls to
+    e^-TAIL_EXPONENT of its peak at y = w q, q > alpha the root of
+    q - alpha - alpha log(q / alpha) = TAIL_EXPONENT; the top is the larger
+    of the two cuts.
     """
-    w = -np.expm1(-t)
-    mean_top = x_top * np.exp(-t) + (alpha + 1.0 + 2.0 * n_dim) * w
-    var = transition_variance(alpha, t, x_top)
-    return float(mean_top + 12.0 * np.sqrt(max(var, 1e-12)))
-
-
-def _box_axis_nodes(alpha: float, y_max: float, panels: int, order: int):
-    """Quadrature nodes on (0, y_max) for integrands with a y^alpha factor at 0.
-
-    Non-integer alpha gets a node-clustered layer on [0, min(1, y_max/4)]
-    and a plain composite rule above it; integer alpha is analytic at 0 and
-    uses a single plain composite rule.
-    """
-    if power_stretch(alpha) == 1.0:
-        rule = power_endpoint_rule(y_max, alpha, panels, order)
-        return rule.nodes, rule.weights
-    y_split = min(1.0, 0.25 * y_max)
-    head = power_endpoint_rule(y_split, alpha, 1, order)
-    body = gauss_legendre_rule(y_split, y_max, panels, order)
-    return np.concatenate([head.nodes, body.nodes]), np.concatenate([head.weights, body.weights])
+    w = -np.expm1(-params.t)
+    top = float((np.sqrt(x_top * np.exp(-params.t)) + np.sqrt(TAIL_EXPONENT * w)) ** 2)
+    alpha = params.alpha
+    if alpha > 0:
+        # Newton on the convex, increasing left side from a start where it is
+        # positive: the iterates fall to the root, within rounding in six steps
+        # for alpha up to 1e3
+        q = alpha + TAIL_EXPONENT + sqrt(TAIL_EXPONENT * (TAIL_EXPONENT + 2.0 * alpha))
+        for _ in range(6):
+            q -= (q - alpha - alpha * log(q / alpha) - TAIL_EXPONENT) / (1.0 - alpha / q)
+        top = max(top, w * q)
+    return top
 
 
 def semigroup_apply_rows(
@@ -141,7 +145,9 @@ def semigroup_apply_rows(
     point, shared across anchors.  Each row is an N-coordinate point of the
     non-negative chamber: at t = 0, where the semigroup is the identity, of
     the closed one; at t > 0 strictly interior
-    (:class:`kernels.DegenerateAnchorError` otherwise).
+    (:class:`kernels.DegenerateAnchorError` otherwise).  The box (0, ``y_max``)
+    ends by default at :func:`semigroup_top` of the largest coordinate, and
+    takes the nodes of :func:`numerics.power_endpoint_rule` for y^alpha at 0.
     """
     n = params.n_dim
     if n > 3:
@@ -153,8 +159,9 @@ def semigroup_apply_rows(
     if params.t == 0:
         return pointwise_values(f, x_rows)
     if y_max is None:
-        y_max = semigroup_ymax(params.alpha, params.t, float(np.max(x_rows)), n)
-    nodes, wts = _box_axis_nodes(params.alpha, y_max, panels, order)
+        y_max = semigroup_top(params, float(np.max(x_rows)))
+    rule = power_endpoint_rule(y_max, params.alpha, panels, order)
+    nodes, wts = rule.nodes, rule.weights
     chamber = np.array(list(combinations(range(nodes.size), n)))  # (C, N)
     pts = nodes[chamber]
     weight = vandermonde(pts) * np.prod(wts[chamber], axis=-1) * pointwise_values(f, pts)

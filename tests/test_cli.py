@@ -358,6 +358,10 @@ def test_x_replaces_the_anchors_it_fits(tmp_path):
     anchors = {(r["kernel"], r["N"]): r["anchor"] for r in rows if r["check"] == "normalization"}
     assert anchors[("corner", "2")] == anchors[("alpha_corner", "2")] == "1 2 5"
     assert anchors[("corner", "1")] == "1 2" and anchors[("alpha_square", "2")] == "1 3"
+    # a small head coordinate: each of these exited 1 (rel 3.8e-2 and 5.4e-2)
+    # while the engine's panels from 0 started above it
+    for argv in (["intertwine", "--n", "2", "--x", "1e-4,1,2"], ["kernels-check", "--n", "2", "--x", "1e-12,1,2"]):
+        assert run(argv + ["--out", str(tmp_path / argv[0])]) == 0
 
 
 def test_flag_parses_as_its_config_line(tmp_path, capsys):

@@ -1,11 +1,13 @@
 """The determinantal engine against the mesh appliers, its oracle.
 
-Each operator is pinned twice: to the mesh at the resolutions the
-intertwine experiment ran before the engine replaced it, and, for the
-semigroup, to a finer mesh over the engine's own box.  The semigroup step
-is also pinned to the transition density tabulated point by point on the
-engine's own grid (``oracles.semigroup_step_pointwise``).
+Each kernel is pinned to the mesh at the resolutions the intertwine
+experiment ran before the engine replaced it, and the semigroup to a fine
+mesh over the box both share (``process.semigroup_top``).  The semigroup
+step is also pinned to the transition density tabulated point by point on
+the engine's own grid (``oracles.semigroup_step_pointwise``).
 """
+
+import itertools
 
 from collections import Counter
 
@@ -15,7 +17,7 @@ from oracles import semigroup_step_pointwise
 
 from laguerre_intertwine import determinantal, experiments
 from laguerre_intertwine.cli import ExperimentConfig, main
-from laguerre_intertwine.determinantal import ProductFunction, evaluate, evaluate_chains, semigroup_top
+from laguerre_intertwine.determinantal import ProductFunction, evaluate, evaluate_chains
 from laguerre_intertwine.experiments import (
     CORNER_ANCHORS,
     SQUARE_ANCHORS,
@@ -29,15 +31,15 @@ from laguerre_intertwine.kernels import (
     apply_kernel_quadrature,
     apply_kernel_to_anchors,
 )
-from laguerre_intertwine.process import SemigroupParams, semigroup_apply_rows
+from laguerre_intertwine.process import SemigroupParams, semigroup_apply_rows, semigroup_top
 
 FUNCTIONS = tuple(TEST_FUNCTIONS.values())
 ALPHAS = (-0.5, 0.0, 1.0, 2.5)
 
-# the mesh resolutions of the intertwine experiment before the engine:
-# (semigroup panels, order, kernel panels, order) per lower dimension N;
-# N = 3 takes the kernels-check default
-MESH_RESOLUTION = {1: (4, 20, 3, 20), 2: (3, 14, 1, 12), 3: (None, None, 2, 20)}
+# the kernel mesh resolutions of the intertwine experiment before the
+# engine: (panels, order) per lower dimension N; N = 3 takes the
+# kernels-check default
+MESH_RESOLUTION = {1: (3, 20), 2: (1, 12), 3: (2, 20)}
 
 
 def each_function(apply, op, x, *args, **kwargs):
@@ -52,14 +54,7 @@ def test_semigroup_matches_mesh(n, alpha, t):
     params = SemigroupParams(alpha, t, n)
     x = np.array(SQUARE_ANCHORS[n])
     got = evaluate((params,), x, FUNCTIONS)
-    panels, order, _, _ = MESH_RESOLUTION[n]
-    # the mesh box ends at process.semigroup_ymax, whose cut leaves up to
-    # 3e-7 of the mass at these anchors; the engine's box is wider
-    mesh = each_function(semigroup_apply_rows, params, x[None, :], panels, order)
-    assert np.max(np.abs(got - mesh) / np.abs(mesh)) <= 1e-6
-    fine = each_function(
-        semigroup_apply_rows, params, x[None, :], 8, 20, y_max=semigroup_top(params, x[-1])
-    )
+    fine = each_function(semigroup_apply_rows, params, x[None, :], 8, 20)
     assert np.max(np.abs(got - fine) / np.abs(fine)) <= 1e-12
 
 
@@ -97,9 +92,30 @@ def test_kernel_matches_mesh(n, kind, alpha):
     spec = KernelSpec(kind, alpha)
     x = np.array(SQUARE_ANCHORS[n] if kind == "alpha_square" else CORNER_ANCHORS[n])
     got = evaluate((spec,), x, FUNCTIONS)
-    _, _, panels, order = MESH_RESOLUTION[n]
+    panels, order = MESH_RESOLUTION[n]
     mesh = each_function(apply_kernel_to_anchors, spec, x[None, :], panels, order)
     assert np.max(np.abs(got - mesh) / np.abs(mesh)) <= 1e-8
+
+
+def test_kernel_mass_at_a_small_head():
+    # the mass of each kind at anchors (h, 2, 3, 5), cut to the kind's length:
+    # one panel (h, 2) left y^alpha H nearly singular on it, off by up to 0.95
+    # (alpha_corner, alpha = -0.99, h = 1e-300); alpha_corner is refused where
+    # h^(alpha + 1) underflows (alpha = 2.5 at h <= 1e-100, alpha = 1 at 1e-300)
+    heads = (1e-1, 1e-2, 1e-4, 1e-8, 1e-12, 1e-100, 1e-300)
+    cells = refused = 0
+    for n, kind, h in itertools.product((1, 2, 3), KERNELS, heads):
+        row = KERNELS[kind]
+        for alpha in ((-0.99, -0.5, 0.0, 1.0, 2.5) if row.takes_alpha else (None,)):
+            x = (h, 2.0, 3.0, 5.0)[: n + row.dim_drop]
+            cells += 1
+            try:
+                mass = evaluate((KernelSpec(kind, alpha),), x, [ProductFunction(g=np.ones_like)])[0]
+            except ValueError:
+                refused += 1
+                continue
+            assert abs(mass - 1.0) <= 1e-12, (n, kind, alpha, h, mass)
+    assert cells == 231 and refused <= 9
 
 
 @pytest.mark.parametrize(

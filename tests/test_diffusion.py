@@ -13,11 +13,10 @@ from laguerre_intertwine.diffusion import (
     transition_density,
     transition_density_absorbed,
     transition_sample,
-    transition_variance,
 )
 from laguerre_intertwine.kernels import sample_alpha_corner, sample_alpha_corner_rows, sample_alpha_square
 from laguerre_intertwine.numerics import RngStream, power_endpoint_rule
-from laguerre_intertwine.process import SemigroupParams, semigroup_ymax
+from laguerre_intertwine.process import SemigroupParams
 from laguerre_intertwine.stats import EmpiricalSample, ks_two_sample
 
 
@@ -106,7 +105,10 @@ def test_sampler_mean():
     alpha, t, x = 1.0, 0.5, 3.0
     draws = transition_sample(alpha, t, x, rng, size=400_000)
     target = 3.0 * math.exp(-0.5) + 2.0 * (1.0 - math.exp(-0.5))
-    assert abs(mean_z(draws, target, transition_variance(alpha, t, x))) <= MEAN_Z_MAX
+    # Y = c chi^2(2(alpha+1), lam), c = w/2 and c lam = x e^-t: Var Y = 2 c^2 (2(alpha+1) + 2 lam)
+    w = -math.expm1(-t)
+    variance = w * w * (alpha + 1.0) + 2.0 * w * x * math.exp(-t)
+    assert abs(mean_z(draws, target, variance)) <= MEAN_Z_MAX
 
 
 def test_sampler_domain():
@@ -167,15 +169,3 @@ def test_entrance_log_density_matches_scipy_gammaln():
             assert np.allclose(_log_density_entrance(alpha, t, y), want, rtol=1e-14, atol=1e-14)
 
 
-@pytest.mark.filterwarnings("error")
-def test_transition_variance_at_t_zero():
-    # the variance at t = 0 is 0, with no 0 * inf on the way
-    assert transition_variance(0.5, 0.0, 2.0) == 0.0
-    assert transition_variance(-0.5, 0.0, 0.0) == 0.0
-    assert math.isfinite(semigroup_ymax(0.5, 0.0, 2.0, 2))
-    # and at t > 0 it is the noncentral chi-square variance 2 c^2 (k + 2 lam)
-    for alpha, t, x in [(0.5, 0.3, 2.0), (-0.5, 1e-8, 1.0), (3.0, 5.0, 0.0)]:
-        c = -0.5 * math.expm1(-t)
-        lam = x * math.exp(-t) / c
-        assert transition_variance(alpha, t, x) == pytest.approx(
-            2.0 * c * c * (2.0 * (alpha + 1.0) + 2.0 * lam), rel=1e-14)

@@ -22,9 +22,8 @@ from laguerre_intertwine.process import (
     semigroup_apply_rows,
     simulate_matrix_ou,
     simulate_sde,
-    semigroup_ymax,
+    semigroup_top,
 )
-from laguerre_intertwine.process import _box_axis_nodes
 from laguerre_intertwine.rmt import (
     sample_invariant_rectangular,
     sample_laguerre_ensemble,
@@ -95,6 +94,19 @@ def test_semigroup_conservativity_grid():
             for n, x in ((1, np.array([2.0])), (2, np.array([1.0, 2.0]))):
                 val = semigroup_apply(SemigroupParams(alpha, t, n), x, ONE, panels=3, order=20)
                 assert abs(val - 1.0) < 1e-6, (alpha, t, n, val)
+    # at 8 x 20 the default box, cut at semigroup_top, holds the mass to rounding
+    # (a box cut at the top mean plus 12 sigma left 3.1e-7 of it at x = (1, 2))
+    for alpha in (-0.5, 0.0, 1.0, 2.5):
+        for n, x in ((1, np.array([2.0])), (2, np.array([1.0, 2.0]))):
+            val = semigroup_apply(SemigroupParams(alpha, 1.0, n), x, ONE, panels=8, order=20)
+            assert abs(val - 1.0) <= 1e-12, (alpha, n, val)
+
+
+@pytest.mark.filterwarnings("error")
+def test_semigroup_top_at_t_zero():
+    # at t = 0 the box ends at the anchor, with no 0 * inf on the way
+    assert semigroup_top(SemigroupParams(0.5, 0.0, 2), 2.0) == pytest.approx(2.0, rel=1e-15)
+    assert semigroup_top(SemigroupParams(-0.5, 0.0, 1), 0.0) == 0.0
 
 
 def test_semigroup_strong_continuity():
@@ -121,8 +133,8 @@ def _semigroup_apply_rows_full_mesh(params, x_rows, f, panels, order):
     """Oracle: the box quadrature with f evaluated on every mesh point."""
     n = params.n_dim
     x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
-    y_max = semigroup_ymax(params.alpha, params.t, float(np.max(x_rows)), n)
-    nodes, wts = _box_axis_nodes(params.alpha, y_max, panels, order)
+    rule = power_endpoint_rule(semigroup_top(params, float(np.max(x_rows))), params.alpha, panels, order)
+    nodes, wts = rule.nodes, rule.weights
     k = nodes.size
     p = transition_density(params.alpha, params.t, x_rows[:, :, None], nodes[None, None, :])
     det = None
@@ -217,7 +229,7 @@ def test_semigroup_rows_match_single_row_calls_bit_for_bit(alpha, x_rows, t):
     rows = np.array(x_rows)
     if t > 0:
         rows = rows[np.all(np.diff(rows) > 0, axis=1)]
-    y_max = semigroup_ymax(alpha, t, float(np.max(rows)), params.n_dim) if t > 0 else None
+    y_max = semigroup_top(params, float(np.max(rows))) if t > 0 else None
     for fn in SCALAR_FUNCTIONS:
         got = semigroup_apply_rows(params, rows, fn, 2, 8, y_max)
         assert got.shape == (len(rows),)
