@@ -2,9 +2,8 @@
 verification suite."""
 
 from .numerics import (
-    QuadratureRule,
     RngStream,
-    gauss_legendre_rule,
+    gauss_rule,
     pochhammer,
     sample_noncentral_chisq,
 )

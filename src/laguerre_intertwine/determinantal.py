@@ -82,7 +82,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 
 from .kernels import KernelSpec, checked_chamber, interior_anchor, vandermonde
-from .numerics import gauss_jacobi, pochhammer, unit_gauss_legendre
+from .numerics import gauss_jacobi, gauss_rule, pochhammer
 from .process import TAIL_EXPONENT, SemigroupParams, lambda_eigen, semigroup_top
 
 # Gauss-Legendre nodes per panel, and the widest panel above the first.
@@ -176,9 +176,7 @@ def alpha_split(edges: np.ndarray, alpha: float) -> np.ndarray:
 
 def line_grid(edges: np.ndarray) -> LineGrid:
     """The grid of ``ORDER`` Gauss-Legendre nodes on each panel between ``edges``."""
-    u, w = unit_gauss_legendre(1, ORDER)
-    width = np.diff(edges)[:, None]
-    return LineGrid(edges, edges[:-1, None] + width * u, width * w)
+    return LineGrid(edges, *gauss_rule(edges, ORDER))
 
 
 @lru_cache(maxsize=None)

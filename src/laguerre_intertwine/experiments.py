@@ -78,11 +78,11 @@ IDENTITIES = {
     "square_shift": ("alpha_square", (1.0, 0), (0.0, 0)),
 }
 
-# intertwine tolerance on rel_error per lower dimension N: 1e-5 and 1e-4 at
-# N <= 2, the gates of the nested mesh quadrature; 1e-6 at N >= 3, where
-# the determinantal sides agree to about 2e-11 (1.5e-9 at N = 8) and the
-# condition limit (determinantal.COND_LIMIT) keeps the determinants to about 2e-6
-INTERTWINE_TOL = {1: 1e-5, 2: 1e-4, 3: 1e-6, 4: 1e-6, 5: 1e-6, 6: 1e-6, 7: 1e-6, 8: 1e-6}
+# intertwine tolerance on rel_error at every N: the determinantal sides agree
+# to about 5e-14 (N <= 2), 2e-11 (N = 6) and 1.5e-9 (N = 8) at the default
+# anchors, and the condition limit (determinantal.COND_LIMIT) keeps the
+# determinants to about 2e-6
+INTERTWINE_TOL = 1e-6
 
 # stream of the composition points in kernels-check
 COMPOSITION_STREAM = 300
@@ -101,18 +101,17 @@ def intertwine_chains(identity: str, alpha: float, t: float, size: int):
     return (upper, spec), (spec, lower)
 
 
-def composed_corner_density(
-    alpha: float, x: np.ndarray, y: np.ndarray, panels: int, order: int
-) -> float:
+def composed_corner_density(alpha: float, x: np.ndarray, y: np.ndarray) -> float:
     """The alpha corner density at y as the corner density times the alpha_square
-    density, integrated by quadrature over the intermediate point."""
+    density, integrated by quadrature (4 panels of 20 nodes per coordinate)
+    over the intermediate point."""
     lo = np.maximum(x[:-1], y)
     hi = np.minimum(x[1:], np.append(y[1:], x[-1]))
     if np.any(lo >= hi):
         return 0.0
-    u, w = numerics.unit_gauss_legendre(panels, order)
-    mesh = np.stack(np.meshgrid(*(lo[:, None] + (hi - lo)[:, None] * u), indexing="ij"), axis=-1)
-    wmesh = reduce(np.multiply.outer, (hi - lo)[:, None] * w)
+    nodes, weights = (a[:, 0] for a in numerics.gauss_rule(np.stack([lo, hi], -1), 20, panels=4))
+    mesh = np.stack(np.meshgrid(*nodes, indexing="ij"), axis=-1)
+    wmesh = reduce(np.multiply.outer, weights)
     corner = kernels.kernel_density(KernelSpec("corner"), x, mesh)
     square = kernels.kernel_density(KernelSpec("alpha_square", alpha), mesh, y)
     return float((corner * square * wmesh).sum())
@@ -200,7 +199,7 @@ def kernels_check(cfg) -> list[Check]:
                 y = np.sort(lo + rng.gen.random(n) * (x[1:] - lo))
                 direct = kernels.kernel_density(KernelSpec("alpha_corner", alpha), x, y)
                 if direct > 0:
-                    composed = composed_corner_density(alpha, x, y, panels=4, order=20)
+                    composed = composed_corner_density(alpha, x, y)
                     worst = max(worst, abs(direct - composed) / direct)
             row = {
                 "check": "composition", "kernel": "alpha_corner", "alpha": alpha, "N": n,
@@ -215,13 +214,13 @@ def intertwine(cfg) -> list[Check]:
     """Semigroup/kernel exchange identities, each side its own determinant;
     the sides at one anchor go to the engine in one call."""
     n_values = (1, 2) if cfg.n is None else (cfg.n,)
-    if any(n not in INTERTWINE_TOL for n in n_values):
-        raise ConfigError(f"intertwine supports N in 1..{max(INTERTWINE_TOL)}")
+    if any(n not in CORNER_ANCHORS for n in n_values):
+        raise ConfigError(f"intertwine supports N in 1..{max(CORNER_ANCHORS)}")
     functions = list(TEST_FUNCTIONS.values())
     given = _given_x(cfg, {n + up_dn for n in n_values for _, (_, up_dn), _ in IDENTITIES.values()})
     checks = []
     for n in n_values:
-        tol = cfg.tol if cfg.tol is not None else INTERTWINE_TOL[n]
+        tol = cfg.tol if cfg.tol is not None else INTERTWINE_TOL
         if cfg.alpha is not None:
             alphas = (cfg.alpha,)
         else:
@@ -264,6 +263,11 @@ def dual_check(cfg) -> list[Check]:
     """h-transform identities, dual generator residuals, and the N = 1
     density forms of the dual kernel exchange relations."""
     td, dual_speed = diffusion.transition_density, diffusion.speed_measure_dual
+
+    def rule(lo, hi, exponent=0.0):
+        """The 40 panels of 20 nodes on (lo, hi), for y^exponent at lo = 0."""
+        return map(np.ravel, numerics.gauss_rule([lo, hi], 20, exponent, 40))
+
     checks = []
 
     # pointwise h-transform residual between parameters -alpha and alpha
@@ -289,15 +293,14 @@ def dual_check(cfg) -> list[Check]:
     # Chapman-Kolmogorov by quadrature
     for (alpha, x, y, s, t) in [(0.5, 1.0, 2.0, 0.3, 0.7), (1.0, 2.0, 1.0, 0.5, 0.5)]:
         top = process.semigroup_top(SemigroupParams(alpha, s, 1), x) + y + 20.0
-        rule = numerics.power_endpoint_rule(top, alpha, 40, 20)
-        lhs = float(np.dot(rule.weights, td(alpha, s, x, rule.nodes) * td(alpha, t, rule.nodes, y)))
+        nodes, weights = rule(0.0, top, alpha)
+        lhs = float(np.dot(weights, td(alpha, s, x, nodes) * td(alpha, t, nodes, y)))
         err = abs(lhs - td(alpha, s + t, x, y))
         detail = f"ck[alpha={alpha}]"
         checks.append(_residual_check("chapman_kolmogorov", alpha, s + t, x, y, err, 1e-8, detail))
 
     # dual kernel exchange, N = 1 density forms (12-point grid)
     tol = cfg.tol if cfg.tol is not None else 1e-5
-    panels, order = 40, 20
 
     # same dimension: exit-continuation branch, parameters below 0
     for (alpha, t, x, y) in [
@@ -306,12 +309,12 @@ def dual_check(cfg) -> list[Check]:
         (-0.5, 0.5, 2.0, 1.0), (-0.5, 0.25, 1.0, 0.5),
         (-0.25, 0.5, 2.0, 1.0), (-0.25, 0.25, 1.0, 0.5),
     ]:
-        r1 = numerics.gauss_legendre_rule(y, 40.0 + x + y, panels, order)
-        absorbed = diffusion.transition_density_absorbed(alpha, t, x, r1.nodes)
-        lhs = dual_speed(alpha, y) * float(np.dot(r1.weights, absorbed))
-        r2 = numerics.power_endpoint_rule(x, -(alpha + 1.0), panels, order)
-        exit_density = diffusion.dual_transition_density_exit(alpha, t, r2.nodes, y)
-        rhs = float(np.dot(r2.weights, dual_speed(alpha, r2.nodes) * exit_density))
+        nodes, weights = rule(y, 40.0 + x + y)
+        absorbed = diffusion.transition_density_absorbed(alpha, t, x, nodes)
+        lhs = dual_speed(alpha, y) * float(np.dot(weights, absorbed))
+        nodes, weights = rule(0.0, x, -(alpha + 1.0))
+        exit_density = diffusion.dual_transition_density_exit(alpha, t, nodes, y)
+        rhs = float(np.dot(weights, dual_speed(alpha, nodes) * exit_density))
         detail = f"dual_same[alpha={alpha},t={t}]"
         rel = _rel(lhs, rhs)
         checks.append(_residual_check("dual_exchange_same_dim", alpha, t, x, y, rel, tol, detail))
@@ -319,16 +322,15 @@ def dual_check(cfg) -> list[Check]:
     # corner: conservative branch, alpha > -1, anchor (1, 2)
     x = np.array([1.0, 2.0])
     for (alpha, t, y) in [(-0.5, 0.5, 1.5), (0.5, 0.5, 1.5), (1.5, 0.3, 1.0), (0.5, 0.25, 0.8)]:
-        ra = numerics.power_endpoint_rule(y, alpha, panels, order)
-        rb = numerics.gauss_legendre_rule(y, 40.0 + x[1] + y, panels, order)
+        (a_nodes, a_weights), (b_nodes, b_weights) = rule(0.0, y, alpha), rule(y, 40.0 + x[1] + y)
         det = (
-            td(alpha, t, x[0], ra.nodes)[:, None] * td(alpha, t, x[1], rb.nodes)[None, :]
-            - td(alpha, t, x[0], rb.nodes)[None, :] * td(alpha, t, x[1], ra.nodes)[:, None]
+            td(alpha, t, x[0], a_nodes)[:, None] * td(alpha, t, x[1], b_nodes)[None, :]
+            - td(alpha, t, x[0], b_nodes)[None, :] * td(alpha, t, x[1], a_nodes)[:, None]
         )
-        lhs = dual_speed(alpha, y) * float(ra.weights @ det @ rb.weights)
-        rc = numerics.gauss_legendre_rule(x[0], x[1], panels, order)
-        shifted = td(alpha + 1.0, t, rc.nodes, y)
-        rhs = float(np.dot(rc.weights, np.exp(-t) * shifted * dual_speed(alpha, y)))
+        lhs = dual_speed(alpha, y) * float(a_weights @ det @ b_weights)
+        nodes, weights = rule(x[0], x[1])
+        shifted = td(alpha + 1.0, t, nodes, y)
+        rhs = float(np.dot(weights, np.exp(-t) * shifted * dual_speed(alpha, y)))
         detail = f"dual_corner[alpha={alpha},t={t}]"
         rel = _rel(lhs, rhs)
         checks.append(_residual_check("dual_exchange_corner", alpha, t, "1 2", y, rel, tol, detail))

@@ -40,9 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import (
-    RngStream, checked_alpha, checked_size, pochhammer, pointwise_values, power_stretch, unit_gauss_legendre,
-)
+from .numerics import RngStream, checked_alpha, checked_size, gauss_rule, pochhammer, pointwise_values
 
 
 class DegenerateAnchorError(ValueError):
@@ -559,8 +557,7 @@ def apply_kernel_quadrature(
     rather than a NaN or an infinite value returned, for an anchor that is
     not a chamber point of the kernel, and where the density leaves the
     float range (a subnormal anchor coordinate, a window of subnormal
-    width).  Each window segment (lo, hi) takes Gauss nodes in v = y^(1/m)
-    on (lo^(1/m), hi^(1/m)), the map of :func:`numerics.power_endpoint_rule`
+    width).  Each window segment takes the nodes of :func:`numerics.gauss_rule`
     for y^e at 0: e = alpha for the alpha kinds (-1/2 at alpha = 0, where
     the alpha_corner factor log(b / y) is log-singular at a small head), and
     e = 0, plain nodes, for the corner kind.
@@ -578,15 +575,9 @@ def apply_kernel_quadrature(
         raise ValueError(f"{spec.kind} quadrature weights leave the float range: a window "
                          "segment of subnormal or infinite width")
     # per-coordinate nodes and weights, shape (K_i,)
-    m = power_stretch((spec.alpha if spec.alpha != 0 else -0.5) if row.takes_alpha else 0.0)
-    u, w = unit_gauss_legendre(panels, order)
-    nodes, weights = [], []
-    for i in range(n):
-        v_edges = np.array([p[i] for p in points]) ** (1.0 / m)
-        width = np.diff(v_edges)[:, None]
-        v = (v_edges[:-1, None] + width * u).ravel()
-        nodes.append(v**m)
-        weights.append(m * v ** (m - 1.0) * (width * w).ravel())
+    e = (spec.alpha if spec.alpha != 0 else -0.5) if row.takes_alpha else 0.0
+    rules = [gauss_rule([p[i] for p in points], order, e, panels) for i in range(n)]
+    nodes, weights = [r[0].ravel() for r in rules], [r[1].ravel() for r in rules]
 
     pts = np.stack(np.meshgrid(*nodes, indexing="ij"), axis=-1)
     contrib = _window_density(row, spec.alpha, x, pts, np.meshgrid(*weights, indexing="ij", sparse=True))

@@ -1,8 +1,10 @@
 """Shared numerical primitives.
 
-The checks of the parameters alpha and t, the rising factorial, the
-exponentially scaled Bessel function ``ive``, composite Gauss-Legendre and
-Gauss-Jacobi quadrature, the test function values the quadrature appliers
+The checks of the parameters alpha and t and of integer counts, the
+rising factorial, the exponentially scaled Bessel function ``ive``,
+Gauss-Jacobi quadrature and the one composite Gauss-Legendre rule
+(:func:`gauss_rule`, from which every composite rule of the package and
+its tests is built), the test function values the quadrature appliers
 share, and seeded random streams used by every other module.  All samplers
 draw from an explicit :class:`RngStream`, so experiments are reproducible.
 """
@@ -58,6 +60,14 @@ def checked_time(t, zero: bool = False, name: str = "t") -> float:
     return float(t)
 
 
+def checked_int(value, least: int, name: str) -> int:
+    """``value`` as an int, when it is an integer >= ``least`` (a numpy integer
+    too); anything else, a bool, a float or a str included, raises ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def checked_size(size, optional: bool = True) -> int:
     """The number of draws a sampler's ``size`` asks for: an int >= 0 (a numpy
     integer too), or None where ``optional`` (one draw, not stacked), which
@@ -65,17 +75,7 @@ def checked_size(size, optional: bool = True) -> int:
     ``ValueError``; the samplers check it before their first draw."""
     if size is None and optional:
         return 1
-    if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 0:
-        raise ValueError(f"the number of draws must be an integer >= 0, got {size!r}")
-    return int(size)
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Composite Gauss-Legendre nodes/weights on an interval."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
+    return checked_int(size, 0, "the number of draws")
 
 
 @lru_cache(maxsize=None)
@@ -90,13 +90,11 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
 def unit_gauss_legendre(panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes and weights on ``(0, 1)``.
 
-    ``panels`` equal sub-intervals, each carrying an ``order``-point rule.
-    Nodes are strictly interior and strictly increasing.
+    ``panels`` equal sub-intervals, each carrying an ``order``-point rule;
+    each must be an integer >= 1 (``ValueError`` otherwise).  Nodes are
+    strictly interior and strictly increasing.
     """
-    if panels < 1:
-        raise ValueError(f"panels must be >= 1, got {panels}")
-    if order < 2:
-        raise ValueError(f"order must be >= 2, got {order}")
+    panels, order = checked_int(panels, 1, "panels"), checked_int(order, 1, "order")
     x, w = _leggauss(order)
     u = 0.5 * (x + 1.0)  # map (-1, 1) -> (0, 1)
     offsets = np.arange(panels) / panels
@@ -105,19 +103,11 @@ def unit_gauss_legendre(panels: int, order: int) -> tuple[np.ndarray, np.ndarray
     return nodes, weights
 
 
-def gauss_legendre_rule(a: float, b: float, panels: int, order: int) -> QuadratureRule:
-    """Composite Gauss-Legendre rule on ``[a, b]``."""
-    if not b > a:
-        raise ValueError(f"need a < b, got a={a}, b={b}")
-    u, w = unit_gauss_legendre(panels, order)
-    return QuadratureRule(nodes=a + (b - a) * u, weights=(b - a) * w)
-
-
 def power_stretch(exponent: float) -> float:
     """Node-clustering power for integrands carrying y^exponent at y = 0.
 
     Plain nodes (power 1) suffice for analytic integrands (non-negative
-    integer exponent); otherwise the substitution y = u^m with
+    integer exponent); otherwise the substitution y = v^m with
     m = max(3, 3/(1 + exponent)) turns the leading singular term into a
     near-polynomial one, restoring fast Gauss-Legendre convergence.
     """
@@ -128,21 +118,34 @@ def power_stretch(exponent: float) -> float:
     return max(3.0, 3.0 / (1.0 + exponent))
 
 
-def power_endpoint_rule(
-    b: float, exponent: float, panels: int, order: int
-) -> QuadratureRule:
-    """Quadrature on (0, b) for integrands behaving like y^exponent at 0.
+def gauss_rule(edges, order: int, exponent: float = 0.0, panels: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes and weights on each interval between ``edges``.
 
-    The weight factor stays in the integrand; only the node placement is
-    transformed, so the rule is used exactly like a plain one.
+    Each interval (lo, hi) of consecutive values on the last axis of
+    ``edges`` gets ``panels`` equal panels of ``order`` Gauss nodes in
+    v = y^(1/m) on (lo^(1/m), hi^(1/m)), m = :func:`power_stretch` of
+    ``exponent``: the rule for integrands carrying y^exponent at 0, whose
+    weight factor stays in the integrand.  At m = 1 this is the affine map
+    lo + (hi - lo) u.  Both arrays have shape
+    ``edges.shape[:-1] + (intervals, panels * order)``.  Edges that are not
+    finite, that decrease, or that are negative under a power map (m > 1)
+    raise ``ValueError``.
     """
-    if not b > 0:
-        raise ValueError(f"need b > 0, got {b}")
+    edges = np.asarray(edges, dtype=float)
     u, w = unit_gauss_legendre(panels, order)
     m = power_stretch(exponent)
+    if edges.ndim == 0 or edges.shape[-1] < 2 or not np.isfinite(edges).all():
+        raise ValueError(f"need two or more finite edges, got {edges}")
+    if m != 1.0 and (edges < 0).any():
+        raise ValueError(f"need edges >= 0 for nodes in y^(1/{m:g}), got {edges}")
+    v = edges if m == 1.0 else edges ** (1.0 / m)
+    width = np.diff(v)[..., None]
+    if (width < 0).any():
+        raise ValueError(f"edges must not decrease, got {edges}")
+    nodes, weights = v[..., :-1, None] + width * u, width * w
     if m != 1.0:
-        u, w = u**m, m * u ** (m - 1.0) * w
-    return QuadratureRule(nodes=b * u, weights=b * w)
+        nodes, weights = nodes**m, m * nodes ** (m - 1.0) * weights
+    return nodes, weights
 
 
 def pochhammer(x: float, n: int) -> float:

@@ -25,8 +25,8 @@ import numpy as np
 from .diffusion import transition_density
 from .kernels import UnsupportedDimensionError, checked_chamber, vandermonde
 from .numerics import (
-    RngStream, checked_alpha, checked_alpha_int, checked_size, checked_time, pointwise_values,
-    power_endpoint_rule,
+    RngStream, checked_alpha, checked_alpha_int, checked_int, checked_size, checked_time, gauss_rule,
+    pointwise_values,
 )
 from .rmt import radial_part
 
@@ -77,8 +77,7 @@ class SemigroupParams:
     n_dim: int
 
     def __post_init__(self) -> None:
-        if self.n_dim < 1:
-            raise ValueError("N must be >= 1")
+        checked_int(self.n_dim, 1, "N")
         checked_time(self.t, zero=True)
         checked_alpha(self.alpha)
 
@@ -95,8 +94,7 @@ class SdeConfig:
 
 def lambda_eigen(n_dim: int) -> float:
     """Eigenvalue -N(N-1)/2 of the Vandermonde under the summed generators."""
-    if n_dim < 1:
-        raise ValueError("N must be >= 1")
+    n_dim = checked_int(n_dim, 1, "N")
     return -0.5 * n_dim * (n_dim - 1)
 
 
@@ -147,7 +145,7 @@ def semigroup_apply_rows(
     the closed one; at t > 0 strictly interior
     (:class:`kernels.DegenerateAnchorError` otherwise).  The box (0, ``y_max``)
     ends by default at :func:`semigroup_top` of the largest coordinate, and
-    takes the nodes of :func:`numerics.power_endpoint_rule` for y^alpha at 0.
+    takes the nodes of :func:`numerics.gauss_rule` for y^alpha at 0.
     """
     n = params.n_dim
     if n > 3:
@@ -160,8 +158,7 @@ def semigroup_apply_rows(
         return pointwise_values(f, x_rows)
     if y_max is None:
         y_max = semigroup_top(params, float(np.max(x_rows)))
-    rule = power_endpoint_rule(y_max, params.alpha, panels, order)
-    nodes, wts = rule.nodes, rule.weights
+    nodes, wts = map(np.ravel, gauss_rule([0.0, y_max], order, params.alpha, panels))
     chamber = np.array(list(combinations(range(nodes.size), n)))  # (C, N)
     pts = nodes[chamber]
     weight = vandermonde(pts) * np.prod(wts[chamber], axis=-1) * pointwise_values(f, pts)

@@ -38,13 +38,11 @@ class EmpiricalSample:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Outcome of one KS test: its statistic, its p-value and its own verdict
-    p_value > 0.01.  A :class:`BonferroniFamily` judges the p-value at its
-    adjusted level instead."""
+    """Outcome of one KS test: its statistic and its p-value.  A
+    :class:`BonferroniFamily` judges the p-value at its adjusted level."""
 
     statistic: float
     p_value: float
-    passed: bool
 
 
 def kolmogorov_sf(lam: float) -> float:
@@ -71,7 +69,7 @@ def ecdf_mid(n: int) -> np.ndarray:
 
 
 def ks_two_sample(a: EmpiricalSample, b: EmpiricalSample) -> ComparisonReport:
-    """Two-sample Kolmogorov-Smirnov test with asymptotic p-value, passed above 0.01."""
+    """Two-sample Kolmogorov-Smirnov test with asymptotic p-value."""
     if a.n < 25 or b.n < 25:
         raise ValueError("two-sample KS needs at least 25 points per sample")
     xa = np.sort(a.values)
@@ -81,16 +79,11 @@ def ks_two_sample(a: EmpiricalSample, b: EmpiricalSample) -> ComparisonReport:
     cdf_b = np.searchsorted(xb, pooled, side="right") / b.n
     stat = float(np.max(np.abs(cdf_a - cdf_b)))
     n_eff = a.n * b.n / (a.n + b.n)
-    p = _ks_p_value(stat, n_eff)
-    return ComparisonReport(
-        statistic=stat,
-        p_value=p,
-        passed=p > 0.01,
-    )
+    return ComparisonReport(statistic=stat, p_value=_ks_p_value(stat, n_eff))
 
 
 def ks_one_sample(a: EmpiricalSample, cdf: Callable[[np.ndarray], np.ndarray]) -> ComparisonReport:
-    """One-sample Kolmogorov-Smirnov test against an exact CDF, passed above 0.01.
+    """One-sample Kolmogorov-Smirnov test against an exact CDF.
 
     The statistic is assembled from the midpoint empirical levels
     (i - 0.5)/n plus the half-step 1/(2n), which reproduces the usual
@@ -101,12 +94,7 @@ def ks_one_sample(a: EmpiricalSample, cdf: Callable[[np.ndarray], np.ndarray]) -
     xs = np.sort(a.values)
     f = np.asarray(cdf(xs), dtype=float)
     stat = float(np.max(np.abs(f - ecdf_mid(a.n))) + 0.5 / a.n)
-    p = _ks_p_value(stat, a.n)
-    return ComparisonReport(
-        statistic=stat,
-        p_value=p,
-        passed=p > 0.01,
-    )
+    return ComparisonReport(statistic=stat, p_value=_ks_p_value(stat, a.n))
 
 
 @dataclass

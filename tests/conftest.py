@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from laguerre_intertwine.numerics import unit_gauss_legendre
+from laguerre_intertwine.numerics import gauss_rule
 
 
 def chi2_sf(stat: float, dof: int) -> float:
@@ -31,14 +31,10 @@ def binned_gof_2d(
     """
     n = sample.shape[0]
     counts, _, _ = np.histogram2d(sample[:, 0], sample[:, 1], bins=(x_edges, y_edges))
-    u, w = unit_gauss_legendre(1, order)
+    (x_nodes, x_weights), (y_nodes, y_weights) = gauss_rule(x_edges, order), gauss_rule(y_edges, order)
     probs = np.zeros_like(counts)
-    for i in range(len(x_edges) - 1):
-        xs = x_edges[i] + (x_edges[i + 1] - x_edges[i]) * u
-        wx = (x_edges[i + 1] - x_edges[i]) * w
-        for j in range(len(y_edges) - 1):
-            ys = y_edges[j] + (y_edges[j + 1] - y_edges[j]) * u
-            wy = (y_edges[j + 1] - y_edges[j]) * w
+    for i, (xs, wx) in enumerate(zip(x_nodes, x_weights)):
+        for j, (ys, wy) in enumerate(zip(y_nodes, y_weights)):
             mesh = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
             vals = density(mesh)
             probs[i, j] = float((vals * np.outer(wx, wy)).sum())

@@ -30,7 +30,7 @@ import numpy as np
 from laguerre_intertwine import determinantal, diffusion
 from laguerre_intertwine.kernels import KernelSpec, UnsupportedDimensionError, interior_anchor, vandermonde
 from laguerre_intertwine.numerics import (
-    checked_alpha, checked_alpha_int, checked_size, power_stretch, unit_gauss_legendre,
+    checked_alpha, checked_alpha_int, checked_size, gauss_rule, power_stretch,
 )
 from laguerre_intertwine.process import lambda_eigen
 from laguerre_intertwine.rmt import radial_part, sample_haar_unitary, truncate
@@ -114,10 +114,8 @@ def grid_cdf(pdf, lo: float, hi: float, endpoint_exponent: float | None = None):
         edges = hi * np.linspace(0.0, 1.0, 8001) ** max(power_stretch(endpoint_exponent), 2.0)
     else:
         edges = np.linspace(lo, hi, 8001)
-    u, w = unit_gauss_legendre(1, 12)
-    widths = np.diff(edges)
-    nodes = edges[:-1, None] + widths[:, None] * u[None, :]
-    cell_mass = (pdf(nodes.ravel()).reshape(nodes.shape) * w[None, :]).sum(axis=1) * widths
+    nodes, weights = gauss_rule(edges, 12)
+    cell_mass = (pdf(nodes.ravel()).reshape(nodes.shape) * weights).sum(axis=1)
     cum = np.concatenate([[0.0], np.cumsum(cell_mass)])
     return lambda x: np.clip(np.interp(x, edges, cum) / max(cum[-1], 1e-300), 0.0, 1.0)
 

@@ -15,14 +15,14 @@ from laguerre_intertwine.diffusion import (
     transition_sample,
 )
 from laguerre_intertwine.kernels import sample_alpha_corner, sample_alpha_corner_rows, sample_alpha_square
-from laguerre_intertwine.numerics import RngStream, power_endpoint_rule
+from laguerre_intertwine.numerics import RngStream, gauss_rule
 from laguerre_intertwine.process import SemigroupParams
 from laguerre_intertwine.stats import EmpiricalSample, ks_two_sample
 
 
 def density_mass(alpha, t, x, y_max=80.0, panels=40, order=20):
-    rule = power_endpoint_rule(y_max, alpha if alpha > -1 else 0.0, panels, order)
-    return float(np.dot(rule.weights, transition_density(alpha, t, x, rule.nodes)))
+    nodes, weights = map(np.ravel, gauss_rule([0.0, y_max], order, alpha if alpha > -1 else 0.0, panels))
+    return float(np.dot(weights, transition_density(alpha, t, x, nodes)))
 
 
 def test_stationary_limit_from_origin():
@@ -41,10 +41,10 @@ def test_conservative_mass_grid():
 
 def test_stationarity_of_gamma_weight():
     alpha, t = 1.5, 0.8
-    rule = power_endpoint_rule(60.0, alpha, 40, 20)
-    weight = np.exp(alpha * np.log(rule.nodes) - rule.nodes - gammaln(alpha + 1.0))
+    nodes, weights = map(np.ravel, gauss_rule([0.0, 60.0], 20, alpha, 40))
+    weight = np.exp(alpha * np.log(nodes) - nodes - gammaln(alpha + 1.0))
     for z in (0.5, 2.0, 5.0):
-        lhs = float(np.dot(rule.weights, weight * transition_density(alpha, t, rule.nodes, z)))
+        lhs = float(np.dot(weights, weight * transition_density(alpha, t, nodes, z)))
         rhs = math.exp(alpha * math.log(z) - z - math.lgamma(alpha + 1.0))
         assert abs(lhs - rhs) < 1e-7
 
@@ -155,8 +155,8 @@ def test_absorbed_family_matches_exit_routing():
         rtol=1e-14,
     )
     # for -1 < alpha < 0 it is a strictly sub-Markov branch
-    rule = power_endpoint_rule(80.0, -0.5, 40, 20)
-    mass = float(np.dot(rule.weights, transition_density_absorbed(-0.5, 0.5, 1.0, rule.nodes)))
+    nodes, weights = map(np.ravel, gauss_rule([0.0, 80.0], 20, -0.5, 40))
+    mass = float(np.dot(weights, transition_density_absorbed(-0.5, 0.5, 1.0, nodes)))
     assert mass < 1.0
 
 

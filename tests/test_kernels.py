@@ -29,7 +29,7 @@ from laguerre_intertwine.kernels import (
     sample_corner_many,
     vandermonde,
 )
-from laguerre_intertwine.numerics import RngStream, power_stretch, unit_gauss_legendre
+from laguerre_intertwine.numerics import RngStream, gauss_rule, power_stretch, unit_gauss_legendre
 from laguerre_intertwine.process import (
     SdeConfig,
     SemigroupParams,
@@ -374,12 +374,10 @@ def test_sample_corner_rejection_acceptance_rate():
     x = np.array([0.0, 1.0, 2.0])
     target = apply_kernel_quadrature(KernelSpec("corner"), x, ONE, 2, 16)  # = 1
     # direct quadrature of Delta over the window
-    u, w = unit_gauss_legendre(2, 16)
-    y1 = 0.0 + 1.0 * u
-    y2 = 1.0 + 1.0 * u
+    (y1, y2), (w1, w2) = gauss_rule([0.0, 1.0, 2.0], 16, panels=2)
     mesh = np.stack(np.meshgrid(y1, y2, indexing="ij"), axis=-1)
     delta_integral = float(
-        (vandermonde(mesh) * np.outer(w, w)).sum()
+        (vandermonde(mesh) * np.outer(w1, w2)).sum()
     )
     bound = 2.0  # x[2] - x[0]
     vol = 1.0
@@ -499,9 +497,7 @@ def test_sample_alpha_square_marginals_vs_quadrature():
     alpha, z = 1.0, np.array([1.0, 2.0])
     draws = sample_alpha_square(alpha, z, rng, size=100_000)
     # marginal of y1 by integrating out y2 over [z1, z2]
-    u, w = unit_gauss_legendre(2, 24)
-    y2 = z[0] + (z[1] - z[0]) * u
-    w2 = (z[1] - z[0]) * w
+    y2, w2 = map(np.ravel, gauss_rule(z, 24, panels=2))
 
     def marginal_1(v):
         pts = np.stack(np.broadcast_arrays(v[:, None], y2[None, :]), axis=-1)

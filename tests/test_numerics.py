@@ -6,9 +6,6 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 from oracles import MEAN_Z_MAX, mean_z
-from scipy.special import gammainc
-from scipy.special import ive as scipy_ive
-from scipy.special import roots_jacobi
 
 from laguerre_intertwine import diffusion, kernels, process, rmt
 from laguerre_intertwine.numerics import (
@@ -18,11 +15,11 @@ from laguerre_intertwine.numerics import (
     checked_size,
     checked_time,
     gauss_jacobi,
-    gauss_legendre_rule,
+    gauss_rule,
     ive,
     pochhammer,
-    power_endpoint_rule,
     sample_noncentral_chisq,
+    unit_gauss_legendre,
 )
 from laguerre_intertwine.stats import EmpiricalSample, ks_one_sample
 
@@ -73,6 +70,10 @@ def test_checked_size():
     assert checked_size(None) == 1 and checked_size(np.int32(4)) == 4
     with pytest.raises(ValueError, match="number of draws"):
         checked_size(None, optional=False)
+    # the counts the rule and the semigroup take share the rule: numpy integers are integers
+    assert process.SemigroupParams(1.0, 1.0, np.int64(2)).n_dim == 2
+    assert process.lambda_eigen(np.int32(3)) == -3.0
+    assert gauss_rule([0.0, 1.0], np.int64(3), panels=np.int32(2))[0].shape == (1, 6)
 
 
 def test_parameter_checks():
@@ -111,44 +112,88 @@ def test_pochhammer_rejects_bad_n():
 
 
 def test_quadrature_rule_invariants():
-    rule = gauss_legendre_rule(-1.0, 3.0, 7, 12)
-    assert abs(rule.weights.sum() - 4.0) < 1e-12 * 4.0
-    assert np.all(np.diff(rule.nodes) > 0)
-    assert rule.nodes[0] > -1.0 and rule.nodes[-1] < 3.0
+    nodes, weights = gauss_rule([-1.0, 0.5, 3.0], 12, panels=7)
+    assert nodes.shape == weights.shape == (2, 84)
+    assert np.allclose(weights.sum(axis=-1), [1.5, 2.5], rtol=1e-14, atol=0)
+    assert np.all(np.diff(nodes.ravel()) > 0)
+    assert nodes[0, 0] > -1.0 and nodes[0, -1] < 0.5 < nodes[1, 0] and nodes[1, -1] < 3.0
+    # one rule per row of stacked intervals
+    nodes, weights = gauss_rule(np.array([[0.0, 1.0], [2.0, 5.0], [1.0, 1.0]]), 4, panels=2)
+    assert nodes.shape == weights.shape == (3, 1, 8)
+    assert np.allclose(weights.sum(axis=-1)[:, 0], [1.0, 3.0, 0.0], rtol=1e-14, atol=0)
 
 
-def _integrate(f, a, b, panels, order):
-    rule = gauss_legendre_rule(a, b, panels, order)
-    return float(np.dot(rule.weights, f(rule.nodes)))
+def test_gauss_rule_exactness():
+    # p panels of an n-point rule integrate polynomials of degree < 2n exactly,
+    # in y where m = 1 and in v = y^(1/m) under a power map
+    for k in range(12):
+        nodes, weights = gauss_rule([-1.0, 0.5, 3.0], 6, panels=2)
+        exact = (3.0 ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+        assert np.sum(weights * nodes**k) == pytest.approx(exact, rel=1e-13, abs=1e-13)
+    nodes, weights = gauss_rule([0.0, 30.0], 20, panels=30)
+    assert np.sum(weights * np.exp(-nodes)) == pytest.approx(1.0 - math.exp(-30.0), abs=1e-12)
+    # m = 3 at exponent 0.5: y^(j/3) dy is 3 v^(j+2) dv, of degree < 12 for j < 10
+    for j in range(10):
+        nodes, weights = gauss_rule([0.0, 0.5, 2.0], 6, 0.5)
+        exact = 2.0 ** (j / 3 + 1) / (j / 3 + 1)
+        assert np.sum(weights * nodes ** (j / 3)) == pytest.approx(exact, rel=1e-13)
 
 
-def test_gauss_legendre_rule_exactness():
-    assert _integrate(np.ones_like, 0.0, 1.0, 1, 2) == pytest.approx(1.0)
-    assert _integrate(lambda x: x, 0.0, 2.0, 1, 2) == pytest.approx(2.0, abs=1e-14)
-    val = _integrate(lambda x: np.exp(-x), 0.0, 30.0, 30, 20)
-    assert val == pytest.approx(1.0 - math.exp(-30.0), abs=1e-12)
+def test_gauss_rule_is_the_affine_map_at_m_1():
+    # exponent 0 and any non-negative integer exponent: lo + (hi - lo) u, bit for bit
+    edges = np.array([0.0, 0.3, 1.0, 2.5, 4.5])
+    u, w = unit_gauss_legendre(3, 7)
+    for exponent in (0.0, 1.0, 4.0):
+        nodes, weights = gauss_rule(edges, 7, exponent, 3)
+        assert np.array_equal(nodes, edges[:-1, None] + np.diff(edges)[:, None] * u)
+        assert np.array_equal(weights, np.diff(edges)[:, None] * w)
 
 
-def test_gauss_legendre_rule_convergence():
+def test_gauss_rule_convergence():
     # doubling panels at low order cuts the error by >= 10x
     exact = 1.0 - math.exp(-5.0)
-    err = [abs(_integrate(lambda x: np.exp(-x), 0.0, 5.0, p, 2) - exact) for p in (4, 8)]
+    err = []
+    for panels in (4, 8):
+        nodes, weights = gauss_rule([0.0, 5.0], 2, panels=panels)
+        err.append(abs(np.sum(weights * np.exp(-nodes)) - exact))
     assert err[0] / err[1] >= 10.0
 
 
-def test_gauss_legendre_rule_domain():
-    with pytest.raises(ValueError):
-        gauss_legendre_rule(1.0, 0.0, 2, 4)
-    with pytest.raises(ValueError):
-        gauss_legendre_rule(0.0, 1.0, 0, 4)
+def test_gauss_rule_handles_singular_weight():
+    # int_0^1 y^a dy = 1/(1+a), singular integrand at 0; near a = -1 the
+    # mass 1/(1+a) sits in the first panel, y^a dy = m v^(m(a+1)-1) dv there
+    for a in (-0.95, -0.9, -0.5, 0.5, 2.5):
+        nodes, weights = gauss_rule([0.0, 1.0], 20, a, 4)
+        assert np.sum(weights * nodes**a) == pytest.approx(1.0 / (1.0 + a), rel=1e-12)
+        # and on segments from 0 and away from 0
+        nodes, weights = gauss_rule([0.0, 0.25, 1.0, 3.0], 20, a, 2)
+        assert np.sum(weights * nodes**a) == pytest.approx(3.0 ** (a + 1.0) / (1.0 + a), rel=1e-12)
 
 
-def test_power_endpoint_rule_handles_singular_weight():
-    # integral of y^a over (0, 1) = 1/(1+a), singular integrand at 0
-    for a in (-0.9, -0.5, 0.5, 2.5):
-        rule = power_endpoint_rule(1.0, a, 4, 20)
-        val = float(np.dot(rule.weights, rule.nodes**a))
-        assert val == pytest.approx(1.0 / (1.0 + a), rel=1e-12)
+# input the composite rule and a semigroup's dimension cannot use
+REFUSED = {
+    "infinite_edge": lambda: gauss_rule([0.0, math.inf], 3),
+    "nan_edge": lambda: gauss_rule([0.0, math.nan, 1.0], 3),
+    "decreasing_edges": lambda: gauss_rule([1.0, 0.0], 3),
+    "one_edge": lambda: gauss_rule([1.0], 3),
+    "negative_edge_under_a_power_map": lambda: gauss_rule([-1.0, 1.0], 3, 0.5),
+    "zero_panels": lambda: gauss_rule([0.0, 1.0], 3, panels=0),
+    "float_panels": lambda: unit_gauss_legendre(2.5, 3),
+    "bool_panels": lambda: gauss_rule([0.0, 1.0], 3, panels=True),
+    "zero_order": lambda: gauss_rule([0.0, 1.0], 0),
+    "float_order": lambda: gauss_rule([0.0, 1.0], 3.0),
+    "float_n_dim": lambda: process.SemigroupParams(1.0, 1.0, 2.5),
+    "bool_n_dim": lambda: process.SemigroupParams(1.0, 1.0, True),
+    "zero_n_dim": lambda: process.SemigroupParams(1.0, 1.0, 0),
+    "float_lambda_eigen": lambda: process.lambda_eigen(2.5),
+    "bool_lambda_eigen": lambda: process.lambda_eigen(True),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED)
+def test_refuses_what_the_rule_and_the_semigroup_cannot_use(case):
+    with pytest.raises(ValueError, match="edges|must be an integer >= 1"):
+        REFUSED[case]()
 
 
 def test_rng_determinism_and_independence():
@@ -160,6 +205,7 @@ def test_rng_determinism_and_independence():
 
 
 def test_noncentral_chisq_zero_noncentrality_is_gamma():
+    gammainc = pytest.importorskip("scipy.special").gammainc
     rng = RngStream(31, 0)
     draws = sample_noncentral_chisq(3.0, 0.0, rng, size=100_000)
     rep = ks_one_sample(
@@ -217,6 +263,7 @@ def test_ive_matches_scipy_on_a_fixed_grid(nu):
     # (z = 1.1997, the grid's only zero), where the power series cancels:
     # there, for z in [1.1, 1.3], the bound is absolute, 1e-13 times the
     # largest series term.
+    scipy_ive = pytest.importorskip("scipy.special").ive
     z = np.geomspace(1e-10, 1e5, 400)
     got, want = ive(nu, z), scipy_ive(nu, z)
     assert np.all(np.isfinite(want)) and np.all(want != 0)
@@ -244,6 +291,7 @@ def test_ive_at_zero_and_subnormal_z(nu):
 def test_ive_large_order_matches_scipy(nu):
     # Debye's expansion; bound fixed at 1e-12 before the first run (measured
     # 1.2e-13 to nu = 20, 3e-13 to nu = 100)
+    scipy_ive = pytest.importorskip("scipy.special").ive
     z = np.geomspace(1e-10, 1e5, 200)
     got, want = ive(nu, z), scipy_ive(nu, z)
     normal = np.abs(want) > 1e-300  # scipy flushes some subnormal values to 0
@@ -293,7 +341,7 @@ def test_gauss_jacobi_integrates_even_moments(b, tol):
     moments = _jacobi_moments(b, 39)
     for k in range(0, 39, 2):
         assert abs(np.dot(w, x**k) - moments[k]) <= tol * moments[k], k
-    xs, _ = roots_jacobi(20, 0.0, b)
+    xs, _ = pytest.importorskip("scipy.special").roots_jacobi(20, 0.0, b)
     assert np.max(np.abs(x - xs)) <= 1e-15
     assert np.all(np.diff(x) > 0)
 

@@ -11,7 +11,7 @@ from oracles import laguerre_ensemble_density
 
 from laguerre_intertwine.diffusion import transition_density
 from laguerre_intertwine.kernels import vandermonde
-from laguerre_intertwine.numerics import RngStream, power_endpoint_rule
+from laguerre_intertwine.numerics import RngStream, gauss_rule
 from laguerre_intertwine import process
 from laguerre_intertwine.experiments import TEST_FUNCTIONS
 from laguerre_intertwine.process import (
@@ -71,8 +71,7 @@ def test_km_stationarity_n2():
     # integrating the ensemble against the transition density returns the
     # ensemble density at the target point
     alpha, t = 1.0, 0.8
-    rule = power_endpoint_rule(40.0, alpha, 25, 16)
-    nodes, weights = rule.nodes, rule.weights
+    nodes, weights = map(np.ravel, gauss_rule([0.0, 40.0], 16, alpha, 25))
     for y in (np.array([1.0, 2.5]), np.array([0.5, 4.0])):
         p1 = transition_density(alpha, t, nodes, y[0])
         p2 = transition_density(alpha, t, nodes, y[1])
@@ -133,8 +132,8 @@ def _semigroup_apply_rows_full_mesh(params, x_rows, f, panels, order):
     """Oracle: the box quadrature with f evaluated on every mesh point."""
     n = params.n_dim
     x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
-    rule = power_endpoint_rule(semigroup_top(params, float(np.max(x_rows))), params.alpha, panels, order)
-    nodes, wts = rule.nodes, rule.weights
+    top = semigroup_top(params, float(np.max(x_rows)))
+    nodes, wts = map(np.ravel, gauss_rule([0.0, top], order, params.alpha, panels))
     k = nodes.size
     p = transition_density(params.alpha, params.t, x_rows[:, :, None], nodes[None, None, :])
     det = None
@@ -261,11 +260,11 @@ def test_subkm_total_mass_below_one():
     # collision-killed two-particle law loses mass
     alpha, t = 0.5, 0.5
     x = np.array([1.0, 2.0])
-    rule = power_endpoint_rule(40.0, alpha, 20, 16)
-    p1 = transition_density(alpha, t, x[0], rule.nodes)
-    p2 = transition_density(alpha, t, x[1], rule.nodes)
+    nodes, weights = map(np.ravel, gauss_rule([0.0, 40.0], 16, alpha, 20))
+    p1 = transition_density(alpha, t, x[0], nodes)
+    p2 = transition_density(alpha, t, x[1], nodes)
     det = np.outer(p1, p2) - np.outer(p2, p1)
-    upper = np.triu(np.outer(rule.weights, rule.weights), k=1)
+    upper = np.triu(np.outer(weights, weights), k=1)
     mass = float((det * upper).sum())
     assert 0.0 < mass < 1.0
 

@@ -8,7 +8,7 @@ from oracles import (
 from scipy.special import gammainc, gammaln
 
 from laguerre_intertwine.kernels import vandermonde
-from laguerre_intertwine.numerics import RngStream, power_endpoint_rule
+from laguerre_intertwine.numerics import RngStream, gauss_rule
 from laguerre_intertwine.rmt import (
     radial_part,
     sample_ginibre,
@@ -134,9 +134,9 @@ def test_laguerre_ensemble_n1_is_gamma():
 def test_laguerre_normalization_constant():
     # 2-D quadrature of the raw weight equals Gamma(2)Gamma(a+1)Gamma(3)Gamma(a+2)
     alpha = 0.7
-    rule = power_endpoint_rule(60.0, alpha, 30, 20)
-    x, y = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
-    w = np.outer(rule.weights, rule.weights)
+    nodes, weights = map(np.ravel, gauss_rule([0.0, 60.0], 20, alpha, 30))
+    x, y = np.meshgrid(nodes, nodes, indexing="ij")
+    w = np.outer(weights, weights)
     val = float(((x - y) ** 2 * (x * y) ** alpha * np.exp(-x - y) * w).sum())
     target = math.gamma(2.0) * math.gamma(alpha + 1.0) * math.gamma(3.0) * math.gamma(alpha + 2.0)
     assert val == pytest.approx(target, rel=1e-6)
@@ -161,9 +161,9 @@ def test_laguerre_log_norm_matches_scipy_gammaln():
 def test_laguerre_ensemble_density_normalized():
     # ordered-chamber density integrates to 1 (N = 2)
     alpha = 0.5
-    rule = power_endpoint_rule(60.0, alpha, 30, 20)
-    pts = np.stack(np.meshgrid(rule.nodes, rule.nodes, indexing="ij"), axis=-1)
-    w = np.outer(rule.weights, rule.weights)
+    nodes, weights = map(np.ravel, gauss_rule([0.0, 60.0], 20, alpha, 30))
+    pts = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1)
+    w = np.outer(weights, weights)
     vals = laguerre_ensemble_density(2, alpha, np.sort(pts, axis=-1))
     assert float((vals * w).sum()) / 2.0 == pytest.approx(1.0, abs=1e-7)
 

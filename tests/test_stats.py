@@ -29,7 +29,7 @@ def test_ks_two_sample_identical_samples():
     rep = ks_two_sample(EmpiricalSample(vals, "a"), EmpiricalSample(vals, "b"))
     assert rep.statistic == 0.0
     assert rep.p_value == 1.0
-    assert rep.passed
+    assert rep.p_value > 0.01
 
 
 def test_ks_two_sample_separated_supports():
@@ -38,7 +38,7 @@ def test_ks_two_sample_separated_supports():
     b = rng.gen.random(10_000) + 0.5
     rep = ks_two_sample(EmpiricalSample(a), EmpiricalSample(b))
     assert rep.p_value < 1e-6
-    assert not rep.passed
+    assert rep.p_value <= 0.01
 
 
 def test_ks_two_sample_size_guard():
@@ -107,11 +107,11 @@ def test_bonferroni_family():
 
 @pytest.mark.parametrize("p_value, passed", [(0.0100001, True), (0.0099999, False), (0.01, False)])
 def test_bonferroni_family_of_one(p_value, passed):
-    # a family of one keeps the level of its one test and that test's own verdict
-    report = ComparisonReport(statistic=0.1, p_value=p_value, passed=p_value > 0.01)
+    # a family of one keeps the level of its one test: p_value > 0.01
+    report = ComparisonReport(statistic=0.1, p_value=p_value)
     fam = BonferroniFamily(family_level=0.01, reports=[report])
     assert fam.adjusted_level == 0.01
-    assert fam.passed is report.passed is passed
+    assert fam.passed is (report.p_value > 0.01) is passed
 
 
 def test_empty_family_passes_at_family_level():
