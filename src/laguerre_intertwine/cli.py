@@ -16,8 +16,8 @@ Subcommands: ``kernels-check``, ``intertwine``, ``dual-check``,
 may come before or after the subcommand.  Options can
 also come from a flat ``key=value`` config file (``--config``); command-line
 flags override file values and go through the same parse as a file line.
-An option the subcommand does not read, set to other than its default by
-either, exits 2 (``<subcommand> takes no --<flag>``).
+An option the subcommand does not read (for ``sample``, its sampler), set
+to other than its default by either, exits 2 (``<subcommand> takes no --<flag>``).
 Identical configuration and seed reproduce the CSV outputs byte for byte.
 The experiments themselves live in :mod:`laguerre_intertwine.experiments`;
 this module parses the options, writes the CSVs and maps the outcome to the
@@ -29,7 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,18 +42,21 @@ from .numerics import checked_time
 TEST_FUNCTIONS = experiments.TEST_FUNCTIONS
 
 
-# config key -> the type its value is parsed to; the other keys are strings
-VALUE_TYPES = {
-    "x": lambda value: tuple(float(v) for v in value.split(",")),
-    **dict.fromkeys(("n", "n_samples", "seed"), int),
-    **dict.fromkeys(("alpha", "t", "tol", "dt"), float),
-    "out_dir": Path,
-}
-
-# config key -> the rule its parsed value must meet, whose ValueError names the
-# reason.  A tolerance that is not finite and > 0 would decide every check alike.
-VALUE_RULES = {
-    "tol": lambda value: checked_time(value, name="tol"),
+# config key -> (its command-line flag, the parse of its value, the rule the
+# parsed value must meet or None); a flag's value and its key's line in a
+# config file go through the same parse and rule.  A rule's ValueError names
+# the reason: a tolerance that is not finite and > 0 would decide every check alike.
+OPTIONS = {
+    "seed": ("--seed", int, None),
+    "alpha": ("--alpha", float, None),
+    "n": ("--n", int, None),
+    "t": ("--t", float, None),
+    "x": ("--x", lambda value: tuple(float(v) for v in value.split(",")), None),
+    "n_samples": ("--n-samples", int, None),
+    "dt": ("--dt", float, None),
+    "tol": ("--tol", float, lambda value: checked_time(value, name="tol")),
+    "out_dir": ("--out", Path, None),
+    "sampler": ("--sampler", str, None),
 }
 
 
@@ -85,16 +88,15 @@ class ExperimentConfig:
         return cfg
 
     def with_option(self, key: str, value: str) -> "ExperimentConfig":
-        """This config with the option ``key`` (a key of ``FLAG_NAMES``) parsed from ``value``."""
-        if key not in FLAG_NAMES:
+        """This config with the option ``key`` (a key of ``OPTIONS``) parsed from ``value``."""
+        if key not in OPTIONS:
             raise ConfigError(f"unknown config key {key!r}")
+        _, parse, rule = OPTIONS[key]
         try:
-            parsed = VALUE_TYPES.get(key, str)(value)
+            parsed = parse(value)
         except ValueError:
             raise ConfigError(f"bad value {value!r} for {key}") from None
-        if key in VALUE_RULES:
-            parsed = VALUE_RULES[key](parsed)
-        return replace(self, **{key: parsed})
+        return replace(self, **{key: parsed if rule is None else rule(parsed)})
 
 
 def _fmt(value) -> str:
@@ -152,7 +154,7 @@ def _write_samples(cfg: ExperimentConfig, csv_name: str, draws: np.ndarray, meta
 # ---------------------------------------------------------------------------
 
 # subcommand -> (experiment, CSV it writes, config keys it reads besides seed and
-# out_dir); ``sample`` writes draws instead
+# out_dir); ``sample`` writes draws instead, and reads its sampler's keys too
 COMMANDS = {
     "kernels-check": (experiments.kernels_check, "kernels_check.csv",
                       {"n", "alpha", "x", "tol"}),
@@ -161,18 +163,8 @@ COMMANDS = {
     "truncation": (experiments.truncation, "truncation.csv", {"n", "alpha", "x", "n_samples"}),
     "invariance": (experiments.invariance, "invariance.csv", {"n", "alpha", "n_samples"}),
     "sde-vs-exact": (experiments.sde_vs_exact, "sde_vs_exact.csv", {"t", "dt", "n_samples"}),
-    "sample": (experiments.sample, "samples.csv", {"sampler", "n", "alpha", "t", "x", "n_samples"}),
+    "sample": (experiments.sample, "samples.csv", {"sampler", "n_samples"}),
 }
-
-
-# command-line flag -> its config key; ``with_option`` parses the flag's value
-# as it parses that key's line in a config file
-FLAG_KEYS = {
-    "--seed": "seed", "--alpha": "alpha", "--n": "n", "--t": "t", "--x": "x",
-    "--n-samples": "n_samples", "--dt": "dt", "--tol": "tol", "--out": "out_dir",
-    "--sampler": "sampler",
-}
-FLAG_NAMES = {key: flag for flag, key in FLAG_KEYS.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS, metavar="subcommand",
                         help="one of " + ", ".join(COMMANDS))
     parser.add_argument("--config", type=Path, default=None, help="flat key=value file")
-    for flag, key in FLAG_KEYS.items():
+    for key, (flag, _, _) in OPTIONS.items():
         parser.add_argument(flag, dest=key, default=None, help=f"config key {key}")
     return parser
 
@@ -198,14 +190,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = ExperimentConfig() if args.config is None else ExperimentConfig.from_file(args.config)
         cfg = replace(cfg, experiment=args.command)
-        for key in FLAG_KEYS.values():
+        for key in OPTIONS:
             if getattr(args, key) is not None:
                 cfg = cfg.with_option(key, getattr(args, key))
         experiment, csv_name, keys = COMMANDS[args.command]
+        if args.command == "sample":
+            keys = keys | experiments.sampler(cfg.sampler)[0].keys()
         # a value the experiment would not read, from a flag or a config line
-        unread = [FLAG_NAMES[f.name] for f in fields(cfg)
-                  if f.name not in keys | {"experiment", "seed", "out_dir"}
-                  and getattr(cfg, f.name) != f.default]
+        default = ExperimentConfig()
+        unread = [flag for key, (flag, _, _) in OPTIONS.items()
+                  if key not in keys | {"seed", "out_dir"} and getattr(cfg, key) != getattr(default, key)]
         if unread:
             raise ConfigError(f"{args.command} takes no {', '.join(unread)}")
         # before the experiment runs, so that an --out that cannot be made costs no work

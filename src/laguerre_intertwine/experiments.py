@@ -117,11 +117,11 @@ def composed_corner_density(alpha: float, x: np.ndarray, y: np.ndarray) -> float
     return float((corner * square * wmesh).sum())
 
 
-def _given_x(cfg, lengths) -> dict[int, tuple]:
+def _given_x(x, lengths) -> dict[int, tuple]:
     """``{len(x): x}`` for the run's x, which must fit one of its anchor ``lengths``."""
-    if cfg.x and len(cfg.x) not in lengths:
-        raise ConfigError(f"--x has {len(cfg.x)} coordinates; the run's anchors have {sorted(lengths)}")
-    return {len(cfg.x): cfg.x} if cfg.x else {}
+    if x and len(x) not in lengths:
+        raise ConfigError(f"--x has {len(x)} coordinates; the run's anchors have {sorted(lengths)}")
+    return {len(x): x} if x else {}
 
 
 def _linear_statistics(sample: np.ndarray) -> dict[str, np.ndarray]:
@@ -168,7 +168,7 @@ def kernels_check(cfg) -> list[Check]:
     alphas = ALPHA_GRID if cfg.alpha is None else (cfg.alpha,)
     tol = cfg.tol if cfg.tol is not None else 1e-7
     one = [ProductFunction(g=np.ones_like)]
-    given = _given_x(cfg, {n + 1 for n in n_values})
+    given = _given_x(cfg.x, {n + 1 for n in n_values})
     checks = []
     for n in n_values:
         corner_anchor = given.get(n + 1, CORNER_ANCHORS[n])
@@ -217,7 +217,7 @@ def intertwine(cfg) -> list[Check]:
     if any(n not in CORNER_ANCHORS for n in n_values):
         raise ConfigError(f"intertwine supports N in 1..{max(CORNER_ANCHORS)}")
     functions = list(TEST_FUNCTIONS.values())
-    given = _given_x(cfg, {n + up_dn for n in n_values for _, (_, up_dn), _ in IDENTITIES.values()})
+    given = _given_x(cfg.x, {n + up_dn for n in n_values for _, (_, up_dn), _ in IDENTITIES.values()})
     checks = []
     for n in n_values:
         tol = cfg.tol if cfg.tol is not None else INTERTWINE_TOL
@@ -343,7 +343,7 @@ def truncation(cfg) -> list[Check]:
     if cfg.n is not None or cfg.alpha is not None:
         n = cfg.n if cfg.n is not None else 2
         settings = [(n, numerics.checked_alpha_int(cfg.alpha) if cfg.alpha is not None else 1)]
-    given = _given_x(cfg, {n + 1 for n, _ in settings})
+    given = _given_x(cfg.x, {n + 1 for n, _ in settings})
     checks = []
     for idx, (n, alpha) in enumerate(settings):
         if n > 3 or n < 1:
@@ -431,43 +431,49 @@ def sde_vs_exact(cfg) -> list[Check]:
     return checks
 
 
+# sampler -> (the config keys it reads besides seed and n_samples, each with
+# the value it takes when not given, or None where the sampler needs it; its
+# draws of ``size`` rows, which take those keys' values by name)
+SAMPLERS = {
+    "corner": ({"x": None}, lambda rng, size, x: kernels.sample_corner_many(x, rng, size)),
+    "alpha_square": ({"alpha": 0.0, "x": None},
+                     lambda rng, size, alpha, x: kernels.sample_alpha_square(alpha, x, rng, size=size)),
+    "alpha_corner": ({"alpha": 0.0, "x": None},
+                     lambda rng, size, alpha, x: kernels.sample_alpha_corner(alpha, x, rng, size=size)),
+    "laguerre_ensemble": ({"n": None, "alpha": 0.0},
+                          lambda rng, size, n, alpha: rmt.sample_laguerre_ensemble(n, alpha, rng, size=size)),
+    "wishart_radial": ({"n": None, "alpha": 0.0},
+                       lambda rng, size, n, alpha: rmt.sample_wishart_radial(n, alpha, rng, size=size)),
+    # the one-particle law at time t from the one coordinate of x
+    "transition": ({"alpha": 0.0, "t": 1.0, "x": (1.0,)},
+                   lambda rng, size, alpha, t, x: diffusion.transition_sample(
+                       alpha, t, _given_x(x, {1})[1][0], rng, size=size)[:, None]),
+}
+
+
+def sampler(name: str):
+    """The row of ``SAMPLERS`` named ``name``; ``ConfigError`` where there is none."""
+    if name not in SAMPLERS:
+        raise ConfigError(f"unknown sampler {name!r}" if name else "sample requires --sampler")
+    return SAMPLERS[name]
+
+
 def sample(cfg) -> tuple[np.ndarray, dict]:
     """Draws of the named sampler, one row each, and the metadata of the run."""
-    if not cfg.sampler:
-        raise ConfigError("sample requires --sampler")
-    rng = RngStream(cfg.seed, 0)
-    n = cfg.n_samples
-    alpha = cfg.alpha if cfg.alpha is not None else 0.0
-    anchored = {
-        "corner": lambda: kernels.sample_corner_many(cfg.x, rng, n),
-        "alpha_square": lambda: kernels.sample_alpha_square(alpha, cfg.x, rng, size=n),
-        "alpha_corner": lambda: kernels.sample_alpha_corner(alpha, cfg.x, rng, size=n),
-    }
-    sized = {
-        "laguerre_ensemble": lambda: rmt.sample_laguerre_ensemble(cfg.n, alpha, rng, size=n),
-        "wishart_radial": lambda: rmt.sample_wishart_radial(cfg.n, alpha, rng, size=n),
-    }
-    if cfg.sampler in anchored:
-        if not cfg.x:
-            raise ConfigError(f"{cfg.sampler} sampler needs --x")
-        draws = anchored[cfg.sampler]()
-    elif cfg.sampler in sized:
-        if cfg.x:
-            raise ConfigError(f"{cfg.sampler} sampler takes no --x")
-        if cfg.n is None:
-            raise ConfigError(f"{cfg.sampler} sampler needs --n")
-        draws = sized[cfg.sampler]()
-    elif cfg.sampler == "transition":
-        x0 = _given_x(cfg, {1}).get(1, (1.0,))
-        t = cfg.t if cfg.t is not None else 1.0
-        draws = diffusion.transition_sample(alpha, t, float(x0[0]), rng, size=n)[:, None]
-    else:
-        raise ConfigError(f"unknown sampler {cfg.sampler!r}")
+    reads, draw = sampler(cfg.sampler)
+    values = {key: default if getattr(cfg, key) is None else getattr(cfg, key)
+              for key, default in reads.items()}
+    for key, value in values.items():
+        if value is None:
+            raise ConfigError(f"{cfg.sampler} sampler needs --{key}")
+    draws = draw(RngStream(cfg.seed, 0), cfg.n_samples, **values)
     meta = {
         "sampler": cfg.sampler,
-        "alpha": alpha,
-        "anchor": cfg.x or "",
+        "alpha": values.get("alpha", 0.0),
+        "anchor": values.get("x", ""),
         "seed": cfg.seed,
-        "n_samples": n,
+        "n_samples": cfg.n_samples,
     }
+    if "t" in values:
+        meta["t"] = values["t"]
     return np.atleast_2d(draws), meta

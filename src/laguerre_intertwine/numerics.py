@@ -78,28 +78,25 @@ def checked_size(size, optional: bool = True) -> int:
     return checked_int(size, 0, "the number of draws")
 
 
-@lru_cache(maxsize=None)
-def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on (-1, 1), computed once per order (read-only)."""
-    x, w = leggauss(order)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
 def unit_gauss_legendre(panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes and weights on ``(0, 1)``.
 
     ``panels`` equal sub-intervals, each carrying an ``order``-point rule;
     each must be an integer >= 1 (``ValueError`` otherwise).  Nodes are
-    strictly interior and strictly increasing.
+    strictly interior and strictly increasing.  The arrays are read-only:
+    each (panels, order) is built once.
     """
-    panels, order = checked_int(panels, 1, "panels"), checked_int(order, 1, "order")
-    x, w = _leggauss(order)
+    return _unit_rule(checked_int(panels, 1, "panels"), checked_int(order, 1, "order"))
+
+
+@lru_cache(maxsize=None)
+def _unit_rule(panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = leggauss(order)
     u = 0.5 * (x + 1.0)  # map (-1, 1) -> (0, 1)
     offsets = np.arange(panels) / panels
     nodes = (offsets[:, None] + u[None, :] / panels).ravel()
     weights = np.tile(0.5 * w / panels, panels)
+    nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 

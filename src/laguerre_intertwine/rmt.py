@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .diffusion import checked_args
-from .numerics import RngStream, checked_alpha, checked_alpha_int, checked_size
+from .numerics import RngStream, checked_alpha, checked_alpha_int, checked_int, checked_size
 
 _EIG_CLAMP = 1e-12
 
@@ -29,8 +29,7 @@ def sample_ginibre(m: int, n: int, rng: RngStream, size: int | None = None) -> n
     (N+alpha) x N draw follow the Laguerre ensemble weight x^alpha e^-x
     with no extra scale.
     """
-    if m < 1 or n < 1:
-        raise ValueError("matrix dimensions must be >= 1")
+    m, n = checked_int(m, 1, "m"), checked_int(n, 1, "n")
     shape = (m, n) if size is None else (checked_size(size), m, n)
     g = rng.gen.standard_normal(shape) + 1j * rng.gen.standard_normal(shape)
     return g / np.sqrt(2.0)
@@ -78,6 +77,7 @@ def sample_wishart_radial(
     n_dim: int, alpha_int: int, rng: RngStream, size: int | None = None
 ) -> np.ndarray:
     """Radial part of an (N+alpha) x N complex Gaussian matrix (integer alpha)."""
+    n_dim = checked_int(n_dim, 1, "N")
     return radial_part(sample_ginibre(n_dim + checked_alpha_int(alpha_int), n_dim, rng, size=size))
 
 
@@ -95,9 +95,7 @@ def sample_laguerre_ensemble(
     (about 1.5% of draws at alpha = -0.9, N = 3) is returned as 0.
     """
     checked_alpha(alpha)
-    if n_dim < 1:
-        raise ValueError(f"N must be >= 1, got {n_dim}")
-    b, n = checked_size(size), n_dim
+    b, n = checked_size(size), checked_int(n_dim, 1, "N")
     diag_dof = 2.0 * (alpha + n - np.arange(n))
     sub_dof = 2.0 * (n - 1 - np.arange(n - 1)) if n > 1 else np.empty(0)
     mat = np.zeros((b, n, n))

@@ -251,7 +251,51 @@ UNREAD_OPTIONS = [
     ["invariance", "--t", "5"],
     ["sde-vs-exact", "--alpha", "2"],
     ["sample", "--sampler", "corner", "--x", "1,2", "--dt", "0.5"],
+    # an option the chosen sampler does not read
+    ["sample", "--sampler", "corner", "--x", "1,2", "--alpha", "3"],
+    ["sample", "--sampler", "laguerre_ensemble", "--n", "2", "--t", "4"],
+    ["sample", "--sampler", "transition", "--n", "3"],
 ]
+
+
+# runs that must pass on a numpy-only install, most where a layer nears a limit
+PASSING_RUNS = [
+    ["intertwine", "--n", "1"],
+    # near alpha = -1
+    ["intertwine", "--alpha", "-0.99", "--n", "3"],
+    ["kernels-check", "--alpha", "-0.99"],
+    # a small time
+    ["intertwine", "--alpha", "-0.5", "--t", "0.01"],
+    # a large alpha: the semigroup's cut must cover the y^alpha mass, and at
+    # 36 the grid's panels must keep y^alpha (7e10 across a panel) near a polynomial
+    ["intertwine", "--alpha", "30", "--n", "1"],
+    ["intertwine", "--alpha", "36", "--n", "1"],
+    # a large alpha and a small time, where the pointwise density table's
+    # cost grew with the square of the panel count
+    ["intertwine", "--alpha", "30", "--t", "0.01", "--n", "1"],
+    # the largest N
+    ["intertwine", "--n", "8"],
+    ["kernels-check", "--n", "8"],
+    # a small time with wide anchors: Poisson means in the thousands, which the
+    # semigroup step's k-blocks keep cheap
+    ["intertwine", "--n", "6", "--t", "0.01"],
+    # each mass from the determinantal engine
+    ["kernels-check"],
+    ["sample", "--sampler", "alpha_corner", "--alpha", "0.5", "--x", "1,2,3", "--n-samples", "1000"],
+    ["truncation", "--n", "1", "--n-samples", "2000"],
+    # the secular solver
+    ["invariance", "--n-samples", "2000"],
+    # simulate_sde's worker thread, its drift-implicit step and simulate_matrix_ou
+    ["sde-vs-exact", "--n-samples", "2000"],
+    # coarse implicit steps with their Newton solve; at the default seed the
+    # N = 1 row draws p = 0.0095 against its 0.01 level, a chance failure
+    ["sde-vs-exact", "--dt", "0.01", "--n-samples", "2000", "--seed", "20260809"],
+]
+
+
+@pytest.mark.parametrize("argv", PASSING_RUNS, ids=" ".join)
+def test_run_passes(tmp_path, argv):
+    assert run(argv + ["--out", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize(

@@ -149,6 +149,21 @@ def test_gauss_rule_is_the_affine_map_at_m_1():
         assert np.array_equal(weights, np.diff(edges)[:, None] * w)
 
 
+def test_unit_rule_is_built_once_per_panels_and_order():
+    # the same read-only arrays at each call, with the bits of the rule built afresh
+    for panels, order in ((1, 20), (3, 7), (np.int64(2), 24)):
+        nodes, weights = unit_gauss_legendre(panels, order)
+        assert unit_gauss_legendre(int(panels), order)[0] is nodes
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        x, w = np.polynomial.legendre.leggauss(order)
+        offsets = np.arange(panels) / panels
+        assert np.array_equal(nodes, (offsets[:, None] + 0.5 * (x + 1.0) / panels).ravel())
+        assert np.array_equal(weights, np.tile(0.5 * w / panels, panels))
+    # a cached (1, 20) does not let a bool through in its place
+    with pytest.raises(ValueError, match="must be an integer >= 1"):
+        unit_gauss_legendre(True, 20)
+
+
 def test_gauss_rule_convergence():
     # doubling panels at low order cuts the error by >= 10x
     exact = 1.0 - math.exp(-5.0)
@@ -170,7 +185,16 @@ def test_gauss_rule_handles_singular_weight():
         assert np.sum(weights * nodes**a) == pytest.approx(3.0 ** (a + 1.0) / (1.0 + a), rel=1e-12)
 
 
-# input the composite rule and a semigroup's dimension cannot use
+# each dimension the random-matrix samplers take, as a function of its value
+MATRIX_DIMENSIONS = {
+    "ginibre_rows": lambda d: rmt.sample_ginibre(d, 2, RngStream(0)),
+    "ginibre_columns": lambda d: rmt.sample_ginibre(2, d, RngStream(0)),
+    "haar_unitary": lambda d: rmt.sample_haar_unitary(d, RngStream(0)),
+    "wishart_radial": lambda d: rmt.sample_wishart_radial(d, 1, RngStream(0)),
+    "laguerre_ensemble": lambda d: rmt.sample_laguerre_ensemble(d, 0.5, RngStream(0)),
+}
+
+# input the composite rule, a semigroup's dimension and a matrix's cannot use
 REFUSED = {
     "infinite_edge": lambda: gauss_rule([0.0, math.inf], 3),
     "nan_edge": lambda: gauss_rule([0.0, math.nan, 1.0], 3),
@@ -187,6 +211,10 @@ REFUSED = {
     "zero_n_dim": lambda: process.SemigroupParams(1.0, 1.0, 0),
     "float_lambda_eigen": lambda: process.lambda_eigen(2.5),
     "bool_lambda_eigen": lambda: process.lambda_eigen(True),
+    # a float or a bool dimension raised numpy's TypeError
+    **{f"{label}_{name}": (lambda draw=draw, value=value: draw(value))
+       for name, draw in MATRIX_DIMENSIONS.items()
+       for label, value in (("float", 2.5), ("bool", True), ("zero", 0))},
 }
 
 
