@@ -467,13 +467,7 @@ def sample(cfg) -> tuple[np.ndarray, dict]:
         if value is None:
             raise ConfigError(f"{cfg.sampler} sampler needs --{key}")
     draws = draw(RngStream(cfg.seed, 0), cfg.n_samples, **values)
-    meta = {
-        "sampler": cfg.sampler,
-        "alpha": values.get("alpha", 0.0),
-        "anchor": values.get("x", ""),
-        "seed": cfg.seed,
-        "n_samples": cfg.n_samples,
-    }
-    if "t" in values:
-        meta["t"] = values["t"]
+    # the keys the sampler read, in its row's order, x written as its anchor
+    read = {"anchor" if key == "x" else key: value for key, value in values.items()}
+    meta = {"sampler": cfg.sampler, **read, "seed": cfg.seed, "n_samples": cfg.n_samples}
     return np.atleast_2d(draws), meta

@@ -1,8 +1,7 @@
 """Shared numerical primitives.
 
 The checks of the parameters alpha and t and of integer counts, the
-rising factorial, the exponentially scaled Bessel function ``ive``,
-Gauss-Jacobi quadrature and the one composite Gauss-Legendre rule
+rising factorial, Gauss-Jacobi quadrature and the one composite Gauss-Legendre rule
 (:func:`gauss_rule`, from which every composite rule of the package and
 its tests is built), the test function values the quadrature appliers
 share, and seeded random streams used by every other module.  All samplers
@@ -17,7 +16,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import Polynomial
 from numpy.polynomial.legendre import leggauss
 
 
@@ -126,7 +124,8 @@ def gauss_rule(edges, order: int, exponent: float = 0.0, panels: int = 1) -> tup
     lo + (hi - lo) u.  Both arrays have shape
     ``edges.shape[:-1] + (intervals, panels * order)``.  Edges that are not
     finite, that decrease, or that are negative under a power map (m > 1)
-    raise ``ValueError``.
+    raise ``ValueError``, as does a power map whose node rounds to the lower
+    end of a non-empty interval (at 0 from an exponent near -1).
     """
     edges = np.asarray(edges, dtype=float)
     u, w = unit_gauss_legendre(panels, order)
@@ -142,6 +141,8 @@ def gauss_rule(edges, order: int, exponent: float = 0.0, panels: int = 1) -> tup
     nodes, weights = v[..., :-1, None] + width * u, width * w
     if m != 1.0:
         nodes, weights = nodes**m, m * nodes ** (m - 1.0) * weights
+        if (nodes <= edges[..., :-1, None])[edges[..., 1:] > edges[..., :-1]].any():
+            raise ValueError(f"nodes in y^(1/{m:g}) round to the lower end of an interval of the edges {edges}")
     return nodes, weights
 
 
@@ -152,132 +153,6 @@ def pochhammer(x: float, n: int) -> float:
     out = 1.0
     for k in range(int(n)):
         out *= x + k
-    return out
-
-
-_EPS = 2.0**-53
-# From this |nu| on, ive uses Debye's uniform expansion with this many terms;
-# below it the power series (z under max(17, 2 nu^2)) and Hankel's large-z
-# series.  Measured against scipy's ive on z in [1e-10, 1e5]: the two series
-# within 8e-14 below nu = 12 (away from the zero of I_nu at nu in (-2, -1)),
-# the expansion within 1.2e-13 from nu = 12 to 20 and 3e-13 up to nu = 100.
-_DEBYE_NU = 12.0
-_DEBYE_TERMS = 14
-_SERIES_MAX_TERMS = 1000  # the power series needs at most about 220 below nu = 12
-
-
-def ive(nu: float, z):
-    """Exponentially scaled modified Bessel function I_nu(z) e^-z, for real nu and z >= 0.
-
-    Vectorised over z; each value depends on its own z only, so a point gets
-    the same bits in any batch.  I_-n = I_n for an integer n.  Where I_nu
-    blows up at z = 0 (nu < 0 not an integer) the result is inf with the
-    sign of 1/Gamma(nu + 1), as it is wherever I_nu e^-z overflows.
-    """
-    nu = float(nu)
-    z = np.asarray(z, dtype=float)
-    if not math.isfinite(nu):
-        raise ValueError(f"nu must be finite, got {nu}")
-    if np.any(z < 0):
-        raise ValueError("z must be >= 0")
-    if nu < 0 and nu.is_integer():
-        nu = -nu
-    out = np.full(z.shape, np.nan)
-    if abs(nu) >= _DEBYE_NU:
-        done = ~np.isnan(z)
-        out[done] = _ive_debye(nu, z[done])
-    else:
-        cut, series, hankel = _ive_coefficients(nu)
-        low, high = z < cut, z >= cut
-        if np.any(low):
-            out[low] = _ive_series(nu, z[low], cut, series)
-        if np.any(high):
-            out[high] = _ive_hankel(z[high], cut, hankel)
-    return float(out) if out.ndim == 0 else out
-
-
-@lru_cache(maxsize=256)
-def _ive_coefficients(nu: float) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
-    """The cut between the two series for |nu| < _DEBYE_NU, and the coefficients of each.
-
-    Power series: the terms (cut/2)^2k / (k! (nu+1)_k) at z = cut, kept
-    until one is below eps/4 of their sum; the tail at any smaller z is
-    smaller.  Hankel's series: (-1)^k a_k(nu) cut^-k, cut after the first
-    term below eps/4, or before the first term that grows (the series is
-    asymptotic); at any larger z the terms are smaller.
-    """
-    cut = max(17.0, 2.0 * nu * nu)
-    series, total = [1.0], 1.0
-    for k in range(1, _SERIES_MAX_TERMS):
-        series.append(series[-1] * 0.25 * cut * cut / (k * (k + nu)))
-        total += abs(series[-1])
-        if abs(series[-1]) <= 0.25 * _EPS * total:
-            break
-    hankel, mu = [1.0], 4.0 * nu * nu
-    for k in range(1, _SERIES_MAX_TERMS):
-        term = -hankel[-1] * (mu - (2 * k - 1) ** 2) / (8.0 * k * cut)
-        if abs(term) > abs(hankel[-1]):
-            break
-        hankel.append(term)
-        if term == 0.0 or abs(term) <= 0.25 * _EPS:
-            break
-    return cut, tuple(series), tuple(hankel)
-
-
-def _horner(coef: tuple[float, ...], r: np.ndarray) -> np.ndarray:
-    """sum_k coef[k] r^k."""
-    out = np.full_like(r, coef[-1])
-    for c in coef[-2::-1]:
-        out *= r
-        out += c
-    return out
-
-
-def _ive_series(nu: float, z: np.ndarray, cut: float, coef: tuple[float, ...]) -> np.ndarray:
-    """sum_k (z/2)^(2k+nu) e^-z / (k! Gamma(k+nu+1)), in powers of (z/cut)^2."""
-    out = _horner(coef, (z / cut) ** 2)
-    # the leading factor (z/2)^nu e^-z / Gamma(nu+1); z^nu 2^-nu keeps the
-    # digits of a subnormal z, whose half underflows
-    with np.errstate(divide="ignore", over="ignore"):
-        out *= z**nu
-    out *= math.pow(2.0, -nu) / math.gamma(nu + 1.0)
-    out *= np.exp(-z)
-    return out
-
-
-def _ive_hankel(z: np.ndarray, cut: float, coef: tuple[float, ...]) -> np.ndarray:
-    """Hankel's series e^-z I_nu(z) ~ sum_k (-1)^k a_k(nu) z^-k / sqrt(2 pi z), in powers of cut/z."""
-    return _horner(coef, cut / z) / np.sqrt(2.0 * np.pi * z)
-
-
-@lru_cache(maxsize=None)
-def _debye_polynomials() -> tuple[Polynomial, ...]:
-    """u_0 .. u_K of Debye's expansion: u_{k+1} = p^2 (1-p^2) u_k'/2 + int_0^p (1-5s^2) u_k ds / 8."""
-    u = [Polynomial([1.0])]
-    for _ in range(_DEBYE_TERMS):
-        u.append(0.5 * Polynomial([0, 0, 1, 0, -1]) * u[-1].deriv()
-                 + 0.125 * (Polynomial([1, 0, -5]) * u[-1]).integ())
-    return tuple(u)
-
-
-def _ive_debye(nu: float, z: np.ndarray) -> np.ndarray:
-    """Debye's expansion in 1/|nu| at z = |nu| w, with I_-m = I_m + (2/pi) sin(m pi) K_m."""
-    m = abs(nu)
-    w = z / m
-    r = np.hypot(1.0, w)
-    with np.errstate(divide="ignore"):
-        eta = -np.arcsinh(1.0 / w)  # log(w / (1 + r)), -inf at z = 0 and 0 at z = inf
-    u = [p(1.0 / r) for p in _debye_polynomials()]
-    plus, minus = np.zeros_like(z), np.zeros_like(z)
-    for k in range(len(u) - 1, -1, -1):
-        plus = plus / m + u[k]
-        minus = minus / m + (-1) ** k * u[k]
-    with np.errstate(over="ignore"):
-        out = np.exp(m * (1.0 / (r + w) + eta)) / np.sqrt(2.0 * np.pi * m * r) * plus
-        if nu < 0:
-            sin = math.sin(math.pi * math.fmod(m, 2.0))
-            k_scaled = np.exp(-m * (r + w + eta)) * np.sqrt(np.pi / (2.0 * m * r)) * minus
-            out = out + (2.0 / np.pi) * sin * k_scaled
     return out
 
 

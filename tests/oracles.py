@@ -1,5 +1,5 @@
-"""Test-only oracles: a matrix model, a rejection sampler, a closed-form density, a tabulated
-CDF, a semigroup step and a mean z-check.
+"""Test-only oracles: a matrix model, a rejection sampler, two closed-form densities, a
+tabulated CDF, a semigroup step and a mean z-check.
 
 None of these is used by the library; the tests compare its samplers and
 quadratures against them.
@@ -12,11 +12,15 @@ quadratures against them.
   ``RejectionLimitError``.
 * ``laguerre_ensemble_density``: the Laguerre ensemble's density on the
   ordered chamber, normalization included.
+* ``bessel_log_density``: the one-particle log-density in its Bessel form,
+  with scipy's ``ive`` (the test skips without scipy): the form the
+  package's Poisson-Gamma sum replaced.
 * ``grid_cdf``: a CDF tabulated from a density by panel quadrature, for
   one-sample KS tests against laws with no closed-form CDF.
 * ``semigroup_step_pointwise``: the determinantal engine's semigroup step
   with the transition density tabulated point by point on (targets x grid
-  nodes) from its Bessel form, the step the Poisson-Gamma mixture replaced.
+  nodes) by ``bessel_log_density``, the step the Poisson-Gamma mixture
+  replaced.
 * ``mean_z``: the z-score of a sample mean against an analytic mean and
   variance, which the moment tests hold to |z| <= ``MEAN_Z_MAX``.
 """
@@ -26,8 +30,9 @@ from __future__ import annotations
 from math import lgamma
 
 import numpy as np
+import pytest
 
-from laguerre_intertwine import determinantal, diffusion
+from laguerre_intertwine import determinantal
 from laguerre_intertwine.kernels import KernelSpec, UnsupportedDimensionError, interior_anchor, vandermonde
 from laguerre_intertwine.numerics import (
     checked_alpha, checked_alpha_int, checked_size, gauss_rule, power_stretch,
@@ -101,6 +106,17 @@ def laguerre_ensemble_density(n_dim: int, alpha: float, x):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def bessel_log_density(power: float, nu: float, t: float, x, y):
+    """log of (1/w) exp(-(x e^-t + y)/w) (y/(x e^-t))^(power/2) I_nu(K), w = 1 - e^-t and
+    K = 2 sqrt(x y e^-t)/w, for x, y > 0, with scipy's exponentially scaled ``ive``."""
+    ive = pytest.importorskip("scipy.special").ive
+    w = -np.expm1(-t)
+    xe, y = np.asarray(x, dtype=float) * np.exp(-t), np.asarray(y, dtype=float)
+    # -(xe + y)/w + K = -(sqrt(xe) - sqrt(y))^2 / w
+    return (-np.log(w) - (np.sqrt(xe) - np.sqrt(y)) ** 2 / w + 0.5 * power * (np.log(y) - np.log(xe))
+            + np.log(ive(nu, 2.0 * np.sqrt(xe * y) / w)))
+
+
 def grid_cdf(pdf, lo: float, hi: float, endpoint_exponent: float | None = None):
     """The CDF of ``pdf`` on [lo, hi] by cumulative panel quadrature.
 
@@ -122,7 +138,7 @@ def grid_cdf(pdf, lo: float, hi: float, endpoint_exponent: float | None = None):
 
 def semigroup_step_pointwise(params, table, grid, x: np.ndarray, count: int):
     """``determinantal._semigroup_step`` with p_t(target, node) tabulated by
-    ``diffusion.log_density_indexed``.
+    :func:`bessel_log_density`.
 
     On the first panel (0, s), p_t(x, y) / y^alpha takes the product weights
     s^(alpha+1) int_0^1 v^alpha L_l(v) dv; their product is formed in log space.
@@ -130,7 +146,7 @@ def semigroup_step_pointwise(params, table, grid, x: np.ndarray, count: int):
     order, alpha = determinantal.ORDER, params.alpha
     targets = np.concatenate([grid.nodes[:count].ravel(), x])[:, None]
     s, y = grid.edges[1], grid.nodes[0]
-    log_p = diffusion.log_density_indexed(alpha, alpha, params.t, targets, grid.nodes.ravel()[None, :])
+    log_p = bessel_log_density(alpha, alpha, params.t, targets, grid.nodes.ravel()[None, :])
     log_p[:, :order] += alpha * np.log(s / y) + np.log(s)
     weights = np.concatenate([determinantal._scaled_moments(order, alpha + 1.0)[-1], grid.weights[1:].ravel()])
     kernel = np.exp(log_p) * weights

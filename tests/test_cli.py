@@ -193,6 +193,29 @@ def test_sample_column_count_matches_dimension(tmp_path):
     assert header == "y1,y2,y3"
 
 
+# sampler -> (its options, the metadata lines it writes): the keys of its
+# SAMPLERS row (x as anchor) between sampler and seed, n_samples; a sampler
+# with no row here fails its test
+SAMPLE_METADATA = {
+    "corner": (["--x", "1,2"], ["anchor=1 2"]),
+    "alpha_square": (["--x", "1,2", "--alpha", "0.5"], ["alpha=0.5", "anchor=1 2"]),
+    "alpha_corner": (["--x", "1,2", "--alpha", "0.5"], ["alpha=0.5", "anchor=1 2"]),
+    "laguerre_ensemble": (["--n", "3", "--alpha", "0.5"], ["n=3", "alpha=0.5"]),
+    "wishart_radial": (["--n", "2"], ["n=2", "alpha=0"]),
+    "transition": (["--x", "2", "--t", "0.5"], ["alpha=0", "t=0.5", "anchor=2"]),
+}
+
+
+@pytest.mark.parametrize("name", experiments.SAMPLERS)
+def test_sample_metadata_is_what_the_sampler_read(name, tmp_path):
+    options, read = SAMPLE_METADATA[name]
+    rc = run(["sample", "--sampler", name, *options, "--n-samples", "4", "--seed", "3", "--out", str(tmp_path)])
+    assert rc == 0
+    lines = (tmp_path / "samples.csv").read_text().splitlines()
+    meta = [line[2:] for line in lines if line.startswith("# ")]
+    assert meta == [f"sampler={name}", *read, "seed=3", "n_samples=4"]
+
+
 def test_sample_unknown_sampler(tmp_path):
     assert run(["sample", "--sampler", "nope", "--out", str(tmp_path)]) == 2
 

@@ -2,12 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from oracles import MEAN_Z_MAX, mean_z
-from scipy.special import gammaln
+from oracles import MEAN_Z_MAX, bessel_log_density, mean_z
 
 from laguerre_intertwine.diffusion import (
-    _log_density_entrance,
     dual_transition_density,
+    dual_transition_density_exit,
     htransform_residual_32a,
     speed_measure_dual,
     transition_density,
@@ -42,7 +41,7 @@ def test_conservative_mass_grid():
 def test_stationarity_of_gamma_weight():
     alpha, t = 1.5, 0.8
     nodes, weights = map(np.ravel, gauss_rule([0.0, 60.0], 20, alpha, 40))
-    weight = np.exp(alpha * np.log(nodes) - nodes - gammaln(alpha + 1.0))
+    weight = np.exp(alpha * np.log(nodes) - nodes - math.lgamma(alpha + 1.0))
     for z in (0.5, 2.0, 5.0):
         lhs = float(np.dot(weights, weight * transition_density(alpha, t, nodes, z)))
         rhs = math.exp(alpha * math.log(z) - z - math.lgamma(alpha + 1.0))
@@ -161,11 +160,52 @@ def test_absorbed_family_matches_exit_routing():
 
 
 def test_entrance_log_density_matches_scipy_gammaln():
+    # from x = 0 the density is Gamma(alpha + 1, scale 1 - e^-t)
+    gammaln = pytest.importorskip("scipy.special").gammaln
     y = np.geomspace(1e-3, 50.0, 30)
     for alpha in (-0.9, -0.5, 0.0, 1.5, 7.0):
         for t in (0.1, 1.0, 5.0):
             w = -np.expm1(-t)
             want = alpha * np.log(y) - y / w - (alpha + 1.0) * np.log(w) - gammaln(alpha + 1.0)
-            assert np.allclose(_log_density_entrance(alpha, t, y), want, rtol=1e-14, atol=1e-14)
+            assert np.allclose(np.log(transition_density(alpha, t, 0.0, y)), want, rtol=1e-14, atol=1e-14)
 
 
+@pytest.mark.parametrize("alpha", [2.5, 5.0, 10.0, 39.0])
+def test_density_from_a_tiny_start_is_the_entrance_density(alpha):
+    # the Bessel form's I_nu underflowed here, and the density read 0
+    at_zero = transition_density(alpha, 1.0, 0.0, 1.0)
+    for x in (1e-20, 1e-100, 1e-300):
+        assert abs(transition_density(alpha, 1.0, x, 1.0) - at_zero) <= 1e-12 * at_zero
+
+
+PIN_NUS = (-0.99, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0, 30.0)
+PIN_TIMES = (0.01, 0.05, 0.25, 1.0, 4.0)
+
+
+@pytest.mark.parametrize("nu", PIN_NUS)
+def test_density_matches_the_bessel_form(nu):
+    # The Poisson-Gamma sum against the Bessel form with scipy's ive, on a
+    # grid fixed before the first run: per t, 2000 pairs with x log-uniform
+    # on [1e-3, 30] and y drawn from p_t(x, .) itself, kept where y > 0 and
+    # the value is a normal float; bound 2e-13 relative.
+    for i, t in enumerate(PIN_TIMES):
+        gen = RngStream(1, PIN_NUS.index(nu) * len(PIN_TIMES) + i).gen
+        x = 10.0 ** gen.uniform(-3.0, math.log10(30.0), 2200)
+        y = -math.expm1(-t) * gen.gamma(gen.poisson(x / math.expm1(t)) + nu + 1.0)
+        with np.errstate(divide="ignore", over="ignore"):
+            want = np.exp(bessel_log_density(nu, nu, t, x, y))
+        keep = np.flatnonzero((y > 0) & (want >= np.finfo(float).tiny) & (want <= np.finfo(float).max))[:2000]
+        assert keep.size == 2000
+        got = transition_density(nu, t, x[keep], y[keep])
+        assert np.max(np.abs(got - want[keep]) / want[keep]) <= 2e-13, t
+
+
+@pytest.mark.parametrize(
+    "density, alpha, index",
+    [(transition_density_absorbed, 1.0, "-1"), (transition_density_absorbed, 2.5, "-2.5"),
+     (dual_transition_density_exit, 0.0, "-1"), (dual_transition_density_exit, 1.5, "-2.5")],
+)
+def test_bessel_index_at_most_minus_one_is_refused(density, alpha, index):
+    # the mixture's first term is negative there
+    with pytest.raises(ValueError, match=f"Bessel index must be > -1, got {index}:"):
+        density(alpha, 0.5, 1.0, 2.0)

@@ -1,7 +1,6 @@
 import math
 import subprocess
 import sys
-from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from laguerre_intertwine.numerics import (
     checked_time,
     gauss_jacobi,
     gauss_rule,
-    ive,
     pochhammer,
     sample_noncentral_chisq,
     unit_gauss_legendre,
@@ -201,6 +199,8 @@ REFUSED = {
     "decreasing_edges": lambda: gauss_rule([1.0, 0.0], 3),
     "one_edge": lambda: gauss_rule([1.0], 3),
     "negative_edge_under_a_power_map": lambda: gauss_rule([-1.0, 1.0], 3, 0.5),
+    # 8 of the nodes were 0, where y^-0.99 is inf
+    "node_at_zero_under_a_power_map": lambda: gauss_rule([0.0, 1.0], 20, -0.99, 4),
     "zero_panels": lambda: gauss_rule([0.0, 1.0], 3, panels=0),
     "float_panels": lambda: unit_gauss_legendre(2.5, 3),
     "bool_panels": lambda: gauss_rule([0.0, 1.0], 3, panels=True),
@@ -258,90 +258,6 @@ def test_noncentral_chisq_domain():
         sample_noncentral_chisq(0.0, 1.0, rng)
     with pytest.raises(ValueError):
         sample_noncentral_chisq(2.0, -1.0, rng)
-
-
-IVE_NUS = (-2.5, -2.0, -1.5, -0.99, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 6.0, 10.0)
-
-
-def _leading_term(nu, z):
-    """(z/2)^nu / Gamma(nu + 1) in 40 digits, rounded once to a float (inf past the range).
-
-    At z <= 1e-300 this is I_nu(z) e^-z to double precision: the next term is
-    z^2 / (4 (nu + 1)) smaller and e^-z rounds to 1.
-    """
-    nu = abs(nu) if float(nu).is_integer() else nu
-    if z == 0.0:
-        return 1.0 if nu == 0 else (0.0 if nu > 0 else math.copysign(math.inf, math.gamma(nu + 1.0)))
-    with localcontext() as ctx:
-        ctx.prec = 40
-        return float((Decimal(z) / 2) ** Decimal(nu) / Decimal(math.gamma(nu + 1.0)))
-
-
-def _largest_series_term(nu, z):
-    """max_k |(z/2)^(2k+nu) e^-z / (k! Gamma(k+nu+1))| for a z of order 1 and nu not an integer."""
-    return max(
-        math.exp((2 * k + nu) * math.log(z / 2) - z - math.lgamma(k + 1.0) - math.lgamma(k + nu + 1.0))
-        for k in range(40)
-    )
-
-
-@pytest.mark.parametrize("nu", IVE_NUS)
-def test_ive_matches_scipy_on_a_fixed_grid(nu):
-    # Bound: |ours - scipy| <= 1e-13 |scipy|, except near the zero of I_-1.5
-    # (z = 1.1997, the grid's only zero), where the power series cancels:
-    # there, for z in [1.1, 1.3], the bound is absolute, 1e-13 times the
-    # largest series term.
-    scipy_ive = pytest.importorskip("scipy.special").ive
-    z = np.geomspace(1e-10, 1e5, 400)
-    got, want = ive(nu, z), scipy_ive(nu, z)
-    assert np.all(np.isfinite(want)) and np.all(want != 0)
-    scale = np.abs(want)
-    if nu == -1.5:
-        near = np.abs(z - 1.2) <= 0.1
-        scale[near] = [_largest_series_term(nu, x) for x in z[near]]
-    assert np.all(np.abs(got - want) <= 1e-13 * scale)
-
-
-@pytest.mark.parametrize("nu", IVE_NUS)
-def test_ive_at_zero_and_subnormal_z(nu):
-    # scipy returns nan here for nu < 0 not an integer, and 0 where the value
-    # is a normal float at nu = 0.25 and z = 5e-324, so the oracle is the
-    # leading power-series term (exact to double precision at these z)
-    for z in (0.0, 5e-324, 1e-300):
-        got, want = ive(nu, z), _leading_term(nu, z)
-        if math.isinf(want) or want == 0.0:
-            assert got == want, (z, got, want)
-        else:
-            assert abs(got - want) <= 1e-13 * abs(want), (z, got, want)
-
-
-@pytest.mark.parametrize("nu", (12.0, 20.0, 50.0, -12.5, -20.7))
-def test_ive_large_order_matches_scipy(nu):
-    # Debye's expansion; bound fixed at 1e-12 before the first run (measured
-    # 1.2e-13 to nu = 20, 3e-13 to nu = 100)
-    scipy_ive = pytest.importorskip("scipy.special").ive
-    z = np.geomspace(1e-10, 1e5, 200)
-    got, want = ive(nu, z), scipy_ive(nu, z)
-    normal = np.abs(want) > 1e-300  # scipy flushes some subnormal values to 0
-    assert np.all(np.abs(got - want)[normal] <= 1e-12 * np.abs(want[normal]))
-    assert np.all(np.abs(got[~normal]) < 1e-300)
-
-
-def test_ive_is_pointwise_and_checks_its_domain():
-    # a point gets the same bits alone and in any batch
-    z = np.concatenate([np.geomspace(1e-3, 300.0, 97), [0.0, 16.99, 17.0, 17.01]])
-    for nu in (-0.5, 0.0, 1.0, 6.0, 15.0):
-        batch = ive(nu, z)
-        assert all(ive(nu, x) == v for x, v in zip(z, batch))
-        assert np.array_equal(ive(nu, z[::-1]), batch[::-1])
-    assert type(ive(1.0, 2.0)) is float
-    assert ive(-2.0, 3.0) == ive(2.0, 3.0)
-    assert math.isnan(ive(0.5, math.nan)) and math.isnan(ive(20.0, math.nan))
-    assert ive(0.5, math.inf) == 0.0 and ive(20.0, math.inf) == 0.0 and ive(-20.5, math.inf) == 0.0
-    with pytest.raises(ValueError, match="z must be"):
-        ive(0.0, [1.0, -1e-300])
-    with pytest.raises(ValueError, match="nu must be"):
-        ive(math.nan, 1.0)
 
 
 def _jacobi_moments(b, count):
