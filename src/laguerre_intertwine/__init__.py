@@ -5,7 +5,6 @@ from .numerics import (
     RngStream,
     gauss_rule,
     pochhammer,
-    sample_noncentral_chisq,
 )
 from .diffusion import (
     BoundaryKind,

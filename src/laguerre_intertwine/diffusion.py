@@ -4,9 +4,10 @@ The diffusion on [0, inf) generated by ``x f'' + (alpha + 1 - x) f'`` (a
 squared Ornstein-Uhlenbeck / CIR process with unit relaxation rate, level
 alpha + 1 and squared noise 2).  This module provides its transition
 density, summed as the Poisson-Gamma mixture of the noncentral chi-square
-law (:func:`log_density_indexed`, no Bessel function), exact transition
-sampling from the same mixture, the Siegmund-dual density, and
-finite-difference validators for the backward equations.
+law, sum_k Pois(k; x e^-t / w) Gamma(k + index + 1, scale w) with
+w = 1 - e^-t (:func:`log_density_indexed`); exact transition sampling
+that draws the same mixture; the Siegmund-dual density, one h-transform
+of it; and finite-difference validators for the backward equations.
 
 Boundary conventions: for alpha > -1 the origin is entrance (alpha >= 0) or
 regular with reflection (-1 < alpha < 0) and the Bessel index is alpha; for
@@ -26,7 +27,7 @@ from math import lgamma
 
 import numpy as np
 
-from .numerics import checked_alpha, checked_time, sample_noncentral_chisq
+from .numerics import checked_alpha, checked_size, checked_time
 
 
 class BoundaryKind(str, Enum):
@@ -137,9 +138,9 @@ def log_density_indexed(power: float, nu: float, t: float, x, y):
         raise ValueError(f"the Bessel index must be > -1, got {nu:g}: below, the mixture's first term is negative")
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     w = -math.expm1(-t)
-    lam, u = x.ravel() / math.expm1(t), y.ravel() / w
+    lam, u = x.ravel() * (math.exp(-t) / w), y.ravel() / w
     with np.errstate(divide="ignore"):  # the logs from x and y: a subnormal lam or u has lost digits
-        log_lam, log_u = np.log(x.ravel()) - math.log(math.expm1(t)), np.log(y.ravel()) - math.log(w)
+        log_lam, log_u = np.log(x.ravel()) - (t + math.log(w)), np.log(y.ravel()) - math.log(w)
     k = np.floor(0.5 * (np.hypot(nu, 2.0 * np.sqrt(lam) * np.sqrt(u)) - nu))
     if not k.max(initial=0.0) <= _MAX_PEAK:
         raise ValueError(f"the mixture's peak index {k.max():g} is above {_MAX_PEAK:g}")
@@ -181,18 +182,19 @@ def transition_density(alpha: float, t: float, x, y):
     return float(out) if out.ndim == 0 else out
 
 
-def transition_sample(
-    alpha: float, t: float, x: float, rng, size: int | None = None
-):
-    """Exact draw of the diffusion at time t started from x.
+def transition_sample(alpha: float, t: float, x, rng, size: int | None = None):
+    """Exact draw of the diffusion at time t started from x (alpha > -1).
 
-    Uses the representation Y = c * noncentral-chisq(2(alpha+1), x e^-t / c)
-    with c = (1 - e^-t)/2, which reproduces the transition density exactly.
+    Draws the mixture that :func:`log_density_indexed` sums: K ~ Poisson(lam)
+    with lam = x e^-t / w, w = 1 - e^-t, then Gamma(alpha + 1 + K, scale w).
+    ``size`` draws from a scalar x, or one draw per start of an array x
+    when ``size`` is None.
     """
-    checked_args(checked_alpha(alpha), t, x, zero_x=True)
-    c = 0.5 * -np.expm1(-t)
-    lam = x * np.exp(-t) / c
-    return c * sample_noncentral_chisq(2.0 * (alpha + 1.0), lam, rng, size=size)
+    x, _ = checked_args(checked_alpha(alpha), t, x, zero_x=True)
+    checked_size(size)
+    w = -np.expm1(-t)
+    k = rng.gen.poisson(x * np.exp(-t) / w, size=size)
+    return rng.gen.gamma(alpha + 1.0 + k, w)
 
 
 def transition_density_absorbed(alpha: float, t: float, x, y):
@@ -210,6 +212,14 @@ def transition_density_absorbed(alpha: float, t: float, x, y):
     return float(out) if out.ndim == 0 else out
 
 
+def _dual_density(alpha: float, t: float, x, y, nu: float):
+    """e^-t p_{alpha+1,t}(x, y) m_hat(y)/m_hat(x) with the kernel's Bessel index nu."""
+    x, y = checked_args(alpha, t, x, y)
+    ap = alpha + 1.0
+    out = np.exp(-t + log_density_indexed(ap, nu, t, x, y) + (y - x) - ap * (np.log(y) - np.log(x)))
+    return float(out) if out.ndim == 0 else out
+
+
 def dual_transition_density_exit(alpha: float, t: float, x, y):
     """Dual density paired with the exit continuation of p_{alpha+1}.
 
@@ -219,11 +229,7 @@ def dual_transition_density_exit(alpha: float, t: float, x, y):
     verification for parameters alpha < 0).  From alpha = 0 the index is
     <= -1, and ``ValueError`` names it.
     """
-    x, y = checked_args(alpha, t, x, y)
-    ap = alpha + 1.0
-    log_p = log_density_indexed(ap, -ap, t, x, y)
-    out = np.exp(-t + log_p + (y - x) - ap * (np.log(y) - np.log(x)))
-    return float(out) if out.ndim == 0 else out
+    return _dual_density(alpha, t, x, y, -(alpha + 1.0))
 
 
 def speed_measure_dual(alpha: float, x):
@@ -241,13 +247,8 @@ def dual_transition_density(alpha: float, t: float, x, y):
     with m_hat the dual speed measure; it solves the backward equation for
     ``x f'' + (x - alpha) f'`` (checked by finite differences in the tests).
     """
-    x, y = checked_args(alpha, t, x, y)
-    ap = alpha + 1.0
-    nu = ap if ap > -1 else -ap
-    log_p = log_density_indexed(ap, nu, t, x, y)
-    log_ratio = (y - x) - ap * (np.log(y) - np.log(x))
-    out = np.exp(-t + log_p + log_ratio)
-    return float(out) if out.ndim == 0 else out
+    ap = checked_alpha(alpha, -math.inf) + 1.0
+    return _dual_density(alpha, t, x, y, ap if ap > -1 else -ap)
 
 
 def htransform_residual_32a(alpha: float, t: float, x: float, y: float) -> float:

@@ -323,10 +323,10 @@ def dual_check(cfg) -> list[Check]:
     x = np.array([1.0, 2.0])
     for (alpha, t, y) in [(-0.5, 0.5, 1.5), (0.5, 0.5, 1.5), (1.5, 0.3, 1.0), (0.5, 0.25, 0.8)]:
         (a_nodes, a_weights), (b_nodes, b_weights) = rule(0.0, y, alpha), rule(y, 40.0 + x[1] + y)
-        det = (
-            td(alpha, t, x[0], a_nodes)[:, None] * td(alpha, t, x[1], b_nodes)[None, :]
-            - td(alpha, t, x[0], b_nodes)[None, :] * td(alpha, t, x[1], a_nodes)[:, None]
-        )
+        # both anchors' densities over both node sets in one call: the density is per point
+        values = td(alpha, t, x[:, None], np.concatenate([a_nodes, b_nodes]))
+        (a0, a1), (b0, b1) = np.split(values, [a_nodes.size], axis=1)
+        det = np.outer(a0, b1) - np.outer(a1, b0)
         lhs = dual_speed(alpha, y) * float(a_weights @ det @ b_weights)
         nodes, weights = rule(x[0], x[1])
         shifted = td(alpha + 1.0, t, nodes, y)

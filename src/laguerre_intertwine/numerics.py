@@ -1,11 +1,12 @@
 """Shared numerical primitives.
 
 The checks of the parameters alpha and t and of integer counts, the
-rising factorial, Gauss-Jacobi quadrature and the one composite Gauss-Legendre rule
-(:func:`gauss_rule`, from which every composite rule of the package and
-its tests is built), the test function values the quadrature appliers
-share, and seeded random streams used by every other module.  All samplers
-draw from an explicit :class:`RngStream`, so experiments are reproducible.
+rising factorial, Gauss-Jacobi quadrature, the one composite Gauss-Legendre
+rule (:func:`gauss_rule`, from which every composite rule of the package
+and its tests is built), the test function values the quadrature appliers
+share, and seeded random streams for the samplers of the other modules
+(the one-particle draw is ``diffusion.transition_sample``): each draws from
+an explicit :class:`RngStream`, so experiments are reproducible.
 """
 
 from __future__ import annotations
@@ -207,19 +208,3 @@ def pointwise_values(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray) -> np
         raise ValueError(f"test function must return shape ({y.shape[0]},), got {values.shape}")
     return values
 
-
-def sample_noncentral_chisq(
-    dof: float, noncentrality: float, rng: RngStream, size: int | None = None
-):
-    """Noncentral chi-square draw via the Poisson-Gamma mixture.
-
-    Realized as Gamma(dof/2 + K, scale 2) with K ~ Poisson(noncentrality/2),
-    which is exact for any real dof > 0.
-    """
-    if not dof > 0:
-        raise ValueError(f"dof must be positive, got {dof}")
-    if noncentrality < 0:
-        raise ValueError(f"noncentrality must be >= 0, got {noncentrality}")
-    checked_size(size)
-    k = rng.gen.poisson(0.5 * noncentrality, size=size)
-    return rng.gen.gamma(0.5 * dof + k, 2.0)

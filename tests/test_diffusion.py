@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,11 +92,12 @@ def test_non_finite_input_raises(call):
 
 
 def test_sampler_zero_start_is_gamma():
+    # at x = 0 the Poisson index is 0: Gamma(alpha + 1, scale w), w = 1 - e^-t
     rng = RngStream(556, 0)
     alpha, t = 1.0, 0.8
-    c = 0.5 * -math.expm1(-t)
+    w = -math.expm1(-t)
     a = transition_sample(alpha, t, 0.0, rng, size=50_000)
-    b = c * rng.gen.gamma(alpha + 1.0, 2.0, size=50_000)
+    b = rng.gen.gamma(alpha + 1.0, w, size=50_000)
     assert ks_two_sample(EmpiricalSample(a), EmpiricalSample(b)).p_value > 0.01
 
 
@@ -104,10 +106,20 @@ def test_sampler_mean():
     alpha, t, x = 1.0, 0.5, 3.0
     draws = transition_sample(alpha, t, x, rng, size=400_000)
     target = 3.0 * math.exp(-0.5) + 2.0 * (1.0 - math.exp(-0.5))
-    # Y = c chi^2(2(alpha+1), lam), c = w/2 and c lam = x e^-t: Var Y = 2 c^2 (2(alpha+1) + 2 lam)
+    # Y = Gamma(alpha + 1 + K, scale w), K ~ Poisson(lam), w lam = x e^-t:
+    # Var Y = w^2 (alpha + 1 + lam) + w^2 lam = w^2 (alpha + 1) + 2 w x e^-t
     w = -math.expm1(-t)
     variance = w * w * (alpha + 1.0) + 2.0 * w * x * math.exp(-t)
     assert abs(mean_z(draws, target, variance)) <= MEAN_Z_MAX
+    m4 = float(np.mean((draws - draws.mean()) ** 4))
+    var_se = math.sqrt((m4 - draws.var() ** 2) / draws.size)
+    assert abs(draws.var() - variance) <= 4.0 * var_se
+
+
+def test_sampler_array_start_draws_once_per_start():
+    draws = transition_sample(0.5, 1.0, np.array([1.0, 2.0]), RngStream(558, 0))
+    assert draws.shape == (2,)
+    assert np.all(draws > 0)
 
 
 def test_sampler_domain():
@@ -209,3 +221,22 @@ def test_bessel_index_at_most_minus_one_is_refused(density, alpha, index):
     # the mixture's first term is negative there
     with pytest.raises(ValueError, match=f"Bessel index must be > -1, got {index}:"):
         density(alpha, 0.5, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("t", [709.7, 710.0, 800.0, 1e6])
+@pytest.mark.parametrize("alpha", [-0.5, 0.5, 2.5])
+def test_density_is_finite_at_large_t(alpha, t):
+    # e^-t is 0 or subnormal there, and e^t overflows: the kernel is the
+    # Gamma(alpha + 1) density of the stationary law, e^-1 / Gamma(alpha + 1) at y = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = transition_density(alpha, t, 1.0, 1.0)
+    assert got == pytest.approx(math.exp(-1.0 - math.lgamma(alpha + 1.0)), rel=1e-13, abs=0.0)
+
+
+def test_absorbed_density_at_large_t():
+    # index -1/2, power 1/2: (y / (x e^-t))^(1/2) times the Gamma(1/2) density at y = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = transition_density_absorbed(0.5, 800.0, 1.0, 1.0)
+    assert got == pytest.approx(math.exp(399.0) / math.gamma(0.5), rel=1e-12, abs=0.0)

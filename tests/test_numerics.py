@@ -4,7 +4,6 @@ import sys
 
 import numpy as np
 import pytest
-from oracles import MEAN_Z_MAX, mean_z
 
 from laguerre_intertwine import diffusion, kernels, process, rmt
 from laguerre_intertwine.numerics import (
@@ -16,10 +15,8 @@ from laguerre_intertwine.numerics import (
     gauss_jacobi,
     gauss_rule,
     pochhammer,
-    sample_noncentral_chisq,
     unit_gauss_legendre,
 )
-from laguerre_intertwine.stats import EmpiricalSample, ks_one_sample
 
 
 # every public sampler, called with a draw count; X is a corner anchor
@@ -34,7 +31,6 @@ SAMPLERS = {
     "sample_laguerre_ensemble": lambda rng, size: rmt.sample_laguerre_ensemble(2, 0.5, rng, size),
     "sample_invariant_rectangular": lambda rng, size: rmt.sample_invariant_rectangular(X, 1, rng, size),
     "transition_sample": lambda rng, size: diffusion.transition_sample(0.5, 0.7, 1.5, rng, size),
-    "sample_noncentral_chisq": lambda rng, size: sample_noncentral_chisq(3.0, 1.0, rng, size),
     "simulate_matrix_ou": lambda rng, size: process.simulate_matrix_ou(1, [1.0, 3.0], 0.5, rng, size),
     "simulate_sde": lambda rng, size: process.simulate_sde(
         1.0, [1.0, 3.0], 0.1, process.SdeConfig(dt=1e-2), rng, size
@@ -230,34 +226,6 @@ def test_rng_determinism_and_independence():
     c = RngStream(123, 6).gen.standard_normal(64)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def test_noncentral_chisq_zero_noncentrality_is_gamma():
-    gammainc = pytest.importorskip("scipy.special").gammainc
-    rng = RngStream(31, 0)
-    draws = sample_noncentral_chisq(3.0, 0.0, rng, size=100_000)
-    rep = ks_one_sample(
-        EmpiricalSample(draws, "ncx2"), lambda y: gammainc(1.5, np.maximum(y, 0) / 2.0)
-    )
-    assert rep.p_value > 0.01
-
-
-def test_noncentral_chisq_moments():
-    rng = RngStream(32, 0)
-    d, lam = 3.0, 2.0
-    draws = sample_noncentral_chisq(d, lam, rng, size=1_000_000)
-    assert abs(mean_z(draws, d + lam, 2.0 * (d + 2.0 * lam))) <= MEAN_Z_MAX
-    m4 = float(np.mean((draws - draws.mean()) ** 4))
-    var_se = math.sqrt((m4 - draws.var() ** 2) / draws.size)
-    assert abs(draws.var() - 14.0) <= 4.0 * var_se
-
-
-def test_noncentral_chisq_domain():
-    rng = RngStream(1)
-    with pytest.raises(ValueError):
-        sample_noncentral_chisq(0.0, 1.0, rng)
-    with pytest.raises(ValueError):
-        sample_noncentral_chisq(2.0, -1.0, rng)
 
 
 def _jacobi_moments(b, count):
